@@ -38,6 +38,7 @@ from .occupancy import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "bayId,occupationTime,occupationRate"
+STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class AgentConfig:
     csv_dir: Path
     poll_interval_sec: int = 60
     rollup_period_sec: int = 86_400
-    clock_mode: str = "real"
     reconnect_backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     rollup_epoch_ms: int | None = None  # default: midnight UTC of the start day
     ack_timeout_ms: int = 5000
@@ -69,8 +69,6 @@ class AgentConfig:
             raise ValueError("poll interval must be at least 1 s")
         if self.rollup_period_sec < self.poll_interval_sec:
             raise ValueError("roll-up period must be at least the poll interval")
-        if self.clock_mode not in ("real", "virtual"):
-            raise ValueError("clock mode must be 'real' or 'virtual'")
 
     @property
     def poll_interval_ms(self) -> int:
@@ -87,9 +85,21 @@ def midnight_utc(ts_ms: int) -> int:
     return int(midnight.timestamp() * 1000)
 
 
+def window_floor(ts_ms: int, period_ms: int, epoch_ms: int | None = None) -> int:
+    """Start of the window containing ts on the grid epoch + k * period.
+
+    The epoch defaults to midnight UTC of ts's day; a ts at or before the
+    epoch belongs to the window that starts at the epoch.
+    """
+    epoch = midnight_utc(ts_ms) if epoch_ms is None else epoch_ms
+    if ts_ms <= epoch:
+        return epoch
+    return epoch + ((ts_ms - epoch) // period_ms) * period_ms
+
+
 def window_stamp(window_start_ms: int) -> str:
     dt = datetime.fromtimestamp(window_start_ms / 1000, tz=timezone.utc)
-    return dt.strftime("%Y%m%dT%H%M%SZ")
+    return dt.strftime(STAMP_FORMAT)
 
 
 def csv_filename(lot_id: str, window_start_ms: int) -> str:
@@ -127,7 +137,7 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
     lot_id, _, stamp = body.rpartition("_")
     if not lot_id:
         raise ValueError(f"roll-up CSV name missing lot id: {stem}")
-    start_dt = datetime.strptime(stamp, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
+    start_dt = datetime.strptime(stamp, STAMP_FORMAT).replace(tzinfo=timezone.utc)
     window_start = int(start_dt.timestamp() * 1000)
     records: list[RollupRecord] = []
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -212,21 +222,11 @@ class EdgeAgentCore:
         if records:
             self._recover(records, now)
         else:
-            epoch = (
-                self.config.rollup_epoch_ms
-                if self.config.rollup_epoch_ms is not None
-                else midnight_utc(now)
+            self.window_start = window_floor(
+                now, self.config.rollup_period_ms, self.config.rollup_epoch_ms
             )
-            self.window_start = self._align_window(epoch, now)
         self._schedule_boundary()
         self._connect()
-
-    def _align_window(self, epoch: int, now: int) -> int:
-        """Start of the window containing now, on the epoch-aligned grid."""
-        if now <= epoch:
-            return epoch
-        period = self.config.rollup_period_ms
-        return epoch + ((now - epoch) // period) * period
 
     def kill(self) -> None:
         """Abrupt stop (crash simulation): no markers, no flush."""
@@ -266,23 +266,14 @@ class EdgeAgentCore:
             self.window_start = int(records[idx]["ts"])
             tail = records[idx + 1:]
         else:
-            first_ts = int(records[0]["ts"])
-            epoch = (
-                self.config.rollup_epoch_ms
-                if self.config.rollup_epoch_ms is not None
-                else midnight_utc(first_ts)
+            self.window_start = window_floor(
+                int(records[0]["ts"]), period, self.config.rollup_epoch_ms
             )
-            self.window_start = epoch
             tail = records
         for record in tail:
-            if record.get("marker") == eventlog.MARKER_DISCONNECT:
-                invalidate_statuses(self.table, int(record["ts"]))
-                continue
-            if record.get("marker") is not None or record.get("rejected"):
-                continue
-            event = eventlog.record_to_event(record)
-            apply_event(self.table, event, self.warnings)
-            self.lot_id = event.lot_id
+            event = eventlog.apply_record(self.table, record, self.warnings)
+            if event is not None:
+                self.lot_id = event.lot_id
         # Close any windows whose boundary passed while we were down.
         while self.window_start + period <= now:
             self._run_rollup(self.window_start + period)
@@ -538,7 +529,6 @@ class EdgeAgentCore:
         # marker reconstructs the post-reset table.
         for bay_id in sorted(self.table):
             state = self.table[bay_id]
-            state.last_transition_ts = boundary
             seed = OccupancyEvent(
                 EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status
             )

@@ -171,7 +171,6 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
             csv_dir=Path(args.csv_dir),
             poll_interval_sec=args.poll_interval_sec,
             rollup_period_sec=args.rollup_period_sec,
-            clock_mode=args.clock,
             reconnect_backoff=BackoffPolicy(),
         )
     except ValueError as exc:

@@ -38,7 +38,35 @@ class Handle:
         self.cancelled = True
 
 
-class VirtualScheduler:
+class _EventQueue:
+    """The queue both schedulers share: a heap of (due, priority, seq, handle, fn, args).
+
+    Subclasses supply now_ms() and call_at(); call_at pushes with _push.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[int, int, int, Handle, Callable[..., None], tuple]] = []
+        self._seq = itertools.count()
+
+    def _push(self, due: int, priority: int, fn: Callable[..., None], args: tuple) -> Handle:
+        handle = Handle()
+        heapq.heappush(self._heap, (due, priority, next(self._seq), handle, fn, args))
+        return handle
+
+    def call_later(
+        self,
+        delay_ms: int,
+        fn: Callable[..., None],
+        *args: Any,
+        priority: int = PRIORITY_DELIVERY,
+    ) -> Handle:
+        return self.call_at(self.now_ms() + max(0, int(delay_ms)), fn, *args, priority=priority)
+
+    def post(self, fn: Callable[..., None], *args: Any) -> Handle:
+        return self.call_at(self.now_ms(), fn, *args)
+
+
+class VirtualScheduler(_EventQueue):
     """Deterministic event queue with an explicit clock.
 
     Callbacks run inline during run_until/run_for, in (due, priority,
@@ -46,9 +74,8 @@ class VirtualScheduler:
     """
 
     def __init__(self, start_ms: int) -> None:
+        super().__init__()
         self._now = int(start_ms)
-        self._heap: list[tuple[int, int, int, Handle, Callable[..., None], tuple]] = []
-        self._seq = itertools.count()
 
     def now_ms(self) -> int:
         return self._now
@@ -60,25 +87,7 @@ class VirtualScheduler:
         *args: Any,
         priority: int = PRIORITY_DELIVERY,
     ) -> Handle:
-        handle = Handle()
-        due = max(int(due_ms), self._now)
-        heapq.heappush(self._heap, (due, priority, next(self._seq), handle, fn, args))
-        return handle
-
-    def call_later(
-        self,
-        delay_ms: int,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = PRIORITY_DELIVERY,
-    ) -> Handle:
-        return self.call_at(self._now + max(0, int(delay_ms)), fn, *args, priority=priority)
-
-    def post(self, fn: Callable[..., None], *args: Any) -> Handle:
-        return self.call_at(self._now, fn, *args)
-
-    def pending(self) -> int:
-        return sum(1 for item in self._heap if not item[3].cancelled)
+        return self._push(max(int(due_ms), self._now), priority, fn, args)
 
     def run_until(self, end_ms: int) -> None:
         """Execute every callback due at or before end_ms, then set now."""
@@ -94,7 +103,7 @@ class VirtualScheduler:
         self.run_until(self._now + int(duration_ms))
 
 
-class RealScheduler:
+class RealScheduler(_EventQueue):
     """Dispatcher thread over the wall clock, optionally time-warped.
 
     now_ms() reads origin + elapsed*warp, so components schedule in
@@ -106,11 +115,10 @@ class RealScheduler:
     def __init__(self, *, warp: float = 1.0, origin_ms: int | None = None) -> None:
         if warp <= 0:
             raise ValueError("time warp must be positive")
+        super().__init__()
         self._warp = float(warp)
         self._origin_ms = int(time.time() * 1000) if origin_ms is None else int(origin_ms)
         self._mono0 = time.monotonic()
-        self._heap: list[tuple[int, int, int, Handle, Callable[..., None], tuple]] = []
-        self._seq = itertools.count()
         self._cond = threading.Condition()
         self._stopped = False
         self._thread = threading.Thread(target=self._run, name="edgepark-sched", daemon=True)
@@ -125,25 +133,10 @@ class RealScheduler:
         *args: Any,
         priority: int = PRIORITY_DELIVERY,
     ) -> Handle:
-        handle = Handle()
         with self._cond:
-            heapq.heappush(
-                self._heap, (int(due_ms), priority, next(self._seq), handle, fn, args)
-            )
+            handle = self._push(int(due_ms), priority, fn, args)
             self._cond.notify()
         return handle
-
-    def call_later(
-        self,
-        delay_ms: int,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = PRIORITY_DELIVERY,
-    ) -> Handle:
-        return self.call_at(self.now_ms() + max(0, int(delay_ms)), fn, *args, priority=priority)
-
-    def post(self, fn: Callable[..., None], *args: Any) -> Handle:
-        return self.call_at(self.now_ms(), fn, *args)
 
     def start(self) -> None:
         self._thread.start()

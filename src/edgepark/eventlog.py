@@ -8,7 +8,11 @@ Line shapes:
 
 Events are written before the state mutation they describe (write-ahead),
 so replaying a log through the state machine reproduces the live table.
-A torn final line is tolerated on read.
+The hub store uses the same reader and writer for its roll-up files.
+
+Torn tails: a final line without its newline is a crash leftover. Reading
+drops it; opening a writer cuts it off, so the next record starts on a
+line of its own.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
-from .occupancy import BayStatus, EventKind, OccupancyEvent
+from .occupancy import (
+    BayState,
+    BayStatus,
+    EventKind,
+    OccupancyEvent,
+    apply_event,
+    invalidate_statuses,
+)
+from .protocol import encode_line
 
 log = logging.getLogger(__name__)
 
@@ -48,10 +60,6 @@ def disconnect_record(ts: int) -> dict[str, Any]:
     return {"ts": ts, "marker": MARKER_DISCONNECT}
 
 
-def is_marker(record: dict[str, Any]) -> bool:
-    return "marker" in record
-
-
 def record_to_event(record: dict[str, Any]) -> OccupancyEvent:
     return OccupancyEvent(
         kind=EventKind(record["src"]),
@@ -62,18 +70,56 @@ def record_to_event(record: dict[str, Any]) -> OccupancyEvent:
     )
 
 
+def apply_record(
+    table: dict[int, BayState],
+    record: dict[str, Any],
+    warnings: list[str] | None = None,
+) -> OccupancyEvent | None:
+    """Fold one log record into the table; returns the event applied, if any.
+
+    A disconnect marker invalidates every bay; flush markers and rejected
+    events leave the table as it is.
+    """
+    marker = record.get("marker")
+    if marker == MARKER_DISCONNECT:
+        invalidate_statuses(table, int(record["ts"]))
+        return None
+    if marker is not None or record.get("rejected"):
+        return None
+    event = record_to_event(record)
+    apply_event(table, event, warnings)
+    return event
+
+
+def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:
+    end = fh.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    keep = fh.read().rfind(b"\n") + 1
+    fh.truncate(keep)
+    fh.seek(keep)
+    log.warning("%s: cut torn final line (%d bytes)", path, end - keep)
+
+
 class EventLogWriter:
-    """Appends one JSON object per line, flushed per append."""
+    """Appends one JSON object per line, flushed per append.
+
+    Opening the file cuts a torn final line back to the last newline.
+    """
 
     def __init__(self, path: str | Path, *, fsync: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "a+b")
+        _cut_torn_tail(self._fh, self.path)
 
     def append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        self._fh.write(line + b"\n")
+        self._fh.write(encode_line(record))
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())
@@ -106,7 +152,7 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("log line is not an object")
             records.append(record)

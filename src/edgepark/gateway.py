@@ -162,19 +162,19 @@ def snapshot_at(trace: SimTrace, sim_ts: int) -> dict[str, Any]:
 def write_trace(trace: SimTrace, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         meta = {
             "kind": "meta",
             "lotId": trace.lot_id,
             "bayCount": trace.bay_count,
             "durationMs": trace.duration_ms,
         }
-        fh.write(json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n")
+        fh.write(protocol.encode_line(meta))
         initial = {
             "kind": "initial",
             "statuses": {str(b): s.value for b, s in sorted(trace.initial.items())},
         }
-        fh.write(json.dumps(initial, separators=(",", ":"), sort_keys=True) + "\n")
+        fh.write(protocol.encode_line(initial))
         for item in trace.items:
             row = {
                 "kind": "item",
@@ -182,7 +182,7 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
                 "bayId": item.bay_id,
                 "status": item.new_status.value,
             }
-            fh.write(json.dumps(row, separators=(",", ":"), sort_keys=True) + "\n")
+            fh.write(protocol.encode_line(row))
 
 
 def read_trace(path: str | Path) -> SimTrace:

@@ -23,8 +23,11 @@ from .agent import (
     AgentConfig,
     BackoffPolicy,
     EdgeAgentCore,
+    csv_filename,
     midnight_utc,
     read_csv_records,
+    window_floor,
+    window_stamp,
     write_csv,
 )
 from .clock import PRIORITY_FAULT, VirtualScheduler
@@ -39,14 +42,12 @@ from .gateway import (
     scripted_trace,
     write_trace,
 )
-from .hub import HubCore, RollupStore, fleet_average_hours
+from .hub import MS_PER_DAY, HubCore, RollupStore, fleet_average_hours, per_bay_extremes
 from .occupancy import (
     EventKind,
     OccupancyEvent,
     RollupRecord,
     RollupWindow,
-    apply_event,
-    invalidate_statuses,
     rollup,
     update_occupation_time,
 )
@@ -55,7 +56,6 @@ from .transport import VirtualNetwork
 
 log = logging.getLogger(__name__)
 
-MS_PER_DAY = 86_400_000
 DEFAULT_START = "2018-11-19T00:00:00Z"
 
 GATEWAY_ADDRESS = "sim://gateway"
@@ -338,7 +338,6 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
         csv_dir=csv_dir,
         poll_interval_sec=scenario.poll_interval_sec,
         rollup_period_sec=scenario.rollup_period_sec,
-        clock_mode="virtual",
         reconnect_backoff=BackoffPolicy(
             scenario.backoff_initial_ms,
             scenario.backoff_multiplier,
@@ -481,9 +480,7 @@ def replay_log(
         emit(window, {}, [], lot_fallback)
         return ReplayResult(windows, skipped, csv_paths)
 
-    first_ts = int(records[0]["ts"])
-    epoch = epoch_ms if epoch_ms is not None else midnight_utc(first_ts)
-    window_start = epoch + ((first_ts - epoch) // period) * period if first_ts >= epoch else epoch
+    window_start = window_floor(int(records[0]["ts"]), period, epoch_ms)
 
     table: dict[int, Any] = {}
     lot_seen = lot_fallback
@@ -495,8 +492,6 @@ def replay_log(
         update_occupation_time(table, boundary)
         totals = {b: s.accumulated_occupation_ms for b, s in table.items()}
         recs, _ = rollup(table, window)
-        for state in table.values():
-            state.last_transition_ts = boundary
         emit(window, totals, recs, lot_seen)
         window_start = boundary
         has_observations = False
@@ -505,22 +500,15 @@ def replay_log(
         ts = int(record["ts"])
         while ts >= window_start + period:
             close_window(window_start + period)
-        if record.get("marker") == eventlog.MARKER_FLUSH:
-            continue
-        if record.get("marker") == eventlog.MARKER_DISCONNECT:
-            invalidate_statuses(table, ts)
-            if ts > window_start:
+        event = eventlog.apply_record(table, record)
+        if event is not None:
+            # Updates are real observations; snapshots at exactly the window
+            # start are boundary bookkeeping (post-rollup re-seed lines).
+            if event.kind is EventKind.UPDATE or ts > window_start:
                 has_observations = True
-            continue
-        if record.get("rejected"):
-            continue
-        event = eventlog.record_to_event(record)
-        apply_event(table, event)
-        # Updates are real observations; snapshots at exactly the window
-        # start are boundary bookkeeping (post-rollup re-seed lines).
-        if event.kind is EventKind.UPDATE or event.ts > window_start:
+            lot_seen = event.lot_id
+        elif record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
             has_observations = True
-        lot_seen = event.lot_id
 
     # A log that simply stops mid-window (a crash leftover) still gets its
     # in-progress window closed; a log ending at a flush boundary does not.
@@ -569,21 +557,11 @@ def trace_to_events(trace: SimTrace, epoch_ms: int) -> list[OccupancyEvent]:
 
 
 def scenario_windows(meta: dict[str, Any]) -> list[RollupWindow]:
+    """Every whole window of the run's grid that overlaps [startMs, endMs)."""
     period = int(meta["periodMs"])
-    start = int(meta["startMs"])
-    end = int(meta["endMs"])
-    epoch = int(meta["windowEpochMs"])
-    windows = []
-    k = (start - epoch) // period
-    while True:
-        w_start = epoch + k * period
-        w_end = w_start + period
-        if w_end > end:
-            break
-        if w_end > start:
-            windows.append(RollupWindow(w_start, w_end))
-        k += 1
-    return windows
+    first = window_floor(int(meta["startMs"]), period, int(meta["windowEpochMs"]))
+    last = int(meta["endMs"]) - period
+    return [RollupWindow(ws, ws + period) for ws in range(first, last + 1, period)]
 
 
 def verify_run(run_dir: str | Path) -> VerifyReport:
@@ -642,7 +620,7 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
                     f"{label} bay {bay_id}: log replay off by {err} ms "
                     f"(oracle {oracle.get(bay_id, 0)}, agent {rw.totals_ms.get(bay_id, 0)})"
                 )
-        csv_path = run_dir / "csv" / f"rollup_{lot_id}_{_stamp(window.start)}.csv"
+        csv_path = run_dir / "csv" / csv_filename(lot_id, window.start)
         if not csv_path.exists():
             failures.append(f"{label}: missing CSV {csv_path.name}")
             continue
@@ -662,12 +640,6 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
 
     ok = not failures and max_error_ms <= allowed_ms
     return VerifyReport(ok, max_error_ms, allowed_ms, checks, failures)
-
-
-def _stamp(window_start_ms: int) -> str:
-    return datetime.fromtimestamp(window_start_ms / 1000, tz=timezone.utc).strftime(
-        "%Y%m%dT%H%M%SZ"
-    )
 
 
 def _diff_records(
@@ -699,14 +671,6 @@ def _day_label(window_start_ms: int) -> str:
     )
 
 
-def _per_bay_extremes(store: RollupStore, lot_id: str) -> dict[int, tuple[float, float]]:
-    hours: dict[int, list[float]] = {}
-    for stored in store.windows_for(lot_id):
-        for record in stored.records:
-            hours.setdefault(record.bay_id, []).append(record.occupation_time_sec / 3600.0)
-    return {b: (min(h), max(h)) for b, h in sorted(hours.items())}
-
-
 def build_report_markdown(store: RollupStore, ledger: TrafficLedger | None = None) -> str:
     lines: list[str] = ["# Run report", ""]
     for lot_id in store.lots() or ["(no data)"]:
@@ -725,7 +689,8 @@ def build_report_markdown(store: RollupStore, ledger: TrafficLedger | None = Non
             lines.append("")
             lines.append("| bay | min hours | max hours |")
             lines.append("| --- | --- | --- |")
-            for bay_id, (lo, hi) in _per_bay_extremes(store, lot_id).items():
+            extremes = per_bay_extremes(stored.records for stored in rows)
+            for bay_id, (lo, hi) in extremes.items():
                 lines.append(f"| {bay_id} | {lo:.4f} | {hi:.4f} |")
             lines.append("")
     if ledger is not None:
@@ -761,12 +726,13 @@ def export_report(run_dir: str | Path, fmt: str) -> list[Path]:
     daily_lines = ["lotId,windowStart,fleetAvgHours"]
     bays_lines = ["lotId,bayId,minHours,maxHours"]
     for lot_id in store.lots():
-        for stored in store.windows_for(lot_id):
+        rows = store.windows_for(lot_id)
+        for stored in rows:
             daily_lines.append(
-                f"{lot_id},{_stamp(stored.window_start)},"
+                f"{lot_id},{window_stamp(stored.window_start)},"
                 f"{fleet_average_hours(stored.records):.4f}"
             )
-        for bay_id, (lo, hi) in _per_bay_extremes(store, lot_id).items():
+        for bay_id, (lo, hi) in per_bay_extremes(stored.records for stored in rows).items():
             bays_lines.append(f"{lot_id},{bay_id},{lo:.4f},{hi:.4f}")
     daily_path = run_dir / "report_daily.csv"
     bays_path = run_dir / "report_bays.csv"

@@ -3,27 +3,27 @@
 Persistence is one append-only JSON-lines file per lot with an in-memory
 key index rebuilt on startup. A record is durable on disk before its ack
 is sent, so an acked upload survives a hub restart; duplicate deliveries
-of one idempotency key are acked but stored once.
+of one idempotency key are acked but stored once. The files are read and
+appended with the event log's reader and writer, so a torn final line
+left by a crash is dropped on load and cut off before the next append.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
-from . import protocol
+from . import eventlog, protocol
 from .clock import RealScheduler, VirtualScheduler
 from .occupancy import RollupRecord
 
 log = logging.getLogger(__name__)
 
 MS_PER_DAY = 86_400_000
-HOURS_PER_DAY = 24.0
 
 _LOT_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -60,6 +60,17 @@ def fleet_average_hours(records: tuple[RollupRecord, ...] | list[RollupRecord]) 
     return sum(r.occupation_time_sec for r in records) / len(records) / 3600.0
 
 
+def per_bay_extremes(
+    windows: Iterable[Sequence[RollupRecord]],
+) -> dict[int, tuple[float, float]]:
+    """(min, max) occupied hours of each bay over the given windows, by bay id."""
+    hours: dict[int, list[float]] = {}
+    for records in windows:
+        for r in records:
+            hours.setdefault(r.bay_id, []).append(r.occupation_time_sec / 3600.0)
+    return {b: (min(h), max(h)) for b, h in sorted(hours.items())}
+
+
 class RollupStore:
     """Durable, deduplicating storage of uploaded roll-ups."""
 
@@ -72,28 +83,24 @@ class RollupStore:
 
     def _load(self) -> None:
         for path in sorted(self.store_dir.glob("*.jsonl")):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    stored = StoredRollup(
-                        key=row["key"],
-                        lot_id=row["lotId"],
-                        window_start=int(row["windowStart"]),
-                        window_end=int(row["windowEnd"]),
-                        records=tuple(
-                            RollupRecord(
-                                int(r["bayId"]),
-                                int(r["occupationTime"]),
-                                float(r["occupationRate"]),
-                            )
-                            for r in row["records"]
-                        ),
-                        received_at=int(row["receivedAt"]),
-                    )
-                    self._by_key[stored.key] = stored
+            rows, _skipped = eventlog.read_records(path)
+            for row in rows:
+                stored = StoredRollup(
+                    key=row["key"],
+                    lot_id=row["lotId"],
+                    window_start=int(row["windowStart"]),
+                    window_end=int(row["windowEnd"]),
+                    records=tuple(
+                        RollupRecord(
+                            int(r["bayId"]),
+                            int(r["occupationTime"]),
+                            float(r["occupationRate"]),
+                        )
+                        for r in row["records"]
+                    ),
+                    received_at=int(row["receivedAt"]),
+                )
+                self._by_key[stored.key] = stored
         if self._by_key:
             log.info("rollup store: rebuilt index with %d records", len(self._by_key))
 
@@ -119,11 +126,8 @@ class RollupStore:
             "receivedAt": stored.received_at,
         }
         path = self.store_dir / f"{stored.lot_id}.jsonl"
-        with open(path, "ab") as fh:
-            fh.write(json.dumps(row, separators=(",", ":"), sort_keys=True).encode("utf-8") + b"\n")
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
+        with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
+            writer.append(row)
         self._by_key[stored.key] = stored
         return True
 
@@ -136,26 +140,19 @@ class RollupStore:
 
     def weekly_report(self, lot_id: str, week_start: int) -> WeeklyReport | None:
         """Aggregate the seven day-windows starting at week_start."""
-        per_day: list[float | None] = []
-        per_bay_hours: dict[int, list[float]] = {}
-        seen_any = False
-        for day in range(7):
-            records = self.query_daily(lot_id, week_start + day * MS_PER_DAY)
-            if records is None:
-                per_day.append(None)
-                continue
-            seen_any = True
-            per_day.append(fleet_average_hours(records))
-            for r in records:
-                per_bay_hours.setdefault(r.bay_id, []).append(r.occupation_time_sec / 3600.0)
-        if not seen_any:
+        days = [self.query_daily(lot_id, week_start + day * MS_PER_DAY) for day in range(7)]
+        found = [records for records in days if records is not None]
+        if not found:
             return None
+        extremes = per_bay_extremes(found)
         return WeeklyReport(
             lot_id=lot_id,
             week_start=week_start,
-            per_day_fleet_avg_hours=tuple(per_day),
-            per_bay_min_hours={b: min(h) for b, h in sorted(per_bay_hours.items())},
-            per_bay_max_hours={b: max(h) for b, h in sorted(per_bay_hours.items())},
+            per_day_fleet_avg_hours=tuple(
+                None if records is None else fleet_average_hours(records) for records in days
+            ),
+            per_bay_min_hours={b: lo for b, (lo, _hi) in extremes.items()},
+            per_bay_max_hours={b: hi for b, (_lo, hi) in extremes.items()},
         )
 
     def lots(self) -> list[str]:

@@ -17,7 +17,6 @@ from enum import Enum
 log = logging.getLogger(__name__)
 
 MS_PER_SEC = 1_000
-DEFAULT_ROLLUP_PERIOD_MS = 86_400_000
 
 
 class BayStatus(str, Enum):
@@ -216,8 +215,9 @@ def rollup(
     """Close a window: flush at window.end, emit records, reset accumulators.
 
     Occupancy spanning the boundary is truncated at window.end; its
-    continuation accrues to the next window because statuses and interval
-    starts survive the reset. Records are sorted by bay id.
+    continuation accrues to the next window because statuses survive the
+    reset and every bay's interval restarts at window.end. Records are
+    sorted by bay id.
     """
     update_occupation_time(table, window.end)
     records: list[RollupRecord] = []
@@ -232,6 +232,7 @@ def rollup(
             )
         )
         state.accumulated_occupation_ms = 0
+        state.last_transition_ts = window.end
     return records, table
 
 

@@ -97,7 +97,6 @@ class SimRig:
             csv_dir=tmp_path / "csv",
             poll_interval_sec=poll_interval_sec,
             rollup_period_sec=rollup_period_sec,
-            clock_mode="virtual",
             reconnect_backoff=backoff or BackoffPolicy(1000, 1.0, 1000),
             rollup_epoch_ms=EPOCH_MS,
         )

@@ -159,7 +159,6 @@ def test_mismatched_pong_counts_as_missing(tmp_path):
         cloud_address="sim://hub",
         log_path=tmp_path / "agent.log",
         csv_dir=tmp_path / "csv",
-        clock_mode="virtual",
         rollup_epoch_ms=EPOCH_MS,
     )
     agent = EdgeAgentCore(sched, net, config)
@@ -193,7 +192,6 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
         cloud_address="sim://hub",
         log_path=tmp_path / "agent.log",
         csv_dir=tmp_path / "csv",
-        clock_mode="virtual",
         rollup_epoch_ms=EPOCH_MS,
     )
     agent = EdgeAgentCore(sched, net, config)
@@ -228,7 +226,6 @@ def test_unresponsive_gateway_handshake_times_out(tmp_path):
         cloud_address="sim://hub",
         log_path=tmp_path / "agent.log",
         csv_dir=tmp_path / "csv",
-        clock_mode="virtual",
         rollup_epoch_ms=EPOCH_MS,
     )
     agent = EdgeAgentCore(sched, net, config)
@@ -367,7 +364,6 @@ def make_agent(tmp_path, sched=None, **overrides):
         cloud_address="sim://nohub",
         log_path=tmp_path / "agent.log",
         csv_dir=tmp_path / "csv",
-        clock_mode="virtual",
         rollup_epoch_ms=overrides.pop("rollup_epoch_ms", EPOCH_MS),
         **overrides,
     )
@@ -411,6 +407,20 @@ def test_recover_replays_only_after_last_flush_marker(tmp_path):
     assert agent.table[2].status is BayStatus.UNKNOWN
     records, _ = eventlog.read_records(tmp_path / "agent.log")
     assert records[-1]["marker"] == "disconnect"
+
+
+def test_recover_before_first_flush_uses_window_of_first_record(tmp_path):
+    # Crashed in the 10:00-11:00 window of an hourly grid, before any flush.
+    first = EPOCH_MS + 10 * HOUR_MS + HOUR_MS // 2
+    log = eventlog.EventLogWriter(tmp_path / "agent.log")
+    log.append({"ts": first, "lotId": "L", "bayId": 1, "status": "occupied", "src": "snapshot"})
+    log.close()
+    agent, _ = make_agent(
+        tmp_path, VirtualScheduler(first + HOUR_MS // 4), rollup_period_sec=3600
+    )
+    agent.start()
+    assert agent.window_start == EPOCH_MS + 10 * HOUR_MS
+    assert agent.table[1].accumulated_occupation_ms == HOUR_MS // 4
 
 
 def test_recover_tolerates_torn_tail(tmp_path):

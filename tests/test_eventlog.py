@@ -40,6 +40,22 @@ def test_torn_tail_discarded_with_count(tmp_path):
     assert skipped == 1
 
 
+def test_writer_cuts_torn_tail_before_appending(tmp_path):
+    path = tmp_path / "events.log"
+    writer = eventlog.EventLogWriter(path)
+    writer.append(eventlog.event_record(ev(1, 1, "occupied")))
+    writer.close()
+    with open(path, "ab") as fh:
+        fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
+    writer = eventlog.EventLogWriter(path)
+    writer.append(eventlog.event_record(ev(2, 1, "free")))
+    writer.append(eventlog.event_record(ev(3, 1, "occupied")))
+    writer.close()
+    records, skipped = eventlog.read_records(path)
+    assert [r["ts"] for r in records] == [1, 2, 3]
+    assert skipped == 0
+
+
 def test_undecodable_interior_line_skipped(tmp_path):
     path = tmp_path / "events.log"
     with open(path, "wb") as fh:

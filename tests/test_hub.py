@@ -67,6 +67,19 @@ def test_ack_implies_durable_across_restart(tmp_path):
     assert reopened.receive(envelope(), received_at=43) is False
 
 
+def test_store_survives_torn_append(tmp_path):
+    store = RollupStore(tmp_path, fsync=False)
+    store.receive(envelope(start=EPOCH_MS), received_at=1)
+    with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
+        fh.write(b'{"key":"L:864')  # crash mid-append: no newline
+    reopened = RollupStore(tmp_path, fsync=False)
+    assert len(reopened) == 1
+    assert reopened.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=2) is True
+    again = RollupStore(tmp_path, fsync=False)
+    assert again.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
+    assert again.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 100, 0.0012),)
+
+
 # ---------------------------------------------------------------------------
 # weekly report
 
