@@ -15,6 +15,7 @@ snapshot re-establishes it, so unobserved time is never counted.
 from __future__ import annotations
 
 import logging
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -112,18 +113,30 @@ def write_csv(
     lot_id: str,
     csv_dir: str | Path,
 ) -> Path:
-    """Bit-exact roll-up CSV: LF endings, integer seconds, 4-decimal rates."""
+    """Bit-exact roll-up CSV: LF endings, integer seconds, 4-decimal rates.
+
+    The file is written beside its final name and renamed onto it, so a
+    crash leaves either the previous file or the whole new one, never a
+    torn CSV that recovery would re-upload. Like the event log, it is
+    flushed but not fsynced.
+    """
     for i in range(1, len(records)):
         if records[i].bay_id <= records[i - 1].bay_id:
             raise ValueError("records must be sorted by ascending bay id")
     csv_dir = Path(csv_dir)
     csv_dir.mkdir(parents=True, exist_ok=True)
     path = csv_dir / csv_filename(lot_id, window.start)
+    tmp = path.with_name(f".{path.name}.tmp")  # not matched by rollup_*.csv
     lines = [CSV_HEADER]
     lines.extend(
         f"{r.bay_id},{r.occupation_time_sec},{r.occupation_rate:.4f}" for r in records
     )
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    try:
+        tmp.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

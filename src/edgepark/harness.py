@@ -51,7 +51,7 @@ from .occupancy import (
     rollup,
     update_occupation_time,
 )
-from .oracle import oracle_occupancy
+from .oracle import oracle_windows
 from .transport import VirtualNetwork
 
 log = logging.getLogger(__name__)
@@ -600,9 +600,8 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
     failures: list[str] = []
     max_error_ms = 0
 
-    for window in windows:
+    for window, oracle in zip(windows, oracle_windows(events, windows)):
         label = f"window {window.start}"
-        oracle = oracle_occupancy(events, window)
         rw = replay_by_start.get(window.start)
         if rw is None:
             if not oracle:

@@ -3,12 +3,19 @@
 Independent check of the state-machine accounting. It deliberately shares
 no logic with apply_event/rollup: per bay it reconstructs the piecewise
 constant status function ("the most recent event at each instant") and
-measures its occupied portion inside the window. Keep it that way.
+measures its occupied portion inside each window. Keep it that way.
+
+Every window is half-open, [window.start, window.end). The trace is
+grouped once into per-bay runs (ts_i, status_i), each holding until
+ts_{i+1}; the last run is open-ended. One sweep over the sorted, disjoint
+window grid keeps a cursor per bay and splits each occupied run across
+the windows it overlaps, so checking W windows costs O(events + W × bays)
+rather than W passes over the whole trace.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .occupancy import BayStatus, OccupancyEvent, RollupWindow
 
@@ -17,34 +24,58 @@ class TraceOrderError(ValueError):
     """The trace is not sorted by timestamp."""
 
 
-def oracle_occupancy(
-    trace: Sequence[OccupancyEvent], window: RollupWindow
-) -> dict[int, int]:
-    """Per-bay occupied milliseconds within [window.start, window.end].
+def oracle_windows(
+    trace: Sequence[OccupancyEvent], windows: Sequence[RollupWindow]
+) -> Iterator[dict[int, int]]:
+    """Per-bay occupied milliseconds in each window, yielded in grid order.
 
-    A bay still occupied at window.end is truncated there. Every bay id
-    appearing in the trace is present in the result, with 0 if it was
-    never occupied inside the window.
+    The windows must be sorted and disjoint. A bay still occupied at a
+    window's end is truncated there. Every bay id appearing in the trace
+    is present in each result, with 0 if it was never occupied inside
+    that window.
     """
     prev_ts: int | None = None
     for event in trace:
         if prev_ts is not None and event.ts < prev_ts:
             raise TraceOrderError(f"trace not sorted by ts at {event.ts} < {prev_ts}")
         prev_ts = event.ts
+    for before, after in zip(windows, windows[1:]):
+        if after.start < before.end:
+            raise ValueError(
+                f"windows not sorted and disjoint: [{before.start}, {before.end}) "
+                f"then [{after.start}, {after.end})"
+            )
 
-    per_bay: dict[int, list[tuple[int, BayStatus]]] = {}
+    # Per bay: run start times, and whether each run is occupied.
+    runs: dict[int, tuple[list[int], list[bool]]] = {}
     for event in trace:
-        per_bay.setdefault(event.bay_id, []).append((event.ts, event.status))
+        starts, occupied = runs.setdefault(event.bay_id, ([], []))
+        starts.append(event.ts)
+        occupied.append(event.status is BayStatus.OCCUPIED)
+    # Per bay: index of the first run that ends after the current window starts.
+    cursors = dict.fromkeys(runs, 0)
 
-    totals: dict[int, int] = {}
-    for bay_id, events in per_bay.items():
-        total = 0
-        for i, (ts, status) in enumerate(events):
-            seg_end = events[i + 1][0] if i + 1 < len(events) else window.end
-            if status is BayStatus.OCCUPIED:
-                lo = max(ts, window.start)
-                hi = min(seg_end, window.end)
-                if hi > lo:
-                    total += hi - lo
-        totals[bay_id] = total
-    return totals
+    for window in windows:
+        lo, hi = window.start, window.end
+        totals: dict[int, int] = {}
+        for bay_id, (starts, occupied) in runs.items():
+            n = len(starts)
+            i = cursors[bay_id]
+            while i + 1 < n and starts[i + 1] <= lo:
+                i += 1
+            cursors[bay_id] = i
+            total = 0
+            while i < n and starts[i] < hi:
+                if occupied[i]:
+                    run_end = starts[i + 1] if i + 1 < n and starts[i + 1] < hi else hi
+                    total += run_end - max(starts[i], lo)
+                i += 1
+            totals[bay_id] = total
+        yield totals
+
+
+def oracle_occupancy(
+    trace: Sequence[OccupancyEvent], window: RollupWindow
+) -> dict[int, int]:
+    """Per-bay occupied milliseconds within the half-open window."""
+    return next(oracle_windows(trace, [window]))

@@ -213,9 +213,13 @@ class SocketNetwork:
     def listen(self, address: str, on_accept: Callable[[SocketConn], None]) -> SocketListener:
         host, port = parse_address(address)
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(16)
+        try:
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.bind((host, port))
+            server.listen(16)
+        except OSError:
+            server.close()
+            raise
 
         def accept_loop() -> None:
             while True:

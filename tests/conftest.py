@@ -63,6 +63,23 @@ def items_trace(
     )
 
 
+# Every agent a helper builds, killed when its test ends so that no
+# agent.log handle or session outlives the test.
+_built_agents: list[EdgeAgentCore] = []
+
+
+def track_agent(agent: EdgeAgentCore) -> EdgeAgentCore:
+    _built_agents.append(agent)
+    return agent
+
+
+@pytest.fixture(autouse=True)
+def kill_built_agents():
+    yield
+    while _built_agents:
+        _built_agents.pop().kill()
+
+
 class SimRig:
     """Gateway + hub + agent wired in-process under one virtual clock."""
 
@@ -100,7 +117,7 @@ class SimRig:
             reconnect_backoff=backoff or BackoffPolicy(1000, 1.0, 1000),
             rollup_epoch_ms=EPOCH_MS,
         )
-        self.agent = EdgeAgentCore(self.sched, self.net, self.agent_config)
+        self.agent = track_agent(EdgeAgentCore(self.sched, self.net, self.agent_config))
         self.hub.start()
         self.gateway.start()
         if start_agent:

@@ -17,7 +17,7 @@ from edgepark.gateway import FaultPlan
 from edgepark.occupancy import BayStatus, RollupRecord, RollupWindow, apply_event
 from edgepark.transport import VirtualNetwork
 
-from conftest import DAY_MS, EPOCH_MS, idle_trace, items_trace
+from conftest import DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent
 
 HOUR_MS = 3_600_000
 
@@ -154,14 +154,9 @@ def test_mismatched_pong_counts_as_missing(tmp_path):
             conn.send(protocol.pong_message(msg["seq"] + 1000))  # always wrong
 
     net.listen("sim://gw", accept)
-    config = AgentConfig(
-        gateway_address="sim://gw",
-        cloud_address="sim://hub",
-        log_path=tmp_path / "agent.log",
-        csv_dir=tmp_path / "csv",
-        rollup_epoch_ms=EPOCH_MS,
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
     )
-    agent = EdgeAgentCore(sched, net, config)
     agent.start()
     sched.run_until(EPOCH_MS + 239_000)
     assert agent.missed_pongs == 2  # wrong seqs never matched
@@ -187,14 +182,9 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
         conn.on_close = lambda: None
 
     net.listen("sim://gw", accept)
-    config = AgentConfig(
-        gateway_address="sim://gw",
-        cloud_address="sim://hub",
-        log_path=tmp_path / "agent.log",
-        csv_dir=tmp_path / "csv",
-        rollup_epoch_ms=EPOCH_MS,
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
     )
-    agent = EdgeAgentCore(sched, net, config)
     agent.start()
     sched.run_until(EPOCH_MS + 5000)
     assert any("malformed snapshot" in w for w in agent.warnings)
@@ -221,14 +211,9 @@ def test_unresponsive_gateway_handshake_times_out(tmp_path):
     net = VirtualNetwork(sched)
     accepted = []
     net.listen("sim://gw", lambda conn: accepted.append(conn))  # never replies
-    config = AgentConfig(
-        gateway_address="sim://gw",
-        cloud_address="sim://hub",
-        log_path=tmp_path / "agent.log",
-        csv_dir=tmp_path / "csv",
-        rollup_epoch_ms=EPOCH_MS,
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
     )
-    agent = EdgeAgentCore(sched, net, config)
     agent.start()
     sched.run_until(EPOCH_MS + 200_000)
     assert not agent.handshaken
@@ -284,6 +269,26 @@ def test_write_csv_rejects_unsorted(tmp_path):
     records = [RollupRecord(2, 0, 0.0), RollupRecord(1, 0, 0.0)]
     with pytest.raises(ValueError):
         write_csv(records, RollupWindow(0, 1000), "LOT", tmp_path)
+
+
+def test_write_csv_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
+    window = RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS)
+    first = write_csv([RollupRecord(1, 5, 0.0001)], window, "LOT", tmp_path)
+    before = first.read_bytes()
+
+    def boom(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("edgepark.agent.os.replace", boom)
+    with pytest.raises(OSError, match="rename failed"):
+        write_csv([RollupRecord(1, 86_400, 1.0)], window, "LOT", tmp_path)
+    assert first.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+
+    other = RollupWindow(EPOCH_MS + DAY_MS, EPOCH_MS + 2 * DAY_MS)
+    with pytest.raises(OSError, match="rename failed"):
+        write_csv([RollupRecord(1, 0, 0.0)], other, "LOT", tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
 
 
 def test_read_csv_records_roundtrip(tmp_path):
@@ -356,18 +361,18 @@ def test_dropped_acks_cause_retries_but_single_store(rig_factory):
 # recovery
 
 
-def make_agent(tmp_path, sched=None, **overrides):
+def make_agent(tmp_path, sched=None, net=None, **overrides):
     sched = sched or VirtualScheduler(EPOCH_MS)
-    net = VirtualNetwork(sched)
-    config = AgentConfig(
+    net = net or VirtualNetwork(sched)
+    fields = dict(
         gateway_address="sim://nowhere",
         cloud_address="sim://nohub",
         log_path=tmp_path / "agent.log",
         csv_dir=tmp_path / "csv",
-        rollup_epoch_ms=overrides.pop("rollup_epoch_ms", EPOCH_MS),
-        **overrides,
+        rollup_epoch_ms=EPOCH_MS,
     )
-    return EdgeAgentCore(sched, net, config), sched
+    fields.update(overrides)
+    return track_agent(EdgeAgentCore(sched, net, AgentConfig(**fields))), sched
 
 
 def test_recover_empty_log_starts_empty(tmp_path):

@@ -13,7 +13,10 @@ from edgepark.occupancy import (
     rollup,
     update_occupation_time,
 )
-from edgepark.oracle import TraceOrderError, oracle_occupancy
+from edgepark import harness, oracle
+from edgepark.oracle import TraceOrderError, oracle_occupancy, oracle_windows
+
+from conftest import make_scenario
 
 
 def snap(ts, bay, status):
@@ -135,3 +138,120 @@ def test_window_partition_conserves_totals():
         assert summed == whole
         for window, totals in zip(windows, per_window):
             assert totals == oracle_occupancy(events, window)
+
+
+# ---------------------------------------------------------------------------
+# one-pass sweep against a per-window enumeration
+
+
+def reference_occupancy(trace, window):
+    """Per-window enumeration, kept here as the sweep's reference."""
+    per_bay = {}
+    for event in trace:
+        per_bay.setdefault(event.bay_id, []).append((event.ts, event.status))
+    totals = {}
+    for bay_id, events in per_bay.items():
+        total = 0
+        for i, (ts, status) in enumerate(events):
+            seg_end = events[i + 1][0] if i + 1 < len(events) else window.end
+            if status is BayStatus.OCCUPIED:
+                lo = max(ts, window.start)
+                hi = min(seg_end, window.end)
+                if hi > lo:
+                    total += hi - lo
+        totals[bay_id] = total
+    return totals
+
+
+def sweep_case(rng):
+    """A window grid and a trace built to hit the sweep's edge cases."""
+    period = rng.choice([7, 60, 1000, 3600])
+    n_windows = rng.randint(1, 12)
+    grid_start = rng.randint(2, 5) * period
+    bounds = [grid_start + k * period for k in range(n_windows + 1)]
+    # Sometimes leave gaps between windows: sorted and disjoint, not contiguous.
+    max_gap = period - 1 if rng.random() < 0.3 else 0
+    windows = [
+        RollupWindow(a, b - rng.randint(0, max_gap)) for a, b in zip(bounds, bounds[1:])
+    ]
+    # Events may fall before the grid, after it, or exactly on a boundary.
+    lo, hi = grid_start - 2 * period, bounds[-1] + 2 * period
+    n_bays = rng.randint(1, 6)
+    times = []
+    for _ in range(rng.randint(0, 40)):
+        if rng.random() < 0.3:
+            times.append(rng.choice(bounds))
+        else:
+            times.append(rng.randint(lo, hi))
+    times.sort()
+    trace = []
+    status = {}
+    for ts in times:
+        # Several bays may report at the same instant.
+        for bay in rng.sample(range(1, n_bays + 1), rng.randint(1, min(2, n_bays))):
+            if bay in status and rng.random() < 0.2:
+                new = status[bay]  # duplicate-status update
+            else:
+                new = rng.choice([BayStatus.FREE, BayStatus.OCCUPIED])
+            status[bay] = new
+            trace.append(upd(ts, bay, new.value))
+    return trace, windows
+
+
+def test_sweep_matches_per_window_reference_on_random_traces():
+    rng = random.Random(20_181_119)
+    for case in range(600):
+        trace, windows = sweep_case(rng)
+        got = list(oracle_windows(trace, windows))
+        want = [reference_occupancy(trace, w) for w in windows]
+        assert got == want, f"case {case}"
+
+
+def test_sweep_on_boundary_events_and_late_bays():
+    # Bay 2 is first seen in the third window; bay 1 flips on boundaries.
+    trace = [
+        upd(1000, 1, "occupied"),
+        upd(2000, 1, "free"),
+        upd(2000, 3, "occupied"),
+        upd(2000, 3, "occupied"),
+        upd(2500, 2, "occupied"),
+        upd(3000, 1, "occupied"),
+    ]
+    windows = [RollupWindow(a, a + 1000) for a in range(0, 5000, 1000)]
+    assert list(oracle_windows(trace, windows)) == [
+        {1: 0, 2: 0, 3: 0},
+        {1: 1000, 2: 0, 3: 0},
+        {1: 0, 2: 500, 3: 1000},
+        {1: 1000, 2: 1000, 3: 1000},
+        {1: 1000, 2: 1000, 3: 1000},
+    ]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [(1000, 2000), (0, 1000)],  # out of order
+        [(0, 1000), (500, 1500)],  # overlapping
+        [(0, 1000), (0, 1000)],  # repeated
+    ],
+)
+def test_sweep_rejects_unsorted_or_overlapping_windows(bounds):
+    windows = [RollupWindow(a, b) for a, b in bounds]
+    with pytest.raises(ValueError, match="sorted and disjoint"):
+        list(oracle_windows([upd(0, 1, "occupied")], windows))
+
+
+def test_verify_run_sweeps_the_oracle_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(trace, windows):
+        calls.append(len(windows))
+        return oracle.oracle_windows(trace, windows)
+
+    monkeypatch.setattr(harness, "oracle_windows", counting)
+    harness.run_sim(
+        make_scenario(seed=5, bays=4, days=2, rollup_period_sec=3600), tmp_path / "run"
+    )
+    report = harness.verify_run(tmp_path / "run")
+    assert report.ok, report.render()
+    assert calls == [48]
