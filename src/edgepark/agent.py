@@ -291,7 +291,7 @@ class EdgeAgentCore:
         while self.window_start + period <= now:
             self._run_rollup(self.window_start + period)
         # The downtime itself is an unobserved gap.
-        self._append_log(eventlog.disconnect_record(now))
+        self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
         self._gap_open = now
         self._requeue_existing_csvs()
@@ -392,7 +392,7 @@ class EdgeAgentCore:
 
     def _mark_disconnected(self, now: int, reason: str) -> None:
         log.warning("observation interrupted at %d: %s", now, reason)
-        self._append_log(eventlog.disconnect_record(now))
+        self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
         if self._gap_open is None:
             self._gap_open = now
@@ -407,7 +407,7 @@ class EdgeAgentCore:
             self._on_update(message)
         elif mtype == "pong":
             seq = message.get("seq")
-            if isinstance(seq, int) and seq == self.ping_seq:
+            if protocol.is_wire_int(seq) and seq == self.ping_seq:
                 self.last_pong_seq = seq
             # A stale or mismatched seq is ignored and counts as missing.
         elif mtype == "error":
@@ -440,7 +440,7 @@ class EdgeAgentCore:
             event = OccupancyEvent(
                 EventKind.SNAPSHOT, now, lot_id, bay_id, BayStatus(status)
             )
-            self._append_log(eventlog.event_record(event))
+            self._append_log(eventlog.event_line(event))
             apply_event(self.table, event, self.warnings)
             self.lot_id = lot_id
         self._start_ping_loop(now)
@@ -460,14 +460,14 @@ class EdgeAgentCore:
         state = self.table.get(bay_id)
         if state is not None and event.ts < state.last_transition_ts:
             # Clock regression: record it, touch nothing.
-            self._append_log(eventlog.event_record(event, rejected=True))
+            self._append_log(eventlog.event_line(event, rejected=True))
             self.rejected_events += 1
             self.warnings.append(
                 f"rejected event for bay {bay_id}: ts {event.ts} precedes "
                 f"{state.last_transition_ts}"
             )
             return
-        self._append_log(eventlog.event_record(event))
+        self._append_log(eventlog.event_line(event))
         apply_event(self.table, event, self.warnings)
         self.events_ingested += 1
 
@@ -537,7 +537,7 @@ class EdgeAgentCore:
                 write_csv(records, window, lot_id, self.config.csv_dir)
             except OSError as exc2:
                 self._dead_letter(lot_id, window, payload, exc2)
-        self._append_log(eventlog.flush_record(boundary, window.start))
+        self._append_log(protocol.encode_line(eventlog.flush_record(boundary, window.start)))
         # Re-seed the log with the carried-over statuses so replay from this
         # marker reconstructs the post-reset table.
         for bay_id in sorted(self.table):
@@ -545,7 +545,7 @@ class EdgeAgentCore:
             seed = OccupancyEvent(
                 EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status
             )
-            self._append_log(eventlog.event_record(seed))
+            self._append_log(eventlog.event_line(seed))
         self.window_start = boundary
         self.upload_queue.append(
             _PendingUpload(protocol.envelope_key(lot_id, window.start), payload)
@@ -643,9 +643,9 @@ class EdgeAgentCore:
 
     # ------------------------------------------------------------------
 
-    def _append_log(self, record: dict[str, Any]) -> None:
+    def _append_log(self, line: bytes) -> None:
         if self.log_writer is not None:
-            self.log_writer.append(record)
+            self.log_writer.append(line)
 
 
 def run_agent_service(config: AgentConfig, *, warp: float = 1.0) -> None:

@@ -10,6 +10,11 @@ Events are written before the state mutation they describe (write-ahead),
 so replaying a log through the state machine reproduces the live table.
 The hub store uses the same reader and writer for its roll-up files.
 
+The writer appends lines its caller has already encoded. Event lines,
+one per ingested update, come from the fixed-field ``event_line``, which
+writes the same bytes as ``protocol.encode_line`` of the event's dict;
+markers and hub rows are dicts passed through ``encode_line``.
+
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a
 line of its own.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any
 
@@ -31,7 +37,6 @@ from .occupancy import (
     apply_event,
     invalidate_statuses,
 )
-from .protocol import encode_line
 
 log = logging.getLogger(__name__)
 
@@ -39,17 +44,14 @@ MARKER_FLUSH = "flush"
 MARKER_DISCONNECT = "disconnect"
 
 
-def event_record(event: OccupancyEvent, *, rejected: bool = False) -> dict[str, Any]:
-    record: dict[str, Any] = {
-        "ts": event.ts,
-        "lotId": event.lot_id,
-        "bayId": event.bay_id,
-        "status": event.status.value,
-        "src": event.kind.value,
-    }
-    if rejected:
-        record["rejected"] = True
-    return record
+def event_line(event: OccupancyEvent, rejected: bool = False) -> bytes:
+    """One encoded event line, keys in sorted order as encode_line writes them."""
+    flag = '"rejected":true,' if rejected else ""
+    return (
+        f'{{"bayId":{event.bay_id},"lotId":{encode_basestring_ascii(event.lot_id)},'
+        f'{flag}"src":{encode_basestring_ascii(event.kind.value)},'
+        f'"status":{encode_basestring_ascii(event.status.value)},"ts":{event.ts}}}\n'
+    ).encode("ascii")
 
 
 def flush_record(ts: int, window_start: int) -> dict[str, Any]:
@@ -106,9 +108,11 @@ def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:
 
 
 class EventLogWriter:
-    """Appends one JSON object per line, flushed per append.
+    """Appends encoded lines, each flushed as it is appended.
 
-    Opening the file cuts a torn final line back to the last newline.
+    The caller encodes (``event_line`` or ``protocol.encode_line``); each
+    line must end with a newline. Opening the file cuts a torn final line
+    back to the last newline.
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = False) -> None:
@@ -118,8 +122,8 @@ class EventLogWriter:
         self._fh = open(self.path, "a+b")
         _cut_torn_tail(self._fh, self.path)
 
-    def append(self, record: dict[str, Any]) -> None:
-        self._fh.write(encode_line(record))
+    def append(self, line: bytes) -> None:
+        self._fh.write(line)
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -175,14 +176,13 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
             "statuses": {str(b): s.value for b, s in sorted(trace.initial.items())},
         }
         fh.write(protocol.encode_line(initial))
-        for item in trace.items:
-            row = {
-                "kind": "item",
-                "simTs": item.sim_ts,
-                "bayId": item.bay_id,
-                "status": item.new_status.value,
-            }
-            fh.write(protocol.encode_line(row))
+        # Item rows: the bytes encode_line writes for
+        # {"kind": "item", "simTs": ..., "bayId": ..., "status": ...}.
+        fh.writelines(
+            f'{{"bayId":{item.bay_id},"kind":"item","simTs":{item.sim_ts},'
+            f'"status":{encode_basestring_ascii(item.new_status.value)}}}\n'.encode("ascii")
+            for item in trace.items
+        )
 
 
 def read_trace(path: str | Path) -> SimTrace:
@@ -323,7 +323,7 @@ class GatewayCore:
             return
         if mtype == "ping":
             seq = message.get("seq")
-            if not isinstance(seq, int):
+            if not protocol.is_wire_int(seq):
                 self._reject(conn, "ping must carry an integer seq")
                 return
             self.pings_received.append(seq)
@@ -351,14 +351,16 @@ class GatewayCore:
 
     def _dispatch(self, item: TraceItem) -> None:
         self.current[item.bay_id] = item.new_status
-        message = protocol.bays_update_message(
+        # Encoded once; every session and every repeat gets the same bytes.
+        line = protocol.bays_update_line(
             self.config.lot_id, item.bay_id, item.new_status.value
         )
+        size = len(line)
         repeats = 2 if self.config.faults.duplicate_updates else 1
         for conn in list(self.sessions):
             for _ in range(repeats):
                 try:
-                    size = conn.send(message)
+                    conn.send_raw(line)
                 except ConnectionError:
                     self._on_close(conn)
                     break

@@ -127,7 +127,7 @@ class RollupStore:
         }
         path = self.store_dir / f"{stored.lot_id}.jsonl"
         with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
-            writer.append(row)
+            writer.append(protocol.encode_line(row))
         self._by_key[stored.key] = stored
         return True
 
@@ -242,7 +242,7 @@ class HubCore:
     def _handle_query_daily(self, conn: Any, message: dict[str, Any]) -> None:
         lot_id = message.get("lotId")
         window_start = message.get("windowStart")
-        if not isinstance(lot_id, str) or not isinstance(window_start, int):
+        if not isinstance(lot_id, str) or not protocol.is_wire_int(window_start):
             conn.send(protocol.error_message("queryDaily needs lotId and windowStart"))
             return
         records = self.store.query_daily(lot_id, window_start)
@@ -254,7 +254,7 @@ class HubCore:
     def _handle_query_weekly(self, conn: Any, message: dict[str, Any]) -> None:
         lot_id = message.get("lotId")
         week_start = message.get("weekStart")
-        if not isinstance(lot_id, str) or not isinstance(week_start, int):
+        if not isinstance(lot_id, str) or not protocol.is_wire_int(week_start):
             conn.send(protocol.error_message("queryWeekly needs lotId and weekStart"))
             return
         report = self.store.weekly_report(lot_id, week_start)

@@ -4,11 +4,24 @@ Newline-delimited JSON over a reliable ordered byte stream, UTF-8, one
 object per line. Roll-up envelopes use a canonical fixed-width encoding
 (space-padded numerics, 4-decimal rates) so their byte size depends only
 on bay count, window count, and field widths, never on event counts.
+
+Byte-identity rule: every other line is the compact, sorted-key,
+ASCII-escaped encoding that ``encode_line`` produces. A fixed-field
+encoder for a hot line shape (``bays_update_line`` here,
+``eventlog.event_line``, the item rows of ``gateway.write_trace``) must
+write exactly the bytes ``encode_line`` writes for the same dict: keys in
+sorted order, ``,``/``:`` separators, strings through
+``encode_basestring_ascii``, integers as ``str(int)``.
+
+Integer fields reject JSON booleans (``is_wire_int``): Python's bool is
+an int, and a ``true`` accepted as bay 1 would be written back as
+``True``, which is not JSON.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .occupancy import InvariantViolationError, RollupRecord
@@ -22,8 +35,11 @@ class ProtocolError(ValueError):
     """A wire message is malformed or violates its schema."""
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_line(message: Mapping[str, Any]) -> bytes:
-    return json.dumps(message, separators=(",", ":"), sort_keys=True).encode("utf-8") + b"\n"
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
 
 
 def decode_line(raw: bytes | str) -> dict[str, Any]:
@@ -67,8 +83,12 @@ def bays_message(lot_id: str, statuses: Sequence[tuple[int, str]]) -> dict[str, 
     }
 
 
-def bays_update_message(lot_id: str, bay_id: int, status: str) -> dict[str, Any]:
-    return {"type": "baysUpdate", "lotId": lot_id, "bay": {"id": bay_id, "status": status}}
+def bays_update_line(lot_id: str, bay_id: int, status: str) -> bytes:
+    """The encoded 'baysUpdate' push; same bytes as encode_line of its dict."""
+    return (
+        f'{{"bay":{{"id":{bay_id},"status":{encode_basestring_ascii(status)}}},'
+        f'"lotId":{encode_basestring_ascii(lot_id)},"type":"baysUpdate"}}\n'
+    ).encode("ascii")
 
 
 def ping_message(seq: int) -> dict[str, Any]:
@@ -149,6 +169,11 @@ def encode_rollup_envelope(
     return line.encode("utf-8") + b"\n"
 
 
+def is_wire_int(value: Any) -> bool:
+    """True for a JSON integer; JSON booleans decode to bool and are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(condition: bool, reason: str) -> None:
     if not condition:
         raise ProtocolError(reason)
@@ -163,10 +188,10 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
         bay_id = raw.get("bayId")
         sec = raw.get("occupationTime")
         rate = raw.get("occupationRate")
-        _require(isinstance(bay_id, int) and bay_id >= 1, "bayId must be a positive integer")
-        _require(isinstance(sec, int) and sec >= 0, "occupationTime must be a non-negative integer")
+        _require(is_wire_int(bay_id) and bay_id >= 1, "bayId must be a positive integer")
+        _require(is_wire_int(sec) and sec >= 0, "occupationTime must be a non-negative integer")
         _require(sec <= window_sec, f"occupationTime {sec} exceeds window {window_sec} s")
-        _require(isinstance(rate, (int, float)) and 0.0 <= float(rate) <= 1.0,
+        _require((is_wire_int(rate) or isinstance(rate, float)) and 0.0 <= float(rate) <= 1.0,
                  "occupationRate must be within [0, 1]")
         _require(bay_id > last_bay, "records must be sorted by ascending bayId")
         last_bay = bay_id
@@ -188,7 +213,7 @@ def parse_rollup_envelope(message: Mapping[str, Any]) -> dict[str, Any]:
     we = message.get("windowEnd")
     key = message.get("key")
     _require(isinstance(lot_id, str) and bool(lot_id), "lotId must be a non-empty string")
-    _require(isinstance(ws, int) and isinstance(we, int), "window bounds must be integers")
+    _require(is_wire_int(ws) and is_wire_int(we), "window bounds must be integers")
     _require(we > ws, "windowEnd must exceed windowStart")
     _require(key == envelope_key(lot_id, ws), "key must be '<lotId>:<windowStart>'")
     records = parse_wire_records(message.get("records"), (we - ws) // 1000)
@@ -217,7 +242,7 @@ def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]
             _require(isinstance(bay, dict), "bay entry must be an object")
             bay_id = bay.get("id")
             status = bay.get("status")
-            _require(isinstance(bay_id, int) and bay_id >= 1, "bay id must be a positive integer")
+            _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
             _require(status in WIRE_STATUSES, f"bay status must be one of {WIRE_STATUSES}")
             triples.append((lot_id, bay_id, status))
     return triples
@@ -231,6 +256,6 @@ def parse_bays_update(message: Mapping[str, Any]) -> tuple[str, int, str]:
     _require(isinstance(bay, dict), "bay must be an object")
     bay_id = bay.get("id")
     status = bay.get("status")
-    _require(isinstance(bay_id, int) and bay_id >= 1, "bay id must be a positive integer")
+    _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
     _require(status in WIRE_STATUSES, f"bay status must be one of {WIRE_STATUSES}")
     return lot_id, bay_id, status

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import string
+
 import pytest
 
 from edgepark.agent import AgentConfig, BackoffPolicy, EdgeAgentCore
@@ -61,6 +64,29 @@ def items_trace(
         initial={b: BayStatus.FREE for b in range(1, bays + 1)},
         items=tuple(TraceItem(ts, bay, BayStatus(status)) for ts, bay, status in items),
     )
+
+
+# Characters JSON must escape, plus non-ASCII, astral-plane and lone
+# surrogate code points, for byte-identity tests of the line encoders.
+AWKWARD_CHARS = '"\\/\x00\x01\x1f\x7f\b\f\n\r\té\xff中\u2028\U0001F600\U0001D11E\ud800'
+
+
+def random_text(rng: random.Random, max_len: int = 12) -> str:
+    plain = string.ascii_letters + string.digits + "-_.: "
+    return "".join(
+        rng.choice(AWKWARD_CHARS) if rng.random() < 0.3 else rng.choice(plain)
+        for _ in range(rng.randint(0, max_len))
+    )
+
+
+def random_int(rng: random.Random) -> int:
+    """Small, 64-bit and far larger integers, negatives included."""
+    return rng.choice((
+        rng.randint(0, 100),
+        rng.randint(0, 2**63),
+        rng.randint(-(10**40), 10**40),
+        2**64,
+    ))
 
 
 # Every agent a helper builds, killed when its test ends so that no

@@ -164,6 +164,30 @@ def test_mismatched_pong_counts_as_missing(tmp_path):
     assert len(sessions) == 2
 
 
+def test_pong_with_boolean_seq_counts_as_missing(tmp_path):
+    sched = VirtualScheduler(EPOCH_MS)
+    net = VirtualNetwork(sched)
+
+    def accept(conn):
+        def handle(msg):
+            if msg["type"] == "hello":
+                conn.send(protocol.bays_message("LOT", [(1, "free")]))
+            elif msg["type"] == "ping":
+                conn.send({"type": "pong", "seq": True})  # true == 1 in Python
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+
+    net.listen("sim://gw", accept)
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
+    )
+    agent.start()
+    sched.run_until(EPOCH_MS + 61_000)  # first ping (seq 1) sent and answered
+    assert agent.ping_seq == 1
+    assert agent.last_pong_seq == 0
+
+
 def test_malformed_snapshot_triggers_reconnect(tmp_path):
     sched = VirtualScheduler(EPOCH_MS)
     net = VirtualNetwork(sched)
@@ -387,18 +411,18 @@ def test_recover_replays_only_after_last_flush_marker(tmp_path):
     log = eventlog.EventLogWriter(tmp_path / "agent.log")
     early = EPOCH_MS - HOUR_MS
     log.append(
-        eventlog.event_record(
+        eventlog.event_line(
             eventlog.record_to_event(
                 {"ts": early, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
             )
         )
     )
-    log.append(eventlog.flush_record(EPOCH_MS - 1800_000, EPOCH_MS - DAY_MS))
+    log.append(protocol.encode_line(eventlog.flush_record(EPOCH_MS - 1800_000, EPOCH_MS - DAY_MS)))
     for offset, status in ((60_000, "occupied"), (120_000, "free"), (180_000, "occupied")):
-        log.append(
+        log.append(protocol.encode_line(
             {"ts": EPOCH_MS - 1800_000 + offset, "lotId": "L", "bayId": 2,
              "status": status, "src": "update"}
-        )
+        ))
     log.close()
 
     agent, _ = make_agent(tmp_path, rollup_epoch_ms=None)
@@ -418,7 +442,9 @@ def test_recover_before_first_flush_uses_window_of_first_record(tmp_path):
     # Crashed in the 10:00-11:00 window of an hourly grid, before any flush.
     first = EPOCH_MS + 10 * HOUR_MS + HOUR_MS // 2
     log = eventlog.EventLogWriter(tmp_path / "agent.log")
-    log.append({"ts": first, "lotId": "L", "bayId": 1, "status": "occupied", "src": "snapshot"})
+    log.append(protocol.encode_line(
+        {"ts": first, "lotId": "L", "bayId": 1, "status": "occupied", "src": "snapshot"}
+    ))
     log.close()
     agent, _ = make_agent(
         tmp_path, VirtualScheduler(first + HOUR_MS // 4), rollup_period_sec=3600
@@ -430,9 +456,9 @@ def test_recover_before_first_flush_uses_window_of_first_record(tmp_path):
 
 def test_recover_tolerates_torn_tail(tmp_path):
     log = eventlog.EventLogWriter(tmp_path / "agent.log")
-    log.append(
+    log.append(protocol.encode_line(
         {"ts": EPOCH_MS - 5000, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
-    )
+    ))
     log.close()
     with open(tmp_path / "agent.log", "ab") as fh:
         fh.write(b'{"ts": 99, "lotId"')
@@ -451,7 +477,7 @@ def test_recovery_requeues_existing_csvs(tmp_path):
         csv_dir,
     )
     log = eventlog.EventLogWriter(tmp_path / "agent.log")
-    log.append(eventlog.flush_record(EPOCH_MS, EPOCH_MS - DAY_MS))
+    log.append(protocol.encode_line(eventlog.flush_record(EPOCH_MS, EPOCH_MS - DAY_MS)))
     log.close()
     agent, _ = make_agent(tmp_path)
     agent.start()

@@ -1,21 +1,67 @@
 """Event-log encoding, torn-tail tolerance, and marker handling."""
 
+import json
+import random
+
 from edgepark import eventlog
 from edgepark.occupancy import BayStatus, EventKind, OccupancyEvent
+from edgepark.protocol import encode_line
+
+from conftest import random_int, random_text
 
 
 def ev(ts, bay, status, kind=EventKind.UPDATE):
     return OccupancyEvent(kind, ts, "L", bay, BayStatus(status))
 
 
+def event_record(event, *, rejected=False):
+    """Reference: the dict an event line encodes."""
+    record = {
+        "ts": event.ts,
+        "lotId": event.lot_id,
+        "bayId": event.bay_id,
+        "status": event.status.value,
+        "src": event.kind.value,
+    }
+    if rejected:
+        record["rejected"] = True
+    return record
+
+
+def test_event_line_is_encode_line_of_event_record():
+    rng = random.Random(20181119)
+    for _ in range(600):
+        event = OccupancyEvent(
+            rng.choice(list(EventKind)),
+            abs(random_int(rng)),
+            random_text(rng),
+            abs(random_int(rng)) + 1,
+            rng.choice(list(BayStatus)),
+        )
+        for rejected in (False, True):
+            assert eventlog.event_line(event, rejected) == encode_line(
+                event_record(event, rejected=rejected)
+            )
+
+
+def test_event_line_covers_every_status_source_and_flag():
+    for kind in EventKind:
+        for status in BayStatus:
+            event = OccupancyEvent(kind, 1_542_585_600_000, 'L"\\é😀', 7, status)
+            for rejected in (False, True):
+                line = eventlog.event_line(event, rejected=rejected)
+                assert line == encode_line(event_record(event, rejected=rejected))
+                assert (b'"rejected":true' in line) is rejected
+
+
 def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_record(ev(1, 1, "occupied", EventKind.SNAPSHOT)))
-    writer.append(eventlog.event_record(ev(2, 1, "free")))
-    writer.append(eventlog.flush_record(100, 0))
-    writer.append(eventlog.disconnect_record(150))
-    writer.append(eventlog.event_record(ev(200, 2, "occupied"), rejected=True))
+    writer.append(eventlog.event_line(ev(1, 1, "occupied", EventKind.SNAPSHOT)))
+    writer.append(eventlog.event_line(ev(2, 1, "free")))
+    writer.append(encode_line(eventlog.flush_record(100, 0)))
+    writer.append(encode_line(eventlog.disconnect_record(150)))
+    writer.append(eventlog.event_line(ev(200, 2, "occupied"), rejected=True))
     writer.close()
 
     records, skipped = eventlog.read_records(path)
@@ -31,7 +77,7 @@ def test_append_read_roundtrip(tmp_path):
 def test_torn_tail_discarded_with_count(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_record(ev(1, 1, "occupied")))
+    writer.append(eventlog.event_line(ev(1, 1, "occupied")))
     writer.close()
     with open(path, "ab") as fh:
         fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
@@ -43,13 +89,13 @@ def test_torn_tail_discarded_with_count(tmp_path):
 def test_writer_cuts_torn_tail_before_appending(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_record(ev(1, 1, "occupied")))
+    writer.append(eventlog.event_line(ev(1, 1, "occupied")))
     writer.close()
     with open(path, "ab") as fh:
         fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_record(ev(2, 1, "free")))
-    writer.append(eventlog.event_record(ev(3, 1, "occupied")))
+    writer.append(eventlog.event_line(ev(2, 1, "free")))
+    writer.append(eventlog.event_line(ev(3, 1, "occupied")))
     writer.close()
     records, skipped = eventlog.read_records(path)
     assert [r["ts"] for r in records] == [1, 2, 3]
@@ -74,11 +120,11 @@ def test_missing_file_reads_empty(tmp_path):
 
 def test_last_flush_index():
     records = [
-        eventlog.event_record(ev(1, 1, "free")),
+        event_record(ev(1, 1, "free")),
         eventlog.flush_record(10, 0),
-        eventlog.event_record(ev(11, 1, "occupied")),
+        event_record(ev(11, 1, "occupied")),
         eventlog.flush_record(20, 10),
-        eventlog.event_record(ev(21, 1, "free")),
+        event_record(ev(21, 1, "free")),
     ]
     assert eventlog.last_flush_index(records) == 3
     assert eventlog.last_flush_index(records[:1]) is None
@@ -86,4 +132,5 @@ def test_last_flush_index():
 
 def test_record_to_event_roundtrip():
     original = ev(77, 9, "occupied", EventKind.SNAPSHOT)
-    assert eventlog.record_to_event(eventlog.event_record(original)) == original
+    record = json.loads(eventlog.event_line(original))
+    assert eventlog.record_to_event(record) == original

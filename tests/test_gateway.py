@@ -1,13 +1,19 @@
 """Trace generation, snapshot reconstruction, and gateway session behavior."""
 
+import json
+import random
+
 import pytest
 
+from edgepark import protocol
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import (
     FaultPlan,
     GatewayConfig,
     GatewayCore,
     SensorModel,
+    SimTrace,
+    TraceItem,
     generate_trace,
     read_trace,
     snapshot_at,
@@ -16,7 +22,7 @@ from edgepark.gateway import (
 from edgepark.occupancy import BayStatus
 from edgepark.transport import VirtualNetwork
 
-from conftest import EPOCH_MS, items_trace
+from conftest import EPOCH_MS, items_trace, random_int, random_text
 
 DAY_MS = 86_400_000
 WEEK_MS = 7 * DAY_MS
@@ -89,6 +95,41 @@ def test_trace_write_read_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     assert read_trace(path) == trace
+
+
+def write_trace_reference(trace, path):
+    """Reference: every trace line through encode_line."""
+    rows = [
+        {"kind": "meta", "lotId": trace.lot_id, "bayCount": trace.bay_count,
+         "durationMs": trace.duration_ms},
+        {"kind": "initial",
+         "statuses": {str(b): s.value for b, s in sorted(trace.initial.items())}},
+    ]
+    rows.extend(
+        {"kind": "item", "simTs": item.sim_ts, "bayId": item.bay_id,
+         "status": item.new_status.value}
+        for item in trace.items
+    )
+    path.write_bytes(b"".join(protocol.encode_line(row) for row in rows))
+
+
+def test_write_trace_is_encode_line_of_every_row(tmp_path):
+    rng = random.Random(2019)
+    for case in range(50):
+        bays = rng.randint(0, 5)
+        trace = SimTrace(
+            lot_id=random_text(rng),
+            bay_count=bays,
+            duration_ms=random_int(rng),
+            initial={b: rng.choice(list(BayStatus)) for b in range(1, bays + 1)},
+            items=tuple(
+                TraceItem(random_int(rng), random_int(rng), rng.choice(list(BayStatus)))
+                for _ in range(10)
+            ),
+        )
+        write_trace(trace, tmp_path / f"{case}.jsonl")
+        write_trace_reference(trace, tmp_path / f"{case}.ref")
+        assert (tmp_path / f"{case}.jsonl").read_bytes() == (tmp_path / f"{case}.ref").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +225,15 @@ def test_ping_echoes_seq():
     assert probe.received == [{"type": "pong", "seq": 7}]
 
 
+def test_ping_with_boolean_seq_gets_error_and_close():
+    sched, net, core = make_gateway(items_trace([]))
+    probe = Probe(sched, net)
+    probe.send({"type": "ping", "seq": True})
+    assert [m["type"] for m in probe.received] == ["error"]
+    assert probe.closed
+    assert core.pings_received == []
+
+
 def test_unknown_type_gets_error_and_close():
     sched, net, _ = make_gateway(items_trace([]))
     probe = Probe(sched, net)
@@ -238,3 +288,49 @@ def test_injected_disconnect_refuses_reconnects_for_duration():
         net.connect("sim://gw")
     sched.run_for(2000)
     Probe(sched, net)  # reconnect admitted once the window elapses
+
+
+class RawRecorder:
+    """A session that records the raw bytes it is asked to send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send_raw(self, payload):
+        self.sent.append(payload)
+        return len(payload)
+
+
+def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
+    encodes = []
+    real_update_line = protocol.bays_update_line
+
+    def counting_update_line(*args):
+        encodes.append(args)
+        return real_update_line(*args)
+
+    def no_encode_line(message):
+        raise AssertionError(f"update encoded through encode_line: {message}")
+
+    monkeypatch.setattr(protocol, "bays_update_line", counting_update_line)
+    monkeypatch.setattr(protocol, "encode_line", no_encode_line)
+    trace = items_trace([(1000, 3, "occupied")])
+    sizes = []
+    core = GatewayCore(
+        VirtualScheduler(EPOCH_MS), None,
+        GatewayConfig("sim://gw", trace.lot_id, trace.bay_count,
+                      faults=FaultPlan(duplicate_updates=True)),
+        trace, on_update_sent=sizes.append,
+    )
+    sessions = [RawRecorder(), RawRecorder()]
+    core.sessions.extend(sessions)
+    core._dispatch(trace.items[0])
+
+    line = real_update_line("LOT-A", 3, "occupied")
+    assert encodes == [("LOT-A", 3, "occupied")]
+    assert core.updates_sent == 4
+    assert sizes == [len(line)] * 4
+    assert [s.sent for s in sessions] == [[line, line], [line, line]]
+    assert json.loads(line) == {
+        "type": "baysUpdate", "lotId": "LOT-A", "bay": {"id": 3, "status": "occupied"}
+    }

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from edgepark import eventlog, harness
+from edgepark import eventlog, harness, protocol
 from edgepark.hub import RollupStore, fleet_average_hours
 
 from conftest import EPOCH_MS, make_scenario
@@ -128,10 +128,10 @@ def test_replay_empty_log_emits_header_only_csv(tmp_path):
 
 def test_replay_single_pair_single_nonzero_cell(tmp_path):
     log = eventlog.EventLogWriter(tmp_path / "events.log")
-    log.append({"ts": EPOCH_MS + 1000, "lotId": "L", "bayId": 7,
-                "status": "occupied", "src": "update"})
-    log.append({"ts": EPOCH_MS + 61_000, "lotId": "L", "bayId": 7,
-                "status": "free", "src": "update"})
+    log.append(protocol.encode_line({"ts": EPOCH_MS + 1000, "lotId": "L", "bayId": 7,
+                                     "status": "occupied", "src": "update"}))
+    log.append(protocol.encode_line({"ts": EPOCH_MS + 61_000, "lotId": "L", "bayId": 7,
+                                     "status": "free", "src": "update"}))
     log.close()
     result = harness.replay_log(tmp_path / "events.log", 86_400, tmp_path / "out")
     assert len(result.csv_paths) == 1
@@ -163,7 +163,9 @@ def test_replay_twice_is_byte_identical(tmp_path):
 def test_replay_counts_torn_lines(tmp_path):
     log_path = tmp_path / "events.log"
     log = eventlog.EventLogWriter(log_path)
-    log.append({"ts": EPOCH_MS, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"})
+    log.append(protocol.encode_line(
+        {"ts": EPOCH_MS, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
+    ))
     log.close()
     with open(log_path, "ab") as fh:
         fh.write(b'{"torn')

@@ -220,6 +220,20 @@ def test_query_weekly_over_wire(tmp_path):
     assert probe.received[-1] == {"type": "notFound"}
 
 
+@pytest.mark.parametrize(
+    "message",
+    [
+        {"type": "queryDaily", "lotId": "LOT-A", "windowStart": True},
+        {"type": "queryWeekly", "lotId": "LOT-A", "weekStart": True},
+    ],
+    ids=["windowStart", "weekStart"],
+)
+def test_query_with_boolean_start_gets_error_reply(tmp_path, message):
+    probe = HubProbe(tmp_path)
+    probe.send(message)
+    assert probe.received[0]["type"] == "error"
+
+
 def test_unknown_type_gets_error_reply(tmp_path):
     probe = HubProbe(tmp_path)
     probe.send({"type": "mystery"})

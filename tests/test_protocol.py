@@ -1,11 +1,19 @@
 """Wire codec and message schema tests."""
 
 import json
+import random
 
 import pytest
 
 from edgepark import protocol
 from edgepark.occupancy import RollupRecord
+
+from conftest import random_int, random_text
+
+
+def bays_update_message(lot_id, bay_id, status):
+    """Reference: the dict a 'baysUpdate' line encodes."""
+    return {"type": "baysUpdate", "lotId": lot_id, "bay": {"id": bay_id, "status": status}}
 
 
 def test_encode_decode_roundtrip():
@@ -30,6 +38,32 @@ def test_message_size_counts_newline():
     assert protocol.encode_line(message).endswith(b"\n")
 
 
+def test_encode_line_matches_json_dumps():
+    rng = random.Random(7)
+    for _ in range(500):
+        message = {
+            random_text(rng): rng.choice((
+                random_int(rng), random_text(rng), rng.random(), None, True, False,
+                [random_int(rng), random_text(rng)], {random_text(rng): random_int(rng)},
+            ))
+            for _ in range(rng.randint(0, 6))
+        }
+        want = json.dumps(message, separators=(",", ":"), sort_keys=True)
+        assert protocol.encode_line(message) == want.encode("utf-8") + b"\n"
+
+
+def test_bays_update_line_is_encode_line_of_its_dict():
+    rng = random.Random(1542585600)
+    statuses = protocol.WIRE_STATUSES + ("unknown",)
+    for _ in range(600):
+        lot_id = random_text(rng)
+        bay_id = random_int(rng)
+        status = rng.choice(statuses) if rng.random() < 0.8 else random_text(rng)
+        assert protocol.bays_update_line(lot_id, bay_id, status) == protocol.encode_line(
+            bays_update_message(lot_id, bay_id, status)
+        )
+
+
 def test_bays_message_shape():
     message = protocol.bays_message("LOT", [(1, "free"), (2, "occupied")])
     assert message["type"] == "bays"
@@ -40,12 +74,52 @@ def test_bays_message_shape():
 
 
 def test_parse_bays_update():
-    message = protocol.bays_update_message("LOT", 5, "occupied")
+    message = protocol.decode_line(protocol.bays_update_line("LOT", 5, "occupied"))
     assert protocol.parse_bays_update(message) == ("LOT", 5, "occupied")
     bad = dict(message)
     bad["bay"] = {"id": 5, "status": "full"}
     with pytest.raises(protocol.ProtocolError):
         protocol.parse_bays_update(bad)
+
+
+# JSON booleans decode to Python bools, which are ints: every integer field
+# must refuse them.
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_bays_update_rejects_boolean_bay_id(value):
+    message = bays_update_message("L", value, "free")
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_bays_update(message)
+
+
+def test_parse_bays_snapshot_rejects_boolean_bay_id():
+    message = {"type": "bays", "data": [{"lotId": "L", "bays": [{"id": True, "status": "free"}]}]}
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_bays_snapshot(message)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"windowStart": False, "windowEnd": 86_400_000, "key": "L:False"},
+        {"windowStart": 0, "windowEnd": True, "key": "L:0"},
+        {"windowStart": False, "windowEnd": True, "key": "L:False"},
+    ],
+    ids=["windowStart", "windowEnd", "both"],
+)
+def test_parse_rollup_envelope_rejects_boolean_window_bounds(fields):
+    message = dict({"type": "rollup", "lotId": "L", "records": []}, **fields)
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_rollup_envelope(message)
+
+
+@pytest.mark.parametrize("field", ["bayId", "occupationTime", "occupationRate"])
+def test_parse_wire_records_rejects_boolean_fields(field):
+    record = {"bayId": 1, "occupationTime": 1, "occupationRate": 0.5}
+    record[field] = True
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_wire_records([record], 86_400)
 
 
 def _records(values):
