@@ -26,12 +26,12 @@ from . import eventlog, protocol
 from .clock import PRIORITY_ROLLUP, RealScheduler, VirtualScheduler
 from .occupancy import (
     BayState,
-    BayStatus,
     EventKind,
     OccupancyEvent,
     RollupRecord,
     RollupWindow,
     apply_event,
+    bay_status,
     invalidate_statuses,
     rollup,
 )
@@ -438,7 +438,7 @@ class EdgeAgentCore:
             self._gap_open = None
         for lot_id, bay_id, status in triples:
             event = OccupancyEvent(
-                EventKind.SNAPSHOT, now, lot_id, bay_id, BayStatus(status)
+                EventKind.SNAPSHOT, now, lot_id, bay_id, bay_status(status)
             )
             self._append_log(eventlog.event_line(event))
             apply_event(self.table, event, self.warnings)
@@ -456,7 +456,7 @@ class EdgeAgentCore:
             self.warnings.append(f"malformed update: {exc}")
             return
         now = self.sched.now_ms()
-        event = OccupancyEvent(EventKind.UPDATE, now, lot_id, bay_id, BayStatus(status))
+        event = OccupancyEvent(EventKind.UPDATE, now, lot_id, bay_id, bay_status(status))
         state = self.table.get(bay_id)
         if state is not None and event.ts < state.last_transition_ts:
             # Clock regression: record it, touch nothing.

@@ -22,7 +22,6 @@ line of its own.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from json.encoder import encode_basestring_ascii
@@ -31,12 +30,13 @@ from typing import IO, Any
 
 from .occupancy import (
     BayState,
-    BayStatus,
-    EventKind,
     OccupancyEvent,
     apply_event,
+    bay_status,
+    event_kind,
     invalidate_statuses,
 )
+from .protocol import decode_json
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +45,15 @@ MARKER_DISCONNECT = "disconnect"
 
 
 def event_line(event: OccupancyEvent, rejected: bool = False) -> bytes:
-    """One encoded event line, keys in sorted order as encode_line writes them."""
+    """One encoded event line, keys in sorted order as encode_line writes them.
+
+    Both enums are str enums: encode_basestring_ascii writes a member as its value.
+    """
     flag = '"rejected":true,' if rejected else ""
     return (
         f'{{"bayId":{event.bay_id},"lotId":{encode_basestring_ascii(event.lot_id)},'
-        f'{flag}"src":{encode_basestring_ascii(event.kind.value)},'
-        f'"status":{encode_basestring_ascii(event.status.value)},"ts":{event.ts}}}\n'
+        f'{flag}"src":{encode_basestring_ascii(event.kind)},'
+        f'"status":{encode_basestring_ascii(event.status)},"ts":{event.ts}}}\n'
     ).encode("ascii")
 
 
@@ -64,11 +67,11 @@ def disconnect_record(ts: int) -> dict[str, Any]:
 
 def record_to_event(record: dict[str, Any]) -> OccupancyEvent:
     return OccupancyEvent(
-        kind=EventKind(record["src"]),
+        kind=event_kind(record["src"]),
         ts=int(record["ts"]),
         lot_id=str(record["lotId"]),
         bay_id=int(record["bayId"]),
-        status=BayStatus(record["status"]),
+        status=bay_status(record["status"]),
     )
 
 
@@ -156,7 +159,7 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
         if not line:
             continue
         try:
-            record = json.loads(line.decode("utf-8"))
+            record = decode_json(line.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("log line is not an object")
             records.append(record)

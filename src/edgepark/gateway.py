@@ -10,18 +10,15 @@ and off by default.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from . import protocol
 from .clock import PRIORITY_FAULT, RealScheduler, VirtualScheduler
-from .occupancy import BayStatus
+from .occupancy import BayStatus, bay_status
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +96,10 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     times are exponential with the configured means. Identical config and
     duration always produce the identical trace.
     """
+    # numpy's one user; importing it here keeps it out of the CLI's start,
+    # the agent and hub services, verify and replay.
+    import numpy as np
+
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     model = config.model
@@ -180,7 +181,7 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
         # {"kind": "item", "simTs": ..., "bayId": ..., "status": ...}.
         fh.writelines(
             f'{{"bayId":{item.bay_id},"kind":"item","simTs":{item.sim_ts},'
-            f'"status":{encode_basestring_ascii(item.new_status.value)}}}\n'.encode("ascii")
+            f'"status":{encode_basestring_ascii(item.new_status)}}}\n'.encode("ascii")
             for item in trace.items
         )
 
@@ -196,17 +197,17 @@ def read_trace(path: str | Path) -> SimTrace:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            row = protocol.decode_json(line)
             kind = row.get("kind")
             if kind == "meta":
                 lot_id = row["lotId"]
                 bay_count = int(row["bayCount"])
                 duration_ms = int(row["durationMs"])
             elif kind == "initial":
-                initial = {int(b): BayStatus(s) for b, s in row["statuses"].items()}
+                initial = {int(b): bay_status(s) for b, s in row["statuses"].items()}
             elif kind == "item":
                 items.append(
-                    TraceItem(int(row["simTs"]), int(row["bayId"]), BayStatus(row["status"]))
+                    TraceItem(int(row["simTs"]), int(row["bayId"]), bay_status(row["status"]))
                 )
             else:
                 raise ValueError(f"unknown trace line kind {kind!r}")
@@ -228,13 +229,13 @@ def scripted_trace(
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            row = json.loads(line)
+            row = protocol.decode_json(line)
             if "initial" in row:
                 for bay, status in row["initial"].items():
-                    initial[int(bay)] = BayStatus(status)
+                    initial[int(bay)] = bay_status(status)
                 continue
             items.append(
-                TraceItem(int(row["simTs"]), int(row["bayId"]), BayStatus(row["status"]))
+                TraceItem(int(row["simTs"]), int(row["bayId"]), bay_status(row["status"]))
             )
     items.sort(key=lambda it: (it.sim_ts, it.bay_id))
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
@@ -352,9 +353,7 @@ class GatewayCore:
     def _dispatch(self, item: TraceItem) -> None:
         self.current[item.bay_id] = item.new_status
         # Encoded once; every session and every repeat gets the same bytes.
-        line = protocol.bays_update_line(
-            self.config.lot_id, item.bay_id, item.new_status.value
-        )
+        line = protocol.bays_update_line(self.config.lot_id, item.bay_id, item.new_status)
         size = len(line)
         repeats = 2 if self.config.faults.duplicate_updates else 1
         for conn in list(self.sessions):

@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from typing import Callable, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +31,28 @@ class BayStatus(str, Enum):
 class EventKind(str, Enum):
     SNAPSHOT = "snapshot"
     UPDATE = "update"
+
+
+_E = TypeVar("_E", bound=Enum)
+
+
+def _value_lookup(enum_cls: type[_E]) -> Callable[[object], _E]:
+    members = {member.value: member for member in enum_cls}
+
+    def lookup(value: object) -> _E:
+        """The member with this value; ValueError for any other, as the Enum call."""
+        try:
+            return members[value]
+        except (KeyError, TypeError):  # TypeError: unhashable value
+            raise ValueError(f"{value!r} is not a valid {enum_cls.__name__}") from None
+
+    return lookup
+
+
+# Value -> member for every value read back from a log, trace or wire line:
+# one dict lookup instead of the Enum call's Python-level __call__/__new__.
+bay_status = _value_lookup(BayStatus)
+event_kind = _value_lookup(EventKind)
 
 
 class ClockRegressionError(ValueError):

@@ -13,6 +13,13 @@ write exactly the bytes ``encode_line`` writes for the same dict: keys in
 sorted order, ``,``/``:`` separators, strings through
 ``encode_basestring_ascii``, integers as ``str(int)``.
 
+Decoding rule: every JSON line edgepark reads (wire messages, event-log
+and hub-store records, trace rows, scenario scripts) goes through
+``decode_json``. It returns exactly what ``json.loads`` returns for the
+same ``str``, value and exception type alike, in one
+``JSONDecoder.raw_decode`` call instead of ``loads``' three frames and
+two whitespace regex matches.
+
 Integer fields reject JSON booleans (``is_wire_int``): Python's bool is
 an int, and a ``true`` accepted as bay 1 would be written back as
 ``True``, which is not JSON.
@@ -36,22 +43,40 @@ class ProtocolError(ValueError):
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
+# The whitespace json.loads skips around a value; str.strip() would also
+# drop form feeds and other characters that json.loads rejects.
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def encode_line(message: Mapping[str, Any]) -> bytes:
     return _ENCODER.encode(message).encode("utf-8") + b"\n"
 
 
+def decode_json(text: str) -> Any:
+    """``json.loads(text)``: the same value, or an exception of the same type.
+
+    A JSON text is one value with optional whitespace around it, so the
+    text is stripped of that whitespace and must be consumed whole by one
+    ``raw_decode``.
+    """
+    text = text.strip(_JSON_WHITESPACE)
+    value, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def decode_line(raw: bytes | str) -> dict[str, Any]:
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"line is not valid UTF-8: {exc}") from exc
+    """One wire message; any undecodable line raises ProtocolError.
+
+    Every ValueError of the decode counts: invalid UTF-8, invalid JSON and
+    integers longer than the interpreter's int digit limit alike.
+    """
     try:
-        message = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"line is not valid JSON: {exc}") from exc
+        message = decode_json(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except ValueError as exc:
+        raise ProtocolError(f"line is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("message must be a JSON object with a string 'type'")
     return message

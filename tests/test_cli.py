@@ -1,9 +1,16 @@
 """Command-line surface: flags, env overrides, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import edgepark
 from edgepark import cli
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, content="seed = 4\nbays = 3\ndays = 1\n"):
@@ -114,3 +121,28 @@ def test_component_crash_exits_3(tmp_path, monkeypatch, capsys):
     )
     assert code == cli.EXIT_CRASH
     assert "component crash" in capsys.readouterr().err
+
+
+NO_NUMPY_CHILD = """
+import sys
+from pathlib import Path
+
+import edgepark.cli
+from edgepark import harness
+
+scenario_path, out = Path(sys.argv[1]), Path(sys.argv[2])
+scenario = harness.parse_scenario(scenario_path)
+harness.run_sim(scenario, out / "run")
+assert harness.verify_run(out / "run").ok
+harness.replay_log(out / "run" / "agent.log", scenario.rollup_period_sec, out / "replayed")
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_scripted_run_verify_replay_never_import_numpy(tmp_path):
+    # Only generate_trace draws from numpy; a scripted scenario never calls it.
+    env = dict(os.environ, PYTHONPATH=str(Path(edgepark.__file__).parents[1]))
+    scenario = SCENARIOS / "overnight.scenario"
+    argv = [sys.executable, "-c", NO_NUMPY_CHILD, str(scenario), str(tmp_path)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

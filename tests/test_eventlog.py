@@ -1,7 +1,9 @@
 """Event-log encoding, torn-tail tolerance, and marker handling."""
 
 import json
+import logging
 import random
+from pathlib import Path
 
 from edgepark import eventlog
 from edgepark.occupancy import BayStatus, EventKind, OccupancyEvent
@@ -134,3 +136,63 @@ def test_record_to_event_roundtrip():
     original = ev(77, 9, "occupied", EventKind.SNAPSHOT)
     record = json.loads(eventlog.event_line(original))
     assert eventlog.record_to_event(record) == original
+
+
+def reference_read_records(path):
+    """Reference: the log reader as it was with json.loads, line by line."""
+    path = Path(path)
+    records, skipped = [], 0
+    if not path.exists():
+        return records, skipped
+    raw = path.read_bytes()
+    if not raw:
+        return records, skipped
+    lines = raw.split(b"\n")
+    if lines.pop():
+        skipped += 1
+    for line in lines:
+        if not line:
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("log line is not an object")
+            records.append(record)
+        except ValueError:
+            skipped += 1
+    return records, skipped
+
+
+def random_log_line(rng):
+    """One log line, or one of the ways a line can be damaged."""
+    event = OccupancyEvent(
+        rng.choice(list(EventKind)), abs(random_int(rng)), random_text(rng),
+        abs(random_int(rng)) + 1, rng.choice(list(BayStatus)),
+    )
+    line = eventlog.event_line(event, rejected=rng.random() < 0.1)
+    shape = rng.randrange(12)
+    if shape == 0:
+        return b""  # blank line
+    if shape == 1:
+        return b"\xff" + line  # invalid UTF-8
+    if shape == 2:
+        return line[:-1] + b"\r\n"  # CR ending
+    if shape == 3:
+        return line[: rng.randrange(len(line))] + b"\n"  # torn, then continued
+    if shape == 4:
+        return rng.choice((b"[1]", b"1,2", b"NaN", b"\x0c{}", b" {} ", b'"x"', b"9" * 4400)) + b"\n"
+    if shape == 5:
+        return encode_line(eventlog.disconnect_record(abs(random_int(rng))))
+    return line
+
+
+def test_read_records_matches_line_by_line_json_loads(tmp_path, caplog):
+    caplog.set_level(logging.ERROR, logger="edgepark.eventlog")
+    rng = random.Random(1_542_672_000)
+    for n in range(120):
+        body = b"".join(random_log_line(rng) for _ in range(rng.randint(0, 30)))
+        if rng.random() < 0.4:
+            body += random_log_line(rng).rstrip(b"\n")  # torn tail
+        path = tmp_path / f"log{n}.log"
+        path.write_bytes(body)
+        assert eventlog.read_records(path) == reference_read_records(path)

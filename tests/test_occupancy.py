@@ -14,6 +14,8 @@ from edgepark.occupancy import (
     OccupancyEvent,
     RollupWindow,
     apply_event,
+    bay_status,
+    event_kind,
     invalidate_statuses,
     occupation_rate,
     rollup,
@@ -288,3 +290,16 @@ def test_event_validation():
         OccupancyEvent(EventKind.UPDATE, 0, "L", 0, BayStatus.FREE)
     with pytest.raises(InvariantViolationError):
         RollupWindow(10, 10)
+
+
+@pytest.mark.parametrize("enum_cls, lookup", [(BayStatus, bay_status), (EventKind, event_kind)])
+def test_value_lookup_is_the_enum_call(enum_cls, lookup):
+    for member in enum_cls:
+        assert lookup(member.value) is member is enum_cls(member.value)
+        assert lookup(member) is member
+    for value in ("", "FREE", "Free ", "snapshots", 0, 1, True, None, 1.5, b"free", ["free"], {}):
+        with pytest.raises(ValueError) as raised:
+            lookup(value)
+        with pytest.raises(ValueError) as called:
+            enum_cls(value)
+        assert str(raised.value) == str(called.value)

@@ -30,6 +30,59 @@ def test_decode_rejects_garbage():
         protocol.decode_line(b'{"no_type": 1}\n')
     with pytest.raises(protocol.ProtocolError):
         protocol.decode_line(b"\xff\xfe\n")
+    # Past the interpreter's int digit limit the decode raises a plain
+    # ValueError; a socket reader would take that for a dead stream.
+    with pytest.raises(protocol.ProtocolError):
+        protocol.decode_line(b'{"type":"ping","seq":' + b"9" * 5000 + b"}\n")
+
+
+def decode_outcome(decode, text):
+    """What a decoder makes of text: its value's repr, or its exception type."""
+    try:
+        return "value", repr(decode(text))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raises", type(exc)
+
+
+# Whitespace json.loads skips around a value, and characters it does not.
+JSON_PADDING = (" ", "\t", "\n", "\r", "\r\n")
+OTHER_PADDING = ("\f", "\v", "\xa0", "\u2028", "\ufeff")
+
+
+def random_json_text(rng):
+    """A string that is, or is close to, one JSON text."""
+    value = rng.choice((
+        random_int(rng), random_text(rng), rng.random(), None, True, False,
+        [random_int(rng), random_text(rng)],
+        {random_text(rng): random_int(rng), "type": random_text(rng)},
+        {"ts": random_int(rng), "status": rng.choice(("free", "occupied"))},
+    ))
+    text = json.dumps(value, ensure_ascii=rng.random() < 0.5)
+    shape = rng.randrange(9)
+    if shape == 0:
+        text = text[: rng.randint(0, len(text))]  # torn
+    elif shape == 1:
+        text += rng.choice((",2", " 1", "{}", "x", "\n{}", '"'))  # extra data
+    elif shape == 2:
+        text = rng.choice(("NaN", "Infinity", "-Infinity", "1e999", "-0.0", "", "null"))
+    elif shape == 3:
+        text = "9" * rng.choice((4300, 4301, 5000)) if rng.random() < 0.5 else "1" * 20
+    elif shape == 4:
+        text = "".join(rng.choice('{}[]",:0123456789.-+eE tnrufalsNI\\') for _ in range(8))
+
+    def pad():
+        padding = OTHER_PADDING if rng.random() < 0.1 else JSON_PADDING
+        return "".join(rng.choice(padding) for _ in range(rng.randint(0, 3)))
+
+    return pad() + text + pad()
+
+
+def test_decode_json_is_json_loads():
+    rng = random.Random(4_300)
+    texts = [random_json_text(rng) for _ in range(1_500)]
+    texts += ["", " ", "1,2", "[1,2]", "\r\n{}\r\n", "\f{}", "{}\v", "\ufeff{}", "NaN"]
+    for text in texts:
+        assert decode_outcome(protocol.decode_json, text) == decode_outcome(json.loads, text), text
 
 
 def test_message_size_counts_newline():
