@@ -335,7 +335,7 @@ class EdgeAgentCore:
         conn.on_message = self._on_gateway_message
         conn.on_close = self._on_gateway_close
         try:
-            conn.send(protocol.hello_message(self.config.client_name))
+            conn.send(protocol.encode_line(protocol.hello_message(self.config.client_name)))
         except ConnectionError:
             self.session = None
             self._schedule_reconnect()
@@ -354,19 +354,14 @@ class EdgeAgentCore:
             return
         log.warning("gateway handshake timed out; reconnecting")
         session, self.session = self.session, None
-        session.on_close = None
-        session.close()
+        _abandon(session)
         self._schedule_reconnect()
 
     def _abort_session(self, reason: str) -> None:
         """Tear down an established session and reconnect immediately."""
         if self.session is not None:
             session, self.session = self.session, None
-            session.on_close = None
-            try:
-                session.close()
-            except ConnectionError:
-                pass
+            _abandon(session)
         self._cancel_ping()
         if self.handshaken:
             self.handshaken = False
@@ -424,8 +419,7 @@ class EdgeAgentCore:
                 self._handshake_timer.cancel()
             session, self.session = self.session, None
             if session is not None:
-                session.on_close = None
-                session.close()
+                _abandon(session)
             self._schedule_reconnect()
             return
         if self._handshake_timer is not None:
@@ -500,7 +494,7 @@ class EdgeAgentCore:
             self.missed_pongs = 0
         self.ping_seq += 1
         try:
-            self.session.send(protocol.ping_message(self.ping_seq))
+            self.session.send(protocol.ping_line(self.ping_seq))
         except ConnectionError:
             self._abort_session("ping send failed")
             return
@@ -582,7 +576,7 @@ class EdgeAgentCore:
             self.hub_conn = conn
         head = self.upload_queue[0]
         try:
-            size = self.hub_conn.send_raw(head.payload)
+            size = self.hub_conn.send(head.payload)
         except ConnectionError:
             self.hub_conn = None
             self._schedule_upload_retry()
@@ -607,11 +601,7 @@ class EdgeAgentCore:
         self.upload_inflight = None
         if self.hub_conn is not None:
             conn, self.hub_conn = self.hub_conn, None
-            conn.on_close = None
-            try:
-                conn.close()
-            except ConnectionError:
-                pass
+            _abandon(conn)
         self._schedule_upload_retry()
 
     def _on_hub_message(self, message: dict[str, Any]) -> None:
@@ -646,6 +636,15 @@ class EdgeAgentCore:
     def _append_log(self, line: bytes) -> None:
         if self.log_writer is not None:
             self.log_writer.append(line)
+
+
+def _abandon(conn: Any) -> None:
+    """Close a session the agent gives up on, without running its on_close."""
+    conn.on_close = None
+    try:
+        conn.close()
+    except ConnectionError:
+        pass
 
 
 def run_agent_service(config: AgentConfig, *, warp: float = 1.0) -> None:

@@ -316,7 +316,7 @@ class GatewayCore:
                 [(bay_id, self.current[bay_id].value) for bay_id in sorted(self.current)],
             )
             try:
-                conn.send(snapshot)
+                conn.send(protocol.encode_line(snapshot))
             except ConnectionError:
                 return
             if conn not in self.sessions:
@@ -334,7 +334,7 @@ class GatewayCore:
             )
             if not muted:
                 try:
-                    conn.send(protocol.pong_message(seq))
+                    conn.send(protocol.pong_line(seq))
                 except ConnectionError:
                     pass
             return
@@ -342,7 +342,7 @@ class GatewayCore:
 
     def _reject(self, conn: Any, reason: str) -> None:
         try:
-            conn.send(protocol.error_message(reason))
+            conn.send(protocol.encode_line(protocol.error_message(reason)))
         except ConnectionError:
             pass
         conn.close()
@@ -359,7 +359,7 @@ class GatewayCore:
         for conn in list(self.sessions):
             for _ in range(repeats):
                 try:
-                    conn.send_raw(line)
+                    conn.send(line)
                 except ConnectionError:
                     self._on_close(conn)
                     break

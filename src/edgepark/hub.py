@@ -211,57 +211,56 @@ class HubCore:
 
     def _on_message(self, conn: Any, message: dict[str, Any]) -> None:
         mtype = message.get("type")
+        if mtype == "rollup":
+            reply = self._handle_rollup(message)
+        elif mtype == "queryDaily":
+            reply = self._handle_query_daily(message)
+        elif mtype == "queryWeekly":
+            reply = self._handle_query_weekly(message)
+        else:
+            reply = protocol.error_message(f"unknown message type {mtype!r}")
+        if reply is None:
+            return
         try:
-            if mtype == "rollup":
-                self._handle_rollup(conn, message)
-            elif mtype == "queryDaily":
-                self._handle_query_daily(conn, message)
-            elif mtype == "queryWeekly":
-                self._handle_query_weekly(conn, message)
-            else:
-                conn.send(protocol.error_message(f"unknown message type {mtype!r}"))
+            conn.send(protocol.encode_line(reply))
         except ConnectionError:
             pass
 
-    def _handle_rollup(self, conn: Any, message: dict[str, Any]) -> None:
+    def _handle_rollup(self, message: dict[str, Any]) -> dict[str, Any] | None:
+        """Store one upload; the reply is its ack, an error, or None for a dropped ack."""
         try:
             envelope = protocol.parse_rollup_envelope(message)
             if not _LOT_ID_RE.match(envelope["lotId"]):
                 raise protocol.ProtocolError("lotId must be filesystem-safe")
         except protocol.ProtocolError as exc:
-            conn.send(protocol.error_message(str(exc)))
-            return
+            return protocol.error_message(str(exc))
         self.receive_count += 1
         self.store.receive(envelope, received_at=self.sched.now_ms())
         if self.drop_acks_remaining > 0:
             self.drop_acks_remaining -= 1
             log.info("dropping ack for %s (injected fault)", envelope["key"])
-            return
-        conn.send(protocol.ack_message(envelope["key"]))
+            return None
+        return protocol.ack_message(envelope["key"])
 
-    def _handle_query_daily(self, conn: Any, message: dict[str, Any]) -> None:
+    def _handle_query_daily(self, message: dict[str, Any]) -> dict[str, Any]:
         lot_id = message.get("lotId")
         window_start = message.get("windowStart")
         if not isinstance(lot_id, str) or not protocol.is_wire_int(window_start):
-            conn.send(protocol.error_message("queryDaily needs lotId and windowStart"))
-            return
+            return protocol.error_message("queryDaily needs lotId and windowStart")
         records = self.store.query_daily(lot_id, window_start)
         if records is None:
-            conn.send(protocol.not_found_message())
-        else:
-            conn.send(protocol.daily_message(list(records)))
+            return protocol.not_found_message()
+        return protocol.daily_message(list(records))
 
-    def _handle_query_weekly(self, conn: Any, message: dict[str, Any]) -> None:
+    def _handle_query_weekly(self, message: dict[str, Any]) -> dict[str, Any]:
         lot_id = message.get("lotId")
         week_start = message.get("weekStart")
         if not isinstance(lot_id, str) or not protocol.is_wire_int(week_start):
-            conn.send(protocol.error_message("queryWeekly needs lotId and weekStart"))
-            return
+            return protocol.error_message("queryWeekly needs lotId and weekStart")
         report = self.store.weekly_report(lot_id, week_start)
         if report is None:
-            conn.send(protocol.not_found_message())
-        else:
-            conn.send(weekly_to_wire(report))
+            return protocol.not_found_message()
+        return weekly_to_wire(report)
 
 
 def run_hub_service(listen_address: str, store_dir: str | Path) -> None:

@@ -7,11 +7,13 @@ on bay count, window count, and field widths, never on event counts.
 
 Byte-identity rule: every other line is the compact, sorted-key,
 ASCII-escaped encoding that ``encode_line`` produces. A fixed-field
-encoder for a hot line shape (``bays_update_line`` here,
-``eventlog.event_line``, the item rows of ``gateway.write_trace``) must
-write exactly the bytes ``encode_line`` writes for the same dict: keys in
-sorted order, ``,``/``:`` separators, strings through
-``encode_basestring_ascii``, integers as ``str(int)``.
+encoder for a hot line shape (``bays_update_line``, ``ping_line`` and
+``pong_line`` here, ``eventlog.event_line``, the item rows of
+``gateway.write_trace``) must write exactly the bytes ``encode_line``
+writes for the same dict: keys in sorted order, ``,``/``:`` separators,
+strings through ``encode_basestring_ascii``, integers as ``str(int)``.
+Every message, on sockets and in the simulator alike, crosses the
+transport as one encoded line.
 
 Decoding rule: every JSON line edgepark reads (wire messages, event-log
 and hub-store records, trace rows, scenario scripts) goes through
@@ -67,24 +69,20 @@ def decode_json(text: str) -> Any:
     return value
 
 
-def decode_line(raw: bytes | str) -> dict[str, Any]:
+def decode_line(raw: bytes) -> dict[str, Any]:
     """One wire message; any undecodable line raises ProtocolError.
 
     Every ValueError of the decode counts: invalid UTF-8, invalid JSON and
-    integers longer than the interpreter's int digit limit alike.
+    integers longer than the interpreter's int digit limit alike. So does
+    the RecursionError of a value nested past the interpreter's limit.
     """
     try:
-        message = decode_json(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except ValueError as exc:
+        message = decode_json(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"line is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("message must be a JSON object with a string 'type'")
     return message
-
-
-def message_size(message: Mapping[str, Any]) -> int:
-    """Serialized size in bytes, newline included."""
-    return len(encode_line(message))
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +114,14 @@ def bays_update_line(lot_id: str, bay_id: int, status: str) -> bytes:
     ).encode("ascii")
 
 
-def ping_message(seq: int) -> dict[str, Any]:
-    return {"type": "ping", "seq": seq}
+def ping_line(seq: int) -> bytes:
+    """The encoded liveness 'ping'; same bytes as encode_line of its dict."""
+    return b'{"seq":%d,"type":"ping"}\n' % seq
 
 
-def pong_message(seq: int) -> dict[str, Any]:
-    return {"type": "pong", "seq": seq}
+def pong_line(seq: int) -> bytes:
+    """The encoded 'pong' reply; same bytes as encode_line of its dict."""
+    return b'{"seq":%d,"type":"pong"}\n' % seq
 
 
 def error_message(reason: str) -> dict[str, Any]:

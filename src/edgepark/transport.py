@@ -1,8 +1,11 @@
 """Message transports: an in-memory network and a TCP JSON-lines network.
 
-Both deliver whole JSON objects with per-session FIFO ordering and raise
-ConnectionRefusedError from connect() when nothing is accepting. Handlers
-(conn.on_message / conn.on_close) always run on the owning scheduler, so
+Both carry one encoded line per send, with per-session FIFO ordering, and
+raise ConnectionRefusedError from connect() when nothing is accepting.
+Both hand each received line and the peer's close to one receiving side,
+``_LineEndpoint``, on the owning scheduler: a line that does not decode
+is logged and dropped and the session stays up. Handlers
+(conn.on_message / conn.on_close) always run on that scheduler, so
 component logic stays single-threaded under either transport.
 """
 
@@ -28,7 +31,33 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class VirtualConn:
+class _LineEndpoint:
+    """What either transport does with a received line and the peer's close."""
+
+    label: str
+    closed: bool
+    on_message: Callable[[dict[str, Any]], None] | None
+    on_close: Callable[[], None] | None
+
+    def _deliver(self, line: bytes) -> None:
+        if self.closed or self.on_message is None:
+            return
+        try:
+            message = protocol.decode_line(line)
+        except protocol.ProtocolError as exc:
+            log.warning("%s: dropping malformed line: %s", self.label, exc)
+            return
+        self.on_message(message)
+
+    def _deliver_close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        if self.on_close is not None:
+            self.on_close()
+
+
+class VirtualConn(_LineEndpoint):
     """One endpoint of an in-memory session."""
 
     def __init__(self, sched: VirtualScheduler, label: str) -> None:
@@ -39,29 +68,26 @@ class VirtualConn:
         self.on_message: Callable[[dict[str, Any]], None] | None = None
         self.on_close: Callable[[], None] | None = None
 
-    def send(self, message: dict[str, Any]) -> int:
-        """Deliver to the peer at the current instant; returns wire bytes."""
-        if self.closed:
-            raise ConnectionError(f"{self.label}: send on closed connection")
-        size = protocol.message_size(message)
-        peer = self.peer
-        if peer is not None and not peer.closed:
-            self._sched.call_at(
-                self._sched.now_ms(), peer._deliver, message, priority=PRIORITY_DELIVERY
-            )
-        return size
+    def send(self, line: bytes) -> int:
+        """Deliver exactly one encoded line to the peer at the current instant.
 
-    def send_raw(self, payload: bytes) -> int:
-        """Send pre-encoded line(s); used for canonical envelope bytes."""
+        Returns the wire bytes. The peer decodes the line on delivery, as a
+        socket reader would, so a sender never sees its peer's parse error.
+        A socket splits a payload at newlines; this transport does not, so a
+        payload of several lines is decoded as one and dropped.
+        """
         if self.closed:
             raise ConnectionError(f"{self.label}: send on closed connection")
         peer = self.peer
         if peer is not None and not peer.closed:
-            message = protocol.decode_line(payload)
             self._sched.call_at(
-                self._sched.now_ms(), peer._deliver, message, priority=PRIORITY_DELIVERY
+                self._sched.now_ms(), peer._deliver, line, priority=PRIORITY_DELIVERY
             )
-        return len(payload)
+        return len(line)
+
+    # perfbench/tracing.py looks both names up in the class __dict__ to patch
+    # them; drop this alias once the tracer no longer patches it.
+    send_raw = send
 
     def close(self) -> None:
         if self.closed:
@@ -72,19 +98,6 @@ class VirtualConn:
             self._sched.call_at(
                 self._sched.now_ms(), peer._deliver_close, priority=PRIORITY_DELIVERY
             )
-
-    def _deliver(self, message: dict[str, Any]) -> None:
-        if self.closed:
-            return
-        if self.on_message is not None:
-            self.on_message(message)
-
-    def _deliver_close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self.on_close is not None:
-            self.on_close()
 
 
 class VirtualNetwork:
@@ -115,7 +128,7 @@ class VirtualNetwork:
         return client
 
 
-class SocketConn:
+class SocketConn(_LineEndpoint):
     """TCP session endpoint; a reader thread feeds the scheduler."""
 
     def __init__(self, sched: RealScheduler, sock: socket.socket, label: str) -> None:
@@ -123,7 +136,6 @@ class SocketConn:
         self._sock = sock
         self.label = label
         self.closed = False
-        self._close_posted = False
         self._lock = threading.Lock()
         self.on_message: Callable[[dict[str, Any]], None] | None = None
         self.on_close: Callable[[], None] | None = None
@@ -132,18 +144,16 @@ class SocketConn:
     def start_reader(self) -> None:
         self._reader.start()
 
-    def send(self, message: dict[str, Any]) -> int:
-        return self.send_raw(protocol.encode_line(message))
-
-    def send_raw(self, payload: bytes) -> int:
+    def send(self, line: bytes) -> int:
+        """Write exactly one encoded line to the socket; returns its bytes."""
         with self._lock:
             if self.closed:
                 raise ConnectionError(f"{self.label}: send on closed connection")
             try:
-                self._sock.sendall(payload)
+                self._sock.sendall(line)
             except OSError as exc:
                 raise ConnectionError(f"{self.label}: {exc}") from exc
-        return len(payload)
+        return len(line)
 
     def close(self) -> None:
         with self._lock:
@@ -159,29 +169,11 @@ class SocketConn:
     def _read_loop(self) -> None:
         try:
             with self._sock.makefile("rb") as stream:
-                for raw in stream:
-                    try:
-                        message = protocol.decode_line(raw)
-                    except protocol.ProtocolError as exc:
-                        log.warning("%s: dropping malformed line: %s", self.label, exc)
-                        continue
-                    self._sched.post(self._dispatch, message)
+                for line in stream:
+                    self._sched.post(self._deliver, line)
         except (OSError, ValueError):
             pass
-        self._sched.post(self._dispatch_close)
-
-    def _dispatch(self, message: dict[str, Any]) -> None:
-        if not self.closed and self.on_message is not None:
-            self.on_message(message)
-
-    def _dispatch_close(self) -> None:
-        if self._close_posted:
-            return
-        self._close_posted = True
-        was_open = not self.closed
-        self.closed = True
-        if was_open and self.on_close is not None:
-            self.on_close()
+        self._sched.post(self._deliver_close)
 
 
 class SocketListener:

@@ -149,9 +149,9 @@ def test_mismatched_pong_counts_as_missing(tmp_path):
 
     def _gw_handle(conn, msg):
         if msg["type"] == "hello":
-            conn.send(protocol.bays_message("LOT", [(1, "free")]))
+            conn.send(protocol.encode_line(protocol.bays_message("LOT", [(1, "free")])))
         elif msg["type"] == "ping":
-            conn.send(protocol.pong_message(msg["seq"] + 1000))  # always wrong
+            conn.send(protocol.pong_line(msg["seq"] + 1000))  # always wrong
 
     net.listen("sim://gw", accept)
     agent, _ = make_agent(
@@ -171,9 +171,9 @@ def test_pong_with_boolean_seq_counts_as_missing(tmp_path):
     def accept(conn):
         def handle(msg):
             if msg["type"] == "hello":
-                conn.send(protocol.bays_message("LOT", [(1, "free")]))
+                conn.send(protocol.encode_line(protocol.bays_message("LOT", [(1, "free")])))
             elif msg["type"] == "ping":
-                conn.send({"type": "pong", "seq": True})  # true == 1 in Python
+                conn.send(protocol.encode_line({"type": "pong", "seq": True}))  # true == 1 in Python
 
         conn.on_message = handle
         conn.on_close = lambda: None
@@ -198,9 +198,9 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
             if msg["type"] == "hello":
                 hellos.append(msg)
                 if len(hellos) == 1:
-                    conn.send({"type": "bays", "data": "not-a-list"})
+                    conn.send(protocol.encode_line({"type": "bays", "data": "not-a-list"}))
                 else:
-                    conn.send(protocol.bays_message("LOT", [(1, "free")]))
+                    conn.send(protocol.encode_line(protocol.bays_message("LOT", [(1, "free")])))
 
         conn.on_message = handle
         conn.on_close = lambda: None

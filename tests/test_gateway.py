@@ -192,8 +192,8 @@ class Probe:
     def _on_close(self):
         self.closed = True
 
-    def send(self, message):
-        self.conn.send(message)
+    def send(self, line):
+        self.conn.send(line)
         self.sched.run_for(0)
 
 
@@ -211,7 +211,7 @@ def make_gateway(trace, faults=None):
 def test_hello_yields_full_snapshot():
     sched, net, _ = make_gateway(items_trace([], bays=22))
     probe = Probe(sched, net)
-    probe.send({"type": "hello", "client": "probe", "proto": 1})
+    probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
     (reply,) = probe.received
     assert reply["type"] == "bays"
     assert len(reply["data"][0]["bays"]) == 22
@@ -221,14 +221,24 @@ def test_hello_yields_full_snapshot():
 def test_ping_echoes_seq():
     sched, net, _ = make_gateway(items_trace([]))
     probe = Probe(sched, net)
-    probe.send({"type": "ping", "seq": 7})
+    probe.send(protocol.ping_line(7))
     assert probe.received == [{"type": "pong", "seq": 7}]
+
+
+def test_malformed_line_is_dropped_and_session_stays_up():
+    sched, net, _ = make_gateway(items_trace([]))
+    probe = Probe(sched, net)
+    probe.send(b"not json\n")  # the sender sees no parse error
+    probe.send(b"[" * 100_000 + b"\n")  # nested past the recursion limit
+    probe.send(protocol.ping_line(7))
+    assert probe.received == [{"type": "pong", "seq": 7}]
+    assert not probe.closed
 
 
 def test_ping_with_boolean_seq_gets_error_and_close():
     sched, net, core = make_gateway(items_trace([]))
     probe = Probe(sched, net)
-    probe.send({"type": "ping", "seq": True})
+    probe.send(protocol.encode_line({"type": "ping", "seq": True}))
     assert [m["type"] for m in probe.received] == ["error"]
     assert probe.closed
     assert core.pings_received == []
@@ -237,7 +247,7 @@ def test_ping_with_boolean_seq_gets_error_and_close():
 def test_unknown_type_gets_error_and_close():
     sched, net, _ = make_gateway(items_trace([]))
     probe = Probe(sched, net)
-    probe.send({"type": "launch", "payload": 1})
+    probe.send(protocol.encode_line({"type": "launch", "payload": 1}))
     sched.run_for(0)
     assert probe.received[0]["type"] == "error"
     assert probe.closed
@@ -248,7 +258,7 @@ def test_midrun_join_snapshot_matches_trace_state():
     sched, net, _ = make_gateway(trace)
     sched.run_for(6000)  # two items dispatched
     probe = Probe(sched, net)
-    probe.send({"type": "hello", "client": "late", "proto": 1})
+    probe.send(protocol.encode_line({"type": "hello", "client": "late", "proto": 1}))
     statuses = {b["id"]: b["status"] for b in probe.received[0]["data"][0]["bays"]}
     assert statuses[1] == "occupied" and statuses[2] == "occupied"
     sched.run_for(4000)  # third item pushed to the live session
@@ -270,7 +280,7 @@ def test_duplicate_update_fault_sends_twice():
     trace = items_trace([(1000, 1, "occupied")])
     sched, net, core = make_gateway(trace, faults=FaultPlan(duplicate_updates=True))
     probe = Probe(sched, net)
-    probe.send({"type": "hello", "client": "probe", "proto": 1})
+    probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
     sched.run_for(2000)
     updates = [m for m in probe.received if m["type"] == "baysUpdate"]
     assert len(updates) == 2
@@ -281,7 +291,7 @@ def test_injected_disconnect_refuses_reconnects_for_duration():
     trace = items_trace([])
     sched, net, core = make_gateway(trace, faults=FaultPlan(disconnects=((5000, 2000),)))
     probe = Probe(sched, net)
-    probe.send({"type": "hello", "client": "probe", "proto": 1})
+    probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
     sched.run_for(5000)
     assert probe.closed
     with pytest.raises(ConnectionRefusedError):
@@ -296,7 +306,7 @@ class RawRecorder:
     def __init__(self):
         self.sent = []
 
-    def send_raw(self, payload):
+    def send(self, payload):
         self.sent.append(payload)
         return len(payload)
 

@@ -151,12 +151,8 @@ class HubProbe:
         self.conn.on_message = self.received.append
         self.conn.on_close = lambda: None
 
-    def send(self, message):
-        self.conn.send(message)
-        self.sched.run_for(0)
-
-    def send_raw(self, payload):
-        self.conn.send_raw(payload)
+    def send(self, line):
+        self.conn.send(line)
         self.sched.run_for(0)
 
 
@@ -165,17 +161,17 @@ def test_rollup_over_wire_acked_and_stored(tmp_path):
     raw = protocol.encode_rollup_envelope(
         "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 60, 0.0007)]
     )
-    probe.send_raw(raw)
+    probe.send(raw)
     assert probe.received == [{"type": "ack", "key": f"LOT-A:{EPOCH_MS}"}]
     assert len(probe.store) == 1
 
 
 def test_schema_violation_rejected_with_error_nothing_stored(tmp_path):
     probe = HubProbe(tmp_path)
-    probe.send({"type": "rollup", "key": "x", "lotId": "L"})
+    probe.send(protocol.encode_line({"type": "rollup", "key": "x", "lotId": "L"}))
     assert probe.received[0]["type"] == "error"
     assert len(probe.store) == 0
-    probe.send(
+    probe.send(protocol.encode_line(
         {
             "type": "rollup",
             "key": "L:0",
@@ -187,7 +183,7 @@ def test_schema_violation_rejected_with_error_nothing_stored(tmp_path):
                 {"bayId": 1, "occupationTime": 0, "occupationRate": 0.0},
             ],
         }
-    )
+    ))
     assert probe.received[1]["type"] == "error"
     assert len(probe.store) == 0
 
@@ -196,12 +192,13 @@ def test_query_daily_over_wire(tmp_path):
     probe = HubProbe(tmp_path)
     records = full_day_records(27_000)
     raw = protocol.encode_rollup_envelope("LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, records)
-    probe.send_raw(raw)
-    probe.send(protocol.query_daily_message("LOT-A", EPOCH_MS))
+    probe.send(raw)
+    probe.send(protocol.encode_line(protocol.query_daily_message("LOT-A", EPOCH_MS)))
     reply = probe.received[-1]
     assert reply["type"] == "daily"
     assert len(reply["records"]) == 22
-    probe.send(protocol.query_daily_message("LOT-A", EPOCH_MS + DAY_MS))
+    next_day = protocol.query_daily_message("LOT-A", EPOCH_MS + DAY_MS)
+    probe.send(protocol.encode_line(next_day))
     assert probe.received[-1] == {"type": "notFound"}
 
 
@@ -210,13 +207,13 @@ def test_query_weekly_over_wire(tmp_path):
     raw = protocol.encode_rollup_envelope(
         "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, full_day_records(27_000)
     )
-    probe.send_raw(raw)
-    probe.send(protocol.query_weekly_message("LOT-A", EPOCH_MS))
+    probe.send(raw)
+    probe.send(protocol.encode_line(protocol.query_weekly_message("LOT-A", EPOCH_MS)))
     reply = probe.received[-1]
     assert reply["type"] == "weekly"
     assert reply["perDayFleetAvgHours"][0] == pytest.approx(7.5)
     assert reply["perBayMinHours"]["1"] == pytest.approx(7.5)
-    probe.send(protocol.query_weekly_message("OTHER-LOT", EPOCH_MS))
+    probe.send(protocol.encode_line(protocol.query_weekly_message("OTHER-LOT", EPOCH_MS)))
     assert probe.received[-1] == {"type": "notFound"}
 
 
@@ -230,13 +227,13 @@ def test_query_weekly_over_wire(tmp_path):
 )
 def test_query_with_boolean_start_gets_error_reply(tmp_path, message):
     probe = HubProbe(tmp_path)
-    probe.send(message)
+    probe.send(protocol.encode_line(message))
     assert probe.received[0]["type"] == "error"
 
 
 def test_unknown_type_gets_error_reply(tmp_path):
     probe = HubProbe(tmp_path)
-    probe.send({"type": "mystery"})
+    probe.send(protocol.encode_line({"type": "mystery"}))
     assert probe.received[0]["type"] == "error"
 
 
@@ -245,6 +242,6 @@ def test_unsafe_lot_id_rejected(tmp_path):
     raw = protocol.encode_rollup_envelope(
         "bad/lot", EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 0, 0.0)]
     )
-    probe.send_raw(raw)
+    probe.send(raw)
     assert probe.received[0]["type"] == "error"
     assert len(probe.store) == 0

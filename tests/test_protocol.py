@@ -16,8 +16,18 @@ def bays_update_message(lot_id, bay_id, status):
     return {"type": "baysUpdate", "lotId": lot_id, "bay": {"id": bay_id, "status": status}}
 
 
+def ping_message(seq):
+    """Reference: the dict a 'ping' line encodes."""
+    return {"type": "ping", "seq": seq}
+
+
+def pong_message(seq):
+    """Reference: the dict a 'pong' line encodes."""
+    return {"type": "pong", "seq": seq}
+
+
 def test_encode_decode_roundtrip():
-    message = protocol.ping_message(7)
+    message = ping_message(7)
     assert protocol.decode_line(protocol.encode_line(message)) == message
 
 
@@ -34,6 +44,9 @@ def test_decode_rejects_garbage():
     # ValueError; a socket reader would take that for a dead stream.
     with pytest.raises(protocol.ProtocolError):
         protocol.decode_line(b'{"type":"ping","seq":' + b"9" * 5000 + b"}\n")
+    # Nested past the recursion limit, the decode raises RecursionError.
+    with pytest.raises(protocol.ProtocolError):
+        protocol.decode_line(b"[" * 100_000 + b"\n")
 
 
 def decode_outcome(decode, text):
@@ -85,12 +98,6 @@ def test_decode_json_is_json_loads():
         assert decode_outcome(protocol.decode_json, text) == decode_outcome(json.loads, text), text
 
 
-def test_message_size_counts_newline():
-    message = {"type": "ping", "seq": 1}
-    assert protocol.message_size(message) == len(protocol.encode_line(message))
-    assert protocol.encode_line(message).endswith(b"\n")
-
-
 def test_encode_line_matches_json_dumps():
     rng = random.Random(7)
     for _ in range(500):
@@ -115,6 +122,15 @@ def test_bays_update_line_is_encode_line_of_its_dict():
         assert protocol.bays_update_line(lot_id, bay_id, status) == protocol.encode_line(
             bays_update_message(lot_id, bay_id, status)
         )
+
+
+def test_ping_and_pong_lines_are_encode_line_of_their_dicts():
+    rng = random.Random(60_000)
+    seqs = [0, 1, 2**63, 10**200] + [random_int(rng) for _ in range(600)]
+    for seq in seqs:
+        assert protocol.ping_line(seq) == protocol.encode_line(ping_message(seq))
+        assert protocol.pong_line(seq) == protocol.encode_line(pong_message(seq))
+    assert protocol.ping_line(1).endswith(b"\n")
 
 
 def test_bays_message_shape():

@@ -69,7 +69,7 @@ def test_gateway_hello_snapshot_and_ping(gateway_rig):
     snapshot = client.recv()
     assert snapshot["type"] == "bays"
     assert len(snapshot["data"][0]["bays"]) == 22
-    client.send(protocol.ping_message(7))
+    client.sock.sendall(protocol.ping_line(7))
     # Trace pushes may interleave with the pong; scan for it.
     for _ in range(5):
         reply = client.recv()
@@ -78,6 +78,16 @@ def test_gateway_hello_snapshot_and_ping(gateway_rig):
             break
     else:
         pytest.fail("no pong received")
+    client.close()
+
+
+def test_gateway_session_survives_deeply_nested_line(gateway_rig):
+    port, _trace, _core = gateway_rig
+    client = LineClient(port)
+    client.sock.sendall(b"[" * 100_000 + b"\n")  # nested past the recursion limit
+    client.sock.sendall(protocol.ping_line(7))
+    # No hello was sent, so no trace push comes before the pong.
+    assert client.recv() == {"type": "pong", "seq": 7}
     client.close()
 
 
