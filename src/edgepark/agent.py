@@ -7,9 +7,15 @@ schedule (CSV file, flush marker, upload envelope), and delivers
 envelopes to the cloud hub at-least-once. On restart it rebuilds state by
 replaying the log after the last flush marker.
 
-Session loss is handled conservatively: in-progress occupancy is flushed
-at the moment of detection and every bay is invalidated until the next
-snapshot re-establishes it, so unobserved time is never counted.
+Each link ends in one method, whatever ended it. A gateway session
+ends in ``_end_session``: if its snapshot had arrived, in-progress
+occupancy is flushed at the moment of detection, every bay is invalidated
+until the next snapshot re-establishes it, and the agent redials at once,
+so unobserved time is never counted; a session that ended before its
+snapshot only backs off and redials. The hub link ends in
+``_end_upload_link``: the unacked upload is retried with backoff. Both
+close the dropped connection without running its on_close, so a dropped
+connection never calls back into the agent.
 """
 
 from __future__ import annotations
@@ -217,7 +223,7 @@ class EdgeAgentCore:
         self.pings_sent = 0
         self.upload_sends = 0
         self.recovered = False
-        self.gap_spans: list[tuple[int, int]] = []
+        self._closed_gap_ms = 0
         self._gap_open: int | None = None
 
         self._boundary_timer: Any = None
@@ -263,7 +269,7 @@ class EdgeAgentCore:
 
     @property
     def total_gap_ms(self) -> int:
-        total = sum(end - start for start, end in self.gap_spans)
+        total = self._closed_gap_ms
         if self._gap_open is not None:
             total += self.sched.now_ms() - self._gap_open
         return total
@@ -331,14 +337,12 @@ class EdgeAgentCore:
             self._schedule_reconnect()
             return
         self.session = conn
-        self.handshaken = False
         conn.on_message = self._on_gateway_message
         conn.on_close = self._on_gateway_close
         try:
             conn.send(protocol.encode_line(protocol.hello_message(self.config.client_name)))
         except ConnectionError:
-            self.session = None
-            self._schedule_reconnect()
+            self._end_session("hello send failed")
             return
         self._handshake_timer = self.sched.call_later(
             self.config.poll_interval_ms, self._handshake_timeout
@@ -352,45 +356,38 @@ class EdgeAgentCore:
     def _handshake_timeout(self) -> None:
         if self._dead or self.session is None or self.handshaken:
             return
-        log.warning("gateway handshake timed out; reconnecting")
-        session, self.session = self.session, None
-        _abandon(session)
-        self._schedule_reconnect()
-
-    def _abort_session(self, reason: str) -> None:
-        """Tear down an established session and reconnect immediately."""
-        if self.session is not None:
-            session, self.session = self.session, None
-            _abandon(session)
-        self._cancel_ping()
-        if self.handshaken:
-            self.handshaken = False
-            self._mark_disconnected(self.sched.now_ms(), reason)
-        self._connect()
+        self._end_session("handshake timed out")
 
     def _on_gateway_close(self) -> None:
         if self._dead:
             return
-        log.info("gateway session closed")
-        if self._handshake_timer is not None:
-            self._handshake_timer.cancel()
-        self.session = None
-        self._cancel_ping()
-        if self.handshaken:
-            # An established session died: mark the gap and retry at once.
-            self.handshaken = False
-            self._mark_disconnected(self.sched.now_ms(), "session closed by peer")
-            self._connect()
-        else:
-            # Dropped before the snapshot (e.g. refused at admission): back off.
-            self._schedule_reconnect()
+        self._end_session("session closed by peer")
 
-    def _mark_disconnected(self, now: int, reason: str) -> None:
+    def _end_session(self, reason: str) -> None:
+        """End the gateway session, whatever ended it.
+
+        After its snapshot: log the disconnect, invalidate every bay, open
+        the gap and redial at once. Before it: back off, then redial.
+        """
+        session, self.session = self.session, None
+        if session is not None:
+            _abandon(session)
+        for timer in (self._handshake_timer, self._ping_timer):
+            if timer is not None:
+                timer.cancel()
+        self._handshake_timer = self._ping_timer = None
+        if not self.handshaken:
+            log.info("gateway session ended before its snapshot: %s", reason)
+            self._schedule_reconnect()
+            return
+        self.handshaken = False
+        now = self.sched.now_ms()
         log.warning("observation interrupted at %d: %s", now, reason)
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
         if self._gap_open is None:
             self._gap_open = now
+        self._connect()
 
     def _on_gateway_message(self, message: dict[str, Any]) -> None:
         if self._dead:
@@ -415,12 +412,7 @@ class EdgeAgentCore:
             triples = protocol.parse_bays_snapshot(message)
         except protocol.ProtocolError as exc:
             self.warnings.append(f"malformed snapshot: {exc}")
-            if self._handshake_timer is not None:
-                self._handshake_timer.cancel()
-            session, self.session = self.session, None
-            if session is not None:
-                _abandon(session)
-            self._schedule_reconnect()
+            self._end_session("malformed snapshot")
             return
         if self._handshake_timer is not None:
             self._handshake_timer.cancel()
@@ -428,7 +420,7 @@ class EdgeAgentCore:
         self.handshaken = True
         self.connect_attempt = 0
         if self._gap_open is not None:
-            self.gap_spans.append((self._gap_open, now))
+            self._closed_gap_ms += now - self._gap_open
             self._gap_open = None
         for lot_id, bay_id, status in triples:
             event = OccupancyEvent(
@@ -469,7 +461,8 @@ class EdgeAgentCore:
     # ping loop
 
     def _start_ping_loop(self, session_start: int) -> None:
-        self._cancel_ping()
+        if self._ping_timer is not None:
+            self._ping_timer.cancel()
         self.ping_seq = 0
         self.last_pong_seq = 0
         self.missed_pongs = 0
@@ -477,18 +470,13 @@ class EdgeAgentCore:
             session_start + self.config.poll_interval_ms, self._ping_tick
         )
 
-    def _cancel_ping(self) -> None:
-        if self._ping_timer is not None:
-            self._ping_timer.cancel()
-            self._ping_timer = None
-
     def _ping_tick(self) -> None:
         if self._dead or self.session is None or not self.handshaken:
             return
         if self.ping_seq > 0 and self.last_pong_seq < self.ping_seq:
             self.missed_pongs += 1
             if self.missed_pongs >= 3:
-                self._abort_session("3 consecutive pings unanswered")
+                self._end_session("3 consecutive pings unanswered")
                 return
         else:
             self.missed_pongs = 0
@@ -496,7 +484,7 @@ class EdgeAgentCore:
         try:
             self.session.send(protocol.ping_line(self.ping_seq))
         except ConnectionError:
-            self._abort_session("ping send failed")
+            self._end_session("ping send failed")
             return
         self.pings_sent += 1
         self._ping_timer = self.sched.call_later(
@@ -578,8 +566,7 @@ class EdgeAgentCore:
         try:
             size = self.hub_conn.send(head.payload)
         except ConnectionError:
-            self.hub_conn = None
-            self._schedule_upload_retry()
+            self._end_upload_link("upload send failed")
             return
         self.upload_sends += 1
         if self.on_upload_sent is not None:
@@ -597,12 +584,7 @@ class EdgeAgentCore:
     def _on_ack_timeout(self) -> None:
         if self._dead or self.upload_inflight is None:
             return
-        log.warning("upload ack timed out for %s; retrying", self.upload_inflight)
-        self.upload_inflight = None
-        if self.hub_conn is not None:
-            conn, self.hub_conn = self.hub_conn, None
-            _abandon(conn)
-        self._schedule_upload_retry()
+        self._end_upload_link(f"ack timed out for {self.upload_inflight}")
 
     def _on_hub_message(self, message: dict[str, Any]) -> None:
         if self._dead:
@@ -623,12 +605,19 @@ class EdgeAgentCore:
     def _on_hub_close(self) -> None:
         if self._dead:
             return
-        self.hub_conn = None
-        if self.upload_inflight is not None:
-            if self._ack_timer is not None:
-                self._ack_timer.cancel()
-                self._ack_timer = None
-            self.upload_inflight = None
+        self._end_upload_link("link closed by hub")
+
+    def _end_upload_link(self, reason: str) -> None:
+        """End the hub link, whatever ended it; the unacked upload is retried."""
+        conn, self.hub_conn = self.hub_conn, None
+        if conn is not None:
+            _abandon(conn)
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
+        self.upload_inflight = None
+        if self.upload_queue:
+            log.warning("hub link ended (%s); retrying", reason)
             self._schedule_upload_retry()
 
     # ------------------------------------------------------------------
@@ -639,7 +628,7 @@ class EdgeAgentCore:
 
 
 def _abandon(conn: Any) -> None:
-    """Close a session the agent gives up on, without running its on_close."""
+    """Close a connection the agent drops, without running its on_close."""
     conn.on_close = None
     try:
         conn.close()

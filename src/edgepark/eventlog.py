@@ -140,7 +140,8 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Read all decodable records; returns (records, skipped line count).
 
     An unterminated or undecodable final line is a torn tail and is
-    dropped; undecodable interior lines are skipped too, both counted.
+    dropped; undecodable interior lines are skipped too, both counted. A
+    line nested past the interpreter's recursion limit is undecodable.
     """
     path = Path(path)
     records: list[dict[str, Any]] = []
@@ -163,7 +164,7 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
             if not isinstance(record, dict):
                 raise ValueError("log line is not an object")
             records.append(record)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             skipped += 1
             log.warning("%s:%d: skipping undecodable line: %s", path, lineno, exc)
     return records, skipped

@@ -131,9 +131,6 @@ class RollupStore:
         self._by_key[stored.key] = stored
         return True
 
-    def get(self, key: str) -> StoredRollup | None:
-        return self._by_key.get(key)
-
     def query_daily(self, lot_id: str, window_start: int) -> tuple[RollupRecord, ...] | None:
         stored = self._by_key.get(protocol.envelope_key(lot_id, window_start))
         return stored.records if stored is not None else None
@@ -195,7 +192,6 @@ class HubCore:
         self.store = store
         self.listen_address = listen_address
         self.drop_acks_remaining = drop_acks  # fault injection: swallow the first N acks
-        self.receive_count = 0
         self.listener: Any = None
 
     def start(self) -> None:
@@ -234,7 +230,6 @@ class HubCore:
                 raise protocol.ProtocolError("lotId must be filesystem-safe")
         except protocol.ProtocolError as exc:
             return protocol.error_message(str(exc))
-        self.receive_count += 1
         self.store.receive(envelope, received_at=self.sched.now_ms())
         if self.drop_acks_remaining > 0:
             self.drop_acks_remaining -= 1

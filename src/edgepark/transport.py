@@ -173,18 +173,17 @@ class SocketConn(_LineEndpoint):
                     self._sched.post(self._deliver, line)
         except (OSError, ValueError):
             pass
+        # The stream is over, whoever ended it: release the socket here, as
+        # close() is a no-op once the peer's close has been delivered.
+        with self._lock:
+            self._sock.close()
         self._sched.post(self._deliver_close)
 
 
 class SocketListener:
-    def __init__(self, sock: socket.socket, thread: threading.Thread) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._thread = thread
         self.closed = False
-
-    @property
-    def port(self) -> int:
-        return self._sock.getsockname()[1]
 
     def close(self) -> None:
         if self.closed:
@@ -222,9 +221,8 @@ class SocketNetwork:
                 conn = SocketConn(self._sched, sock, f"session-{peer[0]}:{peer[1]}")
                 self._sched.post(self._admit, on_accept, conn)
 
-        thread = threading.Thread(target=accept_loop, name=f"accept-{address}", daemon=True)
-        thread.start()
-        return SocketListener(server, thread)
+        threading.Thread(target=accept_loop, name=f"accept-{address}", daemon=True).start()
+        return SocketListener(server)
 
     @staticmethod
     def _admit(on_accept: Callable[[SocketConn], None], conn: SocketConn) -> None:

@@ -109,10 +109,11 @@ def test_undecodable_interior_line_skipped(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b'{"ts":1,"lotId":"L","bayId":1,"status":"free","src":"update"}\n')
         fh.write(b"garbage line\n")
+        fh.write(b"[" * 100_000 + b"\n")  # nested past the recursion limit
         fh.write(b'{"ts":2,"lotId":"L","bayId":1,"status":"occupied","src":"update"}\n')
     records, skipped = eventlog.read_records(path)
     assert [r["ts"] for r in records] == [1, 2]
-    assert skipped == 1
+    assert skipped == 2
 
 
 def test_missing_file_reads_empty(tmp_path):

@@ -205,6 +205,46 @@ def test_verify_names_tampered_cell(tmp_path):
     assert any(f"bay {bay}" in f and "CSV" in f for f in report.failures)
 
 
+def verify_after(tmp_path, tamper):
+    """verify_run's failures after tamper(run result) changes a clean run."""
+    result = harness.run_sim(
+        make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
+        tmp_path / "run",
+    )
+    tamper(result)
+    report = harness.verify_run(tmp_path / "run")
+    assert report.ok is False
+    return report.failures
+
+
+def test_verify_names_missing_csv(tmp_path):
+    failures = verify_after(tmp_path, lambda result: result.csv_paths[0].unlink())
+    assert failures == [f"window {EPOCH_MS}: missing CSV rollup_LOT-A_20181119T000000Z.csv"]
+
+
+def test_verify_names_missing_hub_record(tmp_path):
+    failures = verify_after(
+        tmp_path, lambda result: (result.out_dir / "hub_store" / "LOT-A.jsonl").unlink()
+    )
+    assert failures == [f"window {EPOCH_MS}: hub store has no record for key LOT-A:{EPOCH_MS}"]
+
+
+def test_verify_names_log_replay_beyond_the_gap_bound(tmp_path):
+    def drop_first_departure(result):
+        log_path = result.out_dir / "agent.log"
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        first_free = next(i for i, line in enumerate(lines) if b'"src":"update","status":"free"' in line)
+        dropped.append(json.loads(lines.pop(first_free)))
+        log_path.write_bytes(b"".join(lines))
+
+    dropped = []
+    failures = verify_after(tmp_path, drop_first_departure)
+    bay = dropped[0]["bayId"]
+    assert any(
+        f.startswith(f"window {EPOCH_MS} bay {bay}: log replay off by ") for f in failures
+    )
+
+
 def test_verify_reports_missing_artifacts(tmp_path):
     result = harness.run_sim(make_scenario(seed=1, bays=2), tmp_path / "run")
     (result.out_dir / "trace.jsonl").unlink()

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -134,6 +135,24 @@ def test_gateway_bind_failure_surfaces_as_oserror():
         core.start()
     blocker.close()
     sched.stop()
+
+
+def test_conn_closed_by_peer_runs_on_close_and_releases_its_socket():
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        sched = RealScheduler()
+        sched.start()
+        try:
+            conn = SocketNetwork(sched).connect(f"127.0.0.1:{server.getsockname()[1]}")
+            closed = threading.Event()
+            conn.on_close = closed.set
+            peer, _ = server.accept()
+            peer.close()
+            assert closed.wait(5)
+            assert conn._sock.fileno() == -1  # released, not left to the collector
+        finally:
+            sched.stop()
 
 
 @pytest.fixture
