@@ -7,7 +7,6 @@ from .occupancy import (
     ClockRegressionError,
     EventKind,
     InvariantViolationError,
-    OccupancyEvent,
     RollupRecord,
     RollupWindow,
     apply_event,
@@ -26,7 +25,6 @@ __all__ = [
     "ClockRegressionError",
     "EventKind",
     "InvariantViolationError",
-    "OccupancyEvent",
     "RollupRecord",
     "RollupWindow",
     "TraceOrderError",

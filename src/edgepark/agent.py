@@ -33,7 +33,6 @@ from .clock import PRIORITY_ROLLUP, RealScheduler, VirtualScheduler
 from .occupancy import (
     BayState,
     EventKind,
-    OccupancyEvent,
     RollupRecord,
     RollupWindow,
     apply_event,
@@ -124,14 +123,13 @@ def write_csv(
     The file is written beside its final name and renamed onto it, so a
     crash leaves either the previous file or the whole new one, never a
     torn CSV that recovery would re-upload. Like the event log, it is
-    flushed but not fsynced.
+    flushed but not fsynced. The directory must exist; its owner creates
+    it once, not once per window.
     """
     for i in range(1, len(records)):
         if records[i].bay_id <= records[i - 1].bay_id:
             raise ValueError("records must be sorted by ascending bay id")
-    csv_dir = Path(csv_dir)
-    csv_dir.mkdir(parents=True, exist_ok=True)
-    path = csv_dir / csv_filename(lot_id, window.start)
+    path = Path(csv_dir) / csv_filename(lot_id, window.start)
     tmp = path.with_name(f".{path.name}.tmp")  # not matched by rollup_*.csv
     lines = [CSV_HEADER]
     lines.extend(
@@ -238,6 +236,7 @@ class EdgeAgentCore:
         if skipped:
             self.warnings.append(f"log recovery skipped {skipped} undecodable line(s)")
         self.log_writer = eventlog.EventLogWriter(self.config.log_path)
+        Path(self.config.csv_dir).mkdir(parents=True, exist_ok=True)
         if records:
             self._recover(records, now)
         else:
@@ -282,17 +281,17 @@ class EdgeAgentCore:
         period = self.config.rollup_period_ms
         idx = eventlog.last_flush_index(records)
         if idx is not None:
-            self.window_start = int(records[idx]["ts"])
+            self.window_start = eventlog.record_ts(records[idx])
             tail = records[idx + 1:]
         else:
             self.window_start = window_floor(
-                int(records[0]["ts"]), period, self.config.rollup_epoch_ms
+                eventlog.record_ts(records[0]), period, self.config.rollup_epoch_ms
             )
             tail = records
         for record in tail:
-            event = eventlog.apply_record(self.table, record, self.warnings)
-            if event is not None:
-                self.lot_id = event.lot_id
+            applied = eventlog.apply_record(self.table, record, self.warnings)
+            if applied is not None:
+                self.lot_id = applied[1]
         # Close any windows whose boundary passed while we were down.
         while self.window_start + period <= now:
             self._run_rollup(self.window_start + period)
@@ -308,10 +307,7 @@ class EdgeAgentCore:
 
     def _requeue_existing_csvs(self) -> None:
         """At-least-once safety net: re-upload every window CSV already on disk."""
-        csv_dir = Path(self.config.csv_dir)
-        if not csv_dir.exists():
-            return
-        for path in sorted(csv_dir.glob("rollup_*.csv")):
+        for path in sorted(Path(self.config.csv_dir).glob("rollup_*.csv")):
             try:
                 lot_id, window_start, records = read_csv_records(path)
             except ValueError as exc:
@@ -423,11 +419,9 @@ class EdgeAgentCore:
             self._closed_gap_ms += now - self._gap_open
             self._gap_open = None
         for lot_id, bay_id, status in triples:
-            event = OccupancyEvent(
-                EventKind.SNAPSHOT, now, lot_id, bay_id, bay_status(status)
-            )
-            self._append_log(eventlog.event_line(event))
-            apply_event(self.table, event, self.warnings)
+            status = bay_status(status)
+            self._append_log(eventlog.event_line(EventKind.SNAPSHOT, now, lot_id, bay_id, status))
+            apply_event(self.table, EventKind.SNAPSHOT, now, lot_id, bay_id, status, self.warnings)
             self.lot_id = lot_id
         self._start_ping_loop(now)
         log.info("handshake complete: %d bays at %d", len(triples), now)
@@ -442,19 +436,21 @@ class EdgeAgentCore:
             self.warnings.append(f"malformed update: {exc}")
             return
         now = self.sched.now_ms()
-        event = OccupancyEvent(EventKind.UPDATE, now, lot_id, bay_id, bay_status(status))
+        status = bay_status(status)
         state = self.table.get(bay_id)
-        if state is not None and event.ts < state.last_transition_ts:
+        if state is not None and now < state.last_transition_ts:
             # Clock regression: record it, touch nothing.
-            self._append_log(eventlog.event_line(event, rejected=True))
+            self._append_log(
+                eventlog.event_line(EventKind.UPDATE, now, lot_id, bay_id, status, rejected=True)
+            )
             self.rejected_events += 1
             self.warnings.append(
-                f"rejected event for bay {bay_id}: ts {event.ts} precedes "
+                f"rejected event for bay {bay_id}: ts {now} precedes "
                 f"{state.last_transition_ts}"
             )
             return
-        self._append_log(eventlog.event_line(event))
-        apply_event(self.table, event, self.warnings)
+        self._append_log(eventlog.event_line(EventKind.UPDATE, now, lot_id, bay_id, status))
+        apply_event(self.table, EventKind.UPDATE, now, lot_id, bay_id, status, self.warnings)
         self.events_ingested += 1
 
     # ------------------------------------------------------------------
@@ -522,12 +518,10 @@ class EdgeAgentCore:
         self._append_log(protocol.encode_line(eventlog.flush_record(boundary, window.start)))
         # Re-seed the log with the carried-over statuses so replay from this
         # marker reconstructs the post-reset table.
-        for bay_id in sorted(self.table):
-            state = self.table[bay_id]
-            seed = OccupancyEvent(
+        for bay_id, state in sorted(self.table.items()):
+            self._append_log(eventlog.event_line(
                 EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status
-            )
-            self._append_log(eventlog.event_line(seed))
+            ))
         self.window_start = boundary
         self.upload_queue.append(
             _PendingUpload(protocol.envelope_key(lot_id, window.start), payload)

@@ -1,6 +1,6 @@
 """Append-only JSON-lines event log with flush and disconnect markers.
 
-Line shapes:
+Line shapes (ts and bayId are JSON integers, lotId a string):
   event       {"ts":..,"lotId":"..","bayId":..,"status":"occupied"|"free"|"unknown","src":"snapshot"|"update"}
               plus "rejected":true for events refused by the state machine
   flush       {"ts":<boundary>,"marker":"flush","windowStart":<completed window start>}
@@ -8,12 +8,15 @@ Line shapes:
 
 Events are written before the state mutation they describe (write-ahead),
 so replaying a log through the state machine reproduces the live table.
-The hub store uses the same reader and writer for its roll-up files.
+``apply_record`` folds one decoded line straight into ``apply_event``;
+no event object stands between the line and the table. The hub store
+uses the same reader and writer for its roll-up files.
 
 The writer appends lines its caller has already encoded. Event lines,
-one per ingested update, come from the fixed-field ``event_line``, which
-writes the same bytes as ``protocol.encode_line`` of the event's dict;
-markers and hub rows are dicts passed through ``encode_line``.
+one per ingested update, come from ``event_line``, which takes the
+event's fields and writes the same bytes as ``protocol.encode_line`` of
+the event's dict; markers and hub rows are dicts passed through
+``encode_line``.
 
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a
@@ -30,7 +33,9 @@ from typing import IO, Any
 
 from .occupancy import (
     BayState,
-    OccupancyEvent,
+    BayStatus,
+    EventKind,
+    InvariantViolationError,
     apply_event,
     bay_status,
     event_kind,
@@ -44,16 +49,18 @@ MARKER_FLUSH = "flush"
 MARKER_DISCONNECT = "disconnect"
 
 
-def event_line(event: OccupancyEvent, rejected: bool = False) -> bytes:
+def event_line(
+    kind: EventKind, ts: int, lot_id: str, bay_id: int, status: BayStatus, rejected: bool = False
+) -> bytes:
     """One encoded event line, keys in sorted order as encode_line writes them.
 
     Both enums are str enums: encode_basestring_ascii writes a member as its value.
     """
     flag = '"rejected":true,' if rejected else ""
     return (
-        f'{{"bayId":{event.bay_id},"lotId":{encode_basestring_ascii(event.lot_id)},'
-        f'{flag}"src":{encode_basestring_ascii(event.kind)},'
-        f'"status":{encode_basestring_ascii(event.status)},"ts":{event.ts}}}\n'
+        f'{{"bayId":{bay_id},"lotId":{encode_basestring_ascii(lot_id)},'
+        f'{flag}"src":{encode_basestring_ascii(kind)},'
+        f'"status":{encode_basestring_ascii(status)},"ts":{ts}}}\n'
     ).encode("ascii")
 
 
@@ -65,35 +72,42 @@ def disconnect_record(ts: int) -> dict[str, Any]:
     return {"ts": ts, "marker": MARKER_DISCONNECT}
 
 
-def record_to_event(record: dict[str, Any]) -> OccupancyEvent:
-    return OccupancyEvent(
-        kind=event_kind(record["src"]),
-        ts=int(record["ts"]),
-        lot_id=str(record["lotId"]),
-        bay_id=int(record["bayId"]),
-        status=bay_status(record["status"]),
-    )
+def record_ts(record: dict[str, Any]) -> int:
+    """A record's ts; InvariantViolationError unless a non-negative JSON integer."""
+    ts = record["ts"]
+    if type(ts) is not int or ts < 0:  # a JSON true decodes to bool, not int
+        raise InvariantViolationError(f"log ts must be a non-negative integer, got {ts!r}")
+    return ts
 
 
 def apply_record(
     table: dict[int, BayState],
     record: dict[str, Any],
     warnings: list[str] | None = None,
-) -> OccupancyEvent | None:
-    """Fold one log record into the table; returns the event applied, if any.
+) -> tuple[EventKind, str] | None:
+    """Fold one log record into the table; returns (kind, lot id) of an applied event.
 
     A disconnect marker invalidates every bay; flush markers and rejected
-    events leave the table as it is.
+    events leave the table as it is. An event's ts and bayId must be JSON
+    integers and its lotId a string, or InvariantViolationError is raised
+    and the table is left as it is.
     """
     marker = record.get("marker")
     if marker == MARKER_DISCONNECT:
-        invalidate_statuses(table, int(record["ts"]))
+        invalidate_statuses(table, record_ts(record))
         return None
     if marker is not None or record.get("rejected"):
         return None
-    event = record_to_event(record)
-    apply_event(table, event, warnings)
-    return event
+    ts = record["ts"]
+    lot_id = record["lotId"]
+    bay_id = record["bayId"]
+    if type(ts) is not int or type(bay_id) is not int or type(lot_id) is not str:
+        raise InvariantViolationError(
+            f"log event needs integer ts and bayId and a string lotId, got {record!r}"
+        )
+    kind = event_kind(record["src"])
+    apply_event(table, kind, ts, lot_id, bay_id, bay_status(record["status"]), warnings)
+    return kind, lot_id
 
 
 def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import protocol
 from .clock import PRIORITY_FAULT, RealScheduler, VirtualScheduler
-from .occupancy import BayStatus, bay_status
+from .occupancy import BayStatus, InvariantViolationError, bay_status
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +72,7 @@ class GatewayConfig:
             raise ValueError("time warp must be positive")
 
 
-@dataclass(frozen=True)
-class TraceItem:
+class TraceItem(NamedTuple):
     sim_ts: int  # milliseconds since the run start
     bay_id: int
     new_status: BayStatus
@@ -186,6 +186,18 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
         )
 
 
+def _trace_item(row: dict[str, Any]) -> TraceItem:
+    """One status-change row; InvariantViolationError unless simTs and bayId are
+    JSON integers with simTs >= 0 and bayId >= 1."""
+    sim_ts = row["simTs"]
+    bay_id = row["bayId"]
+    if type(sim_ts) is not int or type(bay_id) is not int or sim_ts < 0 or bay_id < 1:
+        raise InvariantViolationError(
+            f"trace row needs integer simTs >= 0 and bayId >= 1, got {row!r}"
+        )
+    return TraceItem(sim_ts, bay_id, bay_status(row["status"]))
+
+
 def read_trace(path: str | Path) -> SimTrace:
     lot_id = "lot"
     bay_count = 0
@@ -205,13 +217,13 @@ def read_trace(path: str | Path) -> SimTrace:
                 duration_ms = int(row["durationMs"])
             elif kind == "initial":
                 initial = {int(b): bay_status(s) for b, s in row["statuses"].items()}
+                if min(initial, default=1) < 1:
+                    raise InvariantViolationError(f"trace bay ids must be positive: {row!r}")
             elif kind == "item":
-                items.append(
-                    TraceItem(int(row["simTs"]), int(row["bayId"]), bay_status(row["status"]))
-                )
+                items.append(_trace_item(row))
             else:
                 raise ValueError(f"unknown trace line kind {kind!r}")
-    items.sort(key=lambda it: (it.sim_ts, it.bay_id))
+    items.sort(key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
 
 
@@ -234,10 +246,8 @@ def scripted_trace(
                 for bay, status in row["initial"].items():
                     initial[int(bay)] = bay_status(status)
                 continue
-            items.append(
-                TraceItem(int(row["simTs"]), int(row["bayId"]), bay_status(row["status"]))
-            )
-    items.sort(key=lambda it: (it.sim_ts, it.bay_id))
+            items.append(_trace_item(row))
+    items.sort(key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
 
 

@@ -44,8 +44,8 @@ from .gateway import (
 )
 from .hub import MS_PER_DAY, HubCore, RollupStore, fleet_average_hours, per_bay_extremes
 from .occupancy import (
+    BayStatus,
     EventKind,
-    OccupancyEvent,
     RollupRecord,
     RollupWindow,
     rollup,
@@ -463,6 +463,8 @@ def replay_log(
         raise ValueError("window must be at least 1 s")
     period = window_sec * 1000
     out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     records, skipped = eventlog.read_records(log_path)
 
     windows: list[ReplayWindow] = []
@@ -480,7 +482,7 @@ def replay_log(
         emit(window, {}, [], lot_fallback)
         return ReplayResult(windows, skipped, csv_paths)
 
-    window_start = window_floor(int(records[0]["ts"]), period, epoch_ms)
+    window_start = window_floor(eventlog.record_ts(records[0]), period, epoch_ms)
 
     table: dict[int, Any] = {}
     lot_seen = lot_fallback
@@ -497,16 +499,16 @@ def replay_log(
         has_observations = False
 
     for record in records:
-        ts = int(record["ts"])
+        ts = eventlog.record_ts(record)
         while ts >= window_start + period:
             close_window(window_start + period)
-        event = eventlog.apply_record(table, record)
-        if event is not None:
+        applied = eventlog.apply_record(table, record)
+        if applied is not None:
+            kind, lot_seen = applied
             # Updates are real observations; snapshots at exactly the window
             # start are boundary bookkeeping (post-rollup re-seed lines).
-            if event.kind is EventKind.UPDATE or ts > window_start:
+            if kind is EventKind.UPDATE or ts > window_start:
                 has_observations = True
-            lot_seen = event.lot_id
         elif record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
             has_observations = True
 
@@ -541,18 +543,11 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def trace_to_events(trace: SimTrace, epoch_ms: int) -> list[OccupancyEvent]:
-    """The oracle's input: a snapshot volley at the epoch plus all changes."""
-    events = [
-        OccupancyEvent(EventKind.SNAPSHOT, epoch_ms, trace.lot_id, bay_id, status)
-        for bay_id, status in sorted(trace.initial.items())
-    ]
-    events.extend(
-        OccupancyEvent(
-            EventKind.UPDATE, epoch_ms + item.sim_ts, trace.lot_id, item.bay_id, item.new_status
-        )
-        for item in trace.items
-    )
+def trace_to_events(trace: SimTrace, epoch_ms: int) -> list[tuple[int, int, BayStatus]]:
+    """The oracle's input as (ts, bay_id, status) triples: every bay's initial
+    status at the epoch, then every change."""
+    events = [(epoch_ms, bay_id, status) for bay_id, status in sorted(trace.initial.items())]
+    events.extend((epoch_ms + sim_ts, bay_id, status) for sim_ts, bay_id, status in trace.items)
     return events
 
 

@@ -1,5 +1,9 @@
 """Per-bay occupancy accounting: state table, event application, window roll-ups.
 
+An observation has no type of its own: ``apply_event`` takes its fields
+(kind, ts, lot id, bay id, status) as they come off the wire, a log line
+or a trace row, and is the one implementation of the transition rules.
+
 All accounting is integer epoch milliseconds; roll-up records carry whole
 seconds (floored) plus the occupied fraction of the window rounded to four
 decimal places. The state table is a plain ``dict[int, BayState]`` and the
@@ -61,23 +65,6 @@ class ClockRegressionError(ValueError):
 
 class InvariantViolationError(ValueError):
     """A value breaks one of the accounting invariants."""
-
-
-@dataclass(frozen=True)
-class OccupancyEvent:
-    """One timestamped status observation, stamped by the receiving agent."""
-
-    kind: EventKind
-    ts: int
-    lot_id: str
-    bay_id: int
-    status: BayStatus
-
-    def __post_init__(self) -> None:
-        if self.bay_id < 1:
-            raise InvariantViolationError(f"bay id must be positive, got {self.bay_id}")
-        if self.ts < 0:
-            raise InvariantViolationError(f"event ts must be non-negative, got {self.ts}")
 
 
 @dataclass
@@ -153,61 +140,46 @@ def _warn(warnings: list[str] | None, message: str) -> None:
 
 def apply_event(
     table: dict[int, BayState],
-    event: OccupancyEvent,
+    kind: EventKind,
+    ts: int,
+    lot_id: str,
+    bay_id: int,
+    status: BayStatus,
     warnings: list[str] | None = None,
 ) -> dict[int, BayState]:
-    """Apply one observation to the table and return it.
+    """Apply one observation, given as its fields, to the table and return it.
 
-    Snapshots (re)establish a bay: status and interval start are taken from
-    the event, accumulated time is preserved (zero for a new bay) and never
-    credited. Updates transition status; an occupied-to-anything transition
-    credits the elapsed interval. Duplicate-status updates are idempotent
-    and an update for an unknown bay creates it; both record a warning.
+    A bay id below 1 or a negative ts raises InvariantViolationError, and
+    a ts before the bay's last transition raises ClockRegressionError;
+    either leaves the table untouched. Snapshots (re)establish a bay:
+    status and interval start are taken from the event, accumulated time
+    is preserved (zero for a new bay) and never credited. Updates
+    transition status; an occupied-to-anything transition credits the
+    elapsed interval. Duplicate-status updates are idempotent and an
+    update for an unknown bay creates it; both record a warning.
     """
-    state = table.get(event.bay_id)
-    if state is not None and event.ts < state.last_transition_ts:
-        raise ClockRegressionError(
-            f"event at {event.ts} precedes bay {event.bay_id} "
-            f"last transition {state.last_transition_ts}"
-        )
-
-    if event.kind is EventKind.SNAPSHOT:
-        if state is None:
-            table[event.bay_id] = BayState(
-                bay_id=event.bay_id,
-                lot_id=event.lot_id,
-                status=event.status,
-                last_transition_ts=event.ts,
-            )
-        else:
-            state.status = event.status
-            state.last_transition_ts = event.ts
-        return table
-
+    if bay_id < 1:
+        raise InvariantViolationError(f"bay id must be positive, got {bay_id}")
+    if ts < 0:
+        raise InvariantViolationError(f"event ts must be non-negative, got {ts}")
+    state = table.get(bay_id)
     if state is None:
-        _warn(
-            warnings,
-            f"update for unknown bay {event.bay_id}; creating it as {event.status.value}",
-        )
-        table[event.bay_id] = BayState(
-            bay_id=event.bay_id,
-            lot_id=event.lot_id,
-            status=event.status,
-            last_transition_ts=event.ts,
-        )
+        if kind is EventKind.UPDATE:
+            _warn(warnings, f"update for unknown bay {bay_id}; creating it as {status.value}")
+        table[bay_id] = BayState(bay_id, lot_id, status, ts)
         return table
-
-    if state.status is event.status:
-        _warn(
-            warnings,
-            f"duplicate {event.status.value} update for bay {event.bay_id} ignored",
+    if ts < state.last_transition_ts:
+        raise ClockRegressionError(
+            f"event at {ts} precedes bay {bay_id} last transition {state.last_transition_ts}"
         )
-        return table
-
-    if state.status is BayStatus.OCCUPIED:
-        state.accumulated_occupation_ms += event.ts - state.last_transition_ts
-    state.status = event.status
-    state.last_transition_ts = event.ts
+    if kind is EventKind.UPDATE:
+        if state.status is status:
+            _warn(warnings, f"duplicate {status.value} update for bay {bay_id} ignored")
+            return table
+        if state.status is BayStatus.OCCUPIED:
+            state.accumulated_occupation_ms += ts - state.last_transition_ts
+    state.status = status
+    state.last_transition_ts = ts
     return table
 
 

@@ -5,19 +5,24 @@ no logic with apply_event/rollup: per bay it reconstructs the piecewise
 constant status function ("the most recent event at each instant") and
 measures its occupied portion inside each window. Keep it that way.
 
-Every window is half-open, [window.start, window.end). The trace is
-grouped once into per-bay runs (ts_i, status_i), each holding until
-ts_{i+1}; the last run is open-ended. One sweep over the sorted, disjoint
-window grid keeps a cursor per bay and splits each occupied run across
-the windows it overlaps, so checking W windows costs O(events + W × bays)
-rather than W passes over the whole trace.
+The trace is a ts-sorted sequence of (ts, bay_id, status) triples, the
+form ``harness.trace_to_events`` builds from a trace file. Every window
+is half-open, [window.start, window.end). The trace is grouped once into
+per-bay runs (ts_i, status_i), each holding until ts_{i+1}; the last run
+is open-ended. One sweep over the sorted, disjoint window grid keeps a
+cursor per bay and splits each occupied run across the windows it
+overlaps, so checking W windows costs O(events + W × bays) rather than W
+passes over the whole trace.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .occupancy import BayStatus, OccupancyEvent, RollupWindow
+from .occupancy import BayStatus, RollupWindow
+
+# (ts, bay_id, status): one observation, as the oracle reads it.
+Observation = tuple[int, int, BayStatus]
 
 
 class TraceOrderError(ValueError):
@@ -25,7 +30,7 @@ class TraceOrderError(ValueError):
 
 
 def oracle_windows(
-    trace: Sequence[OccupancyEvent], windows: Sequence[RollupWindow]
+    trace: Sequence[Observation], windows: Sequence[RollupWindow]
 ) -> Iterator[dict[int, int]]:
     """Per-bay occupied milliseconds in each window, yielded in grid order.
 
@@ -34,11 +39,16 @@ def oracle_windows(
     is present in each result, with 0 if it was never occupied inside
     that window.
     """
+    # Per bay: run start times, and whether each run is occupied.
+    runs: dict[int, tuple[list[int], list[bool]]] = {}
     prev_ts: int | None = None
-    for event in trace:
-        if prev_ts is not None and event.ts < prev_ts:
-            raise TraceOrderError(f"trace not sorted by ts at {event.ts} < {prev_ts}")
-        prev_ts = event.ts
+    for ts, bay_id, status in trace:
+        if prev_ts is not None and ts < prev_ts:
+            raise TraceOrderError(f"trace not sorted by ts at {ts} < {prev_ts}")
+        prev_ts = ts
+        starts, occupied = runs.setdefault(bay_id, ([], []))
+        starts.append(ts)
+        occupied.append(status is BayStatus.OCCUPIED)
     for before, after in zip(windows, windows[1:]):
         if after.start < before.end:
             raise ValueError(
@@ -46,12 +56,6 @@ def oracle_windows(
                 f"then [{after.start}, {after.end})"
             )
 
-    # Per bay: run start times, and whether each run is occupied.
-    runs: dict[int, tuple[list[int], list[bool]]] = {}
-    for event in trace:
-        starts, occupied = runs.setdefault(event.bay_id, ([], []))
-        starts.append(event.ts)
-        occupied.append(event.status is BayStatus.OCCUPIED)
     # Per bay: index of the first run that ends after the current window starts.
     cursors = dict.fromkeys(runs, 0)
 
@@ -75,7 +79,7 @@ def oracle_windows(
 
 
 def oracle_occupancy(
-    trace: Sequence[OccupancyEvent], window: RollupWindow
+    trace: Sequence[Observation], window: RollupWindow
 ) -> dict[int, int]:
     """Per-bay occupied milliseconds within the half-open window."""
     return next(oracle_windows(trace, [window]))

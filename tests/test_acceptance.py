@@ -26,7 +26,6 @@ from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import (
     BayStatus,
     EventKind,
-    OccupancyEvent,
     RollupRecord,
     RollupWindow,
     apply_event,
@@ -50,15 +49,14 @@ def _random_trace(rng):
     statuses = {
         b: rng.choice((BayStatus.FREE, BayStatus.OCCUPIED)) for b in range(1, n_bays + 1)
     }
-    events = [
-        OccupancyEvent(EventKind.SNAPSHOT, t0, "L", b, statuses[b]) for b in sorted(statuses)
-    ]
+    # apply_event's fields after the table: (kind, ts, lot_id, bay_id, status).
+    events = [(EventKind.SNAPSHOT, t0, "L", b, statuses[b]) for b in sorted(statuses)]
     for ts in sorted(rng.randint(t0, t0 + span) for _ in range(n_events)):
         bay = rng.randint(1, n_bays)
         statuses[bay] = (
             BayStatus.FREE if statuses[bay] is BayStatus.OCCUPIED else BayStatus.OCCUPIED
         )
-        events.append(OccupancyEvent(EventKind.UPDATE, ts, "L", bay, statuses[bay]))
+        events.append((EventKind.UPDATE, ts, "L", bay, statuses[bay]))
     end = t0 + span + rng.randint(1, 3_600_000)
     cuts = sorted(rng.sample(range(t0 + 1, end), rng.randint(0, 3)))
     bounds = [t0, *cuts, end]
@@ -77,21 +75,22 @@ def oracle_battery():
     for i in range(N_TRACES):
         events, windows = _random_trace(rng)
         total_events += len(events)
+        observed = [(ts, bay, status) for _, ts, _, bay, status in events]  # oracle input
         table = {}
         idx = 0
         summed = {}
         for window in windows:
-            while idx < len(events) and events[idx].ts < window.end:
-                apply_event(table, events[idx])
+            while idx < len(events) and events[idx][1] < window.end:
+                apply_event(table, *events[idx])
                 idx += 1
             update_occupation_time(table, window.end)
             agg = {b: s.accumulated_occupation_ms for b, s in table.items()}
             rollup(table, window)
-            if agg != oracle_occupancy(events, window):
+            if agg != oracle_occupancy(observed, window):
                 equivalence_failures.append((i, window))
             for bay, ms in agg.items():
                 summed[bay] = summed.get(bay, 0) + ms
-        whole = oracle_occupancy(events, RollupWindow(windows[0].start, windows[-1].end))
+        whole = oracle_occupancy(observed, RollupWindow(windows[0].start, windows[-1].end))
         if summed != whole:
             partition_failures.append(i)
     elapsed = time.monotonic() - started

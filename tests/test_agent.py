@@ -15,7 +15,7 @@ from edgepark.agent import (
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import FaultPlan
 from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS
-from edgepark.occupancy import BayStatus, RollupRecord, RollupWindow, apply_event
+from edgepark.occupancy import BayStatus, EventKind, RollupRecord, RollupWindow
 from edgepark.transport import VirtualNetwork
 
 from conftest import DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent
@@ -97,7 +97,7 @@ def test_final_table_equals_log_replay(rig_factory):
     replayed = {}
     for record in records:
         assert "marker" not in record  # no boundary crossed in this run
-        apply_event(replayed, eventlog.record_to_event(record))
+        eventlog.apply_record(replayed, record)
     assert replayed == rig.agent.table
 
 
@@ -532,13 +532,7 @@ def test_recover_empty_log_starts_empty(tmp_path):
 def test_recover_replays_only_after_last_flush_marker(tmp_path):
     log = eventlog.EventLogWriter(tmp_path / "agent.log")
     early = EPOCH_MS - HOUR_MS
-    log.append(
-        eventlog.event_line(
-            eventlog.record_to_event(
-                {"ts": early, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
-            )
-        )
-    )
+    log.append(eventlog.event_line(EventKind.UPDATE, early, "L", 1, BayStatus.OCCUPIED))
     log.append(protocol.encode_line(eventlog.flush_record(EPOCH_MS - 1800_000, EPOCH_MS - DAY_MS)))
     for offset, status in ((60_000, "occupied"), (120_000, "free"), (180_000, "occupied")):
         log.append(protocol.encode_line(
@@ -592,6 +586,7 @@ def test_recover_tolerates_torn_tail(tmp_path):
 
 def test_recovery_requeues_existing_csvs(tmp_path):
     csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
     write_csv(
         [RollupRecord(1, 100, 0.0012)],
         RollupWindow(EPOCH_MS - DAY_MS, EPOCH_MS),

@@ -43,6 +43,21 @@ def test_replay_command(tmp_path, capsys):
     assert "replayed 1 window(s)" in capsys.readouterr().out
 
 
+def test_replay_command_creates_a_new_out_dir(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "run"
+    cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)])
+    replayed = tmp_path / "fresh" / "replayed"
+    code = cli.main_harness(
+        ["replay", "--log", str(out / "agent.log"), "--window-sec", "86400",
+         "--out", str(replayed)]
+    )
+    assert code == 0
+    live = sorted((out / "csv").glob("rollup_*.csv"))
+    assert [p.name for p in sorted(replayed.glob("rollup_*.csv"))] == [p.name for p in live]
+    assert (replayed / live[0].name).read_bytes() == live[0].read_bytes()
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     scenario = write_scenario(tmp_path, "nonsense = 1\n")
     assert cli.main_harness(

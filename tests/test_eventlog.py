@@ -5,25 +5,42 @@ import logging
 import random
 from pathlib import Path
 
+import pytest
+
 from edgepark import eventlog
-from edgepark.occupancy import BayStatus, EventKind, OccupancyEvent
+from edgepark.occupancy import (
+    BayState,
+    BayStatus,
+    EventKind,
+    InvariantViolationError,
+    apply_event,
+)
 from edgepark.protocol import encode_line
 
 from conftest import random_int, random_text
 
 
 def ev(ts, bay, status, kind=EventKind.UPDATE):
-    return OccupancyEvent(kind, ts, "L", bay, BayStatus(status))
+    """An event's fields in event_line's order: (kind, ts, lot_id, bay_id, status)."""
+    return kind, ts, "L", bay, BayStatus(status)
+
+
+def random_event(rng):
+    return (
+        rng.choice(list(EventKind)), abs(random_int(rng)), random_text(rng),
+        abs(random_int(rng)) + 1, rng.choice(list(BayStatus)),
+    )
 
 
 def event_record(event, *, rejected=False):
     """Reference: the dict an event line encodes."""
+    kind, ts, lot_id, bay_id, status = event
     record = {
-        "ts": event.ts,
-        "lotId": event.lot_id,
-        "bayId": event.bay_id,
-        "status": event.status.value,
-        "src": event.kind.value,
+        "ts": ts,
+        "lotId": lot_id,
+        "bayId": bay_id,
+        "status": status.value,
+        "src": kind.value,
     }
     if rejected:
         record["rejected"] = True
@@ -33,15 +50,9 @@ def event_record(event, *, rejected=False):
 def test_event_line_is_encode_line_of_event_record():
     rng = random.Random(20181119)
     for _ in range(600):
-        event = OccupancyEvent(
-            rng.choice(list(EventKind)),
-            abs(random_int(rng)),
-            random_text(rng),
-            abs(random_int(rng)) + 1,
-            rng.choice(list(BayStatus)),
-        )
+        event = random_event(rng)
         for rejected in (False, True):
-            assert eventlog.event_line(event, rejected) == encode_line(
+            assert eventlog.event_line(*event, rejected) == encode_line(
                 event_record(event, rejected=rejected)
             )
 
@@ -49,9 +60,9 @@ def test_event_line_is_encode_line_of_event_record():
 def test_event_line_covers_every_status_source_and_flag():
     for kind in EventKind:
         for status in BayStatus:
-            event = OccupancyEvent(kind, 1_542_585_600_000, 'L"\\é😀', 7, status)
+            event = (kind, 1_542_585_600_000, 'L"\\é😀', 7, status)
             for rejected in (False, True):
-                line = eventlog.event_line(event, rejected=rejected)
+                line = eventlog.event_line(*event, rejected=rejected)
                 assert line == encode_line(event_record(event, rejected=rejected))
                 assert (b'"rejected":true' in line) is rejected
 
@@ -59,11 +70,11 @@ def test_event_line_covers_every_status_source_and_flag():
 def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_line(ev(1, 1, "occupied", EventKind.SNAPSHOT)))
-    writer.append(eventlog.event_line(ev(2, 1, "free")))
+    writer.append(eventlog.event_line(*ev(1, 1, "occupied", EventKind.SNAPSHOT)))
+    writer.append(eventlog.event_line(*ev(2, 1, "free")))
     writer.append(encode_line(eventlog.flush_record(100, 0)))
     writer.append(encode_line(eventlog.disconnect_record(150)))
-    writer.append(eventlog.event_line(ev(200, 2, "occupied"), rejected=True))
+    writer.append(eventlog.event_line(*ev(200, 2, "occupied"), rejected=True))
     writer.close()
 
     records, skipped = eventlog.read_records(path)
@@ -79,7 +90,7 @@ def test_append_read_roundtrip(tmp_path):
 def test_torn_tail_discarded_with_count(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_line(ev(1, 1, "occupied")))
+    writer.append(eventlog.event_line(*ev(1, 1, "occupied")))
     writer.close()
     with open(path, "ab") as fh:
         fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
@@ -91,13 +102,13 @@ def test_torn_tail_discarded_with_count(tmp_path):
 def test_writer_cuts_torn_tail_before_appending(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_line(ev(1, 1, "occupied")))
+    writer.append(eventlog.event_line(*ev(1, 1, "occupied")))
     writer.close()
     with open(path, "ab") as fh:
         fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
     writer = eventlog.EventLogWriter(path)
-    writer.append(eventlog.event_line(ev(2, 1, "free")))
-    writer.append(eventlog.event_line(ev(3, 1, "occupied")))
+    writer.append(eventlog.event_line(*ev(2, 1, "free")))
+    writer.append(eventlog.event_line(*ev(3, 1, "occupied")))
     writer.close()
     records, skipped = eventlog.read_records(path)
     assert [r["ts"] for r in records] == [1, 2, 3]
@@ -133,10 +144,43 @@ def test_last_flush_index():
     assert eventlog.last_flush_index(records[:1]) is None
 
 
-def test_record_to_event_roundtrip():
-    original = ev(77, 9, "occupied", EventKind.SNAPSHOT)
-    record = json.loads(eventlog.event_line(original))
-    assert eventlog.record_to_event(record) == original
+def test_apply_record_folds_an_event_line_as_apply_event_its_fields():
+    rng = random.Random(77)
+    for _ in range(200):
+        event = random_event(rng)
+        folded, direct = {}, {}
+        record = json.loads(eventlog.event_line(*event))
+        assert eventlog.apply_record(folded, record) == (event[0], event[2])
+        apply_event(direct, *event)
+        assert folded == direct
+
+
+def test_apply_record_skips_markers_and_rejected_events():
+    table = {1: BayState(1, "L", BayStatus.OCCUPIED, 0)}
+    rejected = json.loads(eventlog.event_line(*ev(5, 1, "free"), rejected=True))
+    for record in (rejected, eventlog.flush_record(10, 0)):
+        assert eventlog.apply_record(table, record) is None
+    assert table == {1: BayState(1, "L", BayStatus.OCCUPIED, 0)}
+    assert eventlog.apply_record(table, eventlog.disconnect_record(20)) is None
+    assert table == {1: BayState(1, "L", BayStatus.UNKNOWN, 20, 20)}
+
+
+def test_apply_record_accepts_only_json_integers_and_a_string_lot():
+    good = {"ts": 7, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
+    bad_values = [
+        ("bayId", 0), ("bayId", True), ("bayId", "1"), ("bayId", 1.0), ("bayId", None),
+        ("ts", -1), ("ts", True), ("ts", "7"), ("ts", 7.0),
+        ("lotId", 5), ("lotId", None), ("lotId", ["L"]),
+    ]
+    for key, value in bad_values:
+        table = {}
+        with pytest.raises(InvariantViolationError):
+            eventlog.apply_record(table, {**good, key: value})
+        assert table == {}, (key, value)
+    for ts in (True, "20", -1):
+        with pytest.raises(InvariantViolationError):
+            eventlog.apply_record({}, {"ts": ts, "marker": "disconnect"})
+    assert eventlog.apply_record({}, good) == (EventKind.UPDATE, "L")
 
 
 def reference_read_records(path):
@@ -166,11 +210,7 @@ def reference_read_records(path):
 
 def random_log_line(rng):
     """One log line, or one of the ways a line can be damaged."""
-    event = OccupancyEvent(
-        rng.choice(list(EventKind)), abs(random_int(rng)), random_text(rng),
-        abs(random_int(rng)) + 1, rng.choice(list(BayStatus)),
-    )
-    line = eventlog.event_line(event, rejected=rng.random() < 0.1)
+    line = eventlog.event_line(*random_event(rng), rejected=rng.random() < 0.1)
     shape = rng.randrange(12)
     if shape == 0:
         return b""  # blank line

@@ -19,10 +19,10 @@ from edgepark.gateway import (
     snapshot_at,
     write_trace,
 )
-from edgepark.occupancy import BayStatus
+from edgepark.occupancy import BayStatus, InvariantViolationError
 from edgepark.transport import VirtualNetwork
 
-from conftest import EPOCH_MS, items_trace, random_int, random_text
+from conftest import EPOCH_MS, idle_trace, items_trace, random_int, random_text
 
 DAY_MS = 86_400_000
 WEEK_MS = 7 * DAY_MS
@@ -95,6 +95,31 @@ def test_trace_write_read_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     assert read_trace(path) == trace
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"bayId": 0}, {"bayId": -2}, {"simTs": -1}, {"bayId": True}, {"bayId": "3"},
+     {"bayId": 3.0}, {"simTs": True}, {"simTs": "5"}, {"simTs": 5.5}, {"simTs": None}],
+)
+def test_read_trace_accepts_only_json_integer_simts_and_bay_id(tmp_path, row):
+    path = tmp_path / "trace.jsonl"
+    write_trace(items_trace([(5, 3, "occupied")], bays=4), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = protocol.encode_line({**json.loads(lines[-1]), **row})
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(InvariantViolationError):
+        read_trace(path)
+
+
+def test_read_trace_rejects_initial_bay_below_one(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace(idle_trace(bays=2), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = protocol.encode_line({"kind": "initial", "statuses": {"0": "free", "1": "free"}})
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(InvariantViolationError):
+        read_trace(path)
 
 
 def write_trace_reference(trace, path):

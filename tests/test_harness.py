@@ -6,6 +6,7 @@ import pytest
 
 from edgepark import eventlog, harness, protocol
 from edgepark.hub import RollupStore, fleet_average_hours
+from edgepark.occupancy import InvariantViolationError
 
 from conftest import EPOCH_MS, make_scenario
 
@@ -178,6 +179,31 @@ def test_replay_rejects_bad_window():
         harness.replay_log("whatever.log", 0, None)
 
 
+def log_with_second_event(tmp_path, key, value):
+    """A two-event log whose second line has value under key."""
+    first = {"ts": EPOCH_MS + 1000, "lotId": "L", "bayId": 7, "status": "occupied", "src": "update"}
+    second = {**first, "ts": EPOCH_MS + 2000, "status": "free", key: value}
+    path = tmp_path / "events.log"
+    path.write_bytes(protocol.encode_line(first) + protocol.encode_line(second))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("bayId", 0), ("ts", -1)])
+def test_replay_raises_on_log_event_outside_the_invariants(tmp_path, key, value):
+    with pytest.raises(InvariantViolationError):
+        harness.replay_log(log_with_second_event(tmp_path, key, value), 86_400, None)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("bayId", True), ("bayId", "7"), ("bayId", 7.0), ("ts", str(EPOCH_MS + 2000)),
+     ("ts", float(EPOCH_MS + 2000)), ("lotId", 5), ("lotId", None)],
+)
+def test_replay_accepts_only_json_integers_and_a_string_lot(tmp_path, key, value):
+    with pytest.raises(InvariantViolationError):
+        harness.replay_log(log_with_second_event(tmp_path, key, value), 86_400, None)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -243,6 +269,21 @@ def test_verify_names_log_replay_beyond_the_gap_bound(tmp_path):
     assert any(
         f.startswith(f"window {EPOCH_MS} bay {bay}: log replay off by ") for f in failures
     )
+
+
+@pytest.mark.parametrize("key, value", [("bayId", 0), ("simTs", -1)])
+def test_verify_raises_on_trace_row_outside_the_invariants(tmp_path, key, value):
+    result = harness.run_sim(
+        make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
+        tmp_path / "run",
+    )
+    trace_path = result.out_dir / "trace.jsonl"
+    lines = trace_path.read_bytes().splitlines(keepends=True)
+    item = next(i for i, line in enumerate(lines) if b'"kind":"item"' in line)
+    lines[item] = protocol.encode_line({**json.loads(lines[item]), key: value})
+    trace_path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError):
+        harness.verify_run(result.out_dir)
 
 
 def test_verify_reports_missing_artifacts(tmp_path):

@@ -11,7 +11,6 @@ from edgepark.occupancy import (
     ClockRegressionError,
     EventKind,
     InvariantViolationError,
-    OccupancyEvent,
     RollupWindow,
     apply_event,
     bay_status,
@@ -27,11 +26,12 @@ DAY_MS = 86_400_000
 
 
 def snap(ts, bay, status, lot="L"):
-    return OccupancyEvent(EventKind.SNAPSHOT, ts, lot, bay, BayStatus(status))
+    """apply_event's fields after the table: (kind, ts, lot_id, bay_id, status)."""
+    return EventKind.SNAPSHOT, ts, lot, bay, BayStatus(status)
 
 
 def upd(ts, bay, status, lot="L"):
-    return OccupancyEvent(EventKind.UPDATE, ts, lot, bay, BayStatus(status))
+    return EventKind.UPDATE, ts, lot, bay, BayStatus(status)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def upd(ts, bay, status, lot="L"):
 
 
 def test_snapshot_creates_bay():
-    table = apply_event({}, snap(100, 1, "free"))
+    table = apply_event({}, *snap(100, 1, "free"))
     state = table[1]
     assert state.status is BayStatus.FREE
     assert state.last_transition_ts == 100
@@ -49,40 +49,40 @@ def test_snapshot_creates_bay():
 
 def test_snapshot_existing_bay_preserves_accumulation_same_status():
     table = {}
-    apply_event(table, upd(0, 1, "occupied"))
-    apply_event(table, upd(500, 1, "free"))
-    apply_event(table, snap(900, 1, "free"))
+    apply_event(table, *upd(0, 1, "occupied"))
+    apply_event(table, *upd(500, 1, "free"))
+    apply_event(table, *snap(900, 1, "free"))
     assert table[1].accumulated_occupation_ms == 500
     assert table[1].last_transition_ts == 900
 
 
 def test_snapshot_existing_bay_never_credits_on_status_change():
     table = {}
-    apply_event(table, upd(0, 1, "occupied"))
+    apply_event(table, *upd(0, 1, "occupied"))
     # Snapshot says free now: the change happened while unobserved, so the
     # elapsed interval must not be counted.
-    apply_event(table, snap(1000, 1, "free"))
+    apply_event(table, *snap(1000, 1, "free"))
     assert table[1].status is BayStatus.FREE
     assert table[1].accumulated_occupation_ms == 0
     assert table[1].last_transition_ts == 1000
 
 
 def test_never_occupied_accumulates_zero():
-    table = apply_event({}, snap(0, 1, "free"))
+    table = apply_event({}, *snap(0, 1, "free"))
     update_occupation_time(table, DAY_MS)
     assert table[1].accumulated_occupation_ms == 0
 
 
 def test_occupied_then_free_credits_elapsed_hour():
     table = {}
-    apply_event(table, upd(0, 1, "occupied"))
-    apply_event(table, upd(HOUR_MS, 1, "free"))
+    apply_event(table, *upd(0, 1, "occupied"))
+    apply_event(table, *upd(HOUR_MS, 1, "free"))
     assert table[1].accumulated_occupation_ms == HOUR_MS
 
 
 def test_free_to_occupied_sets_status_only():
-    table = apply_event({}, snap(0, 1, "free"))
-    apply_event(table, upd(250, 1, "occupied"))
+    table = apply_event({}, *snap(0, 1, "free"))
+    apply_event(table, *upd(250, 1, "occupied"))
     assert table[1].status is BayStatus.OCCUPIED
     assert table[1].last_transition_ts == 250
     assert table[1].accumulated_occupation_ms == 0
@@ -91,19 +91,19 @@ def test_free_to_occupied_sets_status_only():
 @pytest.mark.parametrize("status", ["occupied", "free"])
 def test_duplicate_update_is_idempotent_with_warning(status):
     table = {}
-    apply_event(table, snap(0, 1, status))
+    apply_event(table, *snap(0, 1, status))
     if status == "occupied":
-        apply_event(table, upd(0, 1, "occupied"))  # snapshot already occupied: dup
+        apply_event(table, *upd(0, 1, "occupied"))  # snapshot already occupied: dup
     before = copy.deepcopy(table[1])
     warnings = []
-    apply_event(table, upd(700, 1, status), warnings)
+    apply_event(table, *upd(700, 1, status), warnings)
     assert table[1] == before
     assert len(warnings) == 1
 
 
 def test_update_unknown_bay_creates_with_warning():
     warnings = []
-    table = apply_event({}, upd(42, 9, "occupied"), warnings)
+    table = apply_event({}, *upd(42, 9, "occupied"), warnings)
     assert table[9].status is BayStatus.OCCUPIED
     assert table[9].last_transition_ts == 42
     assert warnings and "unknown bay" in warnings[0]
@@ -111,20 +111,20 @@ def test_update_unknown_bay_creates_with_warning():
 
 def test_clock_regression_rejects_event_and_leaves_bay_untouched():
     table = {}
-    apply_event(table, upd(1000, 1, "occupied"))
+    apply_event(table, *upd(1000, 1, "occupied"))
     before = copy.deepcopy(table[1])
     with pytest.raises(ClockRegressionError):
-        apply_event(table, upd(999, 1, "free"))
+        apply_event(table, *upd(999, 1, "free"))
     assert table[1] == before
 
 
 def test_unknown_status_bay_transition_credits_nothing():
     table = {}
-    apply_event(table, upd(0, 1, "occupied"))
+    apply_event(table, *upd(0, 1, "occupied"))
     invalidate_statuses(table, 600)
     assert table[1].status is BayStatus.UNKNOWN
     assert table[1].accumulated_occupation_ms == 600
-    apply_event(table, upd(900, 1, "free"))
+    apply_event(table, *upd(900, 1, "free"))
     assert table[1].accumulated_occupation_ms == 600  # unknown interval not credited
 
 
@@ -181,12 +181,12 @@ def test_rollup_overnight_boundary_split():
     # Bays 12 and 21 occupied 20:00 day 1 through 08:00 day 2.
     table = {}
     for bay in (12, 21):
-        apply_event(table, snap(0, bay, "free"))
-        apply_event(table, upd(20 * HOUR_MS, bay, "occupied"))
+        apply_event(table, *snap(0, bay, "free"))
+        apply_event(table, *upd(20 * HOUR_MS, bay, "occupied"))
     day1, _ = rollup(table, RollupWindow(0, DAY_MS))
     assert [r.occupation_time_sec for r in day1] == [14_400, 14_400]
     for bay in (12, 21):
-        apply_event(table, upd(32 * HOUR_MS, bay, "free"))
+        apply_event(table, *upd(32 * HOUR_MS, bay, "free"))
     day2, _ = rollup(table, RollupWindow(DAY_MS, 2 * DAY_MS))
     assert [r.occupation_time_sec for r in day2] == [28_800, 28_800]
 
@@ -203,7 +203,7 @@ def test_rollup_resets_accumulator_but_preserves_status():
 def test_rollup_records_sorted_by_bay_id():
     table = {}
     for bay in (7, 2, 19, 1):
-        apply_event(table, snap(0, bay, "free"))
+        apply_event(table, *snap(0, bay, "free"))
     records, _ = rollup(table, RollupWindow(0, HOUR_MS))
     assert [r.bay_id for r in records] == [1, 2, 7, 19]
 
@@ -258,7 +258,7 @@ def test_accumulation_is_monotone_outside_rollup():
         bay = rng.randint(1, 5)
         new = BayStatus.OCCUPIED if statuses.get(bay) is not BayStatus.OCCUPIED else BayStatus.FREE
         statuses[bay] = new
-        apply_event(table, upd(now, bay, new.value))
+        apply_event(table, *upd(now, bay, new.value))
         for b, state in table.items():
             assert state.accumulated_occupation_ms >= floor[b]
             floor[b] = state.accumulated_occupation_ms
@@ -268,26 +268,33 @@ def test_apply_event_is_deterministic():
     events = [snap(0, 1, "free"), upd(10, 1, "occupied"), upd(400, 1, "free")]
     t1, t2 = {}, {}
     for event in events:
-        apply_event(t1, event)
-        apply_event(t2, event)
+        apply_event(t1, *event)
+        apply_event(t2, *event)
     assert t1 == t2
 
 
 def test_invalidate_statuses_stops_accrual():
     table = {}
-    apply_event(table, upd(0, 1, "occupied"))
+    apply_event(table, *upd(0, 1, "occupied"))
     invalidate_statuses(table, 1_000)
     update_occupation_time(table, 9_000)
     assert table[1].accumulated_occupation_ms == 1_000
     # A snapshot re-establishes observation from its own timestamp.
-    apply_event(table, snap(9_000, 1, "occupied"))
-    apply_event(table, upd(10_000, 1, "free"))
+    apply_event(table, *snap(9_000, 1, "occupied"))
+    apply_event(table, *upd(10_000, 1, "free"))
     assert table[1].accumulated_occupation_ms == 2_000
 
 
 def test_event_validation():
-    with pytest.raises(InvariantViolationError):
-        OccupancyEvent(EventKind.UPDATE, 0, "L", 0, BayStatus.FREE)
+    table = {}
+    for event in (upd(0, 0, "free"), snap(0, -3, "free"), upd(-1, 1, "free"), snap(-1, 1, "free")):
+        with pytest.raises(InvariantViolationError):
+            apply_event(table, *event)
+    assert table == {}
+    apply_event(table, *upd(5, 1, "occupied"))
+    with pytest.raises(InvariantViolationError):  # checked before the clock regression
+        apply_event(table, *upd(-1, 1, "free"))
+    assert table[1] == BayState(1, "L", BayStatus.OCCUPIED, 5)
     with pytest.raises(InvariantViolationError):
         RollupWindow(10, 10)
 

@@ -7,7 +7,6 @@ import pytest
 from edgepark.occupancy import (
     BayStatus,
     EventKind,
-    OccupancyEvent,
     RollupWindow,
     apply_event,
     rollup,
@@ -19,12 +18,9 @@ from edgepark.oracle import TraceOrderError, oracle_occupancy, oracle_windows
 from conftest import make_scenario
 
 
-def snap(ts, bay, status):
-    return OccupancyEvent(EventKind.SNAPSHOT, ts, "L", bay, BayStatus(status))
-
-
-def upd(ts, bay, status):
-    return OccupancyEvent(EventKind.UPDATE, ts, "L", bay, BayStatus(status))
+def obs(ts, bay, status):
+    """One observation as the oracle reads it: a (ts, bay_id, status) triple."""
+    return ts, bay, BayStatus(status)
 
 
 def test_empty_trace_gives_empty_map():
@@ -32,38 +28,38 @@ def test_empty_trace_gives_empty_map():
 
 
 def test_single_occupied_free_pair():
-    trace = [upd(100, 3, "occupied"), upd(700, 3, "free")]
+    trace = [obs(100, 3, "occupied"), obs(700, 3, "free")]
     assert oracle_occupancy(trace, RollupWindow(0, 1000)) == {3: 600}
 
 
 def test_unsorted_trace_rejected():
-    trace = [upd(700, 1, "occupied"), upd(100, 1, "free")]
+    trace = [obs(700, 1, "occupied"), obs(100, 1, "free")]
     with pytest.raises(TraceOrderError):
         oracle_occupancy(trace, RollupWindow(0, 1000))
 
 
 def test_occupied_at_window_end_truncates():
-    trace = [upd(400, 1, "occupied")]
+    trace = [obs(400, 1, "occupied")]
     assert oracle_occupancy(trace, RollupWindow(0, 1000)) == {1: 600}
 
 
 def test_event_before_window_start_still_counts():
-    trace = [upd(100, 1, "occupied"), upd(5000, 1, "free")]
+    trace = [obs(100, 1, "occupied"), obs(5000, 1, "free")]
     assert oracle_occupancy(trace, RollupWindow(1000, 2000)) == {1: 1000}
 
 
 def test_duplicate_events_do_not_double_count():
     trace = [
-        upd(100, 1, "occupied"),
-        upd(200, 1, "occupied"),
-        upd(500, 1, "free"),
-        upd(600, 1, "free"),
+        obs(100, 1, "occupied"),
+        obs(200, 1, "occupied"),
+        obs(500, 1, "free"),
+        obs(600, 1, "free"),
     ]
     assert oracle_occupancy(trace, RollupWindow(0, 1000)) == {1: 400}
 
 
 def test_never_occupied_bay_reported_as_zero():
-    trace = [snap(0, 1, "free"), snap(0, 2, "occupied")]
+    trace = [obs(0, 1, "free"), obs(0, 2, "occupied")]
     totals = oracle_occupancy(trace, RollupWindow(0, 500))
     assert totals == {1: 0, 2: 500}
 
@@ -76,28 +72,35 @@ def random_trace(rng, n_bays, n_events, t0, span, with_duplicates=False):
     statuses = {
         b: rng.choice([BayStatus.FREE, BayStatus.OCCUPIED]) for b in range(1, n_bays + 1)
     }
-    events = [snap(t0, b, statuses[b].value) for b in sorted(statuses)]
+    """Oracle triples: a snapshot of every bay at t0, then updates."""
+    events = [obs(t0, b, statuses[b].value) for b in sorted(statuses)]
     for ts in sorted(rng.randint(t0, t0 + span) for _ in range(n_events)):
         bay = rng.randint(1, n_bays)
         if with_duplicates and rng.random() < 0.15:
-            events.append(upd(ts, bay, statuses[bay].value))  # resend, no change
+            events.append(obs(ts, bay, statuses[bay].value))  # resend, no change
             continue
         statuses[bay] = (
             BayStatus.FREE if statuses[bay] is BayStatus.OCCUPIED else BayStatus.OCCUPIED
         )
-        events.append(upd(ts, bay, statuses[bay].value))
+        events.append(obs(ts, bay, statuses[bay].value))
     return events
 
 
 def aggregate_windows(events, windows):
-    """Run events through the production path, capturing per-window ms."""
+    """Run random_trace's events through the production path, capturing per-window ms.
+
+    The opening snapshot volley is applied as snapshots, the rest as updates.
+    """
+    n_snapshots = len({bay for _, bay, _ in events})
     table = {}
     warnings = []
     idx = 0
     out = []
     for window in windows:
-        while idx < len(events) and events[idx].ts < window.end:
-            apply_event(table, events[idx], warnings)
+        while idx < len(events) and events[idx][0] < window.end:
+            ts, bay, status = events[idx]
+            kind = EventKind.SNAPSHOT if idx < n_snapshots else EventKind.UPDATE
+            apply_event(table, kind, ts, "L", bay, status, warnings)
             idx += 1
         update_occupation_time(table, window.end)
         out.append({b: s.accumulated_occupation_ms for b, s in table.items()})
@@ -147,8 +150,8 @@ def test_window_partition_conserves_totals():
 def reference_occupancy(trace, window):
     """Per-window enumeration, kept here as the sweep's reference."""
     per_bay = {}
-    for event in trace:
-        per_bay.setdefault(event.bay_id, []).append((event.ts, event.status))
+    for ts, bay_id, status in trace:
+        per_bay.setdefault(bay_id, []).append((ts, status))
     totals = {}
     for bay_id, events in per_bay.items():
         total = 0
@@ -194,7 +197,7 @@ def sweep_case(rng):
             else:
                 new = rng.choice([BayStatus.FREE, BayStatus.OCCUPIED])
             status[bay] = new
-            trace.append(upd(ts, bay, new.value))
+            trace.append(obs(ts, bay, new.value))
     return trace, windows
 
 
@@ -210,12 +213,12 @@ def test_sweep_matches_per_window_reference_on_random_traces():
 def test_sweep_on_boundary_events_and_late_bays():
     # Bay 2 is first seen in the third window; bay 1 flips on boundaries.
     trace = [
-        upd(1000, 1, "occupied"),
-        upd(2000, 1, "free"),
-        upd(2000, 3, "occupied"),
-        upd(2000, 3, "occupied"),
-        upd(2500, 2, "occupied"),
-        upd(3000, 1, "occupied"),
+        obs(1000, 1, "occupied"),
+        obs(2000, 1, "free"),
+        obs(2000, 3, "occupied"),
+        obs(2000, 3, "occupied"),
+        obs(2500, 2, "occupied"),
+        obs(3000, 1, "occupied"),
     ]
     windows = [RollupWindow(a, a + 1000) for a in range(0, 5000, 1000)]
     assert list(oracle_windows(trace, windows)) == [
@@ -238,7 +241,7 @@ def test_sweep_on_boundary_events_and_late_bays():
 def test_sweep_rejects_unsorted_or_overlapping_windows(bounds):
     windows = [RollupWindow(a, b) for a, b in bounds]
     with pytest.raises(ValueError, match="sorted and disjoint"):
-        list(oracle_windows([upd(0, 1, "occupied")], windows))
+        list(oracle_windows([obs(0, 1, "occupied")], windows))
 
 
 def test_verify_run_sweeps_the_oracle_once(tmp_path, monkeypatch):

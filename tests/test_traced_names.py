@@ -1,0 +1,44 @@
+"""Every callable the benchmark's tracer wraps still exists in src/.
+
+perfbench/tracing.py names the functions it times in PATCHES and looks
+each one up with ``owner.__dict__[attr]`` when the traced benchmark
+starts. A renamed or deleted name fails there, deep inside a benchmark
+run; this test fails on it directly and names it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import edgepark.harness  # noqa: F401  (loads every module the tracer patches)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_patches():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PATCHES
+
+
+def test_every_traced_name_resolves_as_the_tracer_looks_it_up():
+    patches = load_patches()
+    assert patches
+    missing = []
+    for module_name, qualname, span, overrides in patches:
+        owner = importlib.import_module(f"edgepark.{module_name}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = owner.__dict__.get(part)
+            if owner is None:
+                break
+        if owner is None or attr not in owner.__dict__:
+            missing.append(f"edgepark.{module_name}.{qualname} (span {span})")
+            continue
+        original = owner.__dict__[attr]
+        for holder in overrides:
+            held = importlib.import_module(f"edgepark.{holder}").__dict__.get(attr)
+            if held is not original:
+                missing.append(f"edgepark.{holder}.{attr}, imported from {module_name}")
+    assert not missing, "traced names missing from src/: " + ", ".join(missing)
