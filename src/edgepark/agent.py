@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from . import eventlog, protocol
 from .clock import PRIORITY_ROLLUP, RealScheduler, VirtualScheduler
@@ -45,6 +45,16 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "bayId,occupationTime,occupationRate"
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
+CLIENT_NAME = "edge-agent"  # sent in the hello
+
+# The agent counts its warnings by these kinds, in bounded memory; each
+# warning is also logged where it is raised. The last two come from
+# occupancy.apply_event.
+WARNING_KINDS = (
+    "skipped_log_line", "csv_requeue_failed", "gateway_error", "unexpected_message",
+    "malformed_snapshot", "update_before_snapshot", "malformed_update", "rejected_event",
+    "duplicate_update", "unknown_bay",
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,6 @@ class AgentConfig:
     reconnect_backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     rollup_epoch_ms: int | None = None  # default: midnight UTC of the start day
     ack_timeout_ms: int = 5000
-    client_name: str = "edge-agent"
 
     def __post_init__(self) -> None:
         if self.poll_interval_sec < 1:
@@ -185,13 +194,10 @@ class EdgeAgentCore:
         sched: VirtualScheduler | RealScheduler,
         net: Any,
         config: AgentConfig,
-        *,
-        on_upload_sent: Callable[[int], None] | None = None,
     ) -> None:
         self.sched = sched
         self.net = net
         self.config = config
-        self.on_upload_sent = on_upload_sent
 
         self.table: dict[int, BayState] = {}
         self.lot_id: str | None = None
@@ -215,11 +221,11 @@ class EdgeAgentCore:
         self._ack_timer: Any = None
         self._upload_retry_timer: Any = None
 
-        self.warnings: list[str] = []
-        self.rejected_events = 0
+        self.warnings: Counter[str] = Counter(dict.fromkeys(WARNING_KINDS, 0))
         self.events_ingested = 0
         self.pings_sent = 0
         self.upload_sends = 0
+        self.upload_bytes = 0
         self.recovered = False
         self._closed_gap_ms = 0
         self._gap_open: int | None = None
@@ -233,22 +239,29 @@ class EdgeAgentCore:
     def start(self) -> None:
         now = self.sched.now_ms()
         records, skipped = eventlog.read_records(self.config.log_path)
-        if skipped:
-            self.warnings.append(f"log recovery skipped {skipped} undecodable line(s)")
+        self.warnings["skipped_log_line"] += skipped  # read_records logs each one
         self.log_writer = eventlog.EventLogWriter(self.config.log_path)
-        Path(self.config.csv_dir).mkdir(parents=True, exist_ok=True)
-        if records:
-            self._recover(records, now)
-        else:
-            self.window_start = window_floor(
-                now, self.config.rollup_period_ms, self.config.rollup_epoch_ms
-            )
+        try:
+            Path(self.config.csv_dir).mkdir(parents=True, exist_ok=True)
+            if records:
+                self._recover(records, now)
+            else:
+                self.window_start = window_floor(
+                    now, self.config.rollup_period_ms, self.config.rollup_epoch_ms
+                )
+        except BaseException:
+            self.log_writer.close()
+            raise
         self._schedule_boundary()
         self._connect()
 
     def kill(self) -> None:
-        """Abrupt stop (crash simulation): no markers, no flush."""
+        """Abrupt stop (crash simulation): no markers, no flush. An open gap
+        ends here, so total_gap_ms stays fixed afterwards."""
         self._dead = True
+        if self._gap_open is not None:
+            self._closed_gap_ms += self.sched.now_ms() - self._gap_open
+            self._gap_open = None
         for timer in (
             self._handshake_timer, self._ping_timer, self._ack_timer,
             self._upload_retry_timer, self._boundary_timer,
@@ -289,7 +302,11 @@ class EdgeAgentCore:
             )
             tail = records
         for record in tail:
-            applied = eventlog.apply_record(self.table, record, self.warnings)
+            try:
+                applied = eventlog.apply_record(self.table, record, self.warnings)
+            except ValueError as exc:  # skipped, like an undecodable line
+                self._warn("skipped_log_line", "log recovery skipped a refused record: %s", exc)
+                continue
             if applied is not None:
                 self.lot_id = applied[1]
         # Close any windows whose boundary passed while we were down.
@@ -311,7 +328,7 @@ class EdgeAgentCore:
             try:
                 lot_id, window_start, records = read_csv_records(path)
             except ValueError as exc:
-                self.warnings.append(f"could not re-enqueue {path.name}: {exc}")
+                self._warn("csv_requeue_failed", "could not re-enqueue %s: %s", path.name, exc)
                 continue
             payload = protocol.encode_rollup_envelope(
                 lot_id, window_start, window_start + self.config.rollup_period_ms, records
@@ -336,7 +353,7 @@ class EdgeAgentCore:
         conn.on_message = self._on_gateway_message
         conn.on_close = self._on_gateway_close
         try:
-            conn.send(protocol.encode_line(protocol.hello_message(self.config.client_name)))
+            conn.send(protocol.encode_line(protocol.hello_message(CLIENT_NAME)))
         except ConnectionError:
             self._end_session("hello send failed")
             return
@@ -399,15 +416,15 @@ class EdgeAgentCore:
                 self.last_pong_seq = seq
             # A stale or mismatched seq is ignored and counts as missing.
         elif mtype == "error":
-            self.warnings.append(f"gateway error: {message.get('reason')}")
+            self._warn("gateway_error", "gateway error: %s", message.get("reason"))
         else:
-            self.warnings.append(f"unexpected gateway message type {mtype!r}")
+            self._warn("unexpected_message", "unexpected gateway message type %r", mtype)
 
     def _on_snapshot(self, message: dict[str, Any]) -> None:
         try:
             triples = protocol.parse_bays_snapshot(message)
         except protocol.ProtocolError as exc:
-            self.warnings.append(f"malformed snapshot: {exc}")
+            self._warn("malformed_snapshot", "malformed snapshot: %s", exc)
             self._end_session("malformed snapshot")
             return
         if self._handshake_timer is not None:
@@ -428,12 +445,12 @@ class EdgeAgentCore:
 
     def _on_update(self, message: dict[str, Any]) -> None:
         if not self.handshaken:
-            self.warnings.append("update received before snapshot; ignored")
+            self._warn("update_before_snapshot", "update received before snapshot; ignored")
             return
         try:
             lot_id, bay_id, status = protocol.parse_bays_update(message)
         except protocol.ProtocolError as exc:
-            self.warnings.append(f"malformed update: {exc}")
+            self._warn("malformed_update", "malformed update: %s", exc)
             return
         now = self.sched.now_ms()
         status = bay_status(status)
@@ -443,10 +460,9 @@ class EdgeAgentCore:
             self._append_log(
                 eventlog.event_line(EventKind.UPDATE, now, lot_id, bay_id, status, rejected=True)
             )
-            self.rejected_events += 1
-            self.warnings.append(
-                f"rejected event for bay {bay_id}: ts {now} precedes "
-                f"{state.last_transition_ts}"
+            self._warn(
+                "rejected_event", "rejected event for bay %d: ts %d precedes %d",
+                bay_id, now, state.last_transition_ts,
             )
             return
         self._append_log(eventlog.event_line(EventKind.UPDATE, now, lot_id, bay_id, status))
@@ -563,8 +579,7 @@ class EdgeAgentCore:
             self._end_upload_link("upload send failed")
             return
         self.upload_sends += 1
-        if self.on_upload_sent is not None:
-            self.on_upload_sent(size)
+        self.upload_bytes += size
         self.upload_inflight = head.key
         self._ack_timer = self.sched.call_later(
             self.config.ack_timeout_ms, self._on_ack_timeout
@@ -619,6 +634,10 @@ class EdgeAgentCore:
     def _append_log(self, line: bytes) -> None:
         if self.log_writer is not None:
             self.log_writer.append(line)
+
+    def _warn(self, kind: str, message: str, *args: Any) -> None:
+        log.warning(message, *args)
+        self.warnings[kind] += 1
 
 
 def _abandon(conn: Any) -> None:

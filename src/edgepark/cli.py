@@ -148,21 +148,11 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
                         default=int(_env_default(env, "ROLLUP_PERIOD_SEC", "86400")))
     parser.add_argument("--log", default=_env_default(env, "LOG", "agent-events.log"))
     parser.add_argument("--csv-dir", default=_env_default(env, "CSV_DIR", "rollups"))
-    parser.add_argument("--clock", choices=["real", "virtual"],
-                        default=_env_default(env, "CLOCK", "real"))
     parser.add_argument("--time-warp", type=float,
                         default=float(_env_default(env, "TIME_WARP", "1.0")))
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    if args.clock == "virtual":
-        print(
-            "configuration error: the virtual clock is driven by the simulation "
-            "harness; use `edgepark run-sim`, or run with --clock real "
-            "[--time-warp N] as a standalone process",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     try:
         config = AgentConfig(
             gateway_address=args.gateway,

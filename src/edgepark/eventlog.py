@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any
@@ -74,7 +75,7 @@ def disconnect_record(ts: int) -> dict[str, Any]:
 
 def record_ts(record: dict[str, Any]) -> int:
     """A record's ts; InvariantViolationError unless a non-negative JSON integer."""
-    ts = record["ts"]
+    ts = record.get("ts")
     if type(ts) is not int or ts < 0:  # a JSON true decodes to bool, not int
         raise InvariantViolationError(f"log ts must be a non-negative integer, got {ts!r}")
     return ts
@@ -83,14 +84,15 @@ def record_ts(record: dict[str, Any]) -> int:
 def apply_record(
     table: dict[int, BayState],
     record: dict[str, Any],
-    warnings: list[str] | None = None,
+    warnings: Counter[str] | None = None,
 ) -> tuple[EventKind, str] | None:
     """Fold one log record into the table; returns (kind, lot id) of an applied event.
 
     A disconnect marker invalidates every bay; flush markers and rejected
-    events leave the table as it is. An event's ts and bayId must be JSON
-    integers and its lotId a string, or InvariantViolationError is raised
-    and the table is left as it is.
+    events leave the table as it is. An event needs a status and a src,
+    its ts and bayId must be JSON integers and its lotId a string, or
+    InvariantViolationError is raised and the table is left as it is.
+    ``warnings`` counts apply_event's warnings by kind.
     """
     marker = record.get("marker")
     if marker == MARKER_DISCONNECT:
@@ -98,12 +100,16 @@ def apply_record(
         return None
     if marker is not None or record.get("rejected"):
         return None
-    ts = record["ts"]
-    lot_id = record["lotId"]
-    bay_id = record["bayId"]
-    if type(ts) is not int or type(bay_id) is not int or type(lot_id) is not str:
+    ts = record.get("ts")
+    lot_id = record.get("lotId")
+    bay_id = record.get("bayId")
+    if (
+        type(ts) is not int or type(bay_id) is not int or type(lot_id) is not str
+        or "status" not in record or "src" not in record
+    ):
         raise InvariantViolationError(
-            f"log event needs integer ts and bayId and a string lotId, got {record!r}"
+            f"log event needs integer ts and bayId, a string lotId, a status and a src, "
+            f"got {record!r}"
         )
     kind = event_kind(record["src"])
     apply_event(table, kind, ts, lot_id, bay_id, bay_status(record["status"]), warnings)

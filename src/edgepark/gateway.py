@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from . import protocol
 from .clock import PRIORITY_FAULT, RealScheduler, VirtualScheduler
@@ -270,20 +270,19 @@ class GatewayCore:
         net: Any,
         config: GatewayConfig,
         trace: SimTrace,
-        *,
-        on_update_sent: Callable[[int], None] | None = None,
     ) -> None:
         self.sched = sched
         self.net = net
         self.config = config
         self.trace = trace
-        self.on_update_sent = on_update_sent
         self.start_ms: int | None = None
         self.refuse_until_ms: int | None = None
         self.current: dict[int, BayStatus] = dict(trace.initial)
         self.sessions: list[Any] = []  # handshaken connections
-        self.pings_received: list[int] = []
+        self.pings_received = 0
+        self.last_ping_seq: int | None = None
         self.updates_sent = 0
+        self.update_bytes = 0
         self.listener: Any = None
 
     def start(self) -> None:
@@ -337,7 +336,8 @@ class GatewayCore:
             if not protocol.is_wire_int(seq):
                 self._reject(conn, "ping must carry an integer seq")
                 return
-            self.pings_received.append(seq)
+            self.pings_received += 1
+            self.last_ping_seq = seq
             muted = (
                 self.config.faults.mute_pongs_after is not None
                 and seq > self.config.faults.mute_pongs_after
@@ -374,8 +374,7 @@ class GatewayCore:
                     self._on_close(conn)
                     break
                 self.updates_sent += 1
-                if self.on_update_sent is not None:
-                    self.on_update_sent(size)
+                self.update_bytes += size
 
     def _fault_disconnect(self, duration_ms: int) -> None:
         now = self.sched.now_ms()

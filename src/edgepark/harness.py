@@ -60,6 +60,7 @@ DEFAULT_START = "2018-11-19T00:00:00Z"
 
 GATEWAY_ADDRESS = "sim://gateway"
 HUB_ADDRESS = "sim://hub"
+REPLAY_LOT_FALLBACK = "lot"  # names the CSV of a log with no event in it
 
 
 class ScenarioError(ValueError):
@@ -256,28 +257,9 @@ class TrafficLedger:
 @dataclass
 class RunResult:
     out_dir: Path
-    scenario: ScenarioConfig
     ledger: TrafficLedger
     csv_paths: list[Path]
-    total_gap_ms: int
     summary_path: Path
-    pings_sent: int
-    events_ingested: int
-    warnings: int
-
-
-def _build_trace(scenario: ScenarioConfig) -> SimTrace:
-    if scenario.script is not None:
-        return scripted_trace(
-            scenario.lot_id, scenario.bays, scenario.duration_ms, scenario.script
-        )
-    config = GatewayConfig(
-        listen_address=GATEWAY_ADDRESS,
-        lot_id=scenario.lot_id,
-        bay_count=scenario.bays,
-        model=SensorModel(scenario.mean_occupied_min, scenario.mean_free_min, scenario.seed),
-    )
-    return generate_trace(config, scenario.duration_ms)
 
 
 def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
@@ -288,18 +270,10 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
             f"{out_dir} already contains a run (agent.log present); "
             "use a fresh output directory"
         )
-    csv_dir = out_dir / "csv"
-    store_dir = out_dir / "hub_store"
-    for sub in (out_dir, csv_dir, store_dir):
-        sub.mkdir(parents=True, exist_ok=True)
 
     epoch = scenario.start_ms
     sched = VirtualScheduler(epoch)
     net = VirtualNetwork(sched)
-    ledger = TrafficLedger()
-
-    trace = _build_trace(scenario)
-    write_trace(trace, out_dir / "trace.jsonl")
 
     faults = FaultPlan(
         disconnects=(
@@ -319,23 +293,22 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
         model=SensorModel(scenario.mean_occupied_min, scenario.mean_free_min, scenario.seed),
         faults=faults,
     )
+    if scenario.script is not None:
+        trace = scripted_trace(
+            scenario.lot_id, scenario.bays, scenario.duration_ms, scenario.script
+        )
+    else:
+        trace = generate_trace(gw_config, scenario.duration_ms)
+    write_trace(trace, out_dir / "trace.jsonl")
 
-    def count_update(size: int) -> None:
-        ledger.raw_forward_bytes += size
-        ledger.event_count += 1
-
-    def count_upload(size: int) -> None:
-        ledger.aggregated_bytes += size
-        ledger.envelope_sends += 1
-
-    gateway = GatewayCore(sched, net, gw_config, trace, on_update_sent=count_update)
-    store = RollupStore(store_dir, fsync=False)
+    gateway = GatewayCore(sched, net, gw_config, trace)
+    store = RollupStore(out_dir / "hub_store", fsync=False)
     hub = HubCore(sched, net, store, HUB_ADDRESS, drop_acks=scenario.inject_drop_acks)
     agent_config = AgentConfig(
         gateway_address=GATEWAY_ADDRESS,
         cloud_address=HUB_ADDRESS,
         log_path=out_dir / "agent.log",
-        csv_dir=csv_dir,
+        csv_dir=out_dir / "csv",
         poll_interval_sec=scenario.poll_interval_sec,
         rollup_period_sec=scenario.rollup_period_sec,
         reconnect_backoff=BackoffPolicy(
@@ -348,13 +321,11 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     )
 
     agents: list[EdgeAgentCore] = []
-    gap_from_dead_agents = [0]
 
-    def spawn_agent() -> EdgeAgentCore:
-        core = EdgeAgentCore(sched, net, agent_config, on_upload_sent=count_upload)
+    def spawn_agent() -> None:
+        core = EdgeAgentCore(sched, net, agent_config)
         agents.append(core)
         core.start()
-        return core
 
     hub.start()
     gateway.start()
@@ -364,9 +335,7 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
         kill_at = epoch + scenario.inject_agent_kill_at_sec * 1000
 
         def kill_and_restart() -> None:
-            victim = agents[-1]
-            gap_from_dead_agents[0] += victim.total_gap_ms
-            victim.kill()
+            agents[-1].kill()
             log.info("agent killed at %d; restarting from its log", sched.now_ms())
             spawn_agent()
 
@@ -375,12 +344,16 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     sched.run_until(scenario.end_ms)
     sched.run_until(scenario.end_ms + scenario.upload_grace_sec * 1000)
 
-    live = agents[-1]
-    total_gap_ms = gap_from_dead_agents[0] + live.total_gap_ms
-    live.stop()
+    agents[-1].stop()
     gateway.stop()
     hub.stop()
 
+    ledger = TrafficLedger(
+        raw_forward_bytes=gateway.update_bytes,
+        aggregated_bytes=sum(a.upload_bytes for a in agents),
+        event_count=gateway.updates_sent,
+        envelope_sends=sum(a.upload_sends for a in agents),
+    )
     (out_dir / "ledger.json").write_text(
         json.dumps(ledger.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -395,13 +368,13 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
         "periodMs": scenario.period_ms,
         "lotId": scenario.lot_id,
         "bayCount": scenario.bays,
-        "totalGapMs": total_gap_ms,
+        "totalGapMs": sum(a.total_gap_ms for a in agents),
         "counters": {
             "eventsIngested": sum(a.events_ingested for a in agents),
             "pingsSent": sum(a.pings_sent for a in agents),
-            "uploadSends": sum(a.upload_sends for a in agents),
-            "warnings": sum(len(a.warnings) for a in agents),
-            "rejectedEvents": sum(a.rejected_events for a in agents),
+            "uploadSends": ledger.envelope_sends,
+            "warnings": sum(sum(a.warnings.values()) for a in agents),
+            "rejectedEvents": sum(a.warnings["rejected_event"] for a in agents),
             "agentIncarnations": len(agents),
         },
     }
@@ -413,14 +386,9 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
 
     return RunResult(
         out_dir=out_dir,
-        scenario=scenario,
         ledger=ledger,
-        csv_paths=sorted(csv_dir.glob("rollup_*.csv")),
-        total_gap_ms=total_gap_ms,
+        csv_paths=sorted((out_dir / "csv").glob("rollup_*.csv")),
         summary_path=summary_path,
-        pings_sent=sum(a.pings_sent for a in agents),
-        events_ingested=sum(a.events_ingested for a in agents),
-        warnings=sum(len(a.warnings) for a in agents),
     )
 
 
@@ -449,7 +417,6 @@ def replay_log(
     out_dir: str | Path | None,
     *,
     epoch_ms: int | None = None,
-    lot_fallback: str = "lot",
 ) -> ReplayResult:
     """Feed an event log through the accounting core from a clean table.
 
@@ -479,13 +446,13 @@ def replay_log(
 
     if not records:
         window = RollupWindow(0, period)
-        emit(window, {}, [], lot_fallback)
+        emit(window, {}, [], REPLAY_LOT_FALLBACK)
         return ReplayResult(windows, skipped, csv_paths)
 
     window_start = window_floor(eventlog.record_ts(records[0]), period, epoch_ms)
 
     table: dict[int, Any] = {}
-    lot_seen = lot_fallback
+    lot_seen = REPLAY_LOT_FALLBACK
     has_observations = False
 
     def close_window(boundary: int) -> None:

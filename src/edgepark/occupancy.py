@@ -14,6 +14,7 @@ mutations of one table.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -132,10 +133,11 @@ def occupation_rate(occ_ms: int, window_ms: int) -> float:
     return float(q)
 
 
-def _warn(warnings: list[str] | None, message: str) -> None:
-    log.warning(message)
+def _warn(warnings: Counter[str] | None, kind: str, message: str, *args: object) -> None:
+    """Log a warning and count it under its kind."""
+    log.warning(message, *args)
     if warnings is not None:
-        warnings.append(message)
+        warnings[kind] += 1
 
 
 def apply_event(
@@ -145,7 +147,7 @@ def apply_event(
     lot_id: str,
     bay_id: int,
     status: BayStatus,
-    warnings: list[str] | None = None,
+    warnings: Counter[str] | None = None,
 ) -> dict[int, BayState]:
     """Apply one observation, given as its fields, to the table and return it.
 
@@ -156,7 +158,8 @@ def apply_event(
     is preserved (zero for a new bay) and never credited. Updates
     transition status; an occupied-to-anything transition credits the
     elapsed interval. Duplicate-status updates are idempotent and an
-    update for an unknown bay creates it; both record a warning.
+    update for an unknown bay creates it; both log a warning and count it
+    in ``warnings`` under ``duplicate_update`` or ``unknown_bay``.
     """
     if bay_id < 1:
         raise InvariantViolationError(f"bay id must be positive, got {bay_id}")
@@ -165,7 +168,8 @@ def apply_event(
     state = table.get(bay_id)
     if state is None:
         if kind is EventKind.UPDATE:
-            _warn(warnings, f"update for unknown bay {bay_id}; creating it as {status.value}")
+            _warn(warnings, "unknown_bay", "update for unknown bay %d; creating it as %s",
+                  bay_id, status.value)
         table[bay_id] = BayState(bay_id, lot_id, status, ts)
         return table
     if ts < state.last_transition_ts:
@@ -174,7 +178,8 @@ def apply_event(
         )
     if kind is EventKind.UPDATE:
         if state.status is status:
-            _warn(warnings, f"duplicate {status.value} update for bay {bay_id} ignored")
+            _warn(warnings, "duplicate_update", "duplicate %s update for bay %d ignored",
+                  status.value, bay_id)
             return table
         if state.status is BayStatus.OCCUPIED:
             state.accumulated_occupation_ms += ts - state.last_transition_ts

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from edgepark import eventlog, protocol
+from edgepark import eventlog, harness, protocol
 from edgepark.agent import (
+    WARNING_KINDS,
     AgentConfig,
     EdgeAgentCore,
     csv_filename,
@@ -15,7 +16,13 @@ from edgepark.agent import (
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import FaultPlan
 from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS
-from edgepark.occupancy import BayStatus, EventKind, RollupRecord, RollupWindow
+from edgepark.occupancy import (
+    BayStatus,
+    EventKind,
+    InvariantViolationError,
+    RollupRecord,
+    RollupWindow,
+)
 from edgepark.transport import VirtualNetwork
 
 from conftest import DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent
@@ -73,9 +80,26 @@ def test_duplicate_update_logged_state_unchanged_warning_counted(rig_factory):
     )
     rig.run_for(5000)
     assert rig.agent.table[3].status is BayStatus.OCCUPIED
-    assert len([w for w in rig.agent.warnings if "duplicate" in w]) == 1
+    assert rig.agent.warnings["duplicate_update"] == 1
     records, _ = eventlog.read_records(rig.agent_config.log_path)
     assert len([r for r in records if r.get("src") == "update"]) == 2
+
+
+def test_warnings_are_counted_by_kind_in_bounded_memory(rig_factory):
+    rig = rig_factory()
+    rig.run_for(1000)  # snapshot: every bay free
+    duplicate = protocol.bays_update_line("LOT-A", 3, "free")
+    totals = []
+    for n in (10, 100, 1000):
+        for _ in range(n):
+            rig.gateway.sessions[0].send(duplicate)
+        rig.run_for(60_000)
+        totals.append(sum(rig.agent.warnings.values()))
+        assert len(rig.agent.warnings) == len(WARNING_KINDS)
+    assert totals == [10, 110, 1110]
+    assert rig.agent.warnings["duplicate_update"] == 1110
+    # The gateway counts pings and keeps the last seq, not one entry per ping.
+    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (3, 3)
 
 
 def test_final_table_equals_log_replay(rig_factory):
@@ -108,21 +132,30 @@ def test_final_table_equals_log_replay(rig_factory):
 def test_ping_cadence_exact_count(rig_factory):
     rig = rig_factory()
     rig.sched.run_until(EPOCH_MS + 300_000)  # 5 minutes
-    assert rig.gateway.pings_received == [1, 2, 3, 4, 5]
+    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (5, 5)
     assert rig.agent.pings_sent == 5
 
 
 def test_silent_gateway_triggers_reconnect_after_three_missed_pongs(rig_factory):
     rig = rig_factory(faults=FaultPlan(mute_pongs_after=10))
     rig.sched.run_until(EPOCH_MS + 840_000)  # tick 14: third miss detected
-    assert rig.gateway.pings_received[:13] == list(range(1, 14))
-    assert max(rig.gateway.pings_received[:13]) == 13
+    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (13, 13)
     # Session was torn down and re-established at the same instant.
     assert disconnect_times(rig) == [EPOCH_MS + 840_000]
     assert rig.agent.total_gap_ms == 0
     assert rig.agent.handshaken
     rig.sched.run_until(EPOCH_MS + 960_000)
-    assert rig.gateway.pings_received[13:] == [1, 2]  # fresh session restarts seq
+    # A fresh session restarts seq: two more pings, the last with seq 2.
+    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (15, 2)
+
+
+def test_kill_ends_an_open_gap(rig_factory):
+    rig = rig_factory(faults=FaultPlan(disconnects=((HOUR_MS, 600_000),)))
+    rig.sched.run_until(EPOCH_MS + HOUR_MS + 60_000)
+    assert rig.agent.total_gap_ms == 60_000
+    rig.agent.kill()
+    rig.sched.run_until(EPOCH_MS + 2 * HOUR_MS)
+    assert rig.agent.total_gap_ms == 60_000
 
 
 def test_ping_count_is_floor_of_elapsed(rig_factory):
@@ -223,7 +256,7 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
     )
     agent.start()
     sched.run_until(EPOCH_MS + 5000)
-    assert any("malformed snapshot" in w for w in agent.warnings)
+    assert agent.warnings["malformed_snapshot"] >= 1
     assert len(hellos) >= 2  # reconnected after the protocol error
     assert agent.handshaken
 
@@ -236,7 +269,7 @@ def test_clock_regression_event_logged_as_rejected(rig_factory):
     rig.agent._on_update(
         {"type": "baysUpdate", "lotId": "LOT-A", "bay": {"id": 3, "status": "free"}}
     )
-    assert rig.agent.rejected_events == 1
+    assert rig.agent.warnings["rejected_event"] == 1
     assert rig.agent.table[3].status is BayStatus.OCCUPIED  # untouched
     records, _ = eventlog.read_records(rig.agent_config.log_path)
     assert records[-1].get("rejected") is True
@@ -581,7 +614,31 @@ def test_recover_tolerates_torn_tail(tmp_path):
     agent, _ = make_agent(tmp_path)
     agent.start()
     assert agent.table[1].accumulated_occupation_ms == 5000  # flushed at recovery
-    assert any("skipped 1" in w for w in agent.warnings)
+    assert agent.warnings["skipped_log_line"] == 1
+
+
+@pytest.mark.parametrize("key, value", [("bayId", 0), ("ts", True), ("status", "parked")])
+def test_recover_skips_and_counts_a_refused_log_record(tmp_path, key, value):
+    good = {"ts": EPOCH_MS - 5000, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
+    log_path = tmp_path / "agent.log"
+    log_path.write_bytes(protocol.encode_line(good) + protocol.encode_line({**good, key: value}))
+    with pytest.raises(ValueError):  # replay still refuses the record
+        harness.replay_log(log_path, 86_400, None)
+    agent, _ = make_agent(tmp_path)
+    agent.start()
+    assert agent.table[1].accumulated_occupation_ms == 5000  # flushed at recovery
+    assert agent.warnings["skipped_log_line"] == 1
+    records, _ = eventlog.read_records(log_path)
+    assert records[-1] == eventlog.disconnect_record(EPOCH_MS)
+
+
+def test_failed_start_closes_the_log_it_opened(tmp_path):
+    flush_with_bad_ts = {"ts": True, "marker": "flush", "windowStart": EPOCH_MS}
+    (tmp_path / "agent.log").write_bytes(protocol.encode_line(flush_with_bad_ts))
+    agent, _ = make_agent(tmp_path)
+    with pytest.raises(InvariantViolationError):
+        agent.start()
+    assert agent.log_writer._fh.closed
 
 
 def test_recovery_requeues_existing_csvs(tmp_path):

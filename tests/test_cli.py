@@ -1,5 +1,6 @@
 """Command-line surface: flags, env overrides, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +59,20 @@ def test_replay_command_creates_a_new_out_dir(tmp_path, capsys):
     assert (replayed / live[0].name).read_bytes() == live[0].read_bytes()
 
 
+@pytest.mark.parametrize("missing", ["ts", "bayId"])
+def test_replay_of_a_log_line_missing_a_field_exits_2(tmp_path, capsys, missing):
+    event = {"ts": 1_542_585_601_000, "lotId": "L", "bayId": 7, "status": "occupied",
+             "src": "update"}
+    broken = {k: v for k, v in event.items() if k != missing}
+    log = tmp_path / "agent.log"
+    log.write_text(json.dumps(event) + "\n" + json.dumps(broken) + "\n")
+    code = cli.main_harness(
+        ["replay", "--log", str(log), "--window-sec", "86400", "--out", str(tmp_path / "out")]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     scenario = write_scenario(tmp_path, "nonsense = 1\n")
     assert cli.main_harness(
@@ -80,23 +95,26 @@ def test_verify_failure_exits_1(tmp_path):
     assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_VERIFY_FAILED
 
 
-def test_agent_virtual_clock_is_config_error(capsys):
-    assert cli.main_agent(["--clock", "virtual"], env={}) == cli.EXIT_CONFIG
-    assert "run-sim" in capsys.readouterr().err
+def never_start_agent(config, warp):
+    pytest.fail(f"agent started with poll interval {config.poll_interval_sec} s")
 
 
-def test_agent_env_overrides_apply(capsys):
-    # EDGEPARK_CLOCK steers the default; the virtual guard proves it took effect.
-    assert cli.main_agent([], env={"EDGEPARK_CLOCK": "virtual"}) == cli.EXIT_CONFIG
+def test_agent_env_overrides_apply(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_agent_service", never_start_agent)
+    # The env sets the default; the poll-interval check proves it took effect.
+    assert cli.main_agent([], env={"EDGEPARK_POLL_INTERVAL_SEC": "0"}) == cli.EXIT_CONFIG
+    assert "poll interval" in capsys.readouterr().err
 
 
-def test_agent_flag_beats_env(tmp_path):
-    # Invalid poll interval from env must surface as a config error when used.
+def test_agent_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_agent_service", never_start_agent)
+    # A valid env value loses to an invalid flag, so the agent never starts.
     code = cli.main_agent(
-        ["--clock", "virtual"],
+        ["--poll-interval-sec", "0"],
         env={"EDGEPARK_POLL_INTERVAL_SEC": "60"},
     )
     assert code == cli.EXIT_CONFIG
+    assert "poll interval" in capsys.readouterr().err
 
 
 def test_parse_duration_ms():

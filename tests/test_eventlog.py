@@ -177,9 +177,14 @@ def test_apply_record_accepts_only_json_integers_and_a_string_lot():
         with pytest.raises(InvariantViolationError):
             eventlog.apply_record(table, {**good, key: value})
         assert table == {}, (key, value)
+    for missing in good:
+        with pytest.raises(InvariantViolationError):
+            eventlog.apply_record({}, {k: v for k, v in good.items() if k != missing})
     for ts in (True, "20", -1):
         with pytest.raises(InvariantViolationError):
             eventlog.apply_record({}, {"ts": ts, "marker": "disconnect"})
+    with pytest.raises(InvariantViolationError):
+        eventlog.record_ts({"marker": "flush", "windowStart": 0})
     assert eventlog.apply_record({}, good) == (EventKind.UPDATE, "L")
 
 

@@ -266,7 +266,7 @@ def test_ping_with_boolean_seq_gets_error_and_close():
     probe.send(protocol.encode_line({"type": "ping", "seq": True}))
     assert [m["type"] for m in probe.received] == ["error"]
     assert probe.closed
-    assert core.pings_received == []
+    assert core.pings_received == 0
 
 
 def test_unknown_type_gets_error_and_close():
@@ -350,12 +350,11 @@ def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
     monkeypatch.setattr(protocol, "bays_update_line", counting_update_line)
     monkeypatch.setattr(protocol, "encode_line", no_encode_line)
     trace = items_trace([(1000, 3, "occupied")])
-    sizes = []
     core = GatewayCore(
         VirtualScheduler(EPOCH_MS), None,
         GatewayConfig("sim://gw", trace.lot_id, trace.bay_count,
                       faults=FaultPlan(duplicate_updates=True)),
-        trace, on_update_sent=sizes.append,
+        trace,
     )
     sessions = [RawRecorder(), RawRecorder()]
     core.sessions.extend(sessions)
@@ -364,7 +363,7 @@ def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
     line = real_update_line("LOT-A", 3, "occupied")
     assert encodes == [("LOT-A", 3, "occupied")]
     assert core.updates_sent == 4
-    assert sizes == [len(line)] * 4
+    assert core.update_bytes == 4 * len(line)
     assert [s.sent for s in sessions] == [[line, line], [line, line]]
     assert json.loads(line) == {
         "type": "baysUpdate", "lotId": "LOT-A", "bay": {"id": 3, "status": "occupied"}

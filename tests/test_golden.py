@@ -34,6 +34,18 @@ GOLDEN: dict[str, dict[str, str]] = {
         "summary.md": "22c2f21979acdc70",
         "trace.jsonl": "aed361ba4014ba77",
     },
+    "crash_day": {
+        "agent.log": "d971746af886f147",
+        "csv": "fc07297654aac5b0",
+        "hub_store": "2876a054b3c4fb85",
+        "ledger.json": "425d5ba5744ed452",
+        "meta.json": "2fa3194c38bfb35a",
+        "report.md": "fe033a02629c2c21",
+        "report_bays.csv": "036af534c6a24cf4",
+        "report_daily.csv": "6926c74e71d2f12a",
+        "summary.md": "fe033a02629c2c21",
+        "trace.jsonl": "8d301dd1313286a4",
+    },
     "disconnect_day": {
         "agent.log": "aded03ba7d46257e",
         "csv": "e8ff716945fa9b92",

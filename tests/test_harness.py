@@ -179,16 +179,26 @@ def test_replay_rejects_bad_window():
         harness.replay_log("whatever.log", 0, None)
 
 
+MISSING = object()
+
+
 def log_with_second_event(tmp_path, key, value):
-    """A two-event log whose second line has value under key."""
+    """A two-event log whose second line has value under key, or lacks key if MISSING."""
     first = {"ts": EPOCH_MS + 1000, "lotId": "L", "bayId": 7, "status": "occupied", "src": "update"}
     second = {**first, "ts": EPOCH_MS + 2000, "status": "free", key: value}
+    if value is MISSING:
+        del second[key]
     path = tmp_path / "events.log"
     path.write_bytes(protocol.encode_line(first) + protocol.encode_line(second))
     return path
 
 
-@pytest.mark.parametrize("key, value", [("bayId", 0), ("ts", -1)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("bayId", 0), ("ts", -1), ("ts", MISSING), ("lotId", MISSING), ("bayId", MISSING),
+     ("status", MISSING), ("src", MISSING)],
+    ids=lambda v: "missing" if v is MISSING else None,
+)
 def test_replay_raises_on_log_event_outside_the_invariants(tmp_path, key, value):
     with pytest.raises(InvariantViolationError):
         harness.replay_log(log_with_second_event(tmp_path, key, value), 86_400, None)

@@ -1,5 +1,6 @@
 """Unit tests for the occupancy state machine and roll-up math."""
 
+from collections import Counter
 import copy
 import random
 
@@ -95,18 +96,18 @@ def test_duplicate_update_is_idempotent_with_warning(status):
     if status == "occupied":
         apply_event(table, *upd(0, 1, "occupied"))  # snapshot already occupied: dup
     before = copy.deepcopy(table[1])
-    warnings = []
+    warnings = Counter()
     apply_event(table, *upd(700, 1, status), warnings)
     assert table[1] == before
-    assert len(warnings) == 1
+    assert warnings == {"duplicate_update": 1}
 
 
 def test_update_unknown_bay_creates_with_warning():
-    warnings = []
+    warnings = Counter()
     table = apply_event({}, *upd(42, 9, "occupied"), warnings)
     assert table[9].status is BayStatus.OCCUPIED
     assert table[9].last_transition_ts == 42
-    assert warnings and "unknown bay" in warnings[0]
+    assert warnings == {"unknown_bay": 1}
 
 
 def test_clock_regression_rejects_event_and_leaves_bay_untouched():

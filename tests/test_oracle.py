@@ -93,14 +93,13 @@ def aggregate_windows(events, windows):
     """
     n_snapshots = len({bay for _, bay, _ in events})
     table = {}
-    warnings = []
     idx = 0
     out = []
     for window in windows:
         while idx < len(events) and events[idx][0] < window.end:
             ts, bay, status = events[idx]
             kind = EventKind.SNAPSHOT if idx < n_snapshots else EventKind.UPDATE
-            apply_event(table, kind, ts, "L", bay, status, warnings)
+            apply_event(table, kind, ts, "L", bay, status)
             idx += 1
         update_occupation_time(table, window.end)
         out.append({b: s.accumulated_occupation_ms for b, s in table.items()})
