@@ -140,12 +140,9 @@ def write_csv(
             raise ValueError("records must be sorted by ascending bay id")
     path = Path(csv_dir) / csv_filename(lot_id, window.start)
     tmp = path.with_name(f".{path.name}.tmp")  # not matched by rollup_*.csv
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{r.bay_id},{r.occupation_time_sec},{r.occupation_rate:.4f}" for r in records
-    )
+    rows = [f"{r.bay_id},{r.occupation_time_sec},{r.occupation_rate:.4f}\n" for r in records]
     try:
-        tmp.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        tmp.write_bytes((CSV_HEADER + "\n" + "".join(rows)).encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -292,14 +289,15 @@ class EdgeAgentCore:
     def _recover(self, records: list[dict[str, Any]], now: int) -> None:
         self.recovered = True
         period = self.config.rollup_period_ms
+        # The window start comes from the last flush marker with a valid ts,
+        # else the first valid ts, else now (as for an empty log).
         idx = eventlog.last_flush_index(records)
         if idx is not None:
-            self.window_start = eventlog.record_ts(records[idx])
+            self.window_start = records[idx]["ts"]
             tail = records[idx + 1:]
         else:
-            self.window_start = window_floor(
-                eventlog.record_ts(records[0]), period, self.config.rollup_epoch_ms
-            )
+            first = next((r["ts"] for r in records if eventlog.is_log_ts(r.get("ts"))), now)
+            self.window_start = window_floor(first, period, self.config.rollup_epoch_ms)
             tail = records
         for record in tail:
             try:
@@ -531,13 +529,14 @@ class EdgeAgentCore:
                 write_csv(records, window, lot_id, self.config.csv_dir)
             except OSError as exc2:
                 self._dead_letter(lot_id, window, payload, exc2)
-        self._append_log(protocol.encode_line(eventlog.flush_record(boundary, window.start)))
-        # Re-seed the log with the carried-over statuses so replay from this
-        # marker reconstructs the post-reset table.
-        for bay_id, state in sorted(self.table.items()):
-            self._append_log(eventlog.event_line(
-                EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status
-            ))
+        # One write and one flush: the flush marker, then the carried-over
+        # statuses, so replay from the marker rebuilds the post-reset table.
+        block = [protocol.encode_line(eventlog.flush_record(boundary, window.start))]
+        block.extend(
+            eventlog.event_line(EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status)
+            for bay_id, state in sorted(self.table.items())
+        )
+        self._append_log(b"".join(block))
         self.window_start = boundary
         self.upload_queue.append(
             _PendingUpload(protocol.envelope_key(lot_id, window.start), payload)

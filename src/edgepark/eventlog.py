@@ -15,8 +15,9 @@ uses the same reader and writer for its roll-up files.
 The writer appends lines its caller has already encoded. Event lines,
 one per ingested update, come from ``event_line``, which takes the
 event's fields and writes the same bytes as ``protocol.encode_line`` of
-the event's dict; markers and hub rows are dicts passed through
-``encode_line``.
+the event's dict; markers are dicts passed through ``encode_line``, and
+hub rows come from ``hub.store_row_line``. A roll-up's flush marker and
+re-seed lines are one append: one write and one flush.
 
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a
@@ -73,10 +74,15 @@ def disconnect_record(ts: int) -> dict[str, Any]:
     return {"ts": ts, "marker": MARKER_DISCONNECT}
 
 
+def is_log_ts(ts: Any) -> bool:
+    """True for a non-negative JSON integer, the only valid ts of a log record."""
+    return type(ts) is int and ts >= 0  # a JSON true decodes to bool, not int
+
+
 def record_ts(record: dict[str, Any]) -> int:
     """A record's ts; InvariantViolationError unless a non-negative JSON integer."""
     ts = record.get("ts")
-    if type(ts) is not int or ts < 0:  # a JSON true decodes to bool, not int
+    if not is_log_ts(ts):
         raise InvariantViolationError(f"log ts must be a non-negative integer, got {ts!r}")
     return ts
 
@@ -88,17 +94,18 @@ def apply_record(
 ) -> tuple[EventKind, str] | None:
     """Fold one log record into the table; returns (kind, lot id) of an applied event.
 
-    A disconnect marker invalidates every bay; flush markers and rejected
-    events leave the table as it is. An event needs a status and a src,
-    its ts and bayId must be JSON integers and its lotId a string, or
-    InvariantViolationError is raised and the table is left as it is.
-    ``warnings`` counts apply_event's warnings by kind.
+    Every record needs a valid ts. A disconnect marker invalidates every
+    bay; flush markers and rejected events leave the table as it is. An
+    event needs a status and a src, its ts and bayId must be JSON integers
+    and its lotId a string. A record that breaks a rule raises
+    InvariantViolationError and leaves the table as it is. ``warnings``
+    counts apply_event's warnings by kind.
     """
     marker = record.get("marker")
-    if marker == MARKER_DISCONNECT:
-        invalidate_statuses(table, record_ts(record))
-        return None
     if marker is not None or record.get("rejected"):
+        ts = record_ts(record)
+        if marker == MARKER_DISCONNECT:
+            invalidate_statuses(table, ts)
         return None
     ts = record.get("ts")
     lot_id = record.get("lotId")
@@ -133,8 +140,8 @@ def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:
 class EventLogWriter:
     """Appends encoded lines, each flushed as it is appended.
 
-    The caller encodes (``event_line`` or ``protocol.encode_line``); each
-    line must end with a newline. Opening the file cuts a torn final line
+    The caller encodes; each line, or each of the lines appended at
+    once, must end with a newline. Opening the file cuts a torn final line
     back to the last newline.
     """
 
@@ -191,7 +198,8 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
 
 
 def last_flush_index(records: list[dict[str, Any]]) -> int | None:
+    """Index of the last flush marker with a valid ts, or None."""
     for i in range(len(records) - 1, -1, -1):
-        if records[i].get("marker") == MARKER_FLUSH:
+        if records[i].get("marker") == MARKER_FLUSH and is_log_ts(records[i].get("ts")):
             return i
     return None

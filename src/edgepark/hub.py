@@ -14,6 +14,7 @@ import logging
 import re
 from contextlib import closing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -71,6 +72,24 @@ def per_bay_extremes(
     return {b: (min(h), max(h)) for b, h in sorted(hours.items())}
 
 
+def store_row_line(stored: StoredRollup) -> bytes:
+    """One encoded store row: the bytes encode_line writes for the row's dict.
+
+    Keys in sorted order; ``%r`` writes a rate as json does (float repr, or
+    the digits of an integer).
+    """
+    recs = ",".join([
+        '{"bayId":%d,"occupationRate":%r,"occupationTime":%d}'
+        % (r.bay_id, r.occupation_rate, r.occupation_time_sec)
+        for r in stored.records
+    ])
+    return (
+        '{"key":%s,"lotId":%s,"receivedAt":%d,"records":[%s],"windowEnd":%d,"windowStart":%d}\n'
+        % (encode_basestring_ascii(stored.key), encode_basestring_ascii(stored.lot_id),
+           stored.received_at, recs, stored.window_end, stored.window_start)
+    ).encode("ascii")
+
+
 class RollupStore:
     """Durable, deduplicating storage of uploaded roll-ups."""
 
@@ -85,22 +104,15 @@ class RollupStore:
         for path in sorted(self.store_dir.glob("*.jsonl")):
             rows, _skipped = eventlog.read_records(path)
             for row in rows:
-                stored = StoredRollup(
-                    key=row["key"],
-                    lot_id=row["lotId"],
-                    window_start=int(row["windowStart"]),
-                    window_end=int(row["windowEnd"]),
-                    records=tuple(
-                        RollupRecord(
-                            int(r["bayId"]),
-                            int(r["occupationTime"]),
-                            float(r["occupationRate"]),
-                        )
-                        for r in row["records"]
-                    ),
-                    received_at=int(row["receivedAt"]),
+                records = tuple(
+                    RollupRecord(int(r["bayId"]), int(r["occupationTime"]),
+                                 float(r["occupationRate"]))
+                    for r in row["records"]
                 )
-                self._by_key[stored.key] = stored
+                self._by_key[row["key"]] = StoredRollup(
+                    row["key"], row["lotId"], int(row["windowStart"]), int(row["windowEnd"]),
+                    records, int(row["receivedAt"]),
+                )
         if self._by_key:
             log.info("rollup store: rebuilt index with %d records", len(self._by_key))
 
@@ -110,25 +122,13 @@ class RollupStore:
         if key in self._by_key:
             return False
         stored = StoredRollup(
-            key=key,
-            lot_id=envelope["lotId"],
-            window_start=envelope["windowStart"],
-            window_end=envelope["windowEnd"],
-            records=tuple(envelope["records"]),
-            received_at=received_at,
+            key, envelope["lotId"], envelope["windowStart"], envelope["windowEnd"],
+            tuple(envelope["records"]), received_at,
         )
-        row = {
-            "key": stored.key,
-            "lotId": stored.lot_id,
-            "windowStart": stored.window_start,
-            "windowEnd": stored.window_end,
-            "records": [protocol.record_to_wire(r) for r in stored.records],
-            "receivedAt": stored.received_at,
-        }
         path = self.store_dir / f"{stored.lot_id}.jsonl"
         with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
-            writer.append(protocol.encode_line(row))
-        self._by_key[stored.key] = stored
+            writer.append(store_row_line(stored))
+        self._by_key[key] = stored
         return True
 
     def query_daily(self, lot_id: str, window_start: int) -> tuple[RollupRecord, ...] | None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Callable, TypeVar
 
@@ -127,10 +126,9 @@ def occupation_rate(occ_ms: int, window_ms: int) -> float:
         raise InvariantViolationError(
             f"occupation {occ_ms} ms outside [0, {window_ms}] ms window"
         )
-    q = (Decimal(occ_ms) / Decimal(window_ms)).quantize(
-        Decimal("0.0001"), rounding=ROUND_HALF_UP
-    )
-    return float(q)
+    # floor(occ / window * 10_000 + 1/2) in integers: exact half-up rounding. The
+    # int/int division is correctly rounded, so this is the float nearest the result.
+    return (occ_ms * 20_000 + window_ms) // (2 * window_ms) / 10_000
 
 
 def _warn(warnings: Counter[str] | None, kind: str, message: str, *args: object) -> None:
@@ -221,16 +219,11 @@ def rollup(
     """
     update_occupation_time(table, window.end)
     records: list[RollupRecord] = []
+    length_ms = window.length_ms
     for bay_id in sorted(table):
         state = table[bay_id]
         sec = state.accumulated_occupation_ms // MS_PER_SEC
-        records.append(
-            RollupRecord(
-                bay_id=bay_id,
-                occupation_time_sec=sec,
-                occupation_rate=occupation_rate(sec * MS_PER_SEC, window.length_ms),
-            )
-        )
+        records.append(RollupRecord(bay_id, sec, occupation_rate(sec * MS_PER_SEC, length_ms)))
         state.accumulated_occupation_ms = 0
         state.last_transition_ts = window.end
     return records, table

@@ -9,9 +9,10 @@ Byte-identity rule: every other line is the compact, sorted-key,
 ASCII-escaped encoding that ``encode_line`` produces. A fixed-field
 encoder for a hot line shape (``bays_update_line``, ``ping_line`` and
 ``pong_line`` here, ``eventlog.event_line``, the item rows of
-``gateway.write_trace``) must write exactly the bytes ``encode_line``
-writes for the same dict: keys in sorted order, ``,``/``:`` separators,
-strings through ``encode_basestring_ascii``, integers as ``str(int)``.
+``gateway.write_trace``, the hub's ``store_row_line``) must write exactly
+the bytes ``encode_line`` writes for the same dict: keys in sorted order,
+``,``/``:`` separators, strings through ``encode_basestring_ascii``,
+integers as ``str(int)``, floats as ``float.__repr__``.
 Every message, on sockets and in the simulator alike, crosses the
 transport as one encoded line.
 
@@ -22,9 +23,9 @@ same ``str``, value and exception type alike, in one
 ``JSONDecoder.raw_decode`` call instead of ``loads``' three frames and
 two whitespace regex matches.
 
-Integer fields reject JSON booleans (``is_wire_int``): Python's bool is
-an int, and a ``true`` accepted as bay 1 would be written back as
-``True``, which is not JSON.
+Integer fields reject JSON booleans (``is_wire_int``, or ``type(x) is
+int`` per roll-up record): Python's bool is an int, and a ``true``
+accepted as bay 1 would be written back as ``True``, which is not JSON.
 """
 
 from __future__ import annotations
@@ -144,16 +145,12 @@ def query_weekly_message(lot_id: str, week_start: int) -> dict[str, Any]:
     return {"type": "queryWeekly", "lotId": lot_id, "weekStart": week_start}
 
 
-def record_to_wire(record: RollupRecord) -> dict[str, Any]:
-    return {
-        "bayId": record.bay_id,
-        "occupationTime": record.occupation_time_sec,
-        "occupationRate": record.occupation_rate,
-    }
-
-
 def daily_message(records: Sequence[RollupRecord]) -> dict[str, Any]:
-    return {"type": "daily", "records": [record_to_wire(r) for r in records]}
+    return {"type": "daily", "records": [
+        {"bayId": r.bay_id, "occupationTime": r.occupation_time_sec,
+         "occupationRate": r.occupation_rate}
+        for r in records
+    ]}
 
 
 def envelope_key(lot_id: str, window_start: int) -> str:
@@ -174,24 +171,15 @@ def encode_rollup_envelope(
     """
     bay_width = max((len(str(r.bay_id)) for r in records), default=1)
     time_width = len(str(max(1, (window_end - window_start) // 1000)))
-    parts = [
-        '{{"bayId":{bay:>{bw}d},"occupationTime":{sec:>{tw}d},"occupationRate":{rate:.4f}}}'.format(
-            bay=r.bay_id, bw=bay_width, sec=r.occupation_time_sec, tw=time_width,
-            rate=r.occupation_rate,
-        )
-        for r in records
-    ]
-    line = (
-        '{{"type":"rollup","key":"{key}","lotId":"{lot}",'
-        '"windowStart":{ws},"windowEnd":{we},"records":[{recs}]}}'
-    ).format(
-        key=envelope_key(lot_id, window_start),
-        lot=lot_id,
-        ws=window_start,
-        we=window_end,
-        recs=",".join(parts),
+    record = '{"bayId":%%%dd,"occupationTime":%%%dd,"occupationRate":%%.4f}' % (
+        bay_width, time_width
     )
-    return line.encode("utf-8") + b"\n"
+    recs = ",".join([record % (r.bay_id, r.occupation_time_sec, r.occupation_rate) for r in records])
+    return (
+        '{"type":"rollup","key":"%s","lotId":"%s","windowStart":%d,"windowEnd":%d,'
+        '"records":[%s]}\n' % (envelope_key(lot_id, window_start), lot_id, window_start,
+                               window_end, recs)
+    ).encode("utf-8")
 
 
 def is_wire_int(value: Any) -> bool:
@@ -205,25 +193,36 @@ def _require(condition: bool, reason: str) -> None:
 
 
 def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
-    _require(isinstance(raw_records, list), "records must be a list")
+    """The records of a roll-up upload; ProtocolError names the first rule broken.
+
+    An integer rate is compared as an integer: one too large for a float
+    is refused like any other rate outside [0, 1].
+    """
+    if not isinstance(raw_records, list):
+        raise ProtocolError("records must be a list")
     records: list[RollupRecord] = []
     last_bay = 0
-    for raw in raw_records:
-        _require(isinstance(raw, dict), "record must be an object")
-        bay_id = raw.get("bayId")
-        sec = raw.get("occupationTime")
-        rate = raw.get("occupationRate")
-        _require(is_wire_int(bay_id) and bay_id >= 1, "bayId must be a positive integer")
-        _require(is_wire_int(sec) and sec >= 0, "occupationTime must be a non-negative integer")
-        _require(sec <= window_sec, f"occupationTime {sec} exceeds window {window_sec} s")
-        _require((is_wire_int(rate) or isinstance(rate, float)) and 0.0 <= float(rate) <= 1.0,
-                 "occupationRate must be within [0, 1]")
-        _require(bay_id > last_bay, "records must be sorted by ascending bayId")
-        last_bay = bay_id
-        try:
+    try:
+        for raw in raw_records:
+            if not isinstance(raw, dict):
+                raise ProtocolError("record must be an object")
+            bay_id = raw.get("bayId")
+            sec = raw.get("occupationTime")
+            rate = raw.get("occupationRate")
+            if type(bay_id) is not int or bay_id < 1:  # a JSON true decodes to bool
+                raise ProtocolError("bayId must be a positive integer")
+            if type(sec) is not int or sec < 0:
+                raise ProtocolError("occupationTime must be a non-negative integer")
+            if sec > window_sec:
+                raise ProtocolError(f"occupationTime {sec} exceeds window {window_sec} s")
+            if (type(rate) is not float and type(rate) is not int) or not 0 <= rate <= 1:
+                raise ProtocolError("occupationRate must be within [0, 1]")
+            if bay_id <= last_bay:
+                raise ProtocolError("records must be sorted by ascending bayId")
+            last_bay = bay_id
             records.append(RollupRecord(bay_id, sec, float(rate)))
-        except InvariantViolationError as exc:
-            raise ProtocolError(str(exc)) from exc
+    except InvariantViolationError as exc:
+        raise ProtocolError(str(exc)) from exc
     return records
 
 

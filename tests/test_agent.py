@@ -19,7 +19,6 @@ from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS
 from edgepark.occupancy import (
     BayStatus,
     EventKind,
-    InvariantViolationError,
     RollupRecord,
     RollupWindow,
 )
@@ -424,6 +423,57 @@ def test_flush_marker_and_reseed_written_at_boundary(rig_factory):
     assert {r["status"] for r in reseed} == {"free", "occupied"}
 
 
+def test_rollup_block_is_one_append_per_window(rig_factory):
+    rig = rig_factory(items_trace([(1000, 4, "occupied")], duration_ms=4 * HOUR_MS),
+                      rollup_period_sec=3600)
+    rig.run_for(HOUR_MS - 1)
+    appended = []
+    append = rig.agent.log_writer.append
+    rig.agent.log_writer.append = lambda line: (appended.append(line), append(line))
+    rig.run_for(3 * HOUR_MS)  # three boundaries, nothing else to log
+    assert len(appended) == 3
+    for n, block in enumerate(appended, start=1):
+        lines = block.splitlines(keepends=True)
+        boundary = EPOCH_MS + n * HOUR_MS
+        assert lines[0] == protocol.encode_line(eventlog.flush_record(boundary, boundary - HOUR_MS))
+        assert len(lines) == 1 + 22
+        assert all(json.loads(line)["ts"] == boundary for line in lines[1:])
+
+
+def test_crash_at_any_byte_of_a_rollup_block_restarts_and_keeps_every_csv(rig_factory, tmp_path):
+    period = 6 * HOUR_MS
+    items = [(HOUR_MS, 1, "occupied"), (2 * HOUR_MS, 2, "occupied"), (3 * HOUR_MS, 1, "free"),
+             (7 * HOUR_MS, 3, "occupied"), (8 * HOUR_MS, 2, "free"), (9 * HOUR_MS, 4, "occupied")]
+    rig = rig_factory(items_trace(items, bays=4, duration_ms=DAY_MS), rollup_period_sec=6 * 3600)
+    rig.run_for(2 * period + 60_000)
+    rig.agent.kill()
+    log = rig.agent_config.log_path.read_bytes()
+    csvs = {p.name: p.read_bytes() for p in rig.agent_config.csv_dir.glob("rollup_*.csv")}
+    assert len(csvs) == 2
+    # The second window's block: its flush marker and the four re-seed lines after it.
+    marker = protocol.encode_line(eventlog.flush_record(EPOCH_MS + 2 * period, EPOCH_MS + period))
+    begin = log.index(marker)
+    end = begin
+    for _ in range(1 + 4):
+        end = log.index(b"\n", end) + 1
+    restart_dir = tmp_path / "restart"
+    csv_dir = restart_dir / "csv"
+    csv_dir.mkdir(parents=True)
+    for cut in range(begin, end + 1):
+        (restart_dir / "agent.log").write_bytes(log[:cut])
+        for path in csv_dir.iterdir():
+            path.unlink()
+        for name, data in csvs.items():
+            (csv_dir / name).write_bytes(data)
+        agent, _ = make_agent(restart_dir, VirtualScheduler(EPOCH_MS + 2 * period + HOUR_MS),
+                              rollup_period_sec=6 * 3600)
+        agent.start()
+        assert agent.window_start == EPOCH_MS + 2 * period, cut
+        assert {p.name: p.read_bytes() for p in csv_dir.glob("rollup_*.csv")} == csvs, cut
+        agent.kill()
+    assert end - begin > 300
+
+
 def test_write_csv_empty_records_is_header_only(tmp_path):
     path = write_csv([], RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS), "LOT", tmp_path)
     assert path.read_bytes() == b"bayId,occupationTime,occupationRate\n"
@@ -633,12 +683,55 @@ def test_recover_skips_and_counts_a_refused_log_record(tmp_path, key, value):
 
 
 def test_failed_start_closes_the_log_it_opened(tmp_path):
-    flush_with_bad_ts = {"ts": True, "marker": "flush", "windowStart": EPOCH_MS}
-    (tmp_path / "agent.log").write_bytes(protocol.encode_line(flush_with_bad_ts))
+    (tmp_path / "csv").write_bytes(b"a regular file where the CSV directory belongs")
     agent, _ = make_agent(tmp_path)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(FileExistsError):
         agent.start()
     assert agent.log_writer._fh.closed
+
+
+BAD_TS_FLUSH = {"ts": True, "marker": "flush", "windowStart": EPOCH_MS}
+BAD_TS_UPDATE = {"ts": True, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
+
+
+@pytest.mark.parametrize("record", [BAD_TS_FLUSH, BAD_TS_UPDATE], ids=["flush", "update"])
+def test_recover_from_a_log_with_no_valid_ts_starts_at_now(tmp_path, record):
+    (tmp_path / "agent.log").write_bytes(protocol.encode_line(record))
+    agent, _ = make_agent(tmp_path, VirtualScheduler(EPOCH_MS + 5 * HOUR_MS),
+                          rollup_period_sec=3600)
+    agent.start()
+    assert agent.window_start == EPOCH_MS + 5 * HOUR_MS  # as an empty log starts
+    assert agent.table == {}
+    assert agent.warnings["skipped_log_line"] == 1
+
+
+def test_recover_passes_over_a_flush_marker_with_a_bad_ts(tmp_path):
+    good_flush = eventlog.flush_record(EPOCH_MS + HOUR_MS, EPOCH_MS)
+    after = {"ts": EPOCH_MS + HOUR_MS + 60_000, "lotId": "L", "bayId": 2,
+             "status": "occupied", "src": "update"}
+    (tmp_path / "agent.log").write_bytes(b"".join(
+        protocol.encode_line(r) for r in (good_flush, after, BAD_TS_FLUSH, BAD_TS_UPDATE)
+    ))
+    agent, _ = make_agent(tmp_path, VirtualScheduler(EPOCH_MS + HOUR_MS + 120_000),
+                          rollup_period_sec=3600)
+    agent.start()
+    assert agent.window_start == EPOCH_MS + HOUR_MS  # from the last marker with a valid ts
+    assert agent.table[2].accumulated_occupation_ms == 60_000
+    assert agent.warnings["skipped_log_line"] == 2  # the bad marker and the bad update
+
+
+def test_recover_without_a_valid_flush_uses_the_first_valid_ts(tmp_path):
+    first = {"ts": EPOCH_MS + 10 * HOUR_MS + 60_000, "lotId": "L", "bayId": 1,
+             "status": "occupied", "src": "snapshot"}
+    (tmp_path / "agent.log").write_bytes(b"".join(
+        protocol.encode_line(r) for r in (BAD_TS_UPDATE, BAD_TS_FLUSH, first)
+    ))
+    agent, _ = make_agent(tmp_path, VirtualScheduler(first["ts"] + 60_000),
+                          rollup_period_sec=3600)
+    agent.start()
+    assert agent.window_start == EPOCH_MS + 10 * HOUR_MS
+    assert agent.table[1].accumulated_occupation_ms == 60_000
+    assert agent.warnings["skipped_log_line"] == 2
 
 
 def test_recovery_requeues_existing_csvs(tmp_path):

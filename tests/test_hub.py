@@ -1,12 +1,13 @@
 """Hub store dedupe/durability and report queries."""
 
 import json
+import random
 
 import pytest
 
 from edgepark import protocol
 from edgepark.clock import VirtualScheduler
-from edgepark.hub import HubCore, RollupStore, fleet_average_hours
+from edgepark.hub import HubCore, RollupStore, StoredRollup, fleet_average_hours, store_row_line
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import VirtualNetwork
 
@@ -78,6 +79,76 @@ def test_store_survives_torn_append(tmp_path):
     again = RollupStore(tmp_path, fsync=False)
     assert again.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
     assert again.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 100, 0.0012),)
+
+
+def row_dict(stored):
+    """Reference: a store row as it was written, a dict through encode_line."""
+    return {
+        "key": stored.key,
+        "lotId": stored.lot_id,
+        "windowStart": stored.window_start,
+        "windowEnd": stored.window_end,
+        "records": [
+            {"bayId": r.bay_id, "occupationTime": r.occupation_time_sec,
+             "occupationRate": r.occupation_rate}
+            for r in stored.records
+        ],
+        "receivedAt": stored.received_at,
+    }
+
+
+def random_wire_envelope(rng):
+    """A rollup envelope as the wire carries it, integer rates 0 and 1 included."""
+    window_sec = rng.choice((3600, 86_400, rng.randint(1, 10**6)))
+    start = rng.choice((EPOCH_MS, rng.randint(0, 2**45)))
+    lot = rng.choice(("LOT-A", "L", "lot_7.b"))
+    bays = sorted(rng.sample(range(1, rng.choice((9, 99, 12_000)) + 1), rng.randint(0, 6)))
+    records = []
+    for b in bays:
+        sec = rng.randint(0, window_sec)
+        rate = rng.choice((0, 1, 0.0001, 1.0, 0.0, round(rng.random(), 4), rng.random()))
+        records.append({"bayId": b, "occupationTime": sec, "occupationRate": rate})
+    return {
+        "type": "rollup", "key": protocol.envelope_key(lot, start), "lotId": lot,
+        "windowStart": start, "windowEnd": start + window_sec * 1000, "records": records,
+    }
+
+
+def test_store_row_line_is_encode_line_of_the_row(tmp_path):
+    rng = random.Random(11)
+    rates = set()
+    for _ in range(600):
+        wire = random_wire_envelope(rng)
+        env = protocol.parse_rollup_envelope(protocol.decode_line(protocol.encode_line(wire)))
+        rates.update(repr(r["occupationRate"]) for r in wire["records"])
+        stored = StoredRollup(
+            env["key"], env["lotId"], env["windowStart"], env["windowEnd"],
+            tuple(env["records"]), rng.choice((0, EPOCH_MS, rng.randint(0, 2**50))),
+        )
+        assert store_row_line(stored) == protocol.encode_line(row_dict(stored))
+    assert {"0", "1", "0.0001", "1.0"} <= rates
+    # Records built in Python may carry integer rates; they are written as json writes them.
+    stored = StoredRollup("L:0", "L", 0, 1000, (RollupRecord(7, 0, 0), RollupRecord(12, 1, 1)), 5)
+    assert store_row_line(stored) == protocol.encode_line(row_dict(stored))
+
+
+def test_receive_writes_the_encode_line_bytes_of_each_row(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    store = RollupStore(tmp_path, fsync=False)
+    kept = []
+    with monkeypatch.context() as patched:
+        patched.setattr(protocol, "encode_line", lambda row: pytest.fail("row through encode_line"))
+        for received_at in range(40):
+            env = protocol.parse_rollup_envelope(random_wire_envelope(rng))
+            if store.receive(env, received_at=received_at):
+                kept.append(StoredRollup(env["key"], env["lotId"], env["windowStart"],
+                                         env["windowEnd"], tuple(env["records"]), received_at))
+    want = {}
+    for stored in kept:
+        want[stored.lot_id] = want.get(stored.lot_id, b"") + protocol.encode_line(row_dict(stored))
+    assert len(want) == 3
+    for lot, data in want.items():
+        assert (tmp_path / f"{lot}.jsonl").read_bytes() == data
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +316,22 @@ def test_unsafe_lot_id_rejected(tmp_path):
     probe.send(raw)
     assert probe.received[0]["type"] == "error"
     assert len(probe.store) == 0
+
+
+def test_integer_rate_too_large_for_a_float_gets_an_error_and_the_link_lives_on(tmp_path):
+    probe = HubProbe(tmp_path)
+    huge = (
+        b'{"type":"rollup","key":"LOT-A:%d","lotId":"LOT-A","windowStart":%d,"windowEnd":%d,'
+        b'"records":[{"bayId":1,"occupationTime":0,"occupationRate":1%s}]}\n'
+        % (EPOCH_MS, EPOCH_MS, EPOCH_MS + DAY_MS, b"0" * 400)
+    )
+    probe.send(huge)
+    assert probe.received == [
+        {"type": "error", "reason": "occupationRate must be within [0, 1]"}
+    ]
+    assert len(probe.store) == 0
+    probe.send(protocol.encode_rollup_envelope(
+        "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 60, 0.0007)]
+    ))
+    assert probe.received[1] == {"type": "ack", "key": f"LOT-A:{EPOCH_MS}"}
+    assert len(probe.store) == 1

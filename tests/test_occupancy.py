@@ -2,6 +2,7 @@
 
 from collections import Counter
 import copy
+from decimal import ROUND_HALF_UP, Decimal
 import random
 
 import pytest
@@ -237,11 +238,37 @@ def test_occupation_rate_rounds_half_up():
     assert occupation_rate(5, 100_000) == 0.0001
 
 
+def decimal_occupation_rate(occ_ms, window_ms):
+    """Reference: the rate as Decimal division quantized half-up to 4 places."""
+    q = (Decimal(occ_ms) / Decimal(window_ms)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
+    return float(q)
+
+
+@pytest.mark.parametrize(
+    "window_ms, occupations",
+    [
+        (HOUR_MS, range(0, HOUR_MS + 1, 1000)),  # every whole second of an hour
+        (DAY_MS, range(0, DAY_MS + 1, 1000)),  # every whole second of a day
+        (20_000, range(0, 20_001)),  # every ms: every exact half-way case
+    ],
+    ids=["hour", "day", "20s-every-ms"],
+)
+def test_occupation_rate_is_the_decimal_reference(window_ms, occupations):
+    mismatched = [
+        occ for occ in occupations
+        if occupation_rate(occ, window_ms) != decimal_occupation_rate(occ, window_ms)
+    ]
+    assert mismatched == []
+    assert occupation_rate(1, 20_000) == 0.0001  # 0.00005: a half-way case rounds up
+
+
 def test_occupation_rate_rejects_excess_occupation():
     with pytest.raises(InvariantViolationError):
         occupation_rate(DAY_MS + 1, DAY_MS)
     with pytest.raises(InvariantViolationError):
         occupation_rate(0, 0)
+    with pytest.raises(InvariantViolationError):
+        occupation_rate(-1, DAY_MS)
 
 
 # ---------------------------------------------------------------------------

@@ -246,3 +246,110 @@ def test_envelope_validation_rejects_bad_payloads():
 
 def test_envelope_key_format():
     assert protocol.envelope_key("LOT-A", 1_542_585_600_000) == "LOT-A:1542585600000"
+
+
+def format_rollup_envelope(lot_id, window_start, window_end, records):
+    """Reference: the envelope encoder as it was, one str.format per record."""
+    bay_width = max((len(str(r.bay_id)) for r in records), default=1)
+    time_width = len(str(max(1, (window_end - window_start) // 1000)))
+    parts = [
+        '{{"bayId":{bay:>{bw}d},"occupationTime":{sec:>{tw}d},"occupationRate":{rate:.4f}}}'.format(
+            bay=r.bay_id, bw=bay_width, sec=r.occupation_time_sec, tw=time_width,
+            rate=r.occupation_rate,
+        )
+        for r in records
+    ]
+    line = (
+        '{{"type":"rollup","key":"{key}","lotId":"{lot}",'
+        '"windowStart":{ws},"windowEnd":{we},"records":[{recs}]}}'
+    ).format(
+        key=protocol.envelope_key(lot_id, window_start),
+        lot=lot_id,
+        ws=window_start,
+        we=window_end,
+        recs=",".join(parts),
+    )
+    return line.encode("utf-8") + b"\n"
+
+
+def test_encode_rollup_envelope_is_the_str_format_form():
+    rng = random.Random(10)
+    for _ in range(500):
+        window_sec = rng.choice((1, 9, 10, 3600, 86_400, 604_800, rng.randint(1, 10**6)))
+        start = rng.choice((0, 1_542_585_600_000, rng.randint(0, 2**45)))
+        bays = sorted(rng.sample(range(1, rng.choice((10, 100, 12_000)) + 1), rng.randint(0, 9)))
+        records = [
+            RollupRecord(
+                b,
+                sec := rng.randint(0, window_sec),
+                rng.choice((0.0, 1.0, 0.0001, sec / window_sec, rng.random())),
+            )
+            for b in bays
+        ]
+        lot = rng.choice(("LOT-A", "L", "lot_7.b"))
+        args = (lot, start, start + window_sec * 1000, records)
+        assert protocol.encode_rollup_envelope(*args) == format_rollup_envelope(*args)
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ("x", "record must be an object"),
+        ({"occupationTime": 1, "occupationRate": 0.5}, "bayId must be a positive integer"),
+        ({"bayId": 0, "occupationTime": 1, "occupationRate": 0.5},
+         "bayId must be a positive integer"),
+        ({"bayId": 1.0, "occupationTime": 1, "occupationRate": 0.5},
+         "bayId must be a positive integer"),
+        ({"bayId": 1, "occupationTime": -1, "occupationRate": 0.5},
+         "occupationTime must be a non-negative integer"),
+        ({"bayId": 1, "occupationTime": "1", "occupationRate": 0.5},
+         "occupationTime must be a non-negative integer"),
+        ({"bayId": 1, "occupationTime": 3601, "occupationRate": 0.5},
+         "occupationTime 3601 exceeds window 3600 s"),
+        ({"bayId": 1, "occupationTime": 1}, "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": "0.5"},
+         "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": -0.0001},
+         "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": 2},
+         "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": float("nan")},
+         "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": 10**400},
+         "occupationRate must be within [0, 1]"),
+        ({"bayId": 1, "occupationTime": 1, "occupationRate": -(10**400)},
+         "occupationRate must be within [0, 1]"),
+    ],
+)
+def test_parse_wire_records_names_the_rule_a_record_breaks(record, reason):
+    with pytest.raises(protocol.ProtocolError) as caught:
+        protocol.parse_wire_records([record], 3600)
+    assert str(caught.value) == reason
+
+
+def test_parse_wire_records_refuses_a_list_and_unsorted_bays():
+    for raw_records in (None, {"bayId": 1}, "[]"):
+        with pytest.raises(protocol.ProtocolError, match="^records must be a list$"):
+            protocol.parse_wire_records(raw_records, 3600)
+    good = {"bayId": 2, "occupationTime": 0, "occupationRate": 0.0}
+    with pytest.raises(protocol.ProtocolError, match="^records must be sorted by ascending bayId$"):
+        protocol.parse_wire_records([good, good], 3600)
+
+
+def test_parse_rollup_envelope_refuses_an_integer_rate_too_large_for_a_float():
+    line = (
+        b'{"type":"rollup","key":"L:0","lotId":"L","windowStart":0,"windowEnd":3600000,'
+        b'"records":[{"bayId":1,"occupationTime":0,"occupationRate":1' + b"0" * 400 + b"}]}\n"
+    )
+    with pytest.raises(protocol.ProtocolError, match=r"occupationRate must be within \[0, 1\]"):
+        protocol.parse_rollup_envelope(protocol.decode_line(line))
+
+
+def test_parse_wire_records_takes_integer_rates_0_and_1_as_floats():
+    raw = [
+        {"bayId": 1, "occupationTime": 0, "occupationRate": 0},
+        {"bayId": 22, "occupationTime": 3600, "occupationRate": 1},
+    ]
+    records = protocol.parse_wire_records(raw, 3600)
+    assert records == [RollupRecord(1, 0, 0.0), RollupRecord(22, 3600, 1.0)]
+    assert all(type(r.occupation_rate) is float for r in records)
