@@ -64,7 +64,11 @@ class BackoffPolicy:
     cap_ms: int = 30000
 
     def delay_ms(self, attempt: int) -> int:
-        return int(min(self.initial_ms * (self.multiplier ** attempt), self.cap_ms))
+        """initial * multiplier**attempt, capped; the cap once growth overflows a float."""
+        try:
+            return int(min(self.initial_ms * (self.multiplier ** attempt), self.cap_ms))
+        except OverflowError:
+            return self.cap_ms
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,8 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
         raise ValueError(f"not a roll-up CSV name: {stem}")
     body = stem[len("rollup_"):-len(".csv")]
     lot_id, _, stamp = body.rpartition("_")
-    if not lot_id:
-        raise ValueError(f"roll-up CSV name missing lot id: {stem}")
+    if not protocol.is_lot_id(lot_id):
+        raise ValueError(f"roll-up CSV name has no valid lot id: {stem}")
     start_dt = datetime.strptime(stamp, STAMP_FORMAT).replace(tzinfo=timezone.utc)
     window_start = int(start_dt.timestamp() * 1000)
     records: list[RollupRecord] = []
@@ -267,10 +271,7 @@ class EdgeAgentCore:
                 timer.cancel()
         for conn in (self.session, self.hub_conn):
             if conn is not None:
-                try:
-                    conn.close()
-                except ConnectionError:
-                    pass
+                _abandon(conn)
         if self.log_writer is not None:
             self.log_writer.close()
 
@@ -646,28 +647,3 @@ def _abandon(conn: Any) -> None:
         conn.close()
     except ConnectionError:
         pass
-
-
-def run_agent_service(config: AgentConfig, *, warp: float = 1.0) -> None:
-    """Blocking real-time agent (CLI entry)."""
-    import threading
-
-    from .transport import SocketNetwork
-
-    sched = RealScheduler(warp=warp)
-    net = SocketNetwork(sched)
-    core = EdgeAgentCore(sched, net, config)
-    core.start()  # opens the log and dials out before dispatch starts
-    sched.start()
-    log.info(
-        "agent polling %s every %d s, roll-up every %d s, uploading to %s",
-        config.gateway_address, config.poll_interval_sec,
-        config.rollup_period_sec, config.cloud_address,
-    )
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sched.stop()
-        core.stop()

@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Services (gateway, agent, hub) run as independently addressable processes
-speaking the JSON-lines protocol over TCP. The harness command drives the
-in-process virtual-clock simulation and its verification tools.
+speaking the JSON-lines protocol over TCP. Each is crash-only (``serve``):
+its first fault ends it, and a restart recovers from its log or store.
+The harness command drives the in-process virtual-clock simulation and
+its verification tools.
 
-Exit codes: 0 pass, 1 verification failure, 2 configuration error,
-3 component crash.
+Exit codes: 0 pass, or a service stopped by Ctrl-C or at the end of its
+duration; 1 verification failure; 2 configuration error; 3 component
+crash, including a service's failed start or callback.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import harness
-from .agent import AgentConfig, BackoffPolicy, run_agent_service
-from .gateway import FaultPlan, GatewayConfig, SensorModel, run_gateway_service
-from .hub import run_hub_service
+from .agent import AgentConfig, BackoffPolicy, EdgeAgentCore
+from .clock import RealScheduler
+from .gateway import FaultPlan, GatewayConfig, GatewayCore, SensorModel, generate_trace
+from .hub import HubCore, RollupStore
+from .transport import SocketNetwork
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +87,37 @@ def _parse_faults(specs: list[str]) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
+# services
+
+
+def serve(sched: RealScheduler, build: Callable[[SocketNetwork], Any], banner: str,
+          *, until_ms: int | None = None) -> int:
+    """Run one live service crash-only, its scheduler on this thread.
+
+    EXIT_OK on Ctrl-C or at until_ms; EXIT_CRASH on a failed build or
+    start, or on the first callback that raises. The core built over a
+    socket network on sched is stopped on every way out.
+    """
+    core = None
+    try:
+        core = build(SocketNetwork(sched))
+        core.start()  # binds or dials before dispatch starts
+        log.info("%s", banner)
+        if until_ms is not None:
+            sched.call_at(until_ms, sched.stop)
+        sched.run()
+    except KeyboardInterrupt:
+        pass
+    except Exception as exc:
+        log.exception("component crash: %s", exc)
+        return EXIT_CRASH
+    finally:
+        if core is not None:
+            core.stop()
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
 # gateway
 
 
@@ -114,15 +151,18 @@ def main_gateway(argv: list[str] | None = None) -> int:
             faults=_parse_faults(args.inject),
         )
         duration_ms = parse_duration_ms(args.duration)
+        trace = generate_trace(config, duration_ms)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        run_gateway_service(config, duration_ms)
-    except OSError as exc:
-        print(f"gateway startup failed: {exc}", file=sys.stderr)
-        return EXIT_CRASH
-    return EXIT_OK
+    sched = RealScheduler(warp=config.time_warp)
+    return serve(
+        sched,
+        lambda net: GatewayCore(sched, net, config, trace),
+        f"gateway serving {config.bay_count} bays on {config.listen_address} "
+        f"(warp x{config.time_warp:g}, {len(trace.items)} trace items)",
+        until_ms=sched.now_ms() + duration_ms,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +203,16 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
             rollup_period_sec=args.rollup_period_sec,
             reconnect_backoff=BackoffPolicy(),
         )
+        sched = RealScheduler(warp=args.time_warp)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        run_agent_service(config, warp=args.time_warp)
-    except OSError as exc:
-        print(f"agent crashed: {exc}", file=sys.stderr)
-        return EXIT_CRASH
-    return EXIT_OK
+    return serve(
+        sched,
+        lambda net: EdgeAgentCore(sched, net, config),
+        f"agent polling {config.gateway_address} every {config.poll_interval_sec} s, "
+        f"roll-up every {config.rollup_period_sec} s, uploading to {config.cloud_address}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +229,12 @@ def main_hub(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    try:
-        run_hub_service(args.listen, args.store_dir)
-    except OSError as exc:
-        print(f"hub startup failed: {exc}", file=sys.stderr)
-        return EXIT_CRASH
-    return EXIT_OK
+    sched = RealScheduler()
+    return serve(
+        sched,
+        lambda net: HubCore(sched, net, RollupStore(args.store_dir), args.listen),
+        f"hub listening on {args.listen}, store at {args.store_dir}",
+    )
 
 
 # ---------------------------------------------------------------------------

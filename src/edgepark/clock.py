@@ -4,20 +4,18 @@ Every component schedules work as (due epoch-ms, priority, callback).
 Under the virtual scheduler the harness advances time explicitly, so
 multi-day scenarios execute in milliseconds and two runs of the same
 scenario execute the exact same callback sequence. The real scheduler
-runs a dispatcher thread against the wall clock, optionally warped
-(simulated seconds per real second).
+dispatches against the wall clock, optionally warped (simulated seconds
+per real second), on the calling thread or on a daemon thread. It is
+crash-only: the first callback that raises ends its loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import threading
 import time
 from typing import Any, Callable
-
-log = logging.getLogger(__name__)
 
 # Same-instant ordering: window roll-ups run before injected faults,
 # which run before message deliveries and ordinary timers.
@@ -104,12 +102,12 @@ class VirtualScheduler(_EventQueue):
 
 
 class RealScheduler(_EventQueue):
-    """Dispatcher thread over the wall clock, optionally time-warped.
+    """Dispatch loop over the wall clock, optionally time-warped.
 
     now_ms() reads origin + elapsed*warp, so components schedule in
     simulated epoch milliseconds exactly as they do under the virtual
     scheduler. post() is safe from any thread (socket readers use it);
-    all callbacks execute on the single dispatcher thread.
+    all callbacks execute on the one thread running the loop.
     """
 
     def __init__(self, *, warp: float = 1.0, origin_ms: int | None = None) -> None:
@@ -121,7 +119,7 @@ class RealScheduler(_EventQueue):
         self._mono0 = time.monotonic()
         self._cond = threading.Condition()
         self._stopped = False
-        self._thread = threading.Thread(target=self._run, name="edgepark-sched", daemon=True)
+        self._thread = threading.Thread(target=self.run, name="edgepark-sched", daemon=True)
 
     def now_ms(self) -> int:
         return self._origin_ms + int((time.monotonic() - self._mono0) * self._warp * 1000)
@@ -139,34 +137,31 @@ class RealScheduler(_EventQueue):
         return handle
 
     def start(self) -> None:
+        """Run the dispatch loop on the scheduler's daemon thread."""
         self._thread.start()
 
-    def stop(self, *, join: bool = True) -> None:
+    def stop(self) -> None:
+        """End the loop; from another thread, also wait for the daemon thread."""
         with self._cond:
             self._stopped = True
             self._cond.notify()
-        if join and self._thread.is_alive():
+        if self._thread.is_alive() and self._thread is not threading.current_thread():
             self._thread.join(timeout=5)
 
-    def _run(self) -> None:
+    def run(self) -> None:
+        """Dispatch on the calling thread until stop(). Crash-only: the first
+        callback that raises ends the loop, and its exception reaches the
+        caller (under start(), it ends the thread)."""
         while True:
             with self._cond:
-                while True:
-                    if self._stopped:
-                        return
-                    if not self._heap:
-                        self._cond.wait()
-                        continue
-                    due = self._heap[0][0]
-                    wait_real = (due - self.now_ms()) / self._warp / 1000.0
-                    if wait_real > 0:
-                        self._cond.wait(timeout=min(wait_real, 0.5))
-                        continue
-                    _due, _prio, _seq, handle, fn, args = heapq.heappop(self._heap)
-                    break
-            if handle.cancelled:
-                continue
-            try:
+                if self._stopped:
+                    return
+                wait_real = 0.5  # on an empty heap, until a call_at notifies
+                if self._heap:
+                    wait_real = (self._heap[0][0] - self.now_ms()) / self._warp / 1000.0
+                if wait_real > 0:
+                    self._cond.wait(timeout=min(wait_real, 0.5))
+                    continue
+                _due, _prio, _seq, handle, fn, args = heapq.heappop(self._heap)
+            if not handle.cancelled:
                 fn(*args)
-            except Exception:
-                log.exception("scheduled callback failed")

@@ -66,6 +66,8 @@ class GatewayConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
+        if not protocol.is_lot_id(self.lot_id):
+            raise ValueError(protocol.LOT_ID_RULE)
         if self.bay_count < 0:
             raise ValueError("bay count must be non-negative")
         if self.time_warp <= 0:
@@ -301,7 +303,7 @@ class GatewayCore:
         for conn in list(self.sessions):
             conn.close()
         self.sessions.clear()
-        if self.listener is not None and hasattr(self.listener, "close"):
+        if self.listener is not None:
             self.listener.close()
 
     # -- session handling
@@ -383,33 +385,3 @@ class GatewayCore:
         for conn in list(self.sessions):
             conn.close()
         self.sessions.clear()
-
-
-def run_gateway_service(
-    config: GatewayConfig, duration_ms: int, *, trace: SimTrace | None = None
-) -> None:
-    """Blocking real-time gateway (CLI entry); warp comes from config."""
-    import threading
-
-    from .transport import SocketNetwork
-
-    if trace is None:
-        trace = generate_trace(config, duration_ms)
-    sched = RealScheduler(warp=config.time_warp)
-    net = SocketNetwork(sched)
-    core = GatewayCore(sched, net, config, trace)
-    core.start()  # binds before dispatch starts, so failures surface here
-    done = threading.Event()
-    sched.call_at(sched.now_ms() + duration_ms, done.set)
-    sched.start()
-    log.info(
-        "gateway serving %d bays on %s (warp x%g, %d trace items)",
-        config.bay_count, config.listen_address, config.time_warp, len(trace.items),
-    )
-    try:
-        done.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sched.stop()
-        core.stop()

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from . import eventlog
+from . import eventlog, protocol
 from .agent import (
     AgentConfig,
     BackoffPolicy,
@@ -194,6 +194,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _validate_scenario(scenario: ScenarioConfig) -> None:
+    if not protocol.is_lot_id(scenario.lot_id):
+        raise ScenarioError(protocol.LOT_ID_RULE)
     if scenario.days < 1:
         raise ScenarioError("days must be at least 1")
     if scenario.bays < 0:

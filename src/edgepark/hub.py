@@ -11,7 +11,6 @@ left by a crash is dropped on load and cut off before the next append.
 from __future__ import annotations
 
 import logging
-import re
 from contextlib import closing
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -26,8 +25,6 @@ log = logging.getLogger(__name__)
 
 MS_PER_DAY = 86_400_000
 
-_LOT_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
 
 @dataclass(frozen=True)
 class StoredRollup:
@@ -37,6 +34,12 @@ class StoredRollup:
     window_end: int
     records: tuple[RollupRecord, ...]
     received_at: int
+
+    @classmethod
+    def of(cls, envelope: dict[str, Any], received_at: int) -> StoredRollup:
+        """The stored form of a parse_rollup_envelope result."""
+        return cls(envelope["key"], envelope["lotId"], envelope["windowStart"],
+                   envelope["windowEnd"], tuple(envelope["records"]), received_at)
 
 
 @dataclass(frozen=True)
@@ -98,21 +101,25 @@ class RollupStore:
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
         self._by_key: dict[str, StoredRollup] = {}
+        self.skipped_rows = 0
         self._load()
 
     def _load(self) -> None:
+        """Rebuild the index. A stored row is an envelope plus an integer
+        receivedAt; a row that is not is skipped, logged and counted."""
         for path in sorted(self.store_dir.glob("*.jsonl")):
-            rows, _skipped = eventlog.read_records(path)
+            rows, skipped = eventlog.read_records(path)
+            self.skipped_rows += skipped  # read_records logs each one
             for row in rows:
-                records = tuple(
-                    RollupRecord(int(r["bayId"]), int(r["occupationTime"]),
-                                 float(r["occupationRate"]))
-                    for r in row["records"]
-                )
-                self._by_key[row["key"]] = StoredRollup(
-                    row["key"], row["lotId"], int(row["windowStart"]), int(row["windowEnd"]),
-                    records, int(row["receivedAt"]),
-                )
+                try:
+                    envelope = protocol.parse_rollup_envelope(row)
+                    if not protocol.is_wire_int(row.get("receivedAt")):
+                        raise protocol.ProtocolError("receivedAt must be an integer")
+                except protocol.ProtocolError as exc:
+                    log.warning("%s: skipping bad stored row: %s", path, exc)
+                    self.skipped_rows += 1
+                    continue
+                self._by_key[envelope["key"]] = StoredRollup.of(envelope, row["receivedAt"])
         if self._by_key:
             log.info("rollup store: rebuilt index with %d records", len(self._by_key))
 
@@ -121,10 +128,7 @@ class RollupStore:
         key = envelope["key"]
         if key in self._by_key:
             return False
-        stored = StoredRollup(
-            key, envelope["lotId"], envelope["windowStart"], envelope["windowEnd"],
-            tuple(envelope["records"]), received_at,
-        )
+        stored = StoredRollup.of(envelope, received_at)
         path = self.store_dir / f"{stored.lot_id}.jsonl"
         with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
             writer.append(store_row_line(stored))
@@ -198,7 +202,7 @@ class HubCore:
         self.listener = self.net.listen(self.listen_address, self._accept)
 
     def stop(self) -> None:
-        if self.listener is not None and hasattr(self.listener, "close"):
+        if self.listener is not None:
             self.listener.close()
 
     def _accept(self, conn: Any) -> None:
@@ -226,8 +230,6 @@ class HubCore:
         """Store one upload; the reply is its ack, an error, or None for a dropped ack."""
         try:
             envelope = protocol.parse_rollup_envelope(message)
-            if not _LOT_ID_RE.match(envelope["lotId"]):
-                raise protocol.ProtocolError("lotId must be filesystem-safe")
         except protocol.ProtocolError as exc:
             return protocol.error_message(str(exc))
         self.store.receive(envelope, received_at=self.sched.now_ms())
@@ -256,25 +258,3 @@ class HubCore:
         if report is None:
             return protocol.not_found_message()
         return weekly_to_wire(report)
-
-
-def run_hub_service(listen_address: str, store_dir: str | Path) -> None:
-    """Blocking real-time hub (CLI entry)."""
-    import threading
-
-    from .transport import SocketNetwork
-
-    sched = RealScheduler()
-    net = SocketNetwork(sched)
-    store = RollupStore(store_dir)
-    core = HubCore(sched, net, store, listen_address)
-    core.start()  # binds before dispatch starts, so failures surface here
-    sched.start()
-    log.info("hub listening on %s, store at %s", listen_address, store_dir)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sched.stop()
-        core.stop()

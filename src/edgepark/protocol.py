@@ -31,6 +31,7 @@ accepted as bay 1 would be written back as ``True``, which is not JSON.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
@@ -182,6 +183,15 @@ def encode_rollup_envelope(
     ).encode("utf-8")
 
 
+_LOT_ID = re.compile(r"[A-Za-z0-9_.-]+")
+LOT_ID_RULE = "lot id must be letters, digits, '_', '.' or '-'"
+
+
+def is_lot_id(value: Any) -> bool:
+    """The one lot-id rule. A lot id names files and goes into envelopes unescaped."""
+    return isinstance(value, str) and _LOT_ID.fullmatch(value) is not None
+
+
 def is_wire_int(value: Any) -> bool:
     """True for a JSON integer; JSON booleans decode to bool and are refused."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -229,14 +239,14 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
 def parse_rollup_envelope(message: Mapping[str, Any]) -> dict[str, Any]:
     """Validate a rollup upload; returns the normalized fields.
 
-    Raises ProtocolError on any schema violation.
+    Raises ProtocolError on any schema violation. The caller dispatches on
+    the type: a stored hub row has none.
     """
-    _require(message.get("type") == "rollup", "type must be 'rollup'")
     lot_id = message.get("lotId")
     ws = message.get("windowStart")
     we = message.get("windowEnd")
     key = message.get("key")
-    _require(isinstance(lot_id, str) and bool(lot_id), "lotId must be a non-empty string")
+    _require(is_lot_id(lot_id), LOT_ID_RULE)
     _require(is_wire_int(ws) and is_wire_int(we), "window bounds must be integers")
     _require(we > ws, "windowEnd must exceed windowStart")
     _require(key == envelope_key(lot_id, ws), "key must be '<lotId>:<windowStart>'")
@@ -260,7 +270,7 @@ def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]
         _require(isinstance(lot, dict), "parking lot entry must be an object")
         lot_id = lot.get("lotId")
         bays = lot.get("bays")
-        _require(isinstance(lot_id, str) and bool(lot_id), "lotId must be a non-empty string")
+        _require(is_lot_id(lot_id), LOT_ID_RULE)
         _require(isinstance(bays, list), "bays must be a list")
         for bay in bays:
             _require(isinstance(bay, dict), "bay entry must be an object")
@@ -276,7 +286,7 @@ def parse_bays_update(message: Mapping[str, Any]) -> tuple[str, int, str]:
     _require(message.get("type") == "baysUpdate", "type must be 'baysUpdate'")
     lot_id = message.get("lotId")
     bay = message.get("bay")
-    _require(isinstance(lot_id, str) and bool(lot_id), "lotId must be a non-empty string")
+    _require(is_lot_id(lot_id), LOT_ID_RULE)
     _require(isinstance(bay, dict), "bay must be an object")
     bay_id = bay.get("id")
     status = bay.get("status")

@@ -180,28 +180,14 @@ class SocketConn(_LineEndpoint):
         self._sched.post(self._deliver_close)
 
 
-class SocketListener:
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self.closed = False
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
 class SocketNetwork:
     """TCP implementation bound to one RealScheduler."""
 
     def __init__(self, sched: RealScheduler) -> None:
         self._sched = sched
 
-    def listen(self, address: str, on_accept: Callable[[SocketConn], None]) -> SocketListener:
+    def listen(self, address: str, on_accept: Callable[[SocketConn], None]) -> socket.socket:
+        """Bind and accept on a daemon thread; closing the returned socket ends it."""
         host, port = parse_address(address)
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -222,7 +208,7 @@ class SocketNetwork:
                 self._sched.post(self._admit, on_accept, conn)
 
         threading.Thread(target=accept_loop, name=f"accept-{address}", daemon=True).start()
-        return SocketListener(server)
+        return server
 
     @staticmethod
     def _admit(on_accept: Callable[[SocketConn], None], conn: SocketConn) -> None:

@@ -8,6 +8,7 @@ from edgepark import eventlog, harness, protocol
 from edgepark.agent import (
     WARNING_KINDS,
     AgentConfig,
+    BackoffPolicy,
     EdgeAgentCore,
     csv_filename,
     read_csv_records,
@@ -529,6 +530,14 @@ def test_read_csv_records_roundtrip(tmp_path):
     assert parsed == records
 
 
+@pytest.mark.parametrize("lot_id", ["a b", "LOT\u00e9", ""])
+def test_read_csv_records_refuses_a_name_without_a_valid_lot_id(tmp_path, lot_id):
+    path = tmp_path / f"rollup_{lot_id}_20181119T000000Z.csv"
+    path.write_text("bayId,occupationTime,occupationRate\n")
+    with pytest.raises(ValueError, match="no valid lot id"):
+        read_csv_records(path)
+
+
 def test_csv_filename_uses_utc_basic_format():
     assert csv_filename("LOT-A", EPOCH_MS) == "rollup_LOT-A_20181119T000000Z.csv"
 
@@ -749,3 +758,49 @@ def test_recovery_requeues_existing_csvs(tmp_path):
     agent, _ = make_agent(tmp_path)
     agent.start()
     assert [p.key for p in agent.upload_queue] == [f"LOT-A:{EPOCH_MS - DAY_MS}"]
+
+
+# ---------------------------------------------------------------------------
+# backoff
+
+
+@pytest.mark.parametrize(
+    "policy", [BackoffPolicy(), BackoffPolicy(1000, 1.0, 1000)], ids=["default", "flat"]
+)
+def test_backoff_is_the_capped_float_formula_wherever_that_does_not_overflow(policy):
+    for attempt in range(1024):
+        reference = int(min(policy.initial_ms * policy.multiplier ** attempt, policy.cap_ms))
+        assert policy.delay_ms(attempt) == reference
+
+
+@pytest.mark.parametrize("attempt", [1024, 1025, 10**6])
+def test_backoff_stays_at_the_cap_past_a_float_overflow(attempt):
+    with pytest.raises(OverflowError):
+        2.0 ** attempt
+    assert BackoffPolicy().delay_ms(attempt) == 30_000
+    assert BackoffPolicy(1000, 1.0, 1000).delay_ms(attempt) == 1000
+
+
+def test_agent_redials_a_gateway_back_after_a_ten_hour_outage(rig_factory):
+    rig = rig_factory(backoff=BackoffPolicy(), start_agent=False)
+    rig.net.unlisten(GATEWAY_ADDRESS)
+    rig.agent.start()
+    rig.run_for(10 * HOUR_MS)  # 30 s apart at the cap: past attempt 1,024
+    assert rig.agent.connect_attempt > 1024
+    assert not rig.agent.handshaken
+    rig.net.listen(GATEWAY_ADDRESS, rig.gateway._accept)
+    rig.run_for(30_000)
+    assert rig.agent.handshaken
+
+
+def test_agent_uploads_to_a_hub_back_after_a_ten_hour_outage(rig_factory):
+    rig = rig_factory(rollup_period_sec=3600, backoff=BackoffPolicy())
+    rig.hub.stop()
+    rig.net.unlisten(HUB_ADDRESS)
+    rig.run_for(10 * HOUR_MS)
+    assert rig.agent.upload_attempt > 1024
+    assert len(rig.agent.upload_queue) == 10
+    rig.net.listen(HUB_ADDRESS, rig.hub._accept)
+    rig.run_for(HOUR_MS)
+    assert len(rig.store) == 11
+    assert not rig.agent.upload_queue

@@ -95,19 +95,19 @@ def test_verify_failure_exits_1(tmp_path):
     assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_VERIFY_FAILED
 
 
-def never_start_agent(config, warp):
-    pytest.fail(f"agent started with poll interval {config.poll_interval_sec} s")
+def never_serve(sched, build, banner, until_ms=None):
+    pytest.fail(f"service started: {banner}")
 
 
 def test_agent_env_overrides_apply(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_agent_service", never_start_agent)
+    monkeypatch.setattr(cli, "serve", never_serve)
     # The env sets the default; the poll-interval check proves it took effect.
     assert cli.main_agent([], env={"EDGEPARK_POLL_INTERVAL_SEC": "0"}) == cli.EXIT_CONFIG
     assert "poll interval" in capsys.readouterr().err
 
 
 def test_agent_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_agent_service", never_start_agent)
+    monkeypatch.setattr(cli, "serve", never_serve)
     # A valid env value loses to an invalid flag, so the agent never starts.
     code = cli.main_agent(
         ["--poll-interval-sec", "0"],

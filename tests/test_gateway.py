@@ -32,6 +32,12 @@ def config(bays=22, seed=0, occ=450.0, free=990.0):
     return GatewayConfig("sim://gw", "LOT", bays, SensorModel(occ, free, seed))
 
 
+@pytest.mark.parametrize("lot_id", ['LOT"A', "a/b", "LOT A", "LOT-A\n"])
+def test_config_refuses_a_lot_id_the_hub_would_refuse(lot_id):
+    with pytest.raises(ValueError, match=protocol.LOT_ID_RULE):
+        GatewayConfig("sim://gw", lot_id)
+
+
 # ---------------------------------------------------------------------------
 # generate_trace
 

@@ -70,6 +70,14 @@ def test_parse_scenario_rejects_bad_input(tmp_path, content):
         harness.parse_scenario(path)
 
 
+@pytest.mark.parametrize("lot_id", ['LOT"A', "a/b", "LOT A"])
+def test_parse_scenario_refuses_a_lot_id_the_hub_would_refuse(tmp_path, lot_id):
+    path = tmp_path / "s.scenario"
+    path.write_text(f"lot_id = {lot_id}\nbays = 2\n")
+    with pytest.raises(harness.ScenarioError, match=protocol.LOT_ID_RULE):
+        harness.parse_scenario(path)
+
+
 def test_parse_scenario_missing_file():
     with pytest.raises(harness.ScenarioError):
         harness.parse_scenario("/nonexistent/path.scenario")

@@ -335,3 +335,94 @@ def test_integer_rate_too_large_for_a_float_gets_an_error_and_the_link_lives_on(
     ))
     assert probe.received[1] == {"type": "ack", "key": f"LOT-A:{EPOCH_MS}"}
     assert len(probe.store) == 1
+
+
+def test_lot_id_with_a_trailing_newline_gets_an_error_and_no_file(tmp_path):
+    probe = HubProbe(tmp_path)
+    lot = "LOT-A\n"
+    probe.send(protocol.encode_line({
+        "type": "rollup", "key": protocol.envelope_key(lot, EPOCH_MS), "lotId": lot,
+        "windowStart": EPOCH_MS, "windowEnd": EPOCH_MS + DAY_MS,
+        "records": [{"bayId": 1, "occupationTime": 0, "occupationRate": 0.0}],
+    }))
+    assert probe.received == [{"type": "error", "reason": protocol.LOT_ID_RULE}]
+    assert len(probe.store) == 0
+    assert list(probe.store.store_dir.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# store rows on load
+
+
+GOOD_ROW = {
+    "key": f"LOT-A:{EPOCH_MS + DAY_MS}", "lotId": "LOT-A", "windowStart": EPOCH_MS + DAY_MS,
+    "windowEnd": EPOCH_MS + 2 * DAY_MS, "receivedAt": 7,
+    "records": [{"bayId": 1, "occupationTime": 60, "occupationRate": 0.0007}],
+}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"key": "L:0", "lotId": "L", "windowStart": 0, "windowEnd": 1000, "receivedAt": 1},
+        {k: v for k, v in GOOD_ROW.items() if k != "receivedAt"},
+        dict(GOOD_ROW, receivedAt=True),
+        dict(GOOD_ROW, receivedAt="7"),
+        dict(GOOD_ROW, lotId="a/b", key=f"a/b:{EPOCH_MS + DAY_MS}"),
+        dict(GOOD_ROW, key="LOT-A:0"),
+        dict(GOOD_ROW, records=[{"bayId": 1, "occupationTime": 60}]),
+        dict(GOOD_ROW, records=[{"bayId": 2, "occupationTime": 0, "occupationRate": 0.0},
+                                {"bayId": 1, "occupationTime": 0, "occupationRate": 0.0}]),
+    ],
+    ids=["no-records", "no-receivedAt", "bool-receivedAt", "str-receivedAt", "bad-lot",
+         "bad-key", "record-without-rate", "unsorted-records"],
+)
+def test_a_bad_stored_row_is_skipped_logged_and_counted(tmp_path, row, caplog):
+    store = RollupStore(tmp_path, fsync=False)
+    store.receive(envelope(), received_at=1)
+    with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
+        fh.write(protocol.encode_line(row) + protocol.encode_line(GOOD_ROW))
+    reopened = RollupStore(tmp_path, fsync=False)
+    assert reopened.skipped_rows == 1
+    assert "skipping bad stored row" in caplog.text
+    assert len(reopened) == 2  # the rows before and after it are kept
+    assert reopened.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
+    assert reopened.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 60, 0.0007),)
+
+
+def test_load_counts_a_torn_row_as_skipped(tmp_path):
+    store = RollupStore(tmp_path, fsync=False)
+    store.receive(envelope(), received_at=1)
+    with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
+        fh.write(b'{"key":"L:864')
+    assert RollupStore(tmp_path, fsync=False).skipped_rows == 1
+
+
+def test_a_stored_row_loads_as_the_rollup_it_stored(tmp_path):
+    rng = random.Random(5)
+    store = RollupStore(tmp_path, fsync=False)
+    for i in range(200):
+        store.receive(protocol.parse_rollup_envelope(random_wire_envelope(rng)), received_at=i)
+    reopened = RollupStore(tmp_path, fsync=False)
+    assert reopened.skipped_rows == 0
+    assert reopened.lots() == store.lots()
+    for lot in store.lots():
+        assert reopened.windows_for(lot) == store.windows_for(lot)
+
+
+def test_receive_indexes_a_key_only_after_its_append_returns(tmp_path, monkeypatch):
+    from edgepark import eventlog
+
+    store = RollupStore(tmp_path, fsync=False)
+    real_append = eventlog.EventLogWriter.append
+
+    def failing_append(self, line):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(eventlog.EventLogWriter, "append", failing_append)
+    with pytest.raises(OSError, match="disk full"):
+        store.receive(envelope(), received_at=1)
+    assert len(store) == 0
+    monkeypatch.setattr(eventlog.EventLogWriter, "append", real_append)
+    assert store.receive(envelope(), received_at=2) is True
+    assert RollupStore(tmp_path, fsync=False).query_daily("LOT-A", EPOCH_MS) is not None

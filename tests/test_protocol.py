@@ -191,6 +191,30 @@ def test_parse_wire_records_rejects_boolean_fields(field):
         protocol.parse_wire_records([record], 86_400)
 
 
+# One lot-id rule for every parser: a lot id names hub files and CSVs and
+# is written into envelopes unescaped.
+BAD_LOT_IDS = ['LOT"A', "a/b", "LOT A", "LOT-A\n", "\nLOT-A", "", "LOT\u00e9", "a:b", None, 7]
+
+
+@pytest.mark.parametrize("lot_id", ["LOT-A", "lot_7.b", "L", "0"])
+def test_is_lot_id_takes_letters_digits_underscore_dot_and_dash(lot_id):
+    assert protocol.is_lot_id(lot_id)
+
+
+@pytest.mark.parametrize("lot_id", BAD_LOT_IDS)
+def test_every_parser_refuses_a_bad_lot_id(lot_id):
+    assert not protocol.is_lot_id(lot_id)
+    snapshot = {"type": "bays", "data": [{"lotId": lot_id, "bays": [{"id": 1, "status": "free"}]}]}
+    update = bays_update_message(lot_id, 1, "free")
+    envelope = {"type": "rollup", "key": f"{lot_id}:0", "lotId": lot_id, "windowStart": 0,
+                "windowEnd": 86_400_000, "records": []}
+    for parse, message in ((protocol.parse_bays_snapshot, snapshot),
+                           (protocol.parse_bays_update, update),
+                           (protocol.parse_rollup_envelope, envelope)):
+        with pytest.raises(protocol.ProtocolError, match=protocol.LOT_ID_RULE):
+            parse(message)
+
+
 def _records(values):
     return [RollupRecord(b, s, r) for b, s, r in values]
 
