@@ -8,7 +8,7 @@ its verification tools.
 
 Exit codes: 0 pass, or a service stopped by Ctrl-C or at the end of its
 duration; 1 verification failure; 2 configuration error; 3 component
-crash, including a service's failed start or callback.
+crash, including a service's failed start, callback or stop.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def serve(sched: RealScheduler, build: Callable[[SocketNetwork], Any], banner: s
           *, until_ms: int | None = None) -> int:
     """Run one live service crash-only, its scheduler on this thread.
 
-    EXIT_OK on Ctrl-C or at until_ms; EXIT_CRASH on a failed build or
-    start, or on the first callback that raises. The core built over a
-    socket network on sched is stopped on every way out.
+    EXIT_OK on Ctrl-C or at until_ms; EXIT_CRASH on a failed build,
+    start or stop, or on the first callback that raises. The core built
+    over a socket network on sched is stopped on every way out.
     """
-    core = None
+    code, core = EXIT_OK, None
     try:
         core = build(SocketNetwork(sched))
         core.start()  # binds or dials before dispatch starts
@@ -110,11 +110,15 @@ def serve(sched: RealScheduler, build: Callable[[SocketNetwork], Any], banner: s
         pass
     except Exception as exc:
         log.exception("component crash: %s", exc)
-        return EXIT_CRASH
+        code = EXIT_CRASH
     finally:
-        if core is not None:
-            core.stop()
-    return EXIT_OK
+        try:
+            if core is not None:
+                core.stop()
+        except Exception as exc:
+            log.exception("component crash on stop: %s", exc)
+            code = EXIT_CRASH
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +278,7 @@ def main_harness(argv: list[str] | None = None) -> int:
 
     if args.command == "run-sim":
         try:
-            scenario = harness.parse_scenario(args.scenario)
-        except harness.ScenarioError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            result = harness.run_sim(scenario, args.out)
+            result = harness.run_sim(harness.parse_scenario(args.scenario), args.out)
         except harness.ScenarioError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

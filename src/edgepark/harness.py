@@ -161,7 +161,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     values: dict[str, Any] = {"start": _parse_start(DEFAULT_START)}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

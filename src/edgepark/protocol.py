@@ -26,6 +26,8 @@ two whitespace regex matches.
 Integer fields reject JSON booleans (``is_wire_int``, or ``type(x) is
 int`` per roll-up record): Python's bool is an int, and a ``true``
 accepted as bay 1 would be written back as ``True``, which is not JSON.
+They also reject an integer outside the signed 64-bit range, whose sums
+could outgrow the interpreter's int digit limit and fail to print.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def is_lot_id(value: Any) -> bool:
 
 
 def is_wire_int(value: Any) -> bool:
-    """True for a JSON integer; JSON booleans decode to bool and are refused."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for a JSON integer in the signed 64-bit range; a JSON true is not one."""
+    return type(value) is int and -2**63 <= value < 2**63
 
 
 def _require(condition: bool, reason: str) -> None:
@@ -219,7 +221,7 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
             bay_id = raw.get("bayId")
             sec = raw.get("occupationTime")
             rate = raw.get("occupationRate")
-            if type(bay_id) is not int or bay_id < 1:  # a JSON true decodes to bool
+            if type(bay_id) is not int or not 1 <= bay_id < 2**63:  # a JSON true is a bool
                 raise ProtocolError("bayId must be a positive integer")
             if type(sec) is not int or sec < 0:
                 raise ProtocolError("occupationTime must be a non-negative integer")

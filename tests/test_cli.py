@@ -81,6 +81,15 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["latin1.scn", "missing.scn"])
+def test_unreadable_scenario_exits_2(tmp_path, capsys, name):
+    (tmp_path / "latin1.scn").write_bytes("lot_id = LOT\xe9\n".encode("latin-1"))
+    assert cli.main_harness(
+        ["run-sim", "--scenario", str(tmp_path / name), "--out", str(tmp_path / "x")]
+    ) == cli.EXIT_CONFIG
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_1(tmp_path):
     scenario = write_scenario(
         tmp_path, "seed = 4\nbays = 3\ndays = 1\nmean_occupied_min = 30\nmean_free_min = 60\n"

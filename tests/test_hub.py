@@ -302,6 +302,35 @@ def test_query_with_boolean_start_gets_error_reply(tmp_path, message):
     assert probe.received[0]["type"] == "error"
 
 
+def test_a_4300_digit_week_start_gets_an_error_and_the_link_lives_on(tmp_path):
+    # json decodes it, but weekStart + one day has 4,301 digits, which no
+    # envelope key can print: the query must be refused before that sum.
+    probe = HubProbe(tmp_path)
+    probe.send(b'{"type":"queryWeekly","lotId":"L","weekStart":%s}\n' % (b"9" * 4300))
+    assert probe.received == [
+        {"type": "error", "reason": "queryWeekly needs lotId and weekStart"}
+    ]
+    probe.send(protocol.encode_rollup_envelope(
+        "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, full_day_records(27_000)
+    ))
+    probe.send(protocol.encode_line(protocol.query_weekly_message("LOT-A", EPOCH_MS)))
+    assert probe.received[-1]["type"] == "weekly"
+
+
+@pytest.mark.parametrize(
+    "start", [2**63, -(2**63) - 1, int("9" * 4300), -int("9" * 4300)],
+    ids=["2**63", "-2**63-1", "4300-nines", "-4300-nines"],
+)
+@pytest.mark.parametrize("query", ["queryDaily", "queryWeekly"])
+def test_query_with_a_start_outside_64_bits_gets_error_reply(tmp_path, query, start):
+    probe = HubProbe(tmp_path)
+    field = "windowStart" if query == "queryDaily" else "weekStart"
+    probe.send(protocol.encode_line({"type": query, "lotId": "LOT-A", field: start}))
+    assert probe.received == [
+        {"type": "error", "reason": f"{query} needs lotId and {field}"}
+    ]
+
+
 def test_unknown_type_gets_error_reply(tmp_path):
     probe = HubProbe(tmp_path)
     probe.send(protocol.encode_line({"type": "mystery"}))

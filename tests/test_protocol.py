@@ -191,6 +191,42 @@ def test_parse_wire_records_rejects_boolean_fields(field):
         protocol.parse_wire_records([record], 86_400)
 
 
+# Every wire integer fits a signed 64-bit word: json decodes integers of up
+# to 4,300 digits, and a sum of one can outgrow the digit limit of str().
+OUT_OF_RANGE = [2**63, -(2**63) - 1, int("9" * 4300), -int("9" * 4300)]
+OUT_OF_RANGE_IDS = ["2**63", "-2**63-1", "4300-nines", "-4300-nines"]
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 2**63 - 1, -(2**63)])
+def test_is_wire_int_takes_a_64_bit_integer(value):
+    assert protocol.is_wire_int(value)
+
+
+@pytest.mark.parametrize(
+    "value", OUT_OF_RANGE + [True, False, 1.0, "1", None],
+    ids=OUT_OF_RANGE_IDS + ["true", "false", "1.0", "str", "none"],
+)
+def test_is_wire_int_refuses_what_is_not_a_64_bit_integer(value):
+    assert not protocol.is_wire_int(value)
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+def test_every_parser_refuses_an_integer_outside_64_bits(value):
+    snapshot = {"type": "bays", "data": [{"lotId": "L", "bays": [{"id": value, "status": "free"}]}]}
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_bays_snapshot(snapshot)
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_bays_update(bays_update_message("L", value, "free"))
+    for start, end in ((value, value + 1000), (0, value)):
+        envelope = {"type": "rollup", "key": f"L:{start}", "lotId": "L", "windowStart": start,
+                    "windowEnd": end, "records": []}
+        with pytest.raises(protocol.ProtocolError):
+            protocol.parse_rollup_envelope(envelope)
+    record = {"bayId": value, "occupationTime": 0, "occupationRate": 0.0}
+    with pytest.raises(protocol.ProtocolError, match="bayId must be a positive integer"):
+        protocol.parse_wire_records([record], 3600)
+
+
 # One lot-id rule for every parser: a lot id names hub files and CSVs and
 # is written into envelopes unescaped.
 BAD_LOT_IDS = ['LOT"A', "a/b", "LOT A", "LOT-A\n", "\nLOT-A", "", "LOT\u00e9", "a:b", None, 7]

@@ -1,13 +1,16 @@
 """Live services: the real-time dispatch loop and the crash-only runner."""
 
+import json
 import socket
 import time
 
 import pytest
 
-from edgepark import cli
+from edgepark import cli, protocol
 from edgepark.clock import RealScheduler
+from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS
 from edgepark.hub import HubCore, RollupStore
+from edgepark.occupancy import RollupRecord
 
 from conftest import EPOCH_MS
 
@@ -39,11 +42,13 @@ def test_a_callback_that_stops_the_loop_ends_run_and_the_thread():
 
 
 class RecordedCore:
-    """A core whose stops are counted; start runs the given function."""
+    """A core whose stops are counted; start runs the given function, and
+    stop raises stop_error if one is given."""
 
-    def __init__(self, start, inner=None):
+    def __init__(self, start, inner=None, stop_error=None):
         self._start = start
         self.inner = inner
+        self.stop_error = stop_error
         self.stops = 0
 
     def start(self):
@@ -53,13 +58,15 @@ class RecordedCore:
         self.stops += 1
         if self.inner is not None:
             self.inner.stop()
+        if self.stop_error is not None:
+            raise self.stop_error
 
 
-def serve_recorded(sched, start, **kwargs):
+def serve_recorded(sched, start, stop_error=None, **kwargs):
     built = []
 
     def build(net):
-        built.append(RecordedCore(start))
+        built.append(RecordedCore(start, stop_error=stop_error))
         return built[0]
 
     code = cli.serve(sched, build, "test service", **kwargs)
@@ -96,6 +103,30 @@ def test_serve_returns_ok_at_until_ms_and_stops_the_core():
     )
     assert code == cli.EXIT_OK
     assert ran == [1]
+    assert core.stops == 1
+
+
+def test_serve_returns_crash_for_a_stop_that_raises_after_a_clean_end():
+    # Like an agent whose last log flush fails with ENOSPC as it closes.
+    sched = RealScheduler(warp=1000.0)
+    code, core = serve_recorded(
+        sched, lambda: None, stop_error=OSError(28, "No space left on device"),
+        until_ms=sched.now_ms() + 100,
+    )
+    assert code == cli.EXIT_CRASH
+    assert core.stops == 1
+
+
+def test_serve_returns_crash_for_a_stop_that_raises_after_a_crash():
+    sched = RealScheduler(warp=1000.0)
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    code, core = serve_recorded(
+        sched, lambda: sched.post(boom), stop_error=OSError(28, "No space left on device")
+    )
+    assert code == cli.EXIT_CRASH
     assert core.stops == 1
 
 
@@ -146,3 +177,72 @@ def test_gateway_with_a_bad_lot_id_exits_2(capsys):
     argv = ["--listen", "127.0.0.1:0", "--lot-id", "a/b", "--duration", "1s"]
     assert cli.main_gateway(argv) == cli.EXIT_CONFIG
     assert "lot id must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# hostile input: a live service ends at the first exception that escapes a
+# handler, so each handler of outside input must answer or drop a bad line.
+
+HOUR_MS = 3_600_000
+HOSTILE_VALUES = [
+    True, None, -1, 0, 2**63, -(2**63) - 1, int("9" * 4300), -int("9" * 4300),
+    0.5, float("nan"), float("inf"), "x", "\ud800", [], {}, [[[]]],
+]
+
+
+def hostile_variants(value):
+    """value with one part at a time replaced by each hostile value or left out."""
+    yield from HOSTILE_VALUES
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield {k: v for k, v in value.items() if k != key}
+            for variant in hostile_variants(inner):
+                yield dict(value, **{key: variant})
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            for variant in hostile_variants(inner):
+                yield value[:i] + [variant] + value[i + 1:]
+
+
+def hostile_lines(*templates):
+    return [protocol.encode_line(v) for t in templates for v in hostile_variants(t)]
+
+
+def send_each_on_a_new_link(rig, address, lines):
+    for line in lines:
+        conn = rig.net.connect(address)
+        conn.on_message = conn.on_close = lambda *_: None
+        conn.send(line)
+        rig.run_for(0)
+        conn.close()
+
+
+def test_no_hostile_line_ends_the_hub_the_gateway_or_the_agent(rig_factory):
+    rig = rig_factory(rollup_period_sec=3600)
+    rig.run_for(HOUR_MS + 60_000)  # one hourly window uploaded: the agent has a hub link
+    assert len(rig.store) == 1 and rig.agent.hub_conn is not None
+    envelope = json.loads(protocol.encode_rollup_envelope(
+        "LOT-A", EPOCH_MS + 5 * HOUR_MS, EPOCH_MS + 6 * HOUR_MS,
+        [RollupRecord(1, 60, 0.0167), RollupRecord(2, 0, 0.0)],
+    ))
+    send_each_on_a_new_link(rig, HUB_ADDRESS, hostile_lines(
+        envelope,
+        protocol.query_daily_message("LOT-A", EPOCH_MS),
+        protocol.query_weekly_message("LOT-A", EPOCH_MS),
+    ))
+    send_each_on_a_new_link(rig, GATEWAY_ADDRESS, hostile_lines(
+        {"type": "hello", "client": "probe", "proto": 1}, {"type": "ping", "seq": 1},
+    ))
+    for line in hostile_lines(
+        protocol.bays_message("LOT-A", [(1, "free"), (2, "occupied")]),
+        protocol.decode_line(protocol.bays_update_line("LOT-A", 1, "occupied")),
+        {"type": "pong", "seq": 1}, {"type": "error", "reason": "x"},
+    ):
+        rig.agent.session.peer.send(line)  # as the gateway
+        rig.run_for(0)
+    for line in hostile_lines({"type": "ack", "key": f"LOT-A:{EPOCH_MS}"}):
+        rig.agent.hub_conn.peer.send(line)  # as the hub
+        rig.run_for(0)
+    rig.run_for(HOUR_MS)  # every component still serves
+    assert rig.agent.handshaken
+    assert rig.store.query_daily("LOT-A", EPOCH_MS + HOUR_MS) is not None
