@@ -15,7 +15,8 @@ so unobserved time is never counted; a session that ended before its
 snapshot only backs off and redials. The hub link ends in
 ``_end_upload_link``: the unacked upload is retried with backoff. Both
 close the dropped connection without running its on_close, so a dropped
-connection never calls back into the agent.
+connection never calls back into the agent. An upload the hub refuses by
+its key is final: it is parked in the dead letter and never resent.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV na
 CLIENT_NAME = "edge-agent"  # sent in the hello
 
 # The agent counts its warnings by these kinds, in bounded memory; each
-# warning is also logged where it is raised. The last two come from
-# occupancy.apply_event.
+# warning is also logged where it is raised. duplicate_update and
+# unknown_bay come from occupancy.apply_event.
 WARNING_KINDS = (
     "skipped_log_line", "csv_requeue_failed", "gateway_error", "unexpected_message",
     "malformed_snapshot", "update_before_snapshot", "malformed_update", "rejected_event",
-    "duplicate_update", "unknown_bay",
+    "duplicate_update", "unknown_bay", "upload_refused",
 )
 
 
@@ -521,6 +522,7 @@ class EdgeAgentCore:
         window = RollupWindow(self.window_start, boundary)
         records, _ = rollup(self.table, window)
         lot_id = self.lot_id if self.lot_id is not None else "unknown"
+        key = protocol.envelope_key(lot_id, window.start)
         payload = protocol.encode_rollup_envelope(lot_id, window.start, window.end, records)
         try:
             write_csv(records, window, lot_id, self.config.csv_dir)
@@ -529,7 +531,8 @@ class EdgeAgentCore:
             try:
                 write_csv(records, window, lot_id, self.config.csv_dir)
             except OSError as exc2:
-                self._dead_letter(lot_id, window, payload, exc2)
+                # The in-memory reset must never be skipped; park the envelope instead.
+                self._dead_letter(key, payload, f"CSV write failed twice ({exc2})")
         # One write and one flush: the flush marker, then the carried-over
         # statuses, so replay from the marker rebuilds the post-reset table.
         block = [protocol.encode_line(eventlog.flush_record(boundary, window.start))]
@@ -539,21 +542,16 @@ class EdgeAgentCore:
         )
         self._append_log(b"".join(block))
         self.window_start = boundary
-        self.upload_queue.append(
-            _PendingUpload(protocol.envelope_key(lot_id, window.start), payload)
-        )
+        self.upload_queue.append(_PendingUpload(key, payload))
         self._pump_uploads()
 
-    def _dead_letter(
-        self, lot_id: str, window: RollupWindow, payload: bytes, exc: Exception
-    ) -> None:
-        # The in-memory reset must never be skipped; park the envelope instead.
+    def _dead_letter(self, key: str, payload: bytes, why: str) -> None:
+        """Park an envelope as deadletter/<lotId>_<windowStart>.envelope.json."""
         dead_dir = Path(self.config.csv_dir) / "deadletter"
         try:
             dead_dir.mkdir(parents=True, exist_ok=True)
-            name = f"{lot_id}_{window.start}.envelope.json"
-            (dead_dir / name).write_bytes(payload)
-            log.error("CSV write failed twice (%s); envelope parked in %s", exc, dead_dir)
+            (dead_dir / f"{key.replace(':', '_')}.envelope.json").write_bytes(payload)
+            log.error("%s; envelope parked in %s", why, dead_dir)
         except OSError as park_exc:
             log.error("dead-letter write also failed: %s", park_exc)
 
@@ -596,19 +594,22 @@ class EdgeAgentCore:
         self._end_upload_link(f"ack timed out for {self.upload_inflight}")
 
     def _on_hub_message(self, message: dict[str, Any]) -> None:
+        """An ack or an error naming the in-flight key ends it; a refused envelope is parked."""
         if self._dead:
             return
-        if message.get("type") != "ack":
-            return  # malformed reply: the ack timer handles it
+        mtype = message.get("type")
         key = message.get("key")
-        if self.upload_inflight is None or key != self.upload_inflight:
-            return
+        if mtype not in ("ack", "error") or key is None or key != self.upload_inflight:
+            return  # any other reply: the ack timer handles it
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
         self.upload_inflight = None
         self.upload_attempt = 0
-        self.upload_queue.popleft()
+        head = self.upload_queue.popleft()
+        if mtype == "error":
+            self._warn("upload_refused", "hub refused %s: %s", key, message.get("reason"))
+            self._dead_letter(key, head.payload, f"hub refused {key}")
         self._pump_uploads()
 
     def _on_hub_close(self) -> None:

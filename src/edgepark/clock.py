@@ -1,12 +1,13 @@
 """Time sources: a manually stepped virtual scheduler and a warped real one.
 
-Every component schedules work as (due epoch-ms, priority, callback).
-Under the virtual scheduler the harness advances time explicitly, so
-multi-day scenarios execute in milliseconds and two runs of the same
-scenario execute the exact same callback sequence. The real scheduler
-dispatches against the wall clock, optionally warped (simulated seconds
-per real second), on the calling thread or on a daemon thread. It is
-crash-only: the first callback that raises ends its loop.
+Every callback, deliveries included, is scheduled by call_at as (due
+epoch-ms, priority, callback) and gets a Handle. Under the virtual
+scheduler the harness advances time explicitly, so multi-day scenarios
+execute in milliseconds and two runs of the same scenario execute the
+exact same callback sequence. The real scheduler dispatches against
+the wall clock, optionally warped (simulated seconds per real second),
+on the calling thread or on a daemon thread. It is crash-only: the
+first callback that raises ends its loop.
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ import time
 from typing import Any, Callable
 
 # Same-instant ordering: window roll-ups run before injected faults,
-# which run before message deliveries and ordinary timers.
+# which run before the gateway's trace dispatch, which runs before
+# message deliveries and ordinary timers.
 PRIORITY_ROLLUP = 0
 PRIORITY_FAULT = 1
+PRIORITY_TRACE = 4
 PRIORITY_DELIVERY = 5
 
 
 class Handle:
     """Cancellation token for one scheduled callback."""
 
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
+    cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -39,17 +39,12 @@ class Handle:
 class _EventQueue:
     """The queue both schedulers share: a heap of (due, priority, seq, handle, fn, args).
 
-    Subclasses supply now_ms() and call_at(); call_at pushes with _push.
+    Subclasses supply now_ms() and call_at(), which pushes one entry.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, int, Handle, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
-
-    def _push(self, due: int, priority: int, fn: Callable[..., None], args: tuple) -> Handle:
-        handle = Handle()
-        heapq.heappush(self._heap, (due, priority, next(self._seq), handle, fn, args))
-        return handle
 
     def call_later(
         self,
@@ -78,24 +73,27 @@ class VirtualScheduler(_EventQueue):
     def now_ms(self) -> int:
         return self._now
 
-    def call_at(
-        self,
-        due_ms: int,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = PRIORITY_DELIVERY,
-    ) -> Handle:
-        return self._push(max(int(due_ms), self._now), priority, fn, args)
+    def call_at(self, due_ms: int, fn: Callable[..., None], *args: Any,
+                priority: int = PRIORITY_DELIVERY) -> Handle:
+        due = int(due_ms)
+        if due < self._now:
+            due = self._now
+        handle = Handle()
+        heapq.heappush(self._heap, (due, priority, next(self._seq), handle, fn, args))
+        return handle
 
     def run_until(self, end_ms: int) -> None:
         """Execute every callback due at or before end_ms, then set now."""
         end = int(end_ms)
-        while self._heap and self._heap[0][0] <= end:
-            due, _prio, _seq, handle, fn, args = heapq.heappop(self._heap)
-            self._now = max(self._now, due)
+        heap, pop = self._heap, heapq.heappop
+        # call_at never pushes a due before now, so popping never moves now back.
+        while heap and heap[0][0] <= end:
+            due, _prio, _seq, handle, fn, args = pop(heap)
+            self._now = due
             if not handle.cancelled:
                 fn(*args)
-        self._now = max(self._now, end)
+        if end > self._now:
+            self._now = end
 
     def run_for(self, duration_ms: int) -> None:
         self.run_until(self._now + int(duration_ms))
@@ -124,15 +122,11 @@ class RealScheduler(_EventQueue):
     def now_ms(self) -> int:
         return self._origin_ms + int((time.monotonic() - self._mono0) * self._warp * 1000)
 
-    def call_at(
-        self,
-        due_ms: int,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = PRIORITY_DELIVERY,
-    ) -> Handle:
+    def call_at(self, due_ms: int, fn: Callable[..., None], *args: Any,
+                priority: int = PRIORITY_DELIVERY) -> Handle:
+        handle = Handle()
         with self._cond:
-            handle = self._push(int(due_ms), priority, fn, args)
+            heapq.heappush(self._heap, (int(due_ms), priority, next(self._seq), handle, fn, args))
             self._cond.notify()
         return handle
 

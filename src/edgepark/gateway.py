@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from . import protocol
-from .clock import PRIORITY_FAULT, RealScheduler, VirtualScheduler
+from .clock import PRIORITY_FAULT, PRIORITY_TRACE, RealScheduler, VirtualScheduler
 from .occupancy import BayStatus, InvariantViolationError, bay_status
 
 log = logging.getLogger(__name__)
@@ -263,7 +264,8 @@ class GatewayCore:
     One logical writer (the scheduler) advances the trace; sessions share
     only the read-only trace and the live status map maintained by the
     dispatch loop, so every snapshot is exactly consistent with the pushes
-    a session subsequently receives.
+    a session subsequently receives. One trace item is pending at a time:
+    each dispatch first arms the next, so the queue does not grow with it.
     """
 
     def __init__(
@@ -286,13 +288,16 @@ class GatewayCore:
         self.updates_sent = 0
         self.update_bytes = 0
         self.listener: Any = None
+        self._pending: Iterator[TraceItem] = iter(())
 
     def start(self) -> None:
         self.start_ms = self.sched.now_ms()
         self.listener = self.net.listen(self.config.listen_address, self._accept)
-        for item in self.trace.items:
-            delay = item.sim_ts + self.config.faults.delay_ms
-            self.sched.call_at(self.start_ms + delay, self._dispatch, item)
+        # By due, ties in trace order, a past due at the start: the order the
+        # virtual scheduler gave the whole trace queued at once.
+        delay = self.config.faults.delay_ms
+        self._pending = iter(sorted(self.trace.items, key=lambda i: max(i.sim_ts + delay, 0)))
+        self._arm_next()
         for at_ms, duration_ms in self.config.faults.disconnects:
             self.sched.call_at(
                 self.start_ms + at_ms, self._fault_disconnect, duration_ms,
@@ -312,8 +317,8 @@ class GatewayCore:
         now = self.sched.now_ms()
         if self.refuse_until_ms is not None and now < self.refuse_until_ms:
             raise ConnectionRefusedError("gateway offline (injected fault)")
-        conn.on_message = lambda message: self._on_message(conn, message)
-        conn.on_close = lambda: self._on_close(conn)
+        conn.on_message = partial(self._on_message, conn)
+        conn.on_close = partial(self._on_close, conn)
 
     def _on_close(self, conn: Any) -> None:
         if conn in self.sessions:
@@ -362,21 +367,26 @@ class GatewayCore:
 
     # -- trace dispatch and faults
 
+    def _arm_next(self) -> None:
+        item = next(self._pending, None)
+        if item is not None:
+            due = self.start_ms + item.sim_ts + self.config.faults.delay_ms
+            self.sched.call_at(due, self._dispatch, item, priority=PRIORITY_TRACE)
+
     def _dispatch(self, item: TraceItem) -> None:
+        self._arm_next()
         self.current[item.bay_id] = item.new_status
         # Encoded once; every session and every repeat gets the same bytes.
         line = protocol.bays_update_line(self.config.lot_id, item.bay_id, item.new_status)
-        size = len(line)
         repeats = 2 if self.config.faults.duplicate_updates else 1
         for conn in list(self.sessions):
             for _ in range(repeats):
                 try:
-                    conn.send(line)
+                    self.update_bytes += conn.send(line)
                 except ConnectionError:
                     self._on_close(conn)
                     break
                 self.updates_sent += 1
-                self.update_bytes += size
 
     def _fault_disconnect(self, duration_ms: int) -> None:
         now = self.sched.now_ms()

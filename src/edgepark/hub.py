@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -206,8 +207,7 @@ class HubCore:
             self.listener.close()
 
     def _accept(self, conn: Any) -> None:
-        conn.on_message = lambda message: self._on_message(conn, message)
-        conn.on_close = lambda: None
+        conn.on_message = partial(self._on_message, conn)
 
     def _on_message(self, conn: Any, message: dict[str, Any]) -> None:
         mtype = message.get("type")
@@ -231,7 +231,10 @@ class HubCore:
         try:
             envelope = protocol.parse_rollup_envelope(message)
         except protocol.ProtocolError as exc:
-            return protocol.error_message(str(exc))
+            reply = protocol.error_message(str(exc))
+            if isinstance(message.get("key"), str):  # a refusal is final: name what it refuses
+                reply["key"] = message["key"]
+            return reply
         self.store.receive(envelope, received_at=self.sched.now_ms())
         if self.drop_acks_remaining > 0:
             self.drop_acks_remaining -= 1

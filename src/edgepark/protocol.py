@@ -42,6 +42,7 @@ from .occupancy import InvariantViolationError, RollupRecord
 PROTO_VERSION = 1
 
 WIRE_STATUSES = ("occupied", "free")
+STATUS_RULE = f"bay status must be one of {WIRE_STATUSES}"
 
 
 class ProtocolError(ValueError):
@@ -279,7 +280,7 @@ def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]
             bay_id = bay.get("id")
             status = bay.get("status")
             _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
-            _require(status in WIRE_STATUSES, f"bay status must be one of {WIRE_STATUSES}")
+            _require(status in WIRE_STATUSES, STATUS_RULE)
             triples.append((lot_id, bay_id, status))
     return triples
 
@@ -293,5 +294,5 @@ def parse_bays_update(message: Mapping[str, Any]) -> tuple[str, int, str]:
     bay_id = bay.get("id")
     status = bay.get("status")
     _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
-    _require(status in WIRE_STATUSES, f"bay status must be one of {WIRE_STATUSES}")
+    _require(status in WIRE_STATUSES, STATUS_RULE)
     return lot_id, bay_id, status

@@ -17,7 +17,7 @@ import threading
 from typing import Any, Callable
 
 from . import protocol
-from .clock import PRIORITY_DELIVERY, RealScheduler, VirtualScheduler
+from .clock import RealScheduler, VirtualScheduler
 
 log = logging.getLogger(__name__)
 
@@ -35,9 +35,9 @@ class _LineEndpoint:
     """What either transport does with a received line and the peer's close."""
 
     label: str
-    closed: bool
-    on_message: Callable[[dict[str, Any]], None] | None
-    on_close: Callable[[], None] | None
+    closed = False
+    on_message: Callable[[dict[str, Any]], None] | None = None
+    on_close: Callable[[], None] | None = None
 
     def _deliver(self, line: bytes) -> None:
         if self.closed or self.on_message is None:
@@ -64,9 +64,6 @@ class VirtualConn(_LineEndpoint):
         self._sched = sched
         self.label = label
         self.peer: VirtualConn | None = None
-        self.closed = False
-        self.on_message: Callable[[dict[str, Any]], None] | None = None
-        self.on_close: Callable[[], None] | None = None
 
     def send(self, line: bytes) -> int:
         """Deliver exactly one encoded line to the peer at the current instant.
@@ -80,9 +77,7 @@ class VirtualConn(_LineEndpoint):
             raise ConnectionError(f"{self.label}: send on closed connection")
         peer = self.peer
         if peer is not None and not peer.closed:
-            self._sched.call_at(
-                self._sched.now_ms(), peer._deliver, line, priority=PRIORITY_DELIVERY
-            )
+            self._sched.post(peer._deliver, line)
         return len(line)
 
     # perfbench/tracing.py looks both names up in the class __dict__ to patch
@@ -95,9 +90,7 @@ class VirtualConn(_LineEndpoint):
         self.closed = True
         peer = self.peer
         if peer is not None and not peer.closed:
-            self._sched.call_at(
-                self._sched.now_ms(), peer._deliver_close, priority=PRIORITY_DELIVERY
-            )
+            self._sched.post(peer._deliver_close)
 
 
 class VirtualNetwork:
@@ -135,10 +128,7 @@ class SocketConn(_LineEndpoint):
         self._sched = sched
         self._sock = sock
         self.label = label
-        self.closed = False
         self._lock = threading.Lock()
-        self.on_message: Callable[[dict[str, Any]], None] | None = None
-        self.on_close: Callable[[], None] | None = None
         self._reader = threading.Thread(target=self._read_loop, name=f"rx-{label}", daemon=True)
 
     def start_reader(self) -> None:

@@ -1,5 +1,6 @@
 """Edge agent behavior: handshake, ingest, ping loop, roll-ups, uploads, recovery."""
 
+import dataclasses
 import json
 
 import pytest
@@ -593,6 +594,30 @@ def test_dropped_acks_cause_retries_but_single_store(rig_factory):
     assert len(rig.store) == 1
     store_file = rig.store.store_dir / "LOT-A.jsonl"
     assert len(store_file.read_text().strip().splitlines()) == 1
+
+
+def test_hub_refusal_is_final_and_later_windows_still_upload(rig_factory):
+    # Bay 1 parks 01:00-04:00. After a restart with hourly windows the daily
+    # CSV is re-queued as an hourly window, whose 10,800 s the hub refuses.
+    rig = rig_factory(
+        items_trace([(HOUR_MS, 1, "occupied"), (4 * HOUR_MS, 1, "free")], bays=3,
+                    duration_ms=2 * DAY_MS)
+    )
+    rig.sched.run_until(EPOCH_MS + DAY_MS + 1000)
+    assert len(rig.store) == 1
+    rig.agent.kill()
+    hourly = dataclasses.replace(rig.agent_config, rollup_period_sec=3600)
+    restarted = track_agent(EdgeAgentCore(rig.sched, rig.net, hourly))
+    restarted.start()
+    rig.sched.run_until(EPOCH_MS + DAY_MS + 2 * HOUR_MS + 1000)
+    assert restarted.upload_sends == 3  # the refused window once, then both hourly windows
+    assert restarted.warnings["upload_refused"] == 1
+    assert not restarted.upload_queue and restarted.upload_inflight is None
+    assert rig.store.query_daily("LOT-A", EPOCH_MS + DAY_MS) is not None
+    assert rig.store.query_daily("LOT-A", EPOCH_MS + DAY_MS + HOUR_MS) is not None
+    (parked,) = (rig.agent_config.csv_dir / "deadletter").glob("*.envelope.json")
+    assert parked.name == f"LOT-A_{EPOCH_MS}.envelope.json"
+    assert json.loads(parked.read_text())["windowEnd"] == EPOCH_MS + HOUR_MS
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,70 @@ def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
     assert json.loads(line) == {
         "type": "baysUpdate", "lotId": "LOT-A", "bay": {"id": 3, "status": "occupied"}
     }
+
+
+# ---------------------------------------------------------------------------
+# trace dispatch: one pending item, in the order the whole trace queued at once
+
+
+def recording_gateway(trace, faults=None):
+    """A started gateway with one session that records every update from the start."""
+    sched = VirtualScheduler(EPOCH_MS)
+    gw_config = GatewayConfig(
+        "sim://gw", trace.lot_id, trace.bay_count, faults=faults or FaultPlan()
+    )
+    core = GatewayCore(sched, VirtualNetwork(sched), gw_config, trace)
+    session = RawRecorder()
+    core.sessions.append(session)
+    core.start()
+    return sched, session
+
+
+def sent_updates(session):
+    return [(m["bay"]["id"], m["bay"]["status"]) for m in map(json.loads, session.sent)]
+
+
+@pytest.mark.parametrize("bays", [0, 1, 200])
+def test_start_queues_one_trace_dispatch_whatever_the_trace_length(bays):
+    gw_config = GatewayConfig(
+        "sim://gw", "LOT", bays, SensorModel(20.0, 10.0, 3),
+        faults=FaultPlan(disconnects=((3_600_000, 1000), (7_200_000, 1000))),
+    )
+    trace = generate_trace(gw_config, DAY_MS)
+    sched = VirtualScheduler(EPOCH_MS)
+    GatewayCore(sched, VirtualNetwork(sched), gw_config, trace).start()
+    assert len(sched._heap) <= 1 + len(gw_config.faults.disconnects)
+
+
+def test_run_sends_every_update_in_trace_order():
+    trace = generate_trace(config(bays=50, occ=20.0, free=10.0), DAY_MS)
+    sched, session = recording_gateway(trace)
+    sched.run_until(EPOCH_MS + DAY_MS)
+    assert len(trace.items) > 1000
+    assert sent_updates(session) == [(i.bay_id, i.new_status) for i in trace.items]
+
+
+def test_unsorted_hand_built_trace_dispatches_by_due_then_trace_order():
+    trace = items_trace([
+        (5000, 1, "occupied"), (1000, 2, "occupied"), (5000, 3, "occupied"),
+        (1000, 4, "occupied"), (3000, 1, "free"),
+    ])
+    sched, session = recording_gateway(trace)
+    sched.run_until(EPOCH_MS + DAY_MS)
+    assert sent_updates(session) == [
+        (2, "occupied"), (4, "occupied"), (1, "free"), (1, "occupied"), (3, "occupied"),
+    ]
+
+
+def test_negative_delay_dispatches_every_item_and_past_dues_at_the_start():
+    trace = items_trace([
+        (2000, 1, "occupied"), (1000, 2, "occupied"), (5000, 3, "occupied"),
+        (4000, 4, "occupied"),
+    ])
+    sched, session = recording_gateway(trace, FaultPlan(delay_ms=-3000))
+    sched.run_for(0)
+    assert sent_updates(session) == [(1, "occupied"), (2, "occupied")]  # trace order
+    sched.run_until(EPOCH_MS + DAY_MS)
+    assert sent_updates(session) == [
+        (1, "occupied"), (2, "occupied"), (4, "occupied"), (3, "occupied"),
+    ]

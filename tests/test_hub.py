@@ -241,6 +241,7 @@ def test_schema_violation_rejected_with_error_nothing_stored(tmp_path):
     probe = HubProbe(tmp_path)
     probe.send(protocol.encode_line({"type": "rollup", "key": "x", "lotId": "L"}))
     assert probe.received[0]["type"] == "error"
+    assert probe.received[0]["key"] == "x"  # the refusal names the upload it refuses
     assert len(probe.store) == 0
     probe.send(protocol.encode_line(
         {
@@ -256,6 +257,8 @@ def test_schema_violation_rejected_with_error_nothing_stored(tmp_path):
         }
     ))
     assert probe.received[1]["type"] == "error"
+    probe.send(protocol.encode_line({"type": "rollup", "key": 7, "lotId": "L"}))
+    assert probe.received[2]["type"] == "error" and "key" not in probe.received[2]
     assert len(probe.store) == 0
 
 
@@ -355,9 +358,10 @@ def test_integer_rate_too_large_for_a_float_gets_an_error_and_the_link_lives_on(
         % (EPOCH_MS, EPOCH_MS, EPOCH_MS + DAY_MS, b"0" * 400)
     )
     probe.send(huge)
-    assert probe.received == [
-        {"type": "error", "reason": "occupationRate must be within [0, 1]"}
-    ]
+    assert probe.received == [{
+        "type": "error", "reason": "occupationRate must be within [0, 1]",
+        "key": f"LOT-A:{EPOCH_MS}",
+    }]
     assert len(probe.store) == 0
     probe.send(protocol.encode_rollup_envelope(
         "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 60, 0.0007)]
@@ -374,7 +378,9 @@ def test_lot_id_with_a_trailing_newline_gets_an_error_and_no_file(tmp_path):
         "windowStart": EPOCH_MS, "windowEnd": EPOCH_MS + DAY_MS,
         "records": [{"bayId": 1, "occupationTime": 0, "occupationRate": 0.0}],
     }))
-    assert probe.received == [{"type": "error", "reason": protocol.LOT_ID_RULE}]
+    assert probe.received == [{
+        "type": "error", "reason": protocol.LOT_ID_RULE, "key": protocol.envelope_key(lot, EPOCH_MS)
+    }]
     assert len(probe.store) == 0
     assert list(probe.store.store_dir.iterdir()) == []
 
