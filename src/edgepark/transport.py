@@ -35,7 +35,7 @@ class _LineEndpoint:
     """What either transport does with a received line and the peer's close."""
 
     label: str
-    closed = False
+    closed: bool = False
     on_message: Callable[[dict[str, Any]], None] | None = None
     on_close: Callable[[], None] | None = None
 

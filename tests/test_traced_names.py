@@ -14,9 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-
-import edgepark.harness  # noqa: F401  (loads every module the tracer patches)
-from edgepark import harness
+from edgepark import harness  # also loads every module the tracer patches
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -29,12 +27,8 @@ def load_tracing():
     return module
 
 
-def load_patches():
-    return load_tracing().PATCHES
-
-
 def test_every_traced_name_resolves_as_the_tracer_looks_it_up():
-    patches = load_patches()
+    patches = load_tracing().PATCHES
     assert patches
     missing = []
     for module_name, qualname, span, overrides in patches:
