@@ -64,6 +64,10 @@ class BackoffPolicy:
     multiplier: float = 2.0
     cap_ms: int = 30000
 
+    def __post_init__(self) -> None:
+        if not (0 < self.initial_ms <= self.cap_ms and self.multiplier >= 1):  # NaN too
+            raise ValueError("backoff needs 0 < initial <= cap and a multiplier of at least 1")
+
     def delay_ms(self, attempt: int) -> int:
         """initial * multiplier**attempt, capped; the cap once growth overflows a float."""
         try:
@@ -89,6 +93,8 @@ class AgentConfig:
             raise ValueError("poll interval must be at least 1 s")
         if self.rollup_period_sec < self.poll_interval_sec:
             raise ValueError("roll-up period must be at least the poll interval")
+        if self.ack_timeout_ms < 1:
+            raise ValueError("ack timeout must be at least 1 ms")
 
     @property
     def poll_interval_ms(self) -> int:
@@ -316,23 +322,27 @@ class EdgeAgentCore:
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
         self._gap_open = now
-        self._requeue_existing_csvs()
+        self._requeue_existing_csvs(records)
         log.info(
             "recovered %d bays from %s (%d log records)",
             len(self.table), self.config.log_path, len(records),
         )
 
-    def _requeue_existing_csvs(self) -> None:
-        """At-least-once safety net: re-upload every window CSV already on disk."""
+    def _requeue_existing_csvs(self, records: list[dict[str, Any]]) -> None:
+        """At-least-once safety net: re-upload every CSV on disk, to its flush marker's ts."""
+        window_ends = {
+            r["windowStart"]: r["ts"] for r in records
+            if r.get("marker") == eventlog.MARKER_FLUSH
+            and eventlog.is_log_ts(r.get("ts")) and eventlog.is_log_ts(r.get("windowStart"))
+        }
         for path in sorted(Path(self.config.csv_dir).glob("rollup_*.csv")):
             try:
                 lot_id, window_start, records = read_csv_records(path)
             except ValueError as exc:
                 self._warn("csv_requeue_failed", "could not re-enqueue %s: %s", path.name, exc)
                 continue
-            payload = protocol.encode_rollup_envelope(
-                lot_id, window_start, window_start + self.config.rollup_period_ms, records
-            )
+            end = window_ends.get(window_start, window_start + self.config.rollup_period_ms)
+            payload = protocol.encode_rollup_envelope(lot_id, window_start, end, records)
             self.upload_queue.append(
                 _PendingUpload(protocol.envelope_key(lot_id, window_start), payload)
             )

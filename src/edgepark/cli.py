@@ -151,20 +151,19 @@ def main_gateway(argv: list[str] | None = None) -> int:
             lot_id=args.lot_id,
             bay_count=args.bays,
             model=SensorModel(args.mean_occupied_min, args.mean_free_min, args.seed),
-            time_warp=args.time_warp,
             faults=_parse_faults(args.inject),
         )
         duration_ms = parse_duration_ms(args.duration)
         trace = generate_trace(config, duration_ms)
+        sched = RealScheduler(warp=args.time_warp)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sched = RealScheduler(warp=config.time_warp)
     return serve(
         sched,
         lambda net: GatewayCore(sched, net, config, trace),
         f"gateway serving {config.bay_count} bays on {config.listen_address} "
-        f"(warp x{config.time_warp:g}, {len(trace.items)} trace items)",
+        f"(warp x{args.time_warp:g}, {len(trace.items)} trace items)",
         until_ms=sched.now_ms() + duration_ms,
     )
 

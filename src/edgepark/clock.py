@@ -109,7 +109,7 @@ class RealScheduler(_EventQueue):
     """
 
     def __init__(self, *, warp: float = 1.0, origin_ms: int | None = None) -> None:
-        if warp <= 0:
+        if not warp > 0:  # NaN too
             raise ValueError("time warp must be positive")
         super().__init__()
         self._warp = float(warp)

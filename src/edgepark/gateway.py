@@ -36,7 +36,7 @@ class SensorModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.mean_occupied_min <= 0 or self.mean_free_min <= 0:
+        if not (self.mean_occupied_min > 0 and self.mean_free_min > 0):  # NaN too
             raise ValueError("dwell-time means must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
@@ -63,7 +63,6 @@ class GatewayConfig:
     lot_id: str
     bay_count: int = DEFAULT_BAY_COUNT
     model: SensorModel = field(default_factory=lambda: SensorModel(450.0, 990.0, 0))
-    time_warp: float = 1.0
     faults: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class GatewayConfig:
             raise ValueError(protocol.LOT_ID_RULE)
         if self.bay_count < 0:
             raise ValueError("bay count must be non-negative")
-        if self.time_warp <= 0:
-            raise ValueError("time warp must be positive")
 
 
 class TraceItem(NamedTuple):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from . import eventlog, protocol
+from . import eventlog
 from .agent import (
     AgentConfig,
     BackoffPolicy,
@@ -55,8 +55,6 @@ from .oracle import oracle_windows
 from .transport import VirtualNetwork
 
 log = logging.getLogger(__name__)
-
-DEFAULT_START = "2018-11-19T00:00:00Z"
 
 GATEWAY_ADDRESS = "sim://gateway"
 HUB_ADDRESS = "sim://hub"
@@ -108,10 +106,20 @@ class ScenarioConfig:
         return midnight_utc(self.start_ms)
 
 
+def _datetime_ms(ms: int, what: str) -> int:
+    """ms, if a datetime can hold it."""
+    try:
+        datetime.fromtimestamp(ms / 1000, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ScenarioError(f"{what} {ms} ms is not a datetime: {exc}") from exc
+    return ms
+
+
 def _parse_start(value: str) -> int:
+    """Epoch milliseconds or an ISO 8601 time (UTC unless it says otherwise)."""
     value = value.strip()
     if value.lstrip("-").isdigit():
-        return int(value)
+        return _datetime_ms(int(value), "start")
     try:
         dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -130,35 +138,20 @@ def _parse_bool(value: str) -> bool:
     raise ScenarioError(f"bad boolean {value!r}")
 
 
-_SCENARIO_KEYS: dict[str, Any] = {
-    "name": str,
-    "seed": int,
-    "lot_id": str,
-    "bays": int,
-    "mean_occupied_min": float,
-    "mean_free_min": float,
-    "days": int,
-    "start": _parse_start,
-    "poll_interval_sec": int,
-    "rollup_period_sec": int,
-    "backoff_initial_ms": int,
-    "backoff_multiplier": float,
-    "backoff_cap_ms": int,
-    "ack_timeout_ms": int,
-    "upload_grace_sec": int,
-    "script": str,
-    "inject_gateway_disconnect_at_sec": int,
-    "inject_gateway_disconnect_duration_sec": int,
-    "inject_agent_kill_at_sec": int,
-    "inject_drop_acks": int,
-    "inject_duplicate_updates": _parse_bool,
+# Each file key is a ScenarioConfig field, read by the parser of its type;
+# 'start' is read by _parse_start into start_ms.
+_TYPE_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool, "Path": Path}
+_SCENARIO_KEYS: dict[str, Callable[[str], Any]] = {
+    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+    for f in fields(ScenarioConfig) if f.name != "start_ms"
 }
+_SCENARIO_KEYS["start"] = _parse_start
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a flat key = value scenario file ('#' comments allowed)."""
     path = Path(path)
-    values: dict[str, Any] = {"start": _parse_start(DEFAULT_START)}
+    values: dict[str, Any] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
@@ -176,42 +169,60 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         if parser is None:
             raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = parser(value)
-        except (ValueError, TypeError) as exc:
+            values["start_ms" if key == "start" else key] = parser(value)
+        except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    values["start_ms"] = values.pop("start")
-    if "script" in values:
-        script = Path(values["script"])
-        if not script.is_absolute():
-            script = path.parent / script
-        values["script"] = script
-    try:
-        scenario = ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    if "script" in values and not values["script"].is_absolute():
+        values["script"] = path.parent / values["script"]
+    scenario = ScenarioConfig(**values)
     _validate_scenario(scenario)
     return scenario
 
 
 def _validate_scenario(scenario: ScenarioConfig) -> None:
-    if not protocol.is_lot_id(scenario.lot_id):
-        raise ScenarioError(protocol.LOT_ID_RULE)
+    """The rules no component owns; component_configs checks every other value."""
     if scenario.days < 1:
         raise ScenarioError("days must be at least 1")
-    if scenario.bays < 0:
-        raise ScenarioError("bays must be non-negative")
-    if scenario.seed < 0:
-        raise ScenarioError("seed must be non-negative")
-    if scenario.mean_occupied_min <= 0 or scenario.mean_free_min <= 0:
-        raise ScenarioError("dwell-time means must be positive")
-    if scenario.duration_ms % scenario.period_ms != 0:
-        raise ScenarioError("roll-up period must divide the run duration")
+    _datetime_ms(scenario.end_ms, "the run's end")
     if (scenario.inject_gateway_disconnect_at_sec is None) != (
         scenario.inject_gateway_disconnect_duration_sec is None
     ):
         raise ScenarioError("gateway disconnect injection needs both at and duration")
     if scenario.script is not None and not scenario.script.exists():
         raise ScenarioError(f"script file not found: {scenario.script}")
+    component_configs(scenario, Path())
+    if scenario.duration_ms % scenario.period_ms != 0:  # AgentConfig refused a period < 1 s
+        raise ScenarioError("roll-up period must divide the run duration")
+
+
+def component_configs(
+    scenario: ScenarioConfig, out_dir: Path
+) -> tuple[GatewayConfig, AgentConfig]:
+    """The run's gateway and agent configs; ScenarioError for a value either refuses."""
+    at_sec = scenario.inject_gateway_disconnect_at_sec
+    disconnects = () if at_sec is None else (
+        (at_sec * 1000, scenario.inject_gateway_disconnect_duration_sec * 1000),
+    )
+    try:
+        model = SensorModel(scenario.mean_occupied_min, scenario.mean_free_min, scenario.seed)
+        faults = FaultPlan(disconnects, scenario.inject_duplicate_updates)
+        gateway = GatewayConfig(GATEWAY_ADDRESS, scenario.lot_id, scenario.bays, model, faults)
+        agent = AgentConfig(
+            gateway_address=GATEWAY_ADDRESS,
+            cloud_address=HUB_ADDRESS,
+            log_path=out_dir / "agent.log",
+            csv_dir=out_dir / "csv",
+            poll_interval_sec=scenario.poll_interval_sec,
+            rollup_period_sec=scenario.rollup_period_sec,
+            reconnect_backoff=BackoffPolicy(
+                scenario.backoff_initial_ms, scenario.backoff_multiplier, scenario.backoff_cap_ms
+            ),
+            rollup_epoch_ms=scenario.window_epoch_ms,
+            ack_timeout_ms=scenario.ack_timeout_ms,
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return gateway, agent
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +288,7 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     sched = VirtualScheduler(epoch)
     net = VirtualNetwork(sched)
 
-    faults = FaultPlan(
-        disconnects=(
-            (
-                scenario.inject_gateway_disconnect_at_sec * 1000,
-                scenario.inject_gateway_disconnect_duration_sec * 1000,
-            ),
-        )
-        if scenario.inject_gateway_disconnect_at_sec is not None
-        else (),
-        duplicate_updates=scenario.inject_duplicate_updates,
-    )
-    gw_config = GatewayConfig(
-        listen_address=GATEWAY_ADDRESS,
-        lot_id=scenario.lot_id,
-        bay_count=scenario.bays,
-        model=SensorModel(scenario.mean_occupied_min, scenario.mean_free_min, scenario.seed),
-        faults=faults,
-    )
+    gw_config, agent_config = component_configs(scenario, out_dir)
     if scenario.script is not None:
         trace = scripted_trace(
             scenario.lot_id, scenario.bays, scenario.duration_ms, scenario.script
@@ -306,21 +300,6 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     gateway = GatewayCore(sched, net, gw_config, trace)
     store = RollupStore(out_dir / "hub_store", fsync=False)
     hub = HubCore(sched, net, store, HUB_ADDRESS, drop_acks=scenario.inject_drop_acks)
-    agent_config = AgentConfig(
-        gateway_address=GATEWAY_ADDRESS,
-        cloud_address=HUB_ADDRESS,
-        log_path=out_dir / "agent.log",
-        csv_dir=out_dir / "csv",
-        poll_interval_sec=scenario.poll_interval_sec,
-        rollup_period_sec=scenario.rollup_period_sec,
-        reconnect_backoff=BackoffPolicy(
-            scenario.backoff_initial_ms,
-            scenario.backoff_multiplier,
-            scenario.backoff_cap_ms,
-        ),
-        rollup_epoch_ms=scenario.window_epoch_ms,
-        ack_timeout_ms=scenario.ack_timeout_ms,
-    )
 
     agents: list[EdgeAgentCore] = []
 

@@ -597,27 +597,44 @@ def test_dropped_acks_cause_retries_but_single_store(rig_factory):
 
 
 def test_hub_refusal_is_final_and_later_windows_still_upload(rig_factory):
-    # Bay 1 parks 01:00-04:00. After a restart with hourly windows the daily
-    # CSV is re-queued as an hourly window, whose 10,800 s the hub refuses.
-    rig = rig_factory(
-        items_trace([(HOUR_MS, 1, "occupied"), (4 * HOUR_MS, 1, "free")], bays=3,
-                    duration_ms=2 * DAY_MS)
-    )
-    rig.sched.run_until(EPOCH_MS + DAY_MS + 1000)
-    assert len(rig.store) == 1
+    # A CSV with no flush marker is re-queued as one current (hourly) window,
+    # and the hub refuses its 10,800 s in an hour.
+    rig = rig_factory(rollup_period_sec=3600)
+    rig.sched.run_until(EPOCH_MS + 1000)
     rig.agent.kill()
-    hourly = dataclasses.replace(rig.agent_config, rollup_period_sec=3600)
-    restarted = track_agent(EdgeAgentCore(rig.sched, rig.net, hourly))
+    orphan = RollupWindow(EPOCH_MS - DAY_MS, EPOCH_MS)
+    write_csv([RollupRecord(1, 10_800, 0.125)], orphan, "LOT-A", rig.agent_config.csv_dir)
+    restarted = track_agent(EdgeAgentCore(rig.sched, rig.net, rig.agent_config))
     restarted.start()
-    rig.sched.run_until(EPOCH_MS + DAY_MS + 2 * HOUR_MS + 1000)
+    rig.sched.run_until(EPOCH_MS + 2 * HOUR_MS + 1000)
     assert restarted.upload_sends == 3  # the refused window once, then both hourly windows
     assert restarted.warnings["upload_refused"] == 1
     assert not restarted.upload_queue and restarted.upload_inflight is None
-    assert rig.store.query_daily("LOT-A", EPOCH_MS + DAY_MS) is not None
-    assert rig.store.query_daily("LOT-A", EPOCH_MS + DAY_MS + HOUR_MS) is not None
+    assert rig.store.query_daily("LOT-A", EPOCH_MS) is not None
+    assert rig.store.query_daily("LOT-A", EPOCH_MS + HOUR_MS) is not None
     (parked,) = (rig.agent_config.csv_dir / "deadletter").glob("*.envelope.json")
-    assert parked.name == f"LOT-A_{EPOCH_MS}.envelope.json"
-    assert json.loads(parked.read_text())["windowEnd"] == EPOCH_MS + HOUR_MS
+    assert parked.name == f"LOT-A_{orphan.start}.envelope.json"
+    assert json.loads(parked.read_text())["windowEnd"] == orphan.start + HOUR_MS
+
+
+def test_requeued_csv_keeps_the_window_end_of_its_flush_marker(rig_factory):
+    # Bay 1 parks 01:00-02:00. The hub is down over the daily roll-up, and
+    # the agent restarts with hourly windows before the day is uploaded.
+    rig = rig_factory(
+        items_trace([(HOUR_MS, 1, "occupied"), (2 * HOUR_MS, 1, "free")], bays=3,
+                    duration_ms=2 * DAY_MS)
+    )
+    rig.hub.stop()
+    rig.net.unlisten(HUB_ADDRESS)
+    rig.sched.run_until(EPOCH_MS + DAY_MS + 1000)
+    rig.agent.kill()
+    hourly = dataclasses.replace(rig.agent_config, rollup_period_sec=3600)
+    track_agent(EdgeAgentCore(rig.sched, rig.net, hourly)).start()
+    rig.net.listen(HUB_ADDRESS, rig.hub._accept)
+    rig.sched.run_until(EPOCH_MS + DAY_MS + HOUR_MS + 1000)
+    (day, _hour) = rig.store.windows_for("LOT-A")
+    assert (day.window_start, day.window_end) == (EPOCH_MS, EPOCH_MS + DAY_MS)
+    assert day.records[0] == RollupRecord(1, 3600, 0.0417)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,31 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rollup_period_sec = 0",
+        "rollup_period_sec = -3600",
+        "poll_interval_sec = 0",
+        "poll_interval_sec = 100000",
+        "mean_occupied_min = nan",
+        "seed = 18446744073709551616",
+        "start = 99999999999999999999",
+        "start = 9999-12-31T00:00:00Z\ndays = 2",  # ends in the year 10000
+        "ack_timeout_ms = 0",
+        "backoff_multiplier = nan",
+    ],
+)
+def test_every_bad_scenario_value_exits_2_and_writes_nothing(tmp_path, capsys, line):
+    scenario = write_scenario(tmp_path, f"bays = 3\n{line}\n")
+    out = tmp_path / "x"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == (
+        cli.EXIT_CONFIG
+    )
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["latin1.scn", "missing.scn"])
 def test_unreadable_scenario_exits_2(tmp_path, capsys, name):
     (tmp_path / "latin1.scn").write_bytes("lot_id = LOT\xe9\n".encode("latin-1"))

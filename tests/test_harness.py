@@ -1,5 +1,6 @@
 """Scenario parsing, run-sim artifacts, replay, verify, traffic, and export."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from edgepark import eventlog, harness, protocol
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import InvariantViolationError
 
-from conftest import EPOCH_MS, make_scenario
+from conftest import DAY_MS, EPOCH_MS, make_scenario
 
 SCENARIOS = {
     "minimal": "days = 1\n",
@@ -51,6 +52,43 @@ def test_parse_scenario_full(tmp_path):
     assert scenario.poll_interval_sec == 30
 
 
+EVERY_KEY = """\
+name = all
+seed = 7
+lot_id = LOT-B
+bays = 4
+mean_occupied_min = 30
+mean_free_min = 40
+days = 2
+start = 2018-11-20T00:00:00Z
+poll_interval_sec = 30
+rollup_period_sec = 3600
+backoff_initial_ms = 500
+backoff_multiplier = 1.5
+backoff_cap_ms = 4000
+ack_timeout_ms = 2000
+upload_grace_sec = 60
+script = idle.jsonl
+inject_gateway_disconnect_at_sec = 3600
+inject_gateway_disconnect_duration_sec = 60
+inject_agent_kill_at_sec = 7200
+inject_drop_acks = 1
+inject_duplicate_updates = true
+"""
+
+
+def test_every_scenario_field_is_a_file_key(tmp_path):
+    (tmp_path / "idle.jsonl").write_text("")
+    path = tmp_path / "s.scenario"
+    path.write_text(EVERY_KEY)
+    scenario = harness.parse_scenario(path)
+    fields = dataclasses.fields(scenario)
+    assert [f.name for f in fields if getattr(scenario, f.name) == f.default] == []
+    assert scenario.start_ms == EPOCH_MS + DAY_MS
+    assert scenario.script == tmp_path / "idle.jsonl"
+    assert scenario.backoff_multiplier == 1.5 and scenario.inject_duplicate_updates is True
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -61,6 +99,7 @@ def test_parse_scenario_full(tmp_path):
         "inject_gateway_disconnect_at_sec = 10\n",  # missing duration
         "rollup_period_sec = 7000\n",  # does not divide a day
         "script = missing_file.jsonl\n",
+        "start_ms = 0\n",  # the file key is 'start'
     ],
 )
 def test_parse_scenario_rejects_bad_input(tmp_path, content):

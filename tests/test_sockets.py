@@ -53,8 +53,7 @@ def gateway_rig():
         bays=22,
         duration_ms=5_400_000,
     )
-    config = GatewayConfig(f"127.0.0.1:{port}", "LOT-A", 22,
-                           SensorModel(450, 990, 0), time_warp=600.0)
+    config = GatewayConfig(f"127.0.0.1:{port}", "LOT-A", 22, SensorModel(450, 990, 0))
     core = GatewayCore(sched, net, config, trace)
     core.start()
     sched.start()
