@@ -48,13 +48,16 @@ CSV_HEADER = "bayId,occupationTime,occupationRate"
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
 CLIENT_NAME = "edge-agent"  # sent in the hello
 
-# The agent counts its warnings by these kinds, in bounded memory; each
-# warning is also logged where it is raised. duplicate_update and
-# unknown_bay come from occupancy.apply_event.
+# The agent counts its warnings by these kinds, in bounded memory. A per-event
+# kind (raised once per update or log record; duplicate_update and unknown_bay come
+# from apply_event) is logged at DEBUG and summed in one WARNING per window.
+PER_EVENT_KINDS = (
+    "update_before_snapshot", "malformed_update", "rejected_event", "duplicate_update",
+    "unknown_bay",
+)
 WARNING_KINDS = (
     "skipped_log_line", "csv_requeue_failed", "gateway_error", "unexpected_message",
-    "malformed_snapshot", "update_before_snapshot", "malformed_update", "rejected_event",
-    "duplicate_update", "unknown_bay", "upload_refused",
+    "malformed_snapshot", *PER_EVENT_KINDS, "upload_refused",
 )
 
 
@@ -230,6 +233,7 @@ class EdgeAgentCore:
         self._upload_retry_timer: Any = None
 
         self.warnings: Counter[str] = Counter(dict.fromkeys(WARNING_KINDS, 0))
+        self._summarised: Counter[str] = Counter()  # per-event counts already logged
         self.events_ingested = 0
         self.pings_sent = 0
         self.upload_sends = 0
@@ -551,6 +555,11 @@ class EdgeAgentCore:
             for bay_id, state in sorted(self.table.items())
         )
         self._append_log(b"".join(block))
+        rose = Counter({k: self.warnings[k] for k in PER_EVENT_KINDS}) - self._summarised
+        if rose:
+            self._summarised += rose
+            summary = ", ".join(f"{n} {kind}" for kind, n in rose.items())
+            log.warning("window %d: %s", window.start, summary)
         self.window_start = boundary
         self.upload_queue.append(_PendingUpload(key, payload))
         self._pump_uploads()
@@ -647,7 +656,7 @@ class EdgeAgentCore:
             self.log_writer.append(line)
 
     def _warn(self, kind: str, message: str, *args: Any) -> None:
-        log.warning(message, *args)
+        log.log(logging.DEBUG if kind in PER_EVENT_KINDS else logging.WARNING, message, *args)
         self.warnings[kind] += 1
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -181,8 +182,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 def _validate_scenario(scenario: ScenarioConfig) -> None:
     """The rules no component owns; component_configs checks every other value."""
-    if scenario.days < 1:
-        raise ScenarioError("days must be at least 1")
+    if not (1 <= scenario.days <= 366 and 0 <= scenario.upload_grace_sec <= 86_400):
+        raise ScenarioError("days must be 1 to 366 and upload_grace_sec 0 to 86400")
     _datetime_ms(scenario.end_ms, "the run's end")
     if (scenario.inject_gateway_disconnect_at_sec is None) != (
         scenario.inject_gateway_disconnect_duration_sec is None
@@ -404,8 +405,8 @@ def replay_log(
     Window boundaries are re-derived on the epoch-aligned grid (default:
     midnight UTC of the first record), flush markers in the log are
     redundant against that grid, disconnect markers invalidate statuses,
-    and rejected events are skipped. Running twice yields byte-identical
-    CSVs.
+    and rejected events are skipped; apply_event's warnings are summed in
+    one WARNING. Running twice yields byte-identical CSVs.
     """
     if window_sec < 1:
         raise ValueError("window must be at least 1 s")
@@ -433,6 +434,7 @@ def replay_log(
     window_start = window_floor(eventlog.record_ts(records[0]), period, epoch_ms)
 
     table: dict[int, Any] = {}
+    warnings: Counter[str] = Counter()
     lot_seen = REPLAY_LOT_FALLBACK
     has_observations = False
 
@@ -450,7 +452,7 @@ def replay_log(
         ts = eventlog.record_ts(record)
         while ts >= window_start + period:
             close_window(window_start + period)
-        applied = eventlog.apply_record(table, record)
+        applied = eventlog.apply_record(table, record, warnings)
         if applied is not None:
             kind, lot_seen = applied
             # Updates are real observations; snapshots at exactly the window
@@ -464,6 +466,9 @@ def replay_log(
     # in-progress window closed; a log ending at a flush boundary does not.
     if has_observations:
         close_window(window_start + period)
+    if warnings:
+        summary = ", ".join(f"{n} {kind}" for kind, n in warnings.items())
+        log.warning("replay of %s: %s", log_path, summary)
 
     return ReplayResult(windows, skipped, csv_paths)
 

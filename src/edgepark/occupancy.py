@@ -132,8 +132,8 @@ def occupation_rate(occ_ms: int, window_ms: int) -> float:
 
 
 def _warn(warnings: Counter[str] | None, kind: str, message: str, *args: object) -> None:
-    """Log a warning and count it under its kind."""
-    log.warning(message, *args)
+    """Count a per-event warning under its kind; its detail is logged at DEBUG only."""
+    log.debug(message, *args)
     if warnings is not None:
         warnings[kind] += 1
 
@@ -156,8 +156,8 @@ def apply_event(
     is preserved (zero for a new bay) and never credited. Updates
     transition status; an occupied-to-anything transition credits the
     elapsed interval. Duplicate-status updates are idempotent and an
-    update for an unknown bay creates it; both log a warning and count it
-    in ``warnings`` under ``duplicate_update`` or ``unknown_bay``.
+    update for an unknown bay creates it; both count in ``warnings`` under
+    ``duplicate_update`` or ``unknown_bay`` and log their detail at DEBUG.
     """
     if bay_id < 1:
         raise InvariantViolationError(f"bay id must be positive, got {bay_id}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -75,7 +76,15 @@ def test_ingest_pair_credits_600_seconds(rig_factory):
     ]
 
 
-def test_duplicate_update_logged_state_unchanged_warning_counted(rig_factory):
+def agent_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "edgepark.agent" and r.levelno == logging.WARNING]
+
+
+def test_duplicate_update_counted_logged_at_debug_then_summarised_state_unchanged(
+    rig_factory, caplog
+):
+    caplog.set_level(logging.DEBUG, logger="edgepark")
     rig = rig_factory(
         items_trace([(1000, 3, "occupied")]), faults=FaultPlan(duplicate_updates=True)
     )
@@ -84,6 +93,40 @@ def test_duplicate_update_logged_state_unchanged_warning_counted(rig_factory):
     assert rig.agent.warnings["duplicate_update"] == 1
     records, _ = eventlog.read_records(rig.agent_config.log_path)
     assert len([r for r in records if r.get("src") == "update"]) == 2
+    # The detail is DEBUG only; the window's roll-up logs the one WARNING.
+    assert [(r.levelno, r.getMessage()) for r in caplog.records if "bay 3" in r.getMessage()] == [
+        (logging.DEBUG, "duplicate occupied update for bay 3 ignored")
+    ]
+    assert agent_warnings(caplog) == []
+    rig.run_for(DAY_MS)
+    assert agent_warnings(caplog) == [f"window {EPOCH_MS}: 1 duplicate_update"]
+
+
+def test_per_event_warnings_get_one_summary_per_window_others_are_logged_as_raised(
+    rig_factory, caplog
+):
+    caplog.set_level(logging.INFO, logger="edgepark")
+    rig = rig_factory(rollup_period_sec=3600)
+    rig.run_for(1000)  # snapshot: every bay free
+    session = rig.gateway.sessions[0]
+    for line in [
+        protocol.bays_update_line("LOT-A", 3, "free"),
+        protocol.encode_line({"type": "baysUpdate", "lotId": "LOT-A", "bayId": 0}),
+        protocol.bays_update_line("LOT-A", 3, "free"),
+        protocol.bays_update_line("LOT-A", 99, "occupied"),
+        protocol.encode_line({"type": "error", "reason": "lot closed"}),
+    ]:
+        session.send(line)
+    rig.run_for(1000)
+    assert agent_warnings(caplog) == ["gateway error: lot closed"]
+    rig.run_for(3 * HOUR_MS)  # three roll-ups; only the first window had warnings
+    assert agent_warnings(caplog)[1:] == [
+        f"window {EPOCH_MS}: 1 malformed_update, 2 duplicate_update, 1 unknown_bay"
+    ]
+    session.send(protocol.bays_update_line("LOT-A", 3, "free"))
+    rig.run_for(HOUR_MS)
+    assert agent_warnings(caplog)[2:] == [f"window {EPOCH_MS + 3 * HOUR_MS}: 1 duplicate_update"]
+    assert rig.agent.warnings["duplicate_update"] == 3
 
 
 def test_warnings_are_counted_by_kind_in_bounded_memory(rig_factory):

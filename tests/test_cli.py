@@ -94,6 +94,9 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
         "start = 9999-12-31T00:00:00Z\ndays = 2",  # ends in the year 10000
         "ack_timeout_ms = 0",
         "backoff_multiplier = nan",
+        "days = 367",
+        "upload_grace_sec = -1",
+        "upload_grace_sec = 100000000",  # about three years of pings after the run
     ],
 )
 def test_every_bad_scenario_value_exits_2_and_writes_nothing(tmp_path, capsys, line):

@@ -2,14 +2,20 @@
 
 import dataclasses
 import json
+import logging
+import re
+from pathlib import Path
 
 import pytest
 
 from edgepark import eventlog, harness, protocol
+from edgepark.agent import EdgeAgentCore
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import InvariantViolationError
 
 from conftest import DAY_MS, EPOCH_MS, make_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 SCENARIOS = {
     "minimal": "days = 1\n",
@@ -96,6 +102,9 @@ def test_every_scenario_field_is_a_file_key(tmp_path):
         "days = one\n",
         "days\n",
         "days = 0\n",
+        "days = 367\n",
+        "upload_grace_sec = -1\n",
+        "upload_grace_sec = 86401\n",
         "inject_gateway_disconnect_at_sec = 10\n",  # missing duration
         "rollup_period_sec = 7000\n",  # does not divide a day
         "script = missing_file.jsonl\n",
@@ -115,6 +124,14 @@ def test_parse_scenario_refuses_a_lot_id_the_hub_would_refuse(tmp_path, lot_id):
     path.write_text(f"lot_id = {lot_id}\nbays = 2\n")
     with pytest.raises(harness.ScenarioError, match=protocol.LOT_ID_RULE):
         harness.parse_scenario(path)
+
+
+@pytest.mark.parametrize("content", ["days = 366\n", "upload_grace_sec = 0\n",
+                                     "upload_grace_sec = 86400\n"])
+def test_parse_scenario_accepts_the_run_length_bounds(tmp_path, content):
+    path = tmp_path / "s.scenario"
+    path.write_text(content)
+    harness.parse_scenario(path)
 
 
 def test_parse_scenario_missing_file():
@@ -160,6 +177,43 @@ def test_run_artifacts_present(tmp_path):
     assert meta["lotId"] == "LOT-A"
     assert meta["totalGapMs"] == 0
     assert meta["counters"]["pingsSent"] > 0
+
+
+def test_crash_day_logs_one_duplicate_summary_per_window(tmp_path, caplog, monkeypatch):
+    agents = []
+
+    def tracked(*args):
+        agents.append(EdgeAgentCore(*args))
+        return agents[-1]
+
+    monkeypatch.setattr(harness, "EdgeAgentCore", tracked)
+    caplog.set_level(logging.INFO, logger="edgepark")
+    scenario = harness.parse_scenario(SCENARIO_DIR / "crash_day.scenario")
+    result = harness.run_sim(scenario, tmp_path / "run")
+
+    messages = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    kill = next(i for i, m in enumerate(messages) if m[2].startswith("agent killed"))
+    summaries = [
+        (i, re.fullmatch(r"window (\d+): (\d+) duplicate_update", text))
+        for i, (name, level, text) in enumerate(messages)
+        if name == "edgepark.agent" and level == logging.WARNING and "duplicate_update" in text
+    ]
+    assert all(match for _, match in summaries)
+    windows = [int(match[1]) for _, match in summaries]
+    assert len(windows) == len(set(windows)) == scenario.days * 24
+    killed, last = agents
+    before_kill = sum(int(match[2]) for i, match in summaries if i < kill)
+    after_kill = sum(int(match[2]) for i, match in summaries if i > kill)
+    # Duplicates after the killed agent's last roll-up are counted again when its
+    # successor recovers from the log, and summarised by the successor.
+    assert 0 < before_kill < killed.warnings["duplicate_update"]
+    assert after_kill == last.warnings["duplicate_update"]
+    # The log holds about one line per window, not one per duplicate.
+    assert len(messages) < len(windows) + 20
+    assert json.loads((result.out_dir / "meta.json").read_text())["counters"] == {
+        "agentIncarnations": 2, "eventsIngested": 680, "pingsSent": 1432,
+        "rejectedEvents": 0, "uploadSends": 31, "warnings": 346,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +273,24 @@ def test_replay_counts_torn_lines(tmp_path):
         fh.write(b'{"torn')
     result = harness.replay_log(log_path, 86_400, tmp_path / "out")
     assert result.skipped_lines == 1
+
+
+def test_replay_logs_one_summary_warning_for_its_per_event_warnings(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="edgepark")
+    first = {"ts": EPOCH_MS, "lotId": "L", "bayId": 7, "status": "free", "src": "snapshot"}
+    lines = [first] + [
+        {**first, "ts": EPOCH_MS + ts, "bayId": bay, "status": status, "src": "update"}
+        for ts, bay, status in [(1000, 7, "occupied"), (2000, 7, "occupied"),
+                                (3000, 9, "free"), (4000, 7, "occupied")]
+    ]
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join(protocol.encode_line(line) for line in lines))
+    harness.replay_log(log_path, 86_400, None)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        f"replay of {log_path}: 2 duplicate_update, 1 unknown_bay"
+    ]
+    details = [r.levelno for r in caplog.records if r.name == "edgepark.occupancy"]
+    assert details == [logging.DEBUG] * 3
 
 
 def test_replay_rejects_bad_window():

@@ -3,6 +3,7 @@
 from collections import Counter
 import copy
 from decimal import ROUND_HALF_UP, Decimal
+import logging
 import random
 
 import pytest
@@ -101,6 +102,19 @@ def test_duplicate_update_is_idempotent_with_warning(status):
     apply_event(table, *upd(700, 1, status), warnings)
     assert table[1] == before
     assert warnings == {"duplicate_update": 1}
+
+
+def test_per_event_warnings_are_counted_and_logged_at_debug_only(caplog):
+    caplog.set_level(logging.DEBUG, logger="edgepark.occupancy")
+    warnings = Counter()
+    table = apply_event({}, *snap(0, 1, "free"))
+    apply_event(table, *upd(700, 1, "free"), warnings)
+    apply_event(table, *upd(800, 2, "occupied"), warnings)
+    assert warnings == {"duplicate_update": 1, "unknown_bay": 1}
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.DEBUG, "duplicate free update for bay 1 ignored"),
+        (logging.DEBUG, "update for unknown bay 2; creating it as occupied"),
+    ]
 
 
 def test_update_unknown_bay_creates_with_warning():
