@@ -27,7 +27,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import eventlog, protocol
 from .clock import PRIORITY_ROLLUP, RealScheduler, VirtualScheduler
@@ -192,6 +192,35 @@ class _PendingUpload:
     payload: bytes
 
 
+@dataclass
+class _RestartLog:
+    """What a restart keeps from its one pass over ``agent.log``."""
+
+    count: int = 0  # decodable records
+    first_ts: int | None = None  # the first valid ts
+    flush_ts: int | None = None  # the last flush marker with a valid ts
+    tail: list[dict[str, Any]] = field(default_factory=list)  # the records after that marker
+    window_ends: dict[int, int] = field(default_factory=dict)  # flush windowStart -> its ts
+
+    @classmethod
+    def fold(cls, records: Iterable[dict[str, Any]]) -> _RestartLog:
+        kept = cls()
+        for record in records:
+            kept.count += 1
+            ts = record.get("ts")
+            if eventlog.is_log_ts(ts):
+                if kept.first_ts is None:
+                    kept.first_ts = ts
+                if record.get("marker") == eventlog.MARKER_FLUSH:
+                    kept.flush_ts = ts
+                    kept.tail = []
+                    if eventlog.is_log_ts(record.get("windowStart")):
+                        kept.window_ends[record["windowStart"]] = ts
+                    continue
+            kept.tail.append(record)  # a bad ts is refused, and counted, on recovery
+        return kept
+
+
 class EdgeAgentCore:
     """Single-writer agent logic over any scheduler + network pair.
 
@@ -250,13 +279,15 @@ class EdgeAgentCore:
 
     def start(self) -> None:
         now = self.sched.now_ms()
-        records, skipped = eventlog.read_records(self.config.log_path)
-        self.warnings["skipped_log_line"] += skipped  # read_records logs each one
+        # One pass, finished before the writer opens: the writer cuts a torn tail.
+        with eventlog.read_records(self.config.log_path) as records:
+            kept = _RestartLog.fold(records)
+        self.warnings["skipped_log_line"] += records.skipped  # read_records logs each one
         self.log_writer = eventlog.EventLogWriter(self.config.log_path)
         try:
             Path(self.config.csv_dir).mkdir(parents=True, exist_ok=True)
-            if records:
-                self._recover(records, now)
+            if kept.count:
+                self._recover(kept, now)
             else:
                 self.window_start = window_floor(
                     now, self.config.rollup_period_ms, self.config.rollup_epoch_ms
@@ -298,20 +329,17 @@ class EdgeAgentCore:
     # ------------------------------------------------------------------
     # recovery
 
-    def _recover(self, records: list[dict[str, Any]], now: int) -> None:
+    def _recover(self, kept: _RestartLog, now: int) -> None:
         self.recovered = True
         period = self.config.rollup_period_ms
         # The window start comes from the last flush marker with a valid ts,
         # else the first valid ts, else now (as for an empty log).
-        idx = eventlog.last_flush_index(records)
-        if idx is not None:
-            self.window_start = records[idx]["ts"]
-            tail = records[idx + 1:]
+        if kept.flush_ts is not None:
+            self.window_start = kept.flush_ts
         else:
-            first = next((r["ts"] for r in records if eventlog.is_log_ts(r.get("ts"))), now)
+            first = now if kept.first_ts is None else kept.first_ts
             self.window_start = window_floor(first, period, self.config.rollup_epoch_ms)
-            tail = records
-        for record in tail:
+        for record in kept.tail:
             try:
                 applied = eventlog.apply_record(self.table, record, self.warnings)
             except ValueError as exc:  # skipped, like an undecodable line
@@ -326,19 +354,14 @@ class EdgeAgentCore:
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
         self._gap_open = now
-        self._requeue_existing_csvs(records)
+        self._requeue_existing_csvs(kept.window_ends)
         log.info(
             "recovered %d bays from %s (%d log records)",
-            len(self.table), self.config.log_path, len(records),
+            len(self.table), self.config.log_path, kept.count,
         )
 
-    def _requeue_existing_csvs(self, records: list[dict[str, Any]]) -> None:
+    def _requeue_existing_csvs(self, window_ends: dict[int, int]) -> None:
         """At-least-once safety net: re-upload every CSV on disk, to its flush marker's ts."""
-        window_ends = {
-            r["windowStart"]: r["ts"] for r in records
-            if r.get("marker") == eventlog.MARKER_FLUSH
-            and eventlog.is_log_ts(r.get("ts")) and eventlog.is_log_ts(r.get("windowStart"))
-        }
         for path in sorted(Path(self.config.csv_dir).glob("rollup_*.csv")):
             try:
                 lot_id, window_start, records = read_csv_records(path)

@@ -306,7 +306,11 @@ def main_harness(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        report = harness.verify_run(args.run)
+        try:
+            report = harness.verify_run(args.run)
+        except (ValueError, OSError, KeyError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(report.render(), end="")
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 

@@ -21,7 +21,8 @@ re-seed lines are one append: one write and one flush.
 
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a
-line of its own.
+line of its own. Reading is one pass that yields each record as its line
+is decoded, so a caller that folds as it reads never holds the whole log.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 from .occupancy import (
     BayState,
@@ -123,15 +124,31 @@ def apply_record(
     return kind, lot_id
 
 
+_SCAN_BLOCK = 1 << 16  # bytes read per step of the backward newline scan
+
+
+def _last_line_end(fh: IO[bytes], end: int) -> int:
+    """Offset just past the last newline before ``end``, 0 if there is none.
+
+    Reads the last byte, then backward in fixed-size blocks, so a long
+    torn line costs one block of memory, not the whole file.
+    """
+    pos, size = end, 1
+    while pos > 0:
+        start = max(0, pos - size)
+        fh.seek(start)
+        newline = fh.read(pos - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        pos, size = start, _SCAN_BLOCK
+    return 0
+
+
 def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:
     end = fh.seek(0, os.SEEK_END)
-    if end == 0:
+    keep = _last_line_end(fh, end)
+    if keep == end:
         return
-    fh.seek(end - 1)
-    if fh.read(1) == b"\n":
-        return
-    fh.seek(0)
-    keep = fh.read().rfind(b"\n") + 1
     fh.truncate(keep)
     fh.seek(keep)
     log.warning("%s: cut torn final line (%d bytes)", path, end - keep)
@@ -163,43 +180,61 @@ class EventLogWriter:
             self._fh.close()
 
 
-def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Read all decodable records; returns (records, skipped line count).
+class LogRecords:
+    """One pass over a log's decodable records, read line by line as iterated.
 
-    An unterminated or undecodable final line is a torn tail and is
-    dropped; undecodable interior lines are skipped too, both counted. A
-    line nested past the interpreter's recursion limit is undecodable.
+    A torn final line is dropped and undecodable lines (nested past the
+    recursion limit included) are skipped; ``skipped`` counts both as read
+    so far, the torn tail as the pass opens the file. The file is closed at
+    the end of the pass, by ``close()`` or a ``with`` block, or when a pass
+    dropped part-way is collected.
     """
-    path = Path(path)
-    records: list[dict[str, Any]] = []
-    skipped = 0
-    if not path.exists():
-        return records, skipped
-    raw = path.read_bytes()
-    if not raw:
-        return records, skipped
-    lines = raw.split(b"\n")
-    trailing = lines.pop() if lines else b""
-    if trailing:
-        skipped += 1
-        log.warning("%s: discarding torn final line (%d bytes)", path, len(trailing))
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.skipped = 0
+        self._records = self._read()
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return self._records
+
+    def __enter__(self) -> LogRecords:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._records.close()
+
+    def _read(self) -> Iterator[dict[str, Any]]:
         try:
-            record = decode_json(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("log line is not an object")
-            records.append(record)
-        except (ValueError, RecursionError) as exc:
-            skipped += 1
-            log.warning("%s:%d: skipping undecodable line: %s", path, lineno, exc)
-    return records, skipped
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            end = fh.seek(0, os.SEEK_END)
+            torn = end - _last_line_end(fh, end)
+            if torn:
+                self.skipped += 1
+                log.warning("%s: discarding torn final line (%d bytes)", self.path, torn)
+            fh.seek(0)
+            for lineno, line in enumerate(fh, start=1):
+                if line[-1:] != b"\n":
+                    break  # the torn tail, counted above
+                if len(line) == 1:
+                    continue
+                try:
+                    record = decode_json(line[:-1].decode("utf-8"))
+                    if not isinstance(record, dict):
+                        raise ValueError("log line is not an object")
+                except (ValueError, RecursionError) as exc:
+                    self.skipped += 1
+                    log.warning("%s:%d: skipping undecodable line: %s", self.path, lineno, exc)
+                    continue
+                yield record
 
 
-def last_flush_index(records: list[dict[str, Any]]) -> int | None:
-    """Index of the last flush marker with a valid ts, or None."""
-    for i in range(len(records) - 1, -1, -1):
-        if records[i].get("marker") == MARKER_FLUSH and is_log_ts(records[i].get("ts")):
-            return i
-    return None
+def read_records(path: str | Path) -> LogRecords:
+    """The log's decodable records, one pass; see LogRecords."""
+    return LogRecords(Path(path))

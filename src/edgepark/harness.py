@@ -414,8 +414,6 @@ def replay_log(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    records, skipped = eventlog.read_records(log_path)
-
     windows: list[ReplayWindow] = []
     csv_paths: list[Path] = []
 
@@ -426,13 +424,7 @@ def replay_log(
             csv_paths.append(csv_path)
         windows.append(ReplayWindow(window, totals, recs, csv_path))
 
-    if not records:
-        window = RollupWindow(0, period)
-        emit(window, {}, [], REPLAY_LOT_FALLBACK)
-        return ReplayResult(windows, skipped, csv_paths)
-
-    window_start = window_floor(eventlog.record_ts(records[0]), period, epoch_ms)
-
+    window_start: int | None = None  # set by the first record
     table: dict[int, Any] = {}
     warnings: Counter[str] = Counter()
     lot_seen = REPLAY_LOT_FALLBACK
@@ -448,29 +440,34 @@ def replay_log(
         window_start = boundary
         has_observations = False
 
-    for record in records:
-        ts = eventlog.record_ts(record)
-        while ts >= window_start + period:
-            close_window(window_start + period)
-        applied = eventlog.apply_record(table, record, warnings)
-        if applied is not None:
-            kind, lot_seen = applied
-            # Updates are real observations; snapshots at exactly the window
-            # start are boundary bookkeeping (post-rollup re-seed lines).
-            if kind is EventKind.UPDATE or ts > window_start:
+    with eventlog.read_records(log_path) as records:
+        for record in records:
+            ts = eventlog.record_ts(record)
+            if window_start is None:
+                window_start = window_floor(ts, period, epoch_ms)
+            while ts >= window_start + period:
+                close_window(window_start + period)
+            applied = eventlog.apply_record(table, record, warnings)
+            if applied is not None:
+                kind, lot_seen = applied
+                # Updates are real observations; snapshots at exactly the window
+                # start are boundary bookkeeping (post-rollup re-seed lines).
+                if kind is EventKind.UPDATE or ts > window_start:
+                    has_observations = True
+            elif record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
                 has_observations = True
-        elif record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
-            has_observations = True
 
-    # A log that simply stops mid-window (a crash leftover) still gets its
-    # in-progress window closed; a log ending at a flush boundary does not.
-    if has_observations:
+    if window_start is None:  # no record: one empty window
+        emit(RollupWindow(0, period), {}, [], REPLAY_LOT_FALLBACK)
+    elif has_observations:
+        # A log that simply stops mid-window (a crash leftover) still gets its
+        # in-progress window closed; a log ending at a flush boundary does not.
         close_window(window_start + period)
     if warnings:
         summary = ", ".join(f"{n} {kind}" for kind, n in warnings.items())
         log.warning("replay of %s: %s", log_path, summary)
 
-    return ReplayResult(windows, skipped, csv_paths)
+    return ReplayResult(windows, records.skipped, csv_paths)
 
 
 # ---------------------------------------------------------------------------

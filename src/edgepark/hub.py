@@ -109,18 +109,18 @@ class RollupStore:
         """Rebuild the index. A stored row is an envelope plus an integer
         receivedAt; a row that is not is skipped, logged and counted."""
         for path in sorted(self.store_dir.glob("*.jsonl")):
-            rows, skipped = eventlog.read_records(path)
-            self.skipped_rows += skipped  # read_records logs each one
-            for row in rows:
-                try:
-                    envelope = protocol.parse_rollup_envelope(row)
-                    if not protocol.is_wire_int(row.get("receivedAt")):
-                        raise protocol.ProtocolError("receivedAt must be an integer")
-                except protocol.ProtocolError as exc:
-                    log.warning("%s: skipping bad stored row: %s", path, exc)
-                    self.skipped_rows += 1
-                    continue
-                self._by_key[envelope["key"]] = StoredRollup.of(envelope, row["receivedAt"])
+            with eventlog.read_records(path) as rows:
+                for row in rows:
+                    try:
+                        envelope = protocol.parse_rollup_envelope(row)
+                        if not protocol.is_wire_int(row.get("receivedAt")):
+                            raise protocol.ProtocolError("receivedAt must be an integer")
+                    except protocol.ProtocolError as exc:
+                        log.warning("%s: skipping bad stored row: %s", path, exc)
+                        self.skipped_rows += 1
+                        continue
+                    self._by_key[envelope["key"]] = StoredRollup.of(envelope, row["receivedAt"])
+            self.skipped_rows += rows.skipped  # read_records logs each one
         if self._by_key:
             log.info("rollup store: rebuilt index with %d records", len(self._by_key))
 

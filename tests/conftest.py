@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 import string
+import tracemalloc
 
 import pytest
 
+from edgepark import eventlog
 from edgepark.agent import AgentConfig, BackoffPolicy, EdgeAgentCore
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import (
@@ -18,7 +20,7 @@ from edgepark.gateway import (
 )
 from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS, ScenarioConfig
 from edgepark.hub import HubCore, RollupStore
-from edgepark.occupancy import BayStatus
+from edgepark.occupancy import BayStatus, EventKind
 from edgepark.transport import VirtualNetwork
 
 # 2018-11-19T00:00:00Z, a Monday: the start of the reproduced week.
@@ -64,6 +66,28 @@ def items_trace(
         initial={b: BayStatus.FREE for b in range(1, bays + 1)},
         items=tuple(TraceItem(ts, bay, BayStatus(status)) for ts, bay, status in items),
     )
+
+
+def update_lines(ts: int, updates: int, bays: int = 4) -> bytes:
+    """Log lines: a free snapshot of each bay at ts, then ``updates`` updates
+    1 ms apart that take turns occupying and freeing each bay, so no update
+    repeats a bay's status."""
+    lines = [eventlog.event_line(EventKind.SNAPSHOT, ts, "L", b, BayStatus.FREE)
+             for b in range(1, bays + 1)]
+    for i in range(updates):
+        status = BayStatus.OCCUPIED if i // bays % 2 == 0 else BayStatus.FREE
+        lines.append(eventlog.event_line(EventKind.UPDATE, ts + 1 + i, "L", i % bays + 1, status))
+    return b"".join(lines)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, over one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Characters JSON must escape, plus non-ASCII, astral-plane and lone

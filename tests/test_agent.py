@@ -27,13 +27,15 @@ from edgepark.occupancy import (
 )
 from edgepark.transport import VirtualNetwork
 
-from conftest import DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent
+from conftest import (
+    DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent, traced_peak, update_lines,
+)
 
 HOUR_MS = 3_600_000
 
 
 def disconnect_times(rig):
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     return [r["ts"] for r in records if r.get("marker") == "disconnect"]
 
 
@@ -68,7 +70,7 @@ def test_ingest_pair_credits_600_seconds(rig_factory):
     rig = rig_factory(items_trace([(100_000, 5, "occupied"), (700_000, 5, "free")]))
     rig.run_for(800_000)
     assert rig.agent.table[5].accumulated_occupation_ms == 600_000
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     updates = [r for r in records if r.get("src") == "update"]
     assert [(r["ts"] - EPOCH_MS, r["status"]) for r in updates] == [
         (100_000, "occupied"),
@@ -91,7 +93,7 @@ def test_duplicate_update_counted_logged_at_debug_then_summarised_state_unchange
     rig.run_for(5000)
     assert rig.agent.table[3].status is BayStatus.OCCUPIED
     assert rig.agent.warnings["duplicate_update"] == 1
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     assert len([r for r in records if r.get("src") == "update"]) == 2
     # The detail is DEBUG only; the window's roll-up logs the one WARNING.
     assert [(r.levelno, r.getMessage()) for r in caplog.records if "bay 3" in r.getMessage()] == [
@@ -161,7 +163,7 @@ def test_final_table_equals_log_replay(rig_factory):
     rig = rig_factory(items_trace(items, duration_ms=DAY_MS))
     rig.run_for(ts + 1000)
 
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     replayed = {}
     for record in records:
         assert "marker" not in record  # no boundary crossed in this run
@@ -315,7 +317,7 @@ def test_clock_regression_event_logged_as_rejected(rig_factory):
     )
     assert rig.agent.warnings["rejected_event"] == 1
     assert rig.agent.table[3].status is BayStatus.OCCUPIED  # untouched
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     assert records[-1].get("rejected") is True
 
 
@@ -460,7 +462,7 @@ def test_idle_day_produces_all_zero_csv(rig_factory):
 def test_flush_marker_and_reseed_written_at_boundary(rig_factory):
     rig = rig_factory(items_trace([(1000, 4, "occupied")]))
     rig.sched.run_until(EPOCH_MS + DAY_MS)
-    records, _ = eventlog.read_records(rig.agent_config.log_path)
+    records = list(eventlog.read_records(rig.agent_config.log_path))
     markers = [r for r in records if r.get("marker") == "flush"]
     assert markers == [{"ts": EPOCH_MS + DAY_MS, "marker": "flush", "windowStart": EPOCH_MS}]
     reseed = [r for r in records if r.get("src") == "snapshot" and r["ts"] == EPOCH_MS + DAY_MS]
@@ -727,7 +729,7 @@ def test_recover_replays_only_after_last_flush_marker(tmp_path):
     # flushed when recovery closed the observation stream at start time.
     assert agent.table[2].accumulated_occupation_ms == 60_000 + 1_620_000
     assert agent.table[2].status is BayStatus.UNKNOWN
-    records, _ = eventlog.read_records(tmp_path / "agent.log")
+    records = list(eventlog.read_records(tmp_path / "agent.log"))
     assert records[-1]["marker"] == "disconnect"
 
 
@@ -772,7 +774,7 @@ def test_recover_skips_and_counts_a_refused_log_record(tmp_path, key, value):
     agent.start()
     assert agent.table[1].accumulated_occupation_ms == 5000  # flushed at recovery
     assert agent.warnings["skipped_log_line"] == 1
-    records, _ = eventlog.read_records(log_path)
+    records = list(eventlog.read_records(log_path))
     assert records[-1] == eventlog.disconnect_record(EPOCH_MS)
 
 
@@ -826,6 +828,26 @@ def test_recover_without_a_valid_flush_uses_the_first_valid_ts(tmp_path):
     assert agent.window_start == EPOCH_MS + 10 * HOUR_MS
     assert agent.table[1].accumulated_occupation_ms == 60_000
     assert agent.warnings["skipped_log_line"] == 2
+
+
+def test_restart_memory_does_not_grow_with_history_before_the_last_flush(tmp_path):
+    peaks = []
+    for n, windows in enumerate((20, 20, 80)):  # the first start warms caches up
+        run = tmp_path / str(n)
+        run.mkdir()
+        history = range(EPOCH_MS - windows * HOUR_MS, EPOCH_MS, HOUR_MS)
+        (run / "agent.log").write_bytes(b"".join(
+            update_lines(start, 100)
+            + protocol.encode_line(eventlog.flush_record(start + HOUR_MS, start))
+            for start in history
+        ) + update_lines(EPOCH_MS, 8))
+        agent, _ = make_agent(run, VirtualScheduler(EPOCH_MS + HOUR_MS // 2),
+                              rollup_period_sec=3600)
+        peaks.append(traced_peak(agent.start))
+        assert agent.window_start == EPOCH_MS and len(agent.table) == 4
+        assert not agent.upload_queue  # no CSV on disk to re-queue
+    _, small, large = peaks
+    assert large - small < 64 * 1024, peaks  # a list of the whole log would grow by megabytes
 
 
 def test_recovery_requeues_existing_csvs(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import edgepark
-from edgepark import cli
+from edgepark import cli, protocol
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -130,6 +130,51 @@ def test_verify_failure_exits_1(tmp_path):
     lines[1] = f"{bay},{int(sec) + 1},{rate}"
     victim.write_text("\n".join(lines) + "\n")
     assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_VERIFY_FAILED
+
+
+def refuse_a_log_record(run):
+    log = run / "agent.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    update = next(i for i, line in enumerate(lines) if b'"src":"update"' in line)
+    lines[update] = protocol.encode_line({**json.loads(lines[update]), "bayId": 0})
+    log.write_bytes(b"".join(lines))
+
+
+def break_a_trace_row(run):
+    trace = run / "trace.jsonl"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    item = next(i for i, line in enumerate(lines) if b'"kind":"item"' in line)
+    lines[item] = protocol.encode_line({**json.loads(lines[item]), "simTs": -1})
+    trace.write_bytes(b"".join(lines))
+
+
+def cut_meta_short(run):
+    meta = run / "meta.json"
+    meta.write_bytes(meta.read_bytes()[:20])
+
+
+def drop_a_meta_key(run):
+    meta = run / "meta.json"
+    values = json.loads(meta.read_bytes())
+    del values["periodMs"]
+    meta.write_text(json.dumps(values))
+
+
+@pytest.mark.parametrize(
+    "tamper", [refuse_a_log_record, break_a_trace_row, cut_meta_short, drop_a_meta_key]
+)
+def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
+    scenario = write_scenario(
+        tmp_path, "seed = 4\nbays = 3\ndays = 1\nmean_occupied_min = 30\nmean_free_min = 60\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == 0
+    tamper(out)
+    capsys.readouterr()
+    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def never_serve(sched, build, banner, until_ms=None):

@@ -1,8 +1,11 @@
 """Event-log encoding, torn-tail tolerance, and marker handling."""
 
+import gc
 import json
 import logging
 import random
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,13 @@ def test_event_line_covers_every_status_source_and_flag():
                 assert (b'"rejected":true' in line) is rejected
 
 
+def read_all(path):
+    """Every record of one pass over the log, and the lines that pass skipped."""
+    with eventlog.read_records(path) as reader:
+        records = list(reader)
+    return records, reader.skipped
+
+
 def test_append_read_roundtrip(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)
@@ -77,7 +87,7 @@ def test_append_read_roundtrip(tmp_path):
     writer.append(eventlog.event_line(*ev(200, 2, "occupied"), rejected=True))
     writer.close()
 
-    records, skipped = eventlog.read_records(path)
+    records, skipped = read_all(path)
     assert skipped == 0
     assert len(records) == 5
     assert records[0]["src"] == "snapshot"
@@ -94,7 +104,7 @@ def test_torn_tail_discarded_with_count(tmp_path):
     writer.close()
     with open(path, "ab") as fh:
         fh.write(b'{"ts": 2, "lotId": "L", "bayId"')  # no newline: torn write
-    records, skipped = eventlog.read_records(path)
+    records, skipped = read_all(path)
     assert len(records) == 1
     assert skipped == 1
 
@@ -110,7 +120,7 @@ def test_writer_cuts_torn_tail_before_appending(tmp_path):
     writer.append(eventlog.event_line(*ev(2, 1, "free")))
     writer.append(eventlog.event_line(*ev(3, 1, "occupied")))
     writer.close()
-    records, skipped = eventlog.read_records(path)
+    records, skipped = read_all(path)
     assert [r["ts"] for r in records] == [1, 2, 3]
     assert skipped == 0
 
@@ -122,26 +132,74 @@ def test_undecodable_interior_line_skipped(tmp_path):
         fh.write(b"garbage line\n")
         fh.write(b"[" * 100_000 + b"\n")  # nested past the recursion limit
         fh.write(b'{"ts":2,"lotId":"L","bayId":1,"status":"occupied","src":"update"}\n')
-    records, skipped = eventlog.read_records(path)
+    records, skipped = read_all(path)
     assert [r["ts"] for r in records] == [1, 2]
     assert skipped == 2
 
 
 def test_missing_file_reads_empty(tmp_path):
-    records, skipped = eventlog.read_records(tmp_path / "absent.log")
+    records, skipped = read_all(tmp_path / "absent.log")
     assert records == [] and skipped == 0
 
 
-def test_last_flush_index():
-    records = [
-        event_record(ev(1, 1, "free")),
-        eventlog.flush_record(10, 0),
-        event_record(ev(11, 1, "occupied")),
-        eventlog.flush_record(20, 10),
-        event_record(ev(21, 1, "free")),
+def test_read_records_is_one_pass_counting_skips_as_it_reads(tmp_path, caplog):
+    path = tmp_path / "events.log"
+    path.write_bytes(
+        eventlog.event_line(*ev(1, 1, "occupied")) + b"garbage\n"
+        + eventlog.event_line(*ev(2, 1, "free")) + b'{"ts": 3'
+    )
+    reader = eventlog.read_records(path)
+    assert reader.skipped == 0  # nothing read yet
+    records = iter(reader)
+    assert next(records)["ts"] == 1
+    assert reader.skipped == 1  # the torn tail, counted as the pass opens the file
+    assert next(records)["ts"] == 2
+    assert reader.skipped == 2
+    assert list(records) == [] and list(reader) == []  # one pass
+    # The warnings of the whole-file reader, in its order: the torn tail first.
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: discarding torn final line (8 bytes)",
+        f"{path}:2: skipping undecodable line: Expecting value: line 1 column 1 (char 0)",
     ]
-    assert eventlog.last_flush_index(records) == 3
-    assert eventlog.last_flush_index(records[:1]) is None
+
+
+def test_a_pass_stopped_early_closes_its_file(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_bytes(eventlog.event_line(*ev(1, 1, "occupied")) * 3)
+    with eventlog.read_records(path) as reader:
+        assert next(iter(reader))["ts"] == 1
+    assert list(reader) == []  # closed: the pass is over
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reader = eventlog.read_records(path)
+        next(iter(reader))
+        del reader  # dropped part-way: an unclosed file would warn as it is collected
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_writer_cuts_a_torn_tail_longer_than_a_scan_block_in_bounded_memory(tmp_path):
+    path = tmp_path / "events.log"
+    head = eventlog.event_line(*ev(1, 1, "occupied"))
+    path.write_bytes(head + b"x" * (16 * eventlog._SCAN_BLOCK + 17))
+    assert read_all(path) == ([json.loads(head)], 1)
+    tracemalloc.start()
+    try:
+        eventlog.EventLogWriter(path).close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == head
+    assert peak < 2 * eventlog._SCAN_BLOCK  # one block, not the 1 MiB tail
+
+
+@pytest.mark.parametrize("size", [5, 3 * eventlog._SCAN_BLOCK + 5])
+def test_writer_cuts_a_log_without_a_newline_to_nothing(tmp_path, size):
+    path = tmp_path / "events.log"
+    path.write_bytes(b"y" * size)
+    assert read_all(path) == ([], 1)
+    eventlog.EventLogWriter(path).close()
+    assert path.read_bytes() == b""
 
 
 def test_apply_record_folds_an_event_line_as_apply_event_its_fields():
@@ -241,4 +299,4 @@ def test_read_records_matches_line_by_line_json_loads(tmp_path, caplog):
             body += random_log_line(rng).rstrip(b"\n")  # torn tail
         path = tmp_path / f"log{n}.log"
         path.write_bytes(body)
-        assert eventlog.read_records(path) == reference_read_records(path)
+        assert read_all(path) == reference_read_records(path)

@@ -13,7 +13,7 @@ from edgepark.agent import EdgeAgentCore
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import InvariantViolationError
 
-from conftest import DAY_MS, EPOCH_MS, make_scenario
+from conftest import DAY_MS, EPOCH_MS, make_scenario, traced_peak, update_lines
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -273,6 +273,16 @@ def test_replay_counts_torn_lines(tmp_path):
         fh.write(b'{"torn')
     result = harness.replay_log(log_path, 86_400, tmp_path / "out")
     assert result.skipped_lines == 1
+
+
+def test_replay_memory_does_not_grow_with_the_log(tmp_path):
+    peaks = []
+    for updates in (2_000, 2_000, 8_000):  # the first replay warms caches up
+        log_path = tmp_path / f"{updates}.log"
+        log_path.write_bytes(update_lines(EPOCH_MS, updates))
+        peaks.append(traced_peak(lambda: harness.replay_log(log_path, 86_400, None)))
+    _, small, large = peaks
+    assert large - small < 64 * 1024, peaks  # a list of the whole log would grow by megabytes
 
 
 def test_replay_logs_one_summary_warning_for_its_per_event_warnings(tmp_path, caplog):
