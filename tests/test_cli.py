@@ -32,6 +32,73 @@ def test_run_sim_verify_traffic_export_roundtrip(tmp_path, capsys):
     assert "report_daily.csv" in captured
 
 
+RUN_SIM_STDOUT = """\
+# Run report
+
+## Lot LOT-A: fleet average occupied hours per window
+
+| window start (UTC) | fleet avg hours |
+| --- | --- |
+| 2018-11-19 00:00 | 7.9260 |
+
+## Lot LOT-A: per-bay occupied hours, min and max over the run
+
+| bay | min hours | max hours |
+| --- | --- | --- |
+| 1 | 12.6967 | 12.6967 |
+| 2 | 0.0000 | 0.0000 |
+| 3 | 11.0814 | 11.0814 |
+
+## Traffic
+
+- per-event forwarding baseline: 142 bytes (2 events)
+- aggregated uploads: 305 bytes (1 sends)
+- reduction ratio (aggregated/raw): 2.147887
+
+run artifacts in RUN
+"""
+
+# (arguments, exit code, stdout) in order; RUN and OUT stand for the run and
+# replay directories.
+PINNED_COMMANDS = [
+    (["run-sim", "--scenario", "SCENARIO", "--out", "RUN"], 0, RUN_SIM_STDOUT),
+    (["verify", "--run", "RUN"], 0,
+     "ok: window 1542585600000: CSV matches log replay (3 bays)\n"
+     "ok: window 1542585600000: hub store matches CSV\n"
+     "ok: oracle diff over 1 windows: max 0 ms\n"
+     "max per-bay error 0 ms (allowed 0 ms): pass\n"),
+    (["traffic-report", "--run", "RUN"], 0,
+     "rawForwardBytes   142\n"
+     "aggregatedBytes   305\n"
+     "eventCount        2\n"
+     "envelopeSends     1\n"
+     "reductionRatio    2.147887\n"),
+    (["replay", "--log", "RUN/agent.log", "--window-sec", "86400", "--out", "OUT"], 0,
+     "replayed 1 window(s), 0 torn/undecodable line(s) skipped\n"
+     "OUT/rollup_LOT-A_20181119T000000Z.csv\n"),
+    (["export-report", "--run", "RUN", "--format", "csv"], 0,
+     "RUN/report_daily.csv\nRUN/report_bays.csv\n"),
+    (["export-report", "--run", "RUN", "--format", "markdown"], 0, "RUN/report.md\n"),
+]
+
+
+def test_cli_stdout_and_exit_codes_on_a_seeded_run_are_pinned(tmp_path, capsys):
+    names = {
+        "SCENARIO": str(write_scenario(tmp_path)),
+        "RUN": str(tmp_path / "run"),
+        "OUT": str(tmp_path / "replayed"),
+    }
+
+    def place(text):
+        for name, path in names.items():
+            text = text.replace(name, path)
+        return text
+
+    for argv, code, stdout in PINNED_COMMANDS:
+        assert cli.main_harness([place(arg) for arg in argv]) == code, argv
+        assert capsys.readouterr().out == place(stdout), argv
+
+
 def test_replay_command(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "run"
