@@ -46,6 +46,12 @@ def _setup_logging(verbose: bool = False) -> None:
     )
 
 
+def config_error(exc: Exception) -> int:
+    """Report a refused configuration on stderr; EXIT_CONFIG."""
+    print(f"configuration error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def parse_duration_ms(text: str) -> int:
     """'90', '90s', '15m', '2h', or '7d' to milliseconds."""
     text = text.strip().lower()
@@ -157,8 +163,7 @@ def main_gateway(argv: list[str] | None = None) -> int:
         trace = generate_trace(config, duration_ms)
         sched = RealScheduler(warp=args.time_warp)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return config_error(exc)
     return serve(
         sched,
         lambda net: GatewayCore(sched, net, config, trace),
@@ -208,8 +213,7 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
         )
         sched = RealScheduler(warp=args.time_warp)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return config_error(exc)
     return serve(
         sched,
         lambda net: EdgeAgentCore(sched, net, config),
@@ -244,6 +248,17 @@ def main_hub(argv: list[str] | None = None) -> int:
 # harness
 
 
+# What each harness subcommand refuses as a configuration error (exit 2).
+# Anything else run-sim raises is a component crash (exit 3).
+HARNESS_REFUSES: dict[str, tuple[type[Exception], ...]] = {
+    "run-sim": (harness.ScenarioError,),
+    "replay": (ValueError, OSError),
+    "verify": (ValueError, OSError, KeyError),
+    "traffic-report": (ValueError, OSError),
+    "export-report": (ValueError, OSError),
+}
+
+
 def main_harness(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="edgepark",
@@ -275,70 +290,45 @@ def main_harness(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
 
-    if args.command == "run-sim":
-        try:
+    try:
+        if args.command == "run-sim":
             result = harness.run_sim(harness.parse_scenario(args.scenario), args.out)
-        except harness.ScenarioError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except Exception as exc:  # component crash
-            log.exception("run-sim failed")
-            print(f"component crash: {exc}", file=sys.stderr)
-            return EXIT_CRASH
-        print(result.summary_path.read_text(encoding="utf-8"))
-        print(f"run artifacts in {result.out_dir}")
-        return EXIT_OK
-
-    if args.command == "replay":
-        try:
+            print(result.summary_path.read_text(encoding="utf-8"))
+            print(f"run artifacts in {result.out_dir}")
+        elif args.command == "replay":
             result = harness.replay_log(
                 args.log, args.window_sec, args.out, epoch_ms=args.epoch_ms
             )
-        except (ValueError, OSError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(
-            f"replayed {len(result.windows)} window(s), "
-            f"{result.skipped_lines} torn/undecodable line(s) skipped"
-        )
-        for path in result.csv_paths:
-            print(path)
-        return EXIT_OK
-
-    if args.command == "verify":
-        try:
+            print(
+                f"replayed {len(result.windows)} window(s), "
+                f"{result.skipped_lines} torn/undecodable line(s) skipped"
+            )
+            for path in result.csv_paths:
+                print(path)
+        elif args.command == "verify":
             report = harness.verify_run(args.run)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(report.render(), end="")
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-
-    if args.command == "traffic-report":
-        try:
+            print(report.render(), end="")
+            return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+        elif args.command == "traffic-report":
             ledger = harness.load_ledger(args.run)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        ratio = ledger.reduction_ratio
-        print(f"rawForwardBytes   {ledger.raw_forward_bytes}")
-        print(f"aggregatedBytes   {ledger.aggregated_bytes}")
-        print(f"eventCount        {ledger.event_count}")
-        print(f"envelopeSends     {ledger.envelope_sends}")
-        print("reductionRatio    " + (f"{ratio:.6f}" if ratio is not None else "undefined"))
-        return EXIT_OK
-
-    if args.command == "export-report":
-        try:
-            paths = harness.export_report(args.run, args.format)
-        except (OSError, ValueError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for path in paths:
-            print(path)
-        return EXIT_OK
-
-    return EXIT_CONFIG  # pragma: no cover
+            ratio = ledger.reduction_ratio
+            print(f"rawForwardBytes   {ledger.raw_forward_bytes}")
+            print(f"aggregatedBytes   {ledger.aggregated_bytes}")
+            print(f"eventCount        {ledger.event_count}")
+            print(f"envelopeSends     {ledger.envelope_sends}")
+            print("reductionRatio    " + (f"{ratio:.6f}" if ratio is not None else "undefined"))
+        else:
+            for path in harness.export_report(args.run, args.format):
+                print(path)
+    except HARNESS_REFUSES[args.command] as exc:
+        return config_error(exc)
+    except Exception as exc:
+        if args.command != "run-sim":
+            raise
+        log.exception("run-sim failed")
+        print(f"component crash: {exc}", file=sys.stderr)
+        return EXIT_CRASH
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -186,69 +186,52 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
         )
 
 
-def _trace_item(row: dict[str, Any]) -> TraceItem:
-    """One status-change row; InvariantViolationError unless simTs and bayId are
-    JSON integers with simTs >= 0 and bayId >= 1."""
-    sim_ts = row["simTs"]
-    bay_id = row["bayId"]
-    if type(sim_ts) is not int or type(bay_id) is not int or sim_ts < 0 or bay_id < 1:
-        raise InvariantViolationError(
-            f"trace row needs integer simTs >= 0 and bayId >= 1, got {row!r}"
-        )
-    return TraceItem(sim_ts, bay_id, bay_status(row["status"]))
-
-
 def read_trace(path: str | Path) -> SimTrace:
+    """Read trace.jsonl or a scenario's script: '#' lines are comments, and a
+    row with no kind is an item. Items come back sorted by (sim_ts, bay_id).
+    InvariantViolationError names the line of any row it refuses."""
     lot_id = "lot"
     bay_count = 0
     duration_ms = 0
     initial: dict[int, BayStatus] = {}
     items: list[TraceItem] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = protocol.decode_json(line)
-            kind = row.get("kind")
-            if kind == "meta":
-                lot_id = row["lotId"]
-                bay_count = int(row["bayCount"])
-                duration_ms = int(row["durationMs"])
-            elif kind == "initial":
-                initial = {int(b): bay_status(s) for b, s in row["statuses"].items()}
-                if min(initial, default=1) < 1:
-                    raise InvariantViolationError(f"trace bay ids must be positive: {row!r}")
-            elif kind == "item":
-                items.append(_trace_item(row))
-            else:
-                raise ValueError(f"unknown trace line kind {kind!r}")
-    items.sort(key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
-    return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
-
-
-def scripted_trace(
-    lot_id: str,
-    bay_count: int,
-    duration_ms: int,
-    script_path: str | Path,
-) -> SimTrace:
-    """Build a trace from a script of items; bays default to free."""
-    initial = {bay_id: BayStatus.FREE for bay_id in range(1, bay_count + 1)}
-    items: list[TraceItem] = []
-    with open(script_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            row = protocol.decode_json(line)
-            if "initial" in row:
-                for bay, status in row["initial"].items():
-                    initial[int(bay)] = bay_status(status)
-                continue
-            items.append(_trace_item(row))
+            try:
+                row = protocol.decode_json(line)
+                kind = row.get("kind", "item")
+                if kind == "item":
+                    sim_ts = row.get("simTs")
+                    bay_id = row.get("bayId")
+                    if not (type(sim_ts) is type(bay_id) is int and sim_ts >= 0 and bay_id >= 1):
+                        raise ValueError("an item needs integer simTs >= 0 and bayId >= 1")
+                    items.append(TraceItem(sim_ts, bay_id, bay_status(row.get("status"))))
+                elif kind == "meta":
+                    lot_id = row["lotId"]
+                    bay_count = int(row["bayCount"])
+                    duration_ms = int(row["durationMs"])
+                elif kind == "initial":
+                    initial = {int(b): bay_status(s) for b, s in row["statuses"].items()}
+                    if min(initial, default=1) < 1:
+                        raise ValueError(f"trace bay ids must be positive: {row!r}")
+                else:
+                    raise ValueError(f"unknown trace line kind {kind!r}")
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
     items.sort(key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
+
+
+def scripted_trace(config: GatewayConfig, duration_ms: int, script_path: str | Path) -> SimTrace:
+    """A scenario's script read by read_trace, under the config's lot and bay
+    count and this duration; a bay with no initial status in it starts free."""
+    script = read_trace(script_path)
+    initial = {bay_id: BayStatus.FREE for bay_id in range(1, config.bay_count + 1)}
+    initial.update(script.initial)
+    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, script.items)
 
 
 # ---------------------------------------------------------------------------

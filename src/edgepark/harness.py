@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import eventlog
 from .agent import (
@@ -230,6 +230,10 @@ def component_configs(
 # Traffic ledger
 
 
+# ledger.json's key for each TrafficLedger field, in field order.
+LEDGER_KEYS = ("rawForwardBytes", "aggregatedBytes", "eventCount", "envelopeSends")
+
+
 @dataclass
 class TrafficLedger:
     """Bytes actually uploaded vs per-event forwarding of the same run."""
@@ -246,22 +250,7 @@ class TrafficLedger:
         return self.aggregated_bytes / self.raw_forward_bytes
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "rawForwardBytes": self.raw_forward_bytes,
-            "aggregatedBytes": self.aggregated_bytes,
-            "eventCount": self.event_count,
-            "envelopeSends": self.envelope_sends,
-            "reductionRatio": self.reduction_ratio,
-        }
-
-    @classmethod
-    def from_json(cls, row: dict[str, Any]) -> "TrafficLedger":
-        return cls(
-            raw_forward_bytes=int(row["rawForwardBytes"]),
-            aggregated_bytes=int(row["aggregatedBytes"]),
-            event_count=int(row["eventCount"]),
-            envelope_sends=int(row["envelopeSends"]),
-        )
+        return {**dict(zip(LEDGER_KEYS, astuple(self))), "reductionRatio": self.reduction_ratio}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +280,10 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
 
     gw_config, agent_config = component_configs(scenario, out_dir)
     if scenario.script is not None:
-        trace = scripted_trace(
-            scenario.lot_id, scenario.bays, scenario.duration_ms, scenario.script
-        )
+        try:
+            trace = scripted_trace(gw_config, scenario.duration_ms, scenario.script)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"cannot read script {scenario.script}: {exc}") from exc
     else:
         trace = generate_trace(gw_config, scenario.duration_ms)
     write_trace(trace, out_dir / "trace.jsonl")
@@ -390,7 +380,10 @@ class ReplayWindow:
 class ReplayResult:
     windows: list[ReplayWindow]
     skipped_lines: int
-    csv_paths: list[Path]
+
+    @property
+    def csv_paths(self) -> list[Path]:
+        return [rw.csv_path for rw in self.windows if rw.csv_path is not None]
 
 
 def replay_log(
@@ -415,13 +408,11 @@ def replay_log(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     windows: list[ReplayWindow] = []
-    csv_paths: list[Path] = []
 
     def emit(window: RollupWindow, totals: dict[int, int], recs: list[RollupRecord], lot: str) -> None:
         csv_path = None
         if out is not None:
             csv_path = write_csv(recs, window, lot, out)
-            csv_paths.append(csv_path)
         windows.append(ReplayWindow(window, totals, recs, csv_path))
 
     window_start: int | None = None  # set by the first record
@@ -467,7 +458,7 @@ def replay_log(
         summary = ", ".join(f"{n} {kind}" for kind, n in warnings.items())
         log.warning("replay of %s: %s", log_path, summary)
 
-    return ReplayResult(windows, records.skipped, csv_paths)
+    return ReplayResult(windows, records.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +596,13 @@ def _diff_records(
 
 
 def load_ledger(run_dir: str | Path) -> TrafficLedger:
+    """The run's ledger.json; ValueError for one that is not a traffic ledger."""
     path = Path(run_dir) / "ledger.json"
-    return TrafficLedger.from_json(json.loads(path.read_text(encoding="utf-8")))
+    row = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return TrafficLedger(*(int(row[key]) for key in LEDGER_KEYS))
+    except (LookupError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path} is not a traffic ledger: {exc!r}") from exc
 
 
 def _day_label(window_start_ms: int) -> str:
@@ -615,25 +611,32 @@ def _day_label(window_start_ms: int) -> str:
     )
 
 
+def report_tables(
+    store: RollupStore,
+) -> Iterator[tuple[str, list[tuple[int, float]], dict[int, tuple[float, float]]]]:
+    """Per lot: its id, its (window_start, fleet avg hours) rows and its
+    per-bay (min, max) occupied hours over every window."""
+    for lot_id in store.lots():
+        rows = store.windows_for(lot_id)
+        averages = [(stored.window_start, fleet_average_hours(stored.records)) for stored in rows]
+        yield lot_id, averages, per_bay_extremes(stored.records for stored in rows)
+
+
 def build_report_markdown(store: RollupStore, ledger: TrafficLedger | None = None) -> str:
     lines: list[str] = ["# Run report", ""]
-    for lot_id in store.lots() or ["(no data)"]:
-        rows = store.windows_for(lot_id) if lot_id != "(no data)" else []
+    for lot_id, averages, extremes in list(report_tables(store)) or [("(no data)", [], {})]:
         lines.append(f"## Lot {lot_id}: fleet average occupied hours per window")
         lines.append("")
         lines.append("| window start (UTC) | fleet avg hours |")
         lines.append("| --- | --- |")
-        for stored in rows:
-            lines.append(
-                f"| {_day_label(stored.window_start)} | {fleet_average_hours(stored.records):.4f} |"
-            )
+        for window_start, hours in averages:
+            lines.append(f"| {_day_label(window_start)} | {hours:.4f} |")
         lines.append("")
-        if rows:
+        if averages:
             lines.append(f"## Lot {lot_id}: per-bay occupied hours, min and max over the run")
             lines.append("")
             lines.append("| bay | min hours | max hours |")
             lines.append("| --- | --- | --- |")
-            extremes = per_bay_extremes(stored.records for stored in rows)
             for bay_id, (lo, hi) in extremes.items():
                 lines.append(f"| {bay_id} | {lo:.4f} | {hi:.4f} |")
             lines.append("")
@@ -658,8 +661,9 @@ def export_report(run_dir: str | Path, fmt: str) -> list[Path]:
     if fmt not in ("csv", "markdown"):
         raise ValueError("format must be csv or markdown")
     run_dir = Path(run_dir)
+    if not (run_dir / "hub_store").is_dir():
+        raise ValueError(f"{run_dir} is not a run: it has no hub_store directory")
     store = RollupStore(run_dir / "hub_store", fsync=False)
-    out_paths: list[Path] = []
     if fmt == "markdown":
         ledger = None
         if (run_dir / "ledger.json").exists():
@@ -669,18 +673,13 @@ def export_report(run_dir: str | Path, fmt: str) -> list[Path]:
         return [path]
     daily_lines = ["lotId,windowStart,fleetAvgHours"]
     bays_lines = ["lotId,bayId,minHours,maxHours"]
-    for lot_id in store.lots():
-        rows = store.windows_for(lot_id)
-        for stored in rows:
-            daily_lines.append(
-                f"{lot_id},{window_stamp(stored.window_start)},"
-                f"{fleet_average_hours(stored.records):.4f}"
-            )
-        for bay_id, (lo, hi) in per_bay_extremes(stored.records for stored in rows).items():
+    for lot_id, averages, extremes in report_tables(store):
+        for window_start, hours in averages:
+            daily_lines.append(f"{lot_id},{window_stamp(window_start)},{hours:.4f}")
+        for bay_id, (lo, hi) in extremes.items():
             bays_lines.append(f"{lot_id},{bay_id},{lo:.4f},{hi:.4f}")
     daily_path = run_dir / "report_daily.csv"
     bays_path = run_dir / "report_bays.csv"
     daily_path.write_bytes(("\n".join(daily_lines) + "\n").encode("utf-8"))
     bays_path.write_bytes(("\n".join(bays_lines) + "\n").encode("utf-8"))
-    out_paths.extend([daily_path, bays_path])
-    return out_paths
+    return [daily_path, bays_path]

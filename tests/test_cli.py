@@ -244,6 +244,83 @@ def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"simTs":5,"bayId":1,"status":"parked"}',
+        "not json",
+        '{"simTs":-5,"bayId":1,"status":"free"}',
+        '{"bayId":1,"status":"free"}',
+        '{"kind":"initial","statuses":{"0":"occupied"}}',
+        '{"initial":{"1":"occupied"}}',  # the old script-only form is an item without simTs
+        "[1, 2]",
+    ],
+)
+def test_a_bad_script_row_exits_2_and_writes_nothing(tmp_path, capsys, row):
+    script = tmp_path / "items.jsonl"
+    script.write_text(f"# one bad row\n{row}\n")
+    scenario = write_scenario(tmp_path, f"bays = 3\nscript = {script.name}\n")
+    out = tmp_path / "run"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == (
+        cli.EXIT_CONFIG
+    )
+    err = capsys.readouterr().err
+    (error,) = [line for line in err.splitlines() if line.startswith("configuration error: ")]
+    assert error.startswith(f"configuration error: cannot read script {script}: {script}:2: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["traffic-report"], ["export-report", "--format", "csv"],
+     ["export-report", "--format", "markdown"]],
+    ids=["traffic-report", "export-csv", "export-markdown"],
+)
+def test_a_report_on_a_missing_run_exits_2_and_creates_nothing(tmp_path, capsys, argv):
+    run = tmp_path / "absent"
+    assert cli.main_harness([*argv, "--run", str(run)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
+    assert not run.exists()
+
+
+def drop_a_ledger_key(ledger):
+    values = json.loads(ledger.read_bytes())
+    del values["eventCount"]
+    ledger.write_text(json.dumps(values))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        drop_a_ledger_key,
+        lambda ledger: ledger.write_text("[1, 2]"),
+        lambda ledger: ledger.write_text('"ledger"'),
+        lambda ledger: ledger.write_text(ledger.read_text().replace(": 142", ": Infinity")),
+        lambda ledger: ledger.write_text(ledger.read_text()[:20]),
+    ],
+    ids=["missing-key", "array", "string", "infinity", "cut-short"],
+)
+@pytest.mark.parametrize(
+    "argv", [["traffic-report"], ["export-report", "--format", "markdown"]],
+    ids=["traffic-report", "export-markdown"],
+)
+def test_a_ledger_it_cannot_read_exits_2(tmp_path, capsys, tamper, argv):
+    out = tmp_path / "run"
+    assert cli.main_harness(
+        ["run-sim", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]
+    ) == 0
+    tamper(out / "ledger.json")
+    capsys.readouterr()
+    assert cli.main_harness([*argv, "--run", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sum(line.startswith("configuration error: ") for line in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert not (out / "report.md").exists()
+
+
 def never_serve(sched, build, banner, until_ms=None):
     pytest.fail(f"service started: {banner}")
 
