@@ -291,6 +291,69 @@ def test_query_weekly_over_wire(tmp_path):
     assert probe.received[-1] == {"type": "notFound"}
 
 
+def test_query_replies_over_wire_are_pinned(tmp_path):
+    # Two lots; LOT-A has days 0, 1 and 3 of the week, with bay 3 on day 3 only.
+    probe = HubProbe(tmp_path)
+    stored = {
+        ("LOT-A", 0): [RollupRecord(1, 27_000, 0.3125), RollupRecord(2, 9_000, 0.1042)],
+        ("LOT-A", 1): [RollupRecord(1, 0, 0.0), RollupRecord(2, 86_400, 1.0)],
+        ("LOT-A", 3): [RollupRecord(1, 18_000, 0.2083), RollupRecord(3, 3_600, 0.0417)],
+        ("LOT-B", 0): [RollupRecord(1, 43_200, 0.5)],
+    }
+    for (lot, day), records in stored.items():
+        start = EPOCH_MS + day * DAY_MS
+        probe.send(protocol.encode_rollup_envelope(lot, start, start + DAY_MS, records))
+    assert len(probe.store) == 4
+    probe.received.clear()
+
+    def ask(message):
+        probe.send(protocol.encode_line(message))
+        return probe.received.pop()
+
+    def daily(lot, day):
+        return ask(protocol.query_daily_message(lot, EPOCH_MS + day * DAY_MS))
+
+    def weekly(lot, day):
+        return ask(protocol.query_weekly_message(lot, EPOCH_MS + day * DAY_MS))
+
+    not_found = {"type": "notFound"}
+    assert daily("LOT-A", 0) == {"type": "daily", "records": [
+        {"bayId": 1, "occupationTime": 27_000, "occupationRate": 0.3125},
+        {"bayId": 2, "occupationTime": 9_000, "occupationRate": 0.1042},
+    ]}
+    assert daily("LOT-A", 3) == {"type": "daily", "records": [
+        {"bayId": 1, "occupationTime": 18_000, "occupationRate": 0.2083},
+        {"bayId": 3, "occupationTime": 3_600, "occupationRate": 0.0417},
+    ]}
+    assert daily("LOT-B", 0) == {"type": "daily", "records": [
+        {"bayId": 1, "occupationTime": 43_200, "occupationRate": 0.5},
+    ]}
+    assert daily("LOT-A", 2) == not_found
+    assert daily("LOT-B", 1) == not_found
+    assert daily("LOT-C", 0) == not_found
+    assert weekly("LOT-A", 0) == {
+        "type": "weekly", "lotId": "LOT-A", "weekStart": EPOCH_MS,
+        "perDayFleetAvgHours": [5.0, 12.0, None, 3.0, None, None, None],
+        "perBayMinHours": {"1": 0.0, "2": 2.5, "3": 1.0},
+        "perBayMaxHours": {"1": 7.5, "2": 24.0, "3": 1.0},
+    }
+    assert weekly("LOT-A", 1) == {
+        "type": "weekly", "lotId": "LOT-A", "weekStart": EPOCH_MS + DAY_MS,
+        "perDayFleetAvgHours": [12.0, None, 3.0, None, None, None, None],
+        "perBayMinHours": {"1": 0.0, "2": 24.0, "3": 1.0},
+        "perBayMaxHours": {"1": 5.0, "2": 24.0, "3": 1.0},
+    }
+    assert weekly("LOT-B", 0) == {
+        "type": "weekly", "lotId": "LOT-B", "weekStart": EPOCH_MS,
+        "perDayFleetAvgHours": [12.0, None, None, None, None, None, None],
+        "perBayMinHours": {"1": 12.0},
+        "perBayMaxHours": {"1": 12.0},
+    }
+    assert weekly("LOT-A", 4) == not_found
+    assert weekly("LOT-C", 0) == not_found
+    assert probe.received == []
+
+
 @pytest.mark.parametrize(
     "message",
     [
