@@ -21,12 +21,13 @@ def main():
     print(f"running scenario '{scenario.name}' into {out} ...")
     result = harness.run_sim(scenario, out)
 
-    print(f"\nproduced {len(result.csv_paths)} daily CSVs:")
-    for path in result.csv_paths:
+    csvs = sorted((out / "csv").glob("rollup_*.csv"))
+    print(f"\nproduced {len(csvs)} daily CSVs:")
+    for path in csvs:
         print(f"  {path.name}")
 
     print("\nday 1 head:")
-    for line in result.csv_paths[0].read_text().splitlines()[:5]:
+    for line in csvs[0].read_text().splitlines()[:5]:
         print(f"  {line}")
 
     print("\nverification against the interval-enumeration oracle:")

@@ -47,8 +47,8 @@ def main():
     killed = harness.run_sim(
         base(days=2, inject_agent_kill_at_sec=40_000), work / "killed"
     )
-    pairs = list(zip(sorted(p.name for p in plain.csv_paths),
-                     sorted(p.name for p in killed.csv_paths)))
+    pairs = list(zip(sorted(p.name for p in (plain.out_dir / "csv").glob("rollup_*.csv")),
+                     sorted(p.name for p in (killed.out_dir / "csv").glob("rollup_*.csv"))))
     identical = all(
         (plain.out_dir / "csv" / a).read_bytes() == (killed.out_dir / "csv" / b).read_bytes()
         for a, b in pairs

@@ -486,6 +486,8 @@ class EdgeAgentCore:
             return
         try:
             lot_id, bay_id, status = protocol.parse_bays_update(message)
+            if lot_id != self.lot_id:
+                raise protocol.ProtocolError(f"lot {lot_id} is not the snapshot's {self.lot_id}")
         except protocol.ProtocolError as exc:
             self._warn("malformed_update", "malformed update: %s", exc)
             return

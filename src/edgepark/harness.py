@@ -261,7 +261,6 @@ class TrafficLedger:
 class RunResult:
     out_dir: Path
     ledger: TrafficLedger
-    csv_paths: list[Path]
     summary_path: Path
 
 
@@ -359,7 +358,6 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     return RunResult(
         out_dir=out_dir,
         ledger=ledger,
-        csv_paths=sorted((out_dir / "csv").glob("rollup_*.csv")),
         summary_path=summary_path,
     )
 
@@ -506,14 +504,7 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
     required = ["meta.json", "trace.jsonl", "agent.log", "csv", "hub_store"]
     missing = [name for name in required if not (run_dir / name).exists()]
     if missing:
-        inventory = sorted(p.name for p in run_dir.iterdir()) if run_dir.exists() else []
-        return VerifyReport(
-            ok=False,
-            max_error_ms=0,
-            allowed_ms=0,
-            checks=[],
-            failures=[f"missing artifacts {missing}; run dir contains {inventory}"],
-        )
+        raise ValueError(f"{run_dir} is not a run: it has no {', '.join(missing)}")
 
     meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))
     allowed_ms = int(meta["totalGapMs"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from contextlib import closing
-from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -27,38 +26,7 @@ log = logging.getLogger(__name__)
 MS_PER_DAY = 86_400_000
 
 
-@dataclass(frozen=True)
-class StoredRollup:
-    key: str
-    lot_id: str
-    window_start: int
-    window_end: int
-    records: tuple[RollupRecord, ...]
-    received_at: int
-
-    @classmethod
-    def of(cls, envelope: dict[str, Any], received_at: int) -> StoredRollup:
-        """The stored form of a parse_rollup_envelope result."""
-        return cls(envelope["key"], envelope["lotId"], envelope["windowStart"],
-                   envelope["windowEnd"], tuple(envelope["records"]), received_at)
-
-
-@dataclass(frozen=True)
-class WeeklyReport:
-    """Per-day fleet averages plus per-bay extremes over one week.
-
-    Days with no stored roll-up are None in the per-day series and are
-    excluded from the per-bay min/max (absence of data is not an empty lot).
-    """
-
-    lot_id: str
-    week_start: int
-    per_day_fleet_avg_hours: tuple[float | None, ...]
-    per_bay_min_hours: dict[int, float]
-    per_bay_max_hours: dict[int, float]
-
-
-def fleet_average_hours(records: tuple[RollupRecord, ...] | list[RollupRecord]) -> float:
+def fleet_average_hours(records: Sequence[RollupRecord]) -> float:
     """Mean occupied hours per bay for one stored window."""
     if not records:
         return 0.0
@@ -76,8 +44,9 @@ def per_bay_extremes(
     return {b: (min(h), max(h)) for b, h in sorted(hours.items())}
 
 
-def store_row_line(stored: StoredRollup) -> bytes:
-    """One encoded store row: the bytes encode_line writes for the row's dict.
+def store_row_line(envelope: protocol.RollupEnvelope, received_at: int) -> bytes:
+    """One encoded store row, the envelope plus its receivedAt: the bytes
+    encode_line writes for the row's dict.
 
     Keys in sorted order; ``%r`` writes a rate as json does (float repr, or
     the digits of an integer).
@@ -85,23 +54,27 @@ def store_row_line(stored: StoredRollup) -> bytes:
     recs = ",".join([
         '{"bayId":%d,"occupationRate":%r,"occupationTime":%d}'
         % (r.bay_id, r.occupation_rate, r.occupation_time_sec)
-        for r in stored.records
+        for r in envelope.records
     ])
     return (
         '{"key":%s,"lotId":%s,"receivedAt":%d,"records":[%s],"windowEnd":%d,"windowStart":%d}\n'
-        % (encode_basestring_ascii(stored.key), encode_basestring_ascii(stored.lot_id),
-           stored.received_at, recs, stored.window_end, stored.window_start)
+        % (encode_basestring_ascii(envelope.key), encode_basestring_ascii(envelope.lot_id),
+           received_at, recs, envelope.window_end, envelope.window_start)
     ).encode("ascii")
 
 
 class RollupStore:
-    """Durable, deduplicating storage of uploaded roll-ups."""
+    """Durable, deduplicating storage of uploaded roll-ups.
+
+    The index maps each key to the envelope parse_rollup_envelope returned;
+    a row's receivedAt is checked on load and otherwise kept on disk only.
+    """
 
     def __init__(self, store_dir: str | Path, *, fsync: bool = True) -> None:
         self.store_dir = Path(store_dir)
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
-        self._by_key: dict[str, StoredRollup] = {}
+        self._by_key: dict[str, protocol.RollupEnvelope] = {}
         self.skipped_rows = 0
         self._load()
 
@@ -119,65 +92,59 @@ class RollupStore:
                         log.warning("%s: skipping bad stored row: %s", path, exc)
                         self.skipped_rows += 1
                         continue
-                    self._by_key[envelope["key"]] = StoredRollup.of(envelope, row["receivedAt"])
+                    self._by_key[envelope.key] = envelope
             self.skipped_rows += rows.skipped  # read_records logs each one
         if self._by_key:
             log.info("rollup store: rebuilt index with %d records", len(self._by_key))
 
-    def receive(self, envelope: dict[str, Any], received_at: int) -> bool:
+    def receive(self, envelope: protocol.RollupEnvelope, received_at: int) -> bool:
         """Persist a validated envelope; returns False for a duplicate key."""
-        key = envelope["key"]
-        if key in self._by_key:
+        if envelope.key in self._by_key:
             return False
-        stored = StoredRollup.of(envelope, received_at)
-        path = self.store_dir / f"{stored.lot_id}.jsonl"
+        path = self.store_dir / f"{envelope.lot_id}.jsonl"
         with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
-            writer.append(store_row_line(stored))
-        self._by_key[key] = stored
+            writer.append(store_row_line(envelope, received_at))
+        self._by_key[envelope.key] = envelope
         return True
 
     def query_daily(self, lot_id: str, window_start: int) -> tuple[RollupRecord, ...] | None:
-        stored = self._by_key.get(protocol.envelope_key(lot_id, window_start))
-        return stored.records if stored is not None else None
+        envelope = self._by_key.get(protocol.envelope_key(lot_id, window_start))
+        return envelope.records if envelope is not None else None
 
-    def weekly_report(self, lot_id: str, week_start: int) -> WeeklyReport | None:
-        """Aggregate the seven day-windows starting at week_start."""
+    def weekly_report(self, lot_id: str, week_start: int) -> dict[str, Any] | None:
+        """The weekly reply over the seven day-windows from week_start, or
+        None when none of them is stored: per-day fleet averages plus
+        per-bay extremes.
+
+        Days with no stored roll-up are None in the per-day series and are
+        excluded from the per-bay min/max (absence of data is not an empty lot).
+        """
         days = [self.query_daily(lot_id, week_start + day * MS_PER_DAY) for day in range(7)]
         found = [records for records in days if records is not None]
         if not found:
             return None
         extremes = per_bay_extremes(found)
-        return WeeklyReport(
-            lot_id=lot_id,
-            week_start=week_start,
-            per_day_fleet_avg_hours=tuple(
+        return {
+            "type": "weekly",
+            "lotId": lot_id,
+            "weekStart": week_start,
+            "perDayFleetAvgHours": [
                 None if records is None else fleet_average_hours(records) for records in days
-            ),
-            per_bay_min_hours={b: lo for b, (lo, _hi) in extremes.items()},
-            per_bay_max_hours={b: hi for b, (_lo, hi) in extremes.items()},
-        )
+            ],
+            "perBayMinHours": {str(b): lo for b, (lo, _hi) in extremes.items()},
+            "perBayMaxHours": {str(b): hi for b, (_lo, hi) in extremes.items()},
+        }
 
     def lots(self) -> list[str]:
-        return sorted({s.lot_id for s in self._by_key.values()})
+        return sorted({envelope.lot_id for envelope in self._by_key.values()})
 
-    def windows_for(self, lot_id: str) -> list[StoredRollup]:
-        rows = [s for s in self._by_key.values() if s.lot_id == lot_id]
-        rows.sort(key=lambda s: s.window_start)
+    def windows_for(self, lot_id: str) -> list[protocol.RollupEnvelope]:
+        rows = [envelope for envelope in self._by_key.values() if envelope.lot_id == lot_id]
+        rows.sort(key=lambda envelope: envelope.window_start)
         return rows
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-
-def weekly_to_wire(report: WeeklyReport) -> dict[str, Any]:
-    return {
-        "type": "weekly",
-        "lotId": report.lot_id,
-        "weekStart": report.week_start,
-        "perDayFleetAvgHours": list(report.per_day_fleet_avg_hours),
-        "perBayMinHours": {str(b): h for b, h in report.per_bay_min_hours.items()},
-        "perBayMaxHours": {str(b): h for b, h in report.per_bay_max_hours.items()},
-    }
 
 
 class HubCore:
@@ -238,9 +205,9 @@ class HubCore:
         self.store.receive(envelope, received_at=self.sched.now_ms())
         if self.drop_acks_remaining > 0:
             self.drop_acks_remaining -= 1
-            log.info("dropping ack for %s (injected fault)", envelope["key"])
+            log.info("dropping ack for %s (injected fault)", envelope.key)
             return None
-        return protocol.ack_message(envelope["key"])
+        return protocol.ack_message(envelope.key)
 
     def _handle_query_daily(self, message: dict[str, Any]) -> dict[str, Any]:
         lot_id = message.get("lotId")
@@ -250,7 +217,7 @@ class HubCore:
         records = self.store.query_daily(lot_id, window_start)
         if records is None:
             return protocol.not_found_message()
-        return protocol.daily_message(list(records))
+        return protocol.daily_message(records)
 
     def _handle_query_weekly(self, message: dict[str, Any]) -> dict[str, Any]:
         lot_id = message.get("lotId")
@@ -260,4 +227,4 @@ class HubCore:
         report = self.store.weekly_report(lot_id, week_start)
         if report is None:
             return protocol.not_found_message()
-        return weekly_to_wire(report)
+        return report

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .occupancy import InvariantViolationError, RollupRecord
 
@@ -239,8 +239,18 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
     return records
 
 
-def parse_rollup_envelope(message: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a rollup upload; returns the normalized fields.
+class RollupEnvelope(NamedTuple):
+    """A validated roll-up upload: what the hub stores, queries and reports."""
+
+    key: str
+    lot_id: str
+    window_start: int
+    window_end: int
+    records: tuple[RollupRecord, ...]
+
+
+def parse_rollup_envelope(message: Mapping[str, Any]) -> RollupEnvelope:
+    """Validate a rollup upload; returns its normalized fields.
 
     Raises ProtocolError on any schema violation. The caller dispatches on
     the type: a stored hub row has none.
@@ -254,17 +264,11 @@ def parse_rollup_envelope(message: Mapping[str, Any]) -> dict[str, Any]:
     _require(we > ws, "windowEnd must exceed windowStart")
     _require(key == envelope_key(lot_id, ws), "key must be '<lotId>:<windowStart>'")
     records = parse_wire_records(message.get("records"), (we - ws) // 1000)
-    return {
-        "key": key,
-        "lotId": lot_id,
-        "windowStart": ws,
-        "windowEnd": we,
-        "records": records,
-    }
+    return RollupEnvelope(key, lot_id, ws, we, tuple(records))
 
 
 def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]]:
-    """Flatten a 'bays' snapshot into (lot_id, bay_id, status) triples."""
+    """Flatten a 'bays' snapshot of one lot into (lot_id, bay_id, status) triples."""
     _require(message.get("type") == "bays", "type must be 'bays'")
     data = message.get("data")
     _require(isinstance(data, list), "data must be a list of parking lots")
@@ -274,6 +278,7 @@ def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]
         lot_id = lot.get("lotId")
         bays = lot.get("bays")
         _require(is_lot_id(lot_id), LOT_ID_RULE)
+        _require(lot_id == data[0]["lotId"], "a snapshot must name one lot")
         _require(isinstance(bays, list), "bays must be a list")
         for bay in bays:
             _require(isinstance(bay, dict), "bay entry must be an object")

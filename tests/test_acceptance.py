@@ -163,8 +163,8 @@ def test_criterion_4_calibrated_week(tmp_path):
     assert elapsed < 30.0
     # The hub-side weekly report agrees with the same tolerance.
     weekly = store.weekly_report("LOT-A", EPOCH_MS)
-    week_avg = sum(weekly.per_day_fleet_avg_hours) / 7
-    assert weekly.per_day_fleet_avg_hours == tuple(per_day)
+    week_avg = sum(weekly["perDayFleetAvgHours"]) / 7
+    assert weekly["perDayFleetAvgHours"] == per_day
     assert abs(week_avg - 7.5) <= 0.75
 
 
@@ -304,7 +304,7 @@ def test_criterion_9_csv_bit_exactness(tmp_path):
         make_scenario(seed=6, bays=9, mean_occupied_min=45, mean_free_min=90),
         tmp_path / "run",
     )
-    for csv_path in result.csv_paths:
+    for csv_path in sorted((result.out_dir / "csv").glob("rollup_*.csv")):
         raw = csv_path.read_bytes()
         ok = ok and b"\r" not in raw and raw.endswith(b"\n")
         lines = raw.decode("utf-8").splitlines()

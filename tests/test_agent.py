@@ -307,6 +307,54 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
     assert agent.handshaken
 
 
+def test_an_update_naming_another_lot_is_malformed_and_neither_logged_nor_applied(
+    rig_factory, tmp_path
+):
+    rig = rig_factory(idle_trace(bays=3), rollup_period_sec=3600)
+    foreign = protocol.bays_update_line("LOT-B", 1, "occupied")
+    rig.sched.call_at(EPOCH_MS + 60_000, lambda: rig.gateway.sessions[0].send(foreign))
+    rig.sched.run_until(EPOCH_MS + HOUR_MS + 1000)
+    assert rig.agent.warnings["malformed_update"] == 1
+    assert rig.agent.events_ingested == 0
+    assert b"LOT-B" not in rig.agent_config.log_path.read_bytes()
+    assert csv_rows(rig, EPOCH_MS)["1"] == "0,0.0000"
+    replay = harness.replay_log(
+        rig.agent_config.log_path, 3600, tmp_path / "replay", epoch_ms=EPOCH_MS
+    )
+    assert [p.name for p in replay.csv_paths] == [csv_filename("LOT-A", EPOCH_MS)]
+
+
+def test_a_snapshot_naming_two_lots_is_malformed_and_ends_the_session(tmp_path):
+    sched = VirtualScheduler(EPOCH_MS)
+    net = VirtualNetwork(sched)
+    hellos = []
+    two_lots = {"type": "bays", "data": [
+        {"lotId": "LOT", "bays": [{"id": 1, "status": "free"}]},
+        {"lotId": "OTHER", "bays": [{"id": 2, "status": "occupied"}]},
+    ]}
+
+    def accept(conn):
+        def handle(msg):
+            if msg["type"] == "hello":
+                hellos.append(msg)
+                one_lot = protocol.bays_message("LOT", [(1, "free")])
+                conn.send(protocol.encode_line(two_lots if len(hellos) == 1 else one_lot))
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+
+    net.listen("sim://gw", accept)
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
+    )
+    agent.start()
+    sched.run_until(EPOCH_MS + 5000)
+    assert agent.warnings["malformed_snapshot"] == 1
+    assert len(hellos) == 2 and agent.handshaken
+    assert sorted(agent.table) == [1]
+    assert b"OTHER" not in (tmp_path / "agent.log").read_bytes()
+
+
 def test_clock_regression_event_logged_as_rejected(rig_factory):
     rig = rig_factory(items_trace([(1000, 3, "occupied")]))
     rig.run_for(2000)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -227,8 +228,18 @@ def drop_a_meta_key(run):
     meta.write_text(json.dumps(values))
 
 
+def remove_the_run(run):
+    shutil.rmtree(run)
+
+
+def drop_the_trace(run):
+    (run / "trace.jsonl").unlink()
+
+
 @pytest.mark.parametrize(
-    "tamper", [refuse_a_log_record, break_a_trace_row, cut_meta_short, drop_a_meta_key]
+    "tamper",
+    [refuse_a_log_record, break_a_trace_row, cut_meta_short, drop_a_meta_key, remove_the_run,
+     drop_the_trace],
 )
 def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     scenario = write_scenario(

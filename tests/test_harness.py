@@ -17,6 +17,11 @@ from conftest import DAY_MS, EPOCH_MS, make_scenario, traced_peak, update_lines
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
+
+def run_csvs(result):
+    """The live CSVs a run_sim result left in its run directory, by name."""
+    return sorted((result.out_dir / "csv").glob("rollup_*.csv"))
+
 SCENARIOS = {
     "minimal": "days = 1\n",
     "full": (
@@ -148,8 +153,8 @@ def test_idle_day_run(tmp_path):
     script.write_text("# nothing happens\n")
     scenario = make_scenario(script=script)
     result = harness.run_sim(scenario, tmp_path / "run")
-    assert len(result.csv_paths) == 1
-    lines = result.csv_paths[0].read_text().splitlines()
+    assert len(run_csvs(result)) == 1
+    lines = run_csvs(result)[0].read_text().splitlines()
     assert len(lines) == 23 and all(l.endswith(",0,0.0000") for l in lines[1:])
     store = RollupStore(tmp_path / "run" / "hub_store", fsync=False)
     assert fleet_average_hours(store.windows_for("LOT-A")[0].records) == 0.0
@@ -249,8 +254,8 @@ def test_replay_reproduces_live_csvs_byte_for_byte(tmp_path):
     replay = harness.replay_log(
         result.out_dir / "agent.log", 86_400, tmp_path / "replay"
     )
-    assert [p.name for p in replay.csv_paths] == [p.name for p in result.csv_paths]
-    for live, rep in zip(result.csv_paths, replay.csv_paths):
+    assert [p.name for p in replay.csv_paths] == [p.name for p in run_csvs(result)]
+    for live, rep in zip(run_csvs(result), replay.csv_paths):
         assert live.read_bytes() == rep.read_bytes()
 
 
@@ -360,7 +365,7 @@ def test_verify_names_tampered_cell(tmp_path):
         make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
         tmp_path / "run",
     )
-    path = result.csv_paths[0]
+    path = run_csvs(result)[0]
     lines = path.read_text().splitlines()
     bay, sec, rate = lines[1].split(",")
     lines[1] = f"{bay},{int(sec) + 60},{rate}"
@@ -383,7 +388,7 @@ def verify_after(tmp_path, tamper):
 
 
 def test_verify_names_missing_csv(tmp_path):
-    failures = verify_after(tmp_path, lambda result: result.csv_paths[0].unlink())
+    failures = verify_after(tmp_path, lambda result: run_csvs(result)[0].unlink())
     assert failures == [f"window {EPOCH_MS}: missing CSV rollup_LOT-A_20181119T000000Z.csv"]
 
 
@@ -428,9 +433,8 @@ def test_verify_raises_on_trace_row_outside_the_invariants(tmp_path, key, value)
 def test_verify_reports_missing_artifacts(tmp_path):
     result = harness.run_sim(make_scenario(seed=1, bays=2), tmp_path / "run")
     (result.out_dir / "trace.jsonl").unlink()
-    report = harness.verify_run(result.out_dir)
-    assert not report.ok
-    assert "trace.jsonl" in report.failures[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(result.out_dir))} .*trace.jsonl"):
+        harness.verify_run(result.out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +516,7 @@ def test_same_scenario_twice_is_byte_identical(tmp_path):
     scenario = make_scenario(seed=77, bays=5, mean_occupied_min=30, mean_free_min=60)
     a = harness.run_sim(scenario, tmp_path / "a")
     b = harness.run_sim(scenario, tmp_path / "b")
-    for pa, pb in zip(a.csv_paths, b.csv_paths):
+    for pa, pb in zip(run_csvs(a), run_csvs(b)):
         assert pa.read_bytes() == pb.read_bytes()
     assert (a.out_dir / "ledger.json").read_bytes() == (b.out_dir / "ledger.json").read_bytes()
     sa = (a.out_dir / "hub_store" / "LOT-A.jsonl").read_bytes()

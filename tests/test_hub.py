@@ -7,7 +7,7 @@ import pytest
 
 from edgepark import protocol
 from edgepark.clock import VirtualScheduler
-from edgepark.hub import HubCore, RollupStore, StoredRollup, fleet_average_hours, store_row_line
+from edgepark.hub import HubCore, RollupStore, fleet_average_hours, store_row_line
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import VirtualNetwork
 
@@ -81,19 +81,19 @@ def test_store_survives_torn_append(tmp_path):
     assert again.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 100, 0.0012),)
 
 
-def row_dict(stored):
+def row_dict(env, received_at):
     """Reference: a store row as it was written, a dict through encode_line."""
     return {
-        "key": stored.key,
-        "lotId": stored.lot_id,
-        "windowStart": stored.window_start,
-        "windowEnd": stored.window_end,
+        "key": env.key,
+        "lotId": env.lot_id,
+        "windowStart": env.window_start,
+        "windowEnd": env.window_end,
         "records": [
             {"bayId": r.bay_id, "occupationTime": r.occupation_time_sec,
              "occupationRate": r.occupation_rate}
-            for r in stored.records
+            for r in env.records
         ],
-        "receivedAt": stored.received_at,
+        "receivedAt": received_at,
     }
 
 
@@ -121,15 +121,14 @@ def test_store_row_line_is_encode_line_of_the_row(tmp_path):
         wire = random_wire_envelope(rng)
         env = protocol.parse_rollup_envelope(protocol.decode_line(protocol.encode_line(wire)))
         rates.update(repr(r["occupationRate"]) for r in wire["records"])
-        stored = StoredRollup(
-            env["key"], env["lotId"], env["windowStart"], env["windowEnd"],
-            tuple(env["records"]), rng.choice((0, EPOCH_MS, rng.randint(0, 2**50))),
-        )
-        assert store_row_line(stored) == protocol.encode_line(row_dict(stored))
+        received_at = rng.choice((0, EPOCH_MS, rng.randint(0, 2**50)))
+        want = protocol.encode_line(row_dict(env, received_at))
+        assert store_row_line(env, received_at) == want
     assert {"0", "1", "0.0001", "1.0"} <= rates
     # Records built in Python may carry integer rates; they are written as json writes them.
-    stored = StoredRollup("L:0", "L", 0, 1000, (RollupRecord(7, 0, 0), RollupRecord(12, 1, 1)), 5)
-    assert store_row_line(stored) == protocol.encode_line(row_dict(stored))
+    records = (RollupRecord(7, 0, 0), RollupRecord(12, 1, 1))
+    env = protocol.RollupEnvelope("L:0", "L", 0, 1000, records)
+    assert store_row_line(env, 5) == protocol.encode_line(row_dict(env, 5))
 
 
 def test_receive_writes_the_encode_line_bytes_of_each_row(tmp_path, monkeypatch):
@@ -141,11 +140,11 @@ def test_receive_writes_the_encode_line_bytes_of_each_row(tmp_path, monkeypatch)
         for received_at in range(40):
             env = protocol.parse_rollup_envelope(random_wire_envelope(rng))
             if store.receive(env, received_at=received_at):
-                kept.append(StoredRollup(env["key"], env["lotId"], env["windowStart"],
-                                         env["windowEnd"], tuple(env["records"]), received_at))
+                kept.append((env, received_at))
     want = {}
-    for stored in kept:
-        want[stored.lot_id] = want.get(stored.lot_id, b"") + protocol.encode_line(row_dict(stored))
+    for env, received_at in kept:
+        row = protocol.encode_line(row_dict(env, received_at))
+        want[env.lot_id] = want.get(env.lot_id, b"") + row
     assert len(want) == 3
     for lot, data in want.items():
         assert (tmp_path / f"{lot}.jsonl").read_bytes() == data
@@ -159,10 +158,10 @@ def test_weekly_report_single_uniform_day(tmp_path):
     store = RollupStore(tmp_path, fsync=False)
     store.receive(envelope(records=full_day_records(27_000)), received_at=1)
     report = store.weekly_report("LOT-A", EPOCH_MS)
-    assert report.per_day_fleet_avg_hours[0] == pytest.approx(7.5)
-    assert report.per_day_fleet_avg_hours[1:] == (None,) * 6
-    assert report.per_bay_min_hours[1] == pytest.approx(7.5)
-    assert report.per_bay_max_hours[22] == pytest.approx(7.5)
+    assert report["perDayFleetAvgHours"][0] == pytest.approx(7.5)
+    assert report["perDayFleetAvgHours"][1:] == [None] * 6
+    assert report["perBayMinHours"]["1"] == pytest.approx(7.5)
+    assert report["perBayMaxHours"]["22"] == pytest.approx(7.5)
 
 
 def test_weekly_report_min_max_extremes(tmp_path):
@@ -176,8 +175,8 @@ def test_weekly_report_min_max_extremes(tmp_path):
             received_at=day,
         )
     report = store.weekly_report("LOT-A", EPOCH_MS)
-    assert report.per_bay_max_hours[4] == 24.0
-    assert report.per_bay_min_hours[4] == 0.0
+    assert report["perBayMaxHours"]["4"] == 24.0
+    assert report["perBayMinHours"]["4"] == 0.0
 
 
 def test_weekly_report_requires_at_least_one_day(tmp_path):
@@ -199,9 +198,9 @@ def test_weekly_report_consistent_with_daily_queries(tmp_path):
     for day in range(7):
         records = store.query_daily("LOT-A", EPOCH_MS + day * DAY_MS)
         if records is None:
-            assert report.per_day_fleet_avg_hours[day] is None
+            assert report["perDayFleetAvgHours"][day] is None
         else:
-            assert report.per_day_fleet_avg_hours[day] == pytest.approx(
+            assert report["perDayFleetAvgHours"][day] == pytest.approx(
                 fleet_average_hours(records)
             )
 

@@ -260,8 +260,7 @@ def test_envelope_roundtrip():
     raw = protocol.encode_rollup_envelope("LOT", 0, 86_400_000, records)
     message = json.loads(raw)
     parsed = protocol.parse_rollup_envelope(message)
-    assert parsed["key"] == "LOT:0"
-    assert parsed["records"] == records
+    assert parsed == protocol.RollupEnvelope("LOT:0", "LOT", 0, 86_400_000, tuple(records))
 
 
 def test_envelope_byte_length_independent_of_values():
