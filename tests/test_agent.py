@@ -624,6 +624,15 @@ def test_read_csv_records_roundtrip(tmp_path):
     assert parsed == records
 
 
+@pytest.mark.parametrize("cells", ["-1,0.0000", "10,1.5000", "10,nan", "10,inf"])
+def test_read_csv_records_refuses_seconds_or_rate_out_of_range(tmp_path, cells):
+    window = RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS)
+    path = write_csv([RollupRecord(1, 10, 0.0001)], window, "LOT-A", tmp_path)
+    path.write_text(f"bayId,occupationTime,occupationRate\n1,{cells}\n")
+    with pytest.raises(ValueError):
+        read_csv_records(path)
+
+
 @pytest.mark.parametrize("lot_id", ["a b", "LOT\u00e9", ""])
 def test_read_csv_records_refuses_a_name_without_a_valid_lot_id(tmp_path, lot_id):
     path = tmp_path / f"rollup_{lot_id}_20181119T000000Z.csv"

@@ -255,6 +255,23 @@ def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cells", ["-1,0.0000", "10,1.5000", "10,nan", "10,inf"])
+def test_verify_of_a_run_with_a_csv_row_out_of_range_exits_2(tmp_path, capsys, cells):
+    out = tmp_path / "run"
+    assert cli.main_harness(
+        ["run-sim", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]
+    ) == 0
+    victim = next((out / "csv").glob("*.csv"))
+    lines = victim.read_text().splitlines()
+    lines[1] = lines[1].split(",")[0] + "," + cells
+    victim.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "row",
     [

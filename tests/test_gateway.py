@@ -72,6 +72,17 @@ def test_per_bay_alternation_and_strictly_increasing_timestamps():
     assert all(0 <= it.sim_ts < DAY_MS for it in trace.items)
 
 
+@pytest.mark.parametrize("bays", [0, 1, 50])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_generate_trace_items_are_strictly_sorted_by_time_then_bay(bays, seed):
+    # Dwell times of a few seconds over ten minutes: many bays change at one instant.
+    trace = generate_trace(config(bays=bays, seed=seed, occ=0.05, free=0.05), 600_000)
+    keys = [(item.sim_ts, item.bay_id) for item in trace.items]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    if bays == 50:
+        assert len({ts for ts, _bay in keys}) < len(keys)
+
+
 def occupied_ms_from_trace(trace):
     """Direct interval summation, independent of any accounting code."""
     per_bay = {b: [] for b in trace.initial}

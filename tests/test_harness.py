@@ -430,6 +430,31 @@ def test_verify_raises_on_trace_row_outside_the_invariants(tmp_path, key, value)
         harness.verify_run(result.out_dir)
 
 
+def test_a_script_out_of_time_order_runs_sorted_by_time_then_bay_and_verifies(tmp_path):
+    script = tmp_path / "unsorted.jsonl"
+    script.write_text(
+        '{"simTs":7200000,"bayId":2,"status":"free"}\n'
+        '{"simTs":3600000,"bayId":3,"status":"occupied"}\n'
+        '{"simTs":3600000,"bayId":1,"status":"occupied"}\n'
+        '{"simTs":1800000,"bayId":2,"status":"occupied"}\n'
+        '{"simTs":3600000,"bayId":1,"status":"free"}\n'
+        '{"simTs":3600000,"bayId":1,"status":"occupied"}\n'
+    )
+    result = harness.run_sim(make_scenario(bays=3, script=script), tmp_path / "run")
+    rows = map(json.loads, (result.out_dir / "trace.jsonl").read_text().splitlines())
+    items = [(r["simTs"], r["bayId"], r["status"]) for r in rows if r["kind"] == "item"]
+    assert items == [  # by (simTs, bayId); bay 1's three rows at 3600000 in file order
+        (1_800_000, 2, "occupied"),
+        (3_600_000, 1, "occupied"),
+        (3_600_000, 1, "free"),
+        (3_600_000, 1, "occupied"),
+        (3_600_000, 3, "occupied"),
+        (7_200_000, 2, "free"),
+    ]
+    report = harness.verify_run(result.out_dir)
+    assert report.ok, report.failures
+
+
 def test_verify_reports_missing_artifacts(tmp_path):
     result = harness.run_sim(make_scenario(seed=1, bays=2), tmp_path / "run")
     (result.out_dir / "trace.jsonl").unlink()
