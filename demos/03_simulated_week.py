@@ -14,10 +14,15 @@ from edgepark import harness
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="edgepark_week_") as tmp:
+        run(Path(tmp))
+
+
+def run(out):
+    """The week's run in out, which is removed when the demo ends."""
     scenario = harness.parse_scenario(
         Path(__file__).resolve().parents[1] / "scenarios" / "calibrated_week.scenario"
     )
-    out = Path(tempfile.mkdtemp(prefix="edgepark_week_"))
     print(f"running scenario '{scenario.name}' into {out} ...")
     result = harness.run_sim(scenario, out)
 
@@ -43,7 +48,8 @@ def main():
           f"({ledger.envelope_sends} envelopes)")
     print(f"  reduction ratio: {ledger.reduction_ratio:.4f}")
 
-    print("\nfull summary tables: see", result.summary_path)
+    print("\nfull summary tables:\n")
+    print(result.summary_path.read_text())
 
 
 if __name__ == "__main__":

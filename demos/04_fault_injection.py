@@ -29,8 +29,12 @@ def base(**overrides):
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="edgepark_faults_"))
+    with tempfile.TemporaryDirectory(prefix="edgepark_faults_") as tmp:
+        run(Path(tmp))
 
+
+def run(work):
+    """The three experiments, each in its own directory under work."""
     print("== 1. gateway disconnect: bounded under-counting ==")
     run = harness.run_sim(
         base(inject_gateway_disconnect_at_sec=3600,

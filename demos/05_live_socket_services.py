@@ -29,7 +29,12 @@ def free_port():
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="edgepark_live_"))
+    with tempfile.TemporaryDirectory(prefix="edgepark_live_") as tmp:
+        run(Path(tmp))
+
+
+def run(work):
+    """Two simulated hours of the live services, their files under work."""
     gw_port, hub_port = free_port(), free_port()
 
     gw_sched = RealScheduler(warp=WARP, origin_ms=START_MS)
@@ -84,7 +89,6 @@ def main():
     hub.stop()
     for sched in (gw_sched, hub_sched, agent_sched):
         sched.stop()
-    print(f"\nartifacts in {work}")
 
 
 if __name__ == "__main__":

@@ -149,9 +149,6 @@ def write_csv(
     flushed but not fsynced. The directory must exist; its owner creates
     it once, not once per window.
     """
-    for i in range(1, len(records)):
-        if records[i].bay_id <= records[i - 1].bay_id:
-            raise ValueError("records must be sorted by ascending bay id")
     path = Path(csv_dir) / csv_filename(lot_id, window.start)
     tmp = path.with_name(f".{path.name}.tmp")  # not matched by rollup_*.csv
     rows = [f"{r.bay_id},{r.occupation_time_sec},{r.occupation_rate:.4f}\n" for r in records]
@@ -165,7 +162,7 @@ def write_csv(
 
 
 def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
-    """Parse a roll-up CSV back into (lot_id, window_start_ms, records)."""
+    """Parse a roll-up CSV back into (lot_id, window_start_ms, records); ValueError on a bad row."""
     path = Path(path)
     stem = path.name
     if not stem.startswith("rollup_") or not stem.endswith(".csv"):
@@ -182,7 +179,10 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
         raise ValueError(f"{path}: missing header")
     for line in lines[1:]:
         bay, sec, rate = line.split(",")
-        records.append(RollupRecord(int(bay), int(sec), float(rate)))
+        record = RollupRecord(int(bay), int(sec), float(rate))
+        if record.occupation_time_sec < 0 or not 0 <= record.occupation_rate <= 1:  # NaN too
+            raise ValueError(f"{path}: seconds or rate out of range in row {line!r}")
+        records.append(record)
     return lot_id, window_start, records
 
 

@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import harness
-from .agent import AgentConfig, BackoffPolicy, EdgeAgentCore
+from .agent import AgentConfig, EdgeAgentCore
 from .clock import RealScheduler
 from .gateway import FaultPlan, GatewayConfig, GatewayCore, SensorModel, generate_trace
 from .hub import HubCore, RollupStore
-from .transport import SocketNetwork
+from .transport import SocketNetwork, parse_address
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +60,15 @@ def parse_duration_ms(text: str) -> int:
         unit = _DURATION_UNITS[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
-    except ValueError as exc:
+        return int(float(text) * unit * 1000)
+    except (ValueError, OverflowError) as exc:  # int() of NaN; of inf, also from '1e400'
         raise ValueError(f"bad duration {text!r}") from exc
-    return int(value * unit * 1000)
+
+
+def address(text: str) -> str:
+    """argparse type of a host:port flag; parse_address's ValueError makes argparse exit 2."""
+    parse_address(text)
+    return text
 
 
 def _parse_faults(specs: list[str]) -> FaultPlan:
@@ -136,7 +141,7 @@ def main_gateway(argv: list[str] | None = None) -> int:
         prog="edgepark-gateway",
         description="Simulated parking-sensor gateway: snapshots, updates, pong echoes.",
     )
-    parser.add_argument("--listen", default="127.0.0.1:9610", help="host:port to bind")
+    parser.add_argument("--listen", type=address, default="127.0.0.1:9610", help="host:port to bind")
     parser.add_argument("--bays", type=int, default=22)
     parser.add_argument("--lot-id", default="LOT-A")
     parser.add_argument("--seed", type=int, default=0)
@@ -178,7 +183,7 @@ def main_gateway(argv: list[str] | None = None) -> int:
 
 
 def _env_default(env: dict[str, str], name: str, fallback: str | None) -> str | None:
-    return env.get(ENV_PREFIX + name, fallback)
+    return env.get(ENV_PREFIX + name, fallback)  # a str: argparse applies the flag's type
 
 
 def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None) -> int:
@@ -188,16 +193,18 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
         description="Edge aggregation agent: logs gateway events, rolls up occupancy "
                     "to CSV, uploads to the cloud hub.",
     )
-    parser.add_argument("--gateway", default=_env_default(env, "GATEWAY", "127.0.0.1:9610"))
-    parser.add_argument("--cloud", default=_env_default(env, "CLOUD", "127.0.0.1:9611"))
+    parser.add_argument("--gateway", type=address,
+                        default=_env_default(env, "GATEWAY", "127.0.0.1:9610"))
+    parser.add_argument("--cloud", type=address,
+                        default=_env_default(env, "CLOUD", "127.0.0.1:9611"))
     parser.add_argument("--poll-interval-sec", type=int,
-                        default=int(_env_default(env, "POLL_INTERVAL_SEC", "60")))
+                        default=_env_default(env, "POLL_INTERVAL_SEC", "60"))
     parser.add_argument("--rollup-period-sec", type=int,
-                        default=int(_env_default(env, "ROLLUP_PERIOD_SEC", "86400")))
+                        default=_env_default(env, "ROLLUP_PERIOD_SEC", "86400"))
     parser.add_argument("--log", default=_env_default(env, "LOG", "agent-events.log"))
     parser.add_argument("--csv-dir", default=_env_default(env, "CSV_DIR", "rollups"))
     parser.add_argument("--time-warp", type=float,
-                        default=float(_env_default(env, "TIME_WARP", "1.0")))
+                        default=_env_default(env, "TIME_WARP", "1.0"))
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
@@ -209,7 +216,6 @@ def main_agent(argv: list[str] | None = None, env: dict[str, str] | None = None)
             csv_dir=Path(args.csv_dir),
             poll_interval_sec=args.poll_interval_sec,
             rollup_period_sec=args.rollup_period_sec,
-            reconnect_backoff=BackoffPolicy(),
         )
         sched = RealScheduler(warp=args.time_warp)
     except ValueError as exc:
@@ -231,7 +237,7 @@ def main_hub(argv: list[str] | None = None) -> int:
         prog="edgepark-hub",
         description="Cloud hub: stores uploaded roll-ups exactly once, serves reports.",
     )
-    parser.add_argument("--listen", default="127.0.0.1:9611")
+    parser.add_argument("--listen", type=address, default="127.0.0.1:9611")
     parser.add_argument("--store-dir", default="hub-store")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

@@ -109,8 +109,8 @@ class RealScheduler(_EventQueue):
     """
 
     def __init__(self, *, warp: float = 1.0, origin_ms: int | None = None) -> None:
-        if not warp > 0:  # NaN too
-            raise ValueError("time warp must be positive")
+        if not 0 < warp < float("inf"):  # NaN too
+            raise ValueError("time warp must be positive and finite")
         super().__init__()
         self._warp = float(warp)
         self._origin_ms = int(time.time() * 1000) if origin_ms is None else int(origin_ms)

@@ -105,7 +105,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     model = config.model
     children = np.random.SeedSequence(model.seed).spawn(max(config.bay_count, 1))
     initial: dict[int, BayStatus] = {}
-    items: list[tuple[int, int, int, BayStatus]] = []  # (sim_ts, bay_id, ordinal, status)
+    items: list[TraceItem] = []
     for bay_id in range(1, config.bay_count + 1):
         rng = np.random.default_rng(children[bay_id - 1])
         status = (
@@ -116,7 +116,6 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         initial[bay_id] = status
         t = 0.0
         prev_ts = -1
-        ordinal = 0
         while True:
             mean_ms = (
                 model.mean_occupied_min
@@ -130,16 +129,15 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
             if ts >= duration_ms:
                 break
             status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
-            items.append((ts, bay_id, ordinal, status))
+            items.append(TraceItem(ts, bay_id, status))
             prev_ts = ts
-            ordinal += 1
-    items.sort()
+    items.sort()  # by (sim_ts, bay_id), unique: each bay's timestamps strictly increase
     return SimTrace(
         lot_id=config.lot_id,
         bay_count=config.bay_count,
         duration_ms=duration_ms,
         initial=initial,
-        items=tuple(TraceItem(ts, bay, st) for ts, bay, _n, st in items),
+        items=tuple(items),
     )
 
 
@@ -188,7 +186,7 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> SimTrace:
     """Read trace.jsonl or a scenario's script: '#' lines are comments, and a
-    row with no kind is an item. Items come back sorted by (sim_ts, bay_id).
+    row with no kind is an item. Items come back in file order.
     InvariantViolationError names the line of any row it refuses."""
     lot_id = "lot"
     bay_count = 0
@@ -221,17 +219,17 @@ def read_trace(path: str | Path) -> SimTrace:
                     raise ValueError(f"unknown trace line kind {kind!r}")
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
-    items.sort(key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
 
 
 def scripted_trace(config: GatewayConfig, duration_ms: int, script_path: str | Path) -> SimTrace:
-    """A scenario's script read by read_trace, under the config's lot and bay
-    count and this duration; a bay with no initial status in it starts free."""
+    """A scenario's script read by read_trace and put in time order, under the
+    config's lot, bay count and this duration; a bay it gives no status starts free."""
     script = read_trace(script_path)
     initial = {bay_id: BayStatus.FREE for bay_id in range(1, config.bay_count + 1)}
     initial.update(script.initial)
-    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, script.items)
+    items = sorted(script.items, key=itemgetter(0, 1))  # (sim_ts, bay_id); file order within a tie
+    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,8 @@ class GatewayCore:
     def start(self) -> None:
         self.start_ms = self.sched.now_ms()
         self.listener = self.net.listen(self.config.listen_address, self._accept)
-        # By due, ties in trace order, a past due at the start: the order the
-        # virtual scheduler gave the whole trace queued at once.
-        delay = self.config.faults.delay_ms
-        self._pending = iter(sorted(self.trace.items, key=lambda i: max(i.sim_ts + delay, 0)))
+        # Its producers put the trace in time order, so it is in order of due.
+        self._pending = iter(self.trace.items)
         self._arm_next()
         for at_ms, duration_ms in self.config.faults.disconnects:
             self.sched.call_at(

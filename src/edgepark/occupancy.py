@@ -17,7 +17,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -101,21 +101,12 @@ class RollupWindow:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class RollupRecord:
-    """Per-bay output of one window roll-up."""
+class RollupRecord(NamedTuple):
+    """Per-bay output of one window roll-up; each reader of records checks their ranges."""
 
     bay_id: int
     occupation_time_sec: int
     occupation_rate: float
-
-    def __post_init__(self) -> None:
-        if self.occupation_time_sec < 0:
-            raise InvariantViolationError("occupation time must be non-negative")
-        if not 0.0 <= self.occupation_rate <= 1.0:
-            raise InvariantViolationError(
-                f"occupation rate {self.occupation_rate} outside [0, 1]"
-            )
 
 
 def occupation_rate(occ_ms: int, window_ms: int) -> float:

@@ -37,7 +37,7 @@ import re
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .occupancy import InvariantViolationError, RollupRecord
+from .occupancy import RollupRecord
 
 PROTO_VERSION = 1
 
@@ -215,27 +215,24 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
         raise ProtocolError("records must be a list")
     records: list[RollupRecord] = []
     last_bay = 0
-    try:
-        for raw in raw_records:
-            if not isinstance(raw, dict):
-                raise ProtocolError("record must be an object")
-            bay_id = raw.get("bayId")
-            sec = raw.get("occupationTime")
-            rate = raw.get("occupationRate")
-            if type(bay_id) is not int or not 1 <= bay_id < 2**63:  # a JSON true is a bool
-                raise ProtocolError("bayId must be a positive integer")
-            if type(sec) is not int or sec < 0:
-                raise ProtocolError("occupationTime must be a non-negative integer")
-            if sec > window_sec:
-                raise ProtocolError(f"occupationTime {sec} exceeds window {window_sec} s")
-            if (type(rate) is not float and type(rate) is not int) or not 0 <= rate <= 1:
-                raise ProtocolError("occupationRate must be within [0, 1]")
-            if bay_id <= last_bay:
-                raise ProtocolError("records must be sorted by ascending bayId")
-            last_bay = bay_id
-            records.append(RollupRecord(bay_id, sec, float(rate)))
-    except InvariantViolationError as exc:
-        raise ProtocolError(str(exc)) from exc
+    for raw in raw_records:
+        if not isinstance(raw, dict):
+            raise ProtocolError("record must be an object")
+        bay_id = raw.get("bayId")
+        sec = raw.get("occupationTime")
+        rate = raw.get("occupationRate")
+        if type(bay_id) is not int or not 1 <= bay_id < 2**63:  # a JSON true is a bool
+            raise ProtocolError("bayId must be a positive integer")
+        if type(sec) is not int or sec < 0:
+            raise ProtocolError("occupationTime must be a non-negative integer")
+        if sec > window_sec:
+            raise ProtocolError(f"occupationTime {sec} exceeds window {window_sec} s")
+        if (type(rate) is not float and type(rate) is not int) or not 0 <= rate <= 1:
+            raise ProtocolError("occupationRate must be within [0, 1]")
+        if bay_id <= last_bay:
+            raise ProtocolError("records must be sorted by ascending bayId")
+        last_bay = bay_id
+        records.append(RollupRecord(bay_id, sec, float(rate)))
     return records
 
 

@@ -589,12 +589,6 @@ def test_write_csv_is_deterministic(tmp_path):
     assert first == second
 
 
-def test_write_csv_rejects_unsorted(tmp_path):
-    records = [RollupRecord(2, 0, 0.0), RollupRecord(1, 0, 0.0)]
-    with pytest.raises(ValueError):
-        write_csv(records, RollupWindow(0, 1000), "LOT", tmp_path)
-
-
 def test_write_csv_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
     window = RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS)
     first = write_csv([RollupRecord(1, 5, 0.0001)], window, "LOT", tmp_path)

@@ -216,6 +216,18 @@ def break_a_trace_row(run):
     trace.write_bytes(b"".join(lines))
 
 
+def swap_two_item_rows(run):
+    trace = run / "trace.jsonl"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    items = [i for i, line in enumerate(lines) if b'"kind":"item"' in line]
+    first, second = next(
+        (a, b) for a, b in zip(items, items[1:])
+        if json.loads(lines[a])["simTs"] != json.loads(lines[b])["simTs"]
+    )
+    lines[first], lines[second] = lines[second], lines[first]
+    trace.write_bytes(b"".join(lines))
+
+
 def cut_meta_short(run):
     meta = run / "meta.json"
     meta.write_bytes(meta.read_bytes()[:20])
@@ -238,8 +250,8 @@ def drop_the_trace(run):
 
 @pytest.mark.parametrize(
     "tamper",
-    [refuse_a_log_record, break_a_trace_row, cut_meta_short, drop_a_meta_key, remove_the_run,
-     drop_the_trace],
+    [refuse_a_log_record, break_a_trace_row, swap_two_item_rows, cut_meta_short, drop_a_meta_key,
+     remove_the_run, drop_the_trace],
 )
 def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     scenario = write_scenario(
@@ -369,6 +381,89 @@ def test_agent_flag_beats_env(capsys, monkeypatch):
     )
     assert code == cli.EXIT_CONFIG
     assert "poll interval" in capsys.readouterr().err
+
+
+def agent_without_env(argv):
+    return cli.main_agent(argv, env={})
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (cli.main_gateway, ["--duration", "inf"]),
+        (cli.main_gateway, ["--duration", "1e400"]),
+        (cli.main_gateway, ["--bays", "1", "--time-warp", "inf"]),
+        (agent_without_env, ["--time-warp", "inf"]),
+    ],
+)
+def test_a_live_service_refuses_an_infinite_value_with_exit_2(capsys, monkeypatch, main, argv):
+    monkeypatch.setattr(cli, "serve", never_serve)
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (cli.main_gateway, ["--listen", "nonsense"]),
+        (cli.main_hub, ["--listen", "nonsense"]),
+        (agent_without_env, ["--gateway", "nonsense"]),
+        (agent_without_env, ["--cloud", "nonsense"]),
+    ],
+)
+def test_a_live_service_refuses_an_address_that_is_not_host_port_with_exit_2(
+    capsys, monkeypatch, main, argv
+):
+    monkeypatch.setattr(cli, "serve", never_serve)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == cli.EXIT_CONFIG
+    assert "invalid address value: 'nonsense'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("POLL_INTERVAL_SEC", "abc"), ("ROLLUP_PERIOD_SEC", "1.5"), ("TIME_WARP", "fast"),
+     ("GATEWAY", "nonsense"), ("CLOUD", "nonsense")],
+)
+def test_a_bad_agent_env_value_exits_2(capsys, monkeypatch, name, value):
+    monkeypatch.setattr(cli, "serve", never_serve)
+    with pytest.raises(SystemExit) as exited:
+        cli.main_agent([], env={cli.ENV_PREFIX + name: value})
+    assert exited.value.code == cli.EXIT_CONFIG
+    assert f"{value!r}" in capsys.readouterr().err
+
+
+SERVICE_CHILD = "import sys; from edgepark import cli; sys.exit(getattr(cli, sys.argv[1])(sys.argv[2:]))"
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["main_agent", "--cloud", "nonsense"], {}),
+        (["main_agent"], {"EDGEPARK_POLL_INTERVAL_SEC": "abc"}),
+        (["main_gateway", "--duration", "inf"], {}),
+        (["main_hub", "--listen", "nonsense"], {}),
+    ],
+)
+def test_a_live_service_with_a_bad_value_exits_2_without_a_traceback(tmp_path, argv, env):
+    # A deadline: an agent that started with a bad cloud address would redial it for ever.
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    child_env.update(env, PYTHONPATH=str(Path(edgepark.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", SERVICE_CHILD, *argv],
+        env=child_env, cwd=tmp_path, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "infd", "nan"])
+def test_parse_duration_ms_refuses_a_value_that_is_not_finite(text):
+    with pytest.raises(ValueError, match="^bad duration "):
+        cli.parse_duration_ms(text)
 
 
 def test_parse_duration_ms():

@@ -428,27 +428,15 @@ def test_run_sends_every_update_in_trace_order():
     assert sent_updates(session) == [(i.bay_id, i.new_status) for i in trace.items]
 
 
-def test_unsorted_hand_built_trace_dispatches_by_due_then_trace_order():
-    trace = items_trace([
-        (5000, 1, "occupied"), (1000, 2, "occupied"), (5000, 3, "occupied"),
-        (1000, 4, "occupied"), (3000, 1, "free"),
-    ])
-    sched, session = recording_gateway(trace)
-    sched.run_until(EPOCH_MS + DAY_MS)
-    assert sent_updates(session) == [
-        (2, "occupied"), (4, "occupied"), (1, "free"), (1, "occupied"), (3, "occupied"),
-    ]
-
-
 def test_negative_delay_dispatches_every_item_and_past_dues_at_the_start():
     trace = items_trace([
-        (2000, 1, "occupied"), (1000, 2, "occupied"), (5000, 3, "occupied"),
-        (4000, 4, "occupied"),
+        (1000, 2, "occupied"), (2000, 1, "occupied"), (4000, 4, "occupied"),
+        (5000, 3, "occupied"),
     ])
     sched, session = recording_gateway(trace, FaultPlan(delay_ms=-3000))
     sched.run_for(0)
-    assert sent_updates(session) == [(1, "occupied"), (2, "occupied")]  # trace order
+    assert sent_updates(session) == [(2, "occupied"), (1, "occupied")]  # trace order
     sched.run_until(EPOCH_MS + DAY_MS)
     assert sent_updates(session) == [
-        (1, "occupied"), (2, "occupied"), (4, "occupied"), (3, "occupied"),
+        (2, "occupied"), (1, "occupied"), (4, "occupied"), (3, "occupied"),
     ]
