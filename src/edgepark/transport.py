@@ -26,8 +26,8 @@ Scheduler = VirtualScheduler | RealScheduler
 
 def parse_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be host:port, got {address!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be host:port, a port of 0-65535, got {address!r}")
     return host, int(port)
 
 

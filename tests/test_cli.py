@@ -390,9 +390,7 @@ def agent_without_env(argv):
 @pytest.mark.parametrize(
     "main, argv",
     [
-        (cli.main_gateway, ["--duration", "inf"]),
         (cli.main_gateway, ["--duration", "1e400"]),
-        (cli.main_gateway, ["--bays", "1", "--time-warp", "inf"]),
         (agent_without_env, ["--time-warp", "inf"]),
     ],
 )
@@ -408,6 +406,7 @@ def test_a_live_service_refuses_an_infinite_value_with_exit_2(capsys, monkeypatc
     [
         (cli.main_gateway, ["--listen", "nonsense"]),
         (cli.main_hub, ["--listen", "nonsense"]),
+        (cli.main_hub, ["--listen", "127.0.0.1:65536"]),
         (agent_without_env, ["--gateway", "nonsense"]),
         (agent_without_env, ["--cloud", "nonsense"]),
     ],
@@ -419,7 +418,7 @@ def test_a_live_service_refuses_an_address_that_is_not_host_port_with_exit_2(
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == cli.EXIT_CONFIG
-    assert "invalid address value: 'nonsense'" in capsys.readouterr().err
+    assert f"invalid address value: {argv[1]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

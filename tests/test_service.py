@@ -173,7 +173,7 @@ def test_gateway_with_a_duration_that_is_not_positive_exits_2(duration, capsys):
     assert "duration must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("warp", ["0", "-1", "nan"])
+@pytest.mark.parametrize("warp", ["0", "-1", "nan", "inf"])
 def test_gateway_with_a_bad_time_warp_exits_2(warp, capsys):
     argv = ["--listen", "127.0.0.1:0", "--bays", "1", f"--time-warp={warp}"]
     assert cli.main_gateway(argv) == cli.EXIT_CONFIG
