@@ -15,10 +15,10 @@ from edgepark import harness
 
 def main():
     with tempfile.TemporaryDirectory(prefix="edgepark_week_") as tmp:
-        run(Path(tmp))
+        simulate_week(Path(tmp))
 
 
-def run(out):
+def simulate_week(out):
     """The week's run in out, which is removed when the demo ends."""
     scenario = harness.parse_scenario(
         Path(__file__).resolve().parents[1] / "scenarios" / "calibrated_week.scenario"

@@ -30,10 +30,10 @@ def base(**overrides):
 
 def main():
     with tempfile.TemporaryDirectory(prefix="edgepark_faults_") as tmp:
-        run(Path(tmp))
+        run_experiments(Path(tmp))
 
 
-def run(work):
+def run_experiments(work):
     """The three experiments, each in its own directory under work."""
     print("== 1. gateway disconnect: bounded under-counting ==")
     run = harness.run_sim(

@@ -30,10 +30,10 @@ def free_port():
 
 def main():
     with tempfile.TemporaryDirectory(prefix="edgepark_live_") as tmp:
-        run(Path(tmp))
+        run_services(Path(tmp))
 
 
-def run(work):
+def run_services(work):
     """Two simulated hours of the live services, their files under work."""
     gw_port, hub_port = free_port(), free_port()
 
