@@ -8,8 +8,11 @@ seeds reproduce identical traces, which is what makes whole-system runs
 replayable.
 """
 
-from edgepark.gateway import GatewayConfig, SensorModel, generate_trace, snapshot_at
+from edgepark import protocol
+from edgepark.clock import VirtualScheduler
+from edgepark.gateway import GatewayConfig, GatewayCore, SensorModel, generate_trace
 from edgepark.occupancy import BayStatus
+from edgepark.transport import VirtualNetwork
 
 DAY = 86_400_000
 WEEK = 7 * DAY
@@ -31,6 +34,20 @@ def occupied_fraction(trace):
     return total / (trace.duration_ms * trace.bay_count)
 
 
+def hello_reply_at(config, trace, sim_ts):
+    """The snapshot a client joining at sim_ts gets from a gateway serving trace."""
+    sched = VirtualScheduler(0)
+    net = VirtualNetwork(sched)
+    GatewayCore(sched, net, config, trace).start()
+    sched.run_until(sim_ts)  # every change due by sim_ts is dispatched
+    client = net.connect(config.listen_address)
+    replies = []
+    client.on_message = replies.append
+    client.send(protocol.encode_line(protocol.hello_message("demo")))
+    sched.run_until(sched.now_ms())
+    return replies[0]
+
+
 def main():
     model = SensorModel(mean_occupied_min=450, mean_free_min=990, seed=0)
     config = GatewayConfig("127.0.0.1:0", "DEMO-LOT", bay_count=22, model=model)
@@ -49,7 +66,7 @@ def main():
     for item in trace.items[:5]:
         print(f"  t={item.sim_ts / 60000:8.1f} min  bay {item.bay_id:2d} -> {item.new_status.value}")
 
-    noon = snapshot_at(trace, 12 * 3_600_000)
+    noon = hello_reply_at(config, trace, 12 * 3_600_000)
     occupied = sum(1 for b in noon["data"][0]["bays"] if b["status"] == "occupied")
     print(f"\nsnapshot at noon on day 1: {occupied} of 22 bays occupied")
     print("this is exactly the 'bays' message a client receives when it joins then")

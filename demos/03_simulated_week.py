@@ -24,7 +24,7 @@ def simulate_week(out):
         Path(__file__).resolve().parents[1] / "scenarios" / "calibrated_week.scenario"
     )
     print(f"running scenario '{scenario.name}' into {out} ...")
-    result = harness.run_sim(scenario, out)
+    ledger = harness.run_sim(scenario, out)
 
     csvs = sorted((out / "csv").glob("rollup_*.csv"))
     print(f"\nproduced {len(csvs)} daily CSVs:")
@@ -40,7 +40,6 @@ def simulate_week(out):
     print(f"  ok={report.ok}  max per-bay error {report.max_error_ms} ms "
           f"(allowed {report.allowed_ms} ms)")
 
-    ledger = result.ledger
     print("\ntraffic ledger:")
     print(f"  raw per-event forwarding would cost {ledger.raw_forward_bytes} bytes "
           f"({ledger.event_count} events)")
@@ -49,7 +48,7 @@ def simulate_week(out):
     print(f"  reduction ratio: {ledger.reduction_ratio:.4f}")
 
     print("\nfull summary tables:\n")
-    print(result.summary_path.read_text())
+    print((out / "summary.md").read_text())
 
 
 if __name__ == "__main__":

@@ -36,34 +36,33 @@ def main():
 def run_experiments(work):
     """The three experiments, each in its own directory under work."""
     print("== 1. gateway disconnect: bounded under-counting ==")
-    run = harness.run_sim(
+    harness.run_sim(
         base(inject_gateway_disconnect_at_sec=3600,
              inject_gateway_disconnect_duration_sec=120),
         work / "disconnect",
     )
-    report = harness.verify_run(run.out_dir)
+    report = harness.verify_run(work / "disconnect")
     print(f"  observation gap: {report.allowed_ms} ms")
     print(f"  max per-bay error vs oracle: {report.max_error_ms} ms "
           f"(bound: the gap) -> ok={report.ok}")
 
     print("\n== 2. crash mid-day, recover from the log ==")
-    plain = harness.run_sim(base(days=2), work / "plain")
-    killed = harness.run_sim(
-        base(days=2, inject_agent_kill_at_sec=40_000), work / "killed"
-    )
-    pairs = list(zip(sorted(p.name for p in (plain.out_dir / "csv").glob("rollup_*.csv")),
-                     sorted(p.name for p in (killed.out_dir / "csv").glob("rollup_*.csv"))))
+    plain, killed = work / "plain", work / "killed"
+    harness.run_sim(base(days=2), plain)
+    harness.run_sim(base(days=2, inject_agent_kill_at_sec=40_000), killed)
+    pairs = list(zip(sorted(p.name for p in (plain / "csv").glob("rollup_*.csv")),
+                     sorted(p.name for p in (killed / "csv").glob("rollup_*.csv"))))
     identical = all(
-        (plain.out_dir / "csv" / a).read_bytes() == (killed.out_dir / "csv" / b).read_bytes()
+        (plain / "csv" / a).read_bytes() == (killed / "csv" / b).read_bytes()
         for a, b in pairs
     )
     print(f"  {len(pairs)} CSVs byte-identical to the uninterrupted run: {identical}")
 
     print("\n== 3. dropped acks: at-least-once delivery, exactly-once storage ==")
-    run = harness.run_sim(base(inject_drop_acks=2), work / "acks")
-    store = RollupStore(run.out_dir / "hub_store", fsync=False)
-    lines = (run.out_dir / "hub_store" / "LOT-A.jsonl").read_text().strip().splitlines()
-    print(f"  envelope sends (with retries): {run.ledger.envelope_sends}")
+    ledger = harness.run_sim(base(inject_drop_acks=2), work / "acks")
+    store = RollupStore(work / "acks" / "hub_store", fsync=False)
+    lines = (work / "acks" / "hub_store" / "LOT-A.jsonl").read_text().strip().splitlines()
+    print(f"  envelope sends (with retries): {ledger.envelope_sends}")
     print(f"  records persisted at the hub:  {len(lines)} (index size {len(store)})")
 
 

@@ -295,6 +295,7 @@ class EdgeAgentCore:
         except BaseException:
             self.log_writer.close()
             raise
+        self._gap_open = now  # nothing is observed until the first snapshot
         self._schedule_boundary()
         self._connect()
 
@@ -353,7 +354,6 @@ class EdgeAgentCore:
         # The downtime itself is an unobserved gap.
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
-        self._gap_open = now
         self._requeue_existing_csvs(kept.window_ends)
         log.info(
             "recovered %d bays from %s (%d log records)",

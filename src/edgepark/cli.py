@@ -17,6 +17,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Callable
 
@@ -298,9 +299,9 @@ def main_harness(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run-sim":
-            result = harness.run_sim(harness.parse_scenario(args.scenario), args.out)
-            print(result.summary_path.read_text(encoding="utf-8"))
-            print(f"run artifacts in {result.out_dir}")
+            harness.run_sim(harness.parse_scenario(args.scenario), args.out)
+            print((Path(args.out) / "summary.md").read_text(encoding="utf-8"))
+            print(f"run artifacts in {Path(args.out)}")
         elif args.command == "replay":
             result = harness.replay_log(
                 args.log, args.window_sec, args.out, epoch_ms=args.epoch_ms
@@ -317,11 +318,9 @@ def main_harness(argv: list[str] | None = None) -> int:
             return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
         elif args.command == "traffic-report":
             ledger = harness.load_ledger(args.run)
+            for key, value in zip(harness.LEDGER_KEYS, astuple(ledger)):
+                print(f"{key:<18}{value}")
             ratio = ledger.reduction_ratio
-            print(f"rawForwardBytes   {ledger.raw_forward_bytes}")
-            print(f"aggregatedBytes   {ledger.aggregated_bytes}")
-            print(f"eventCount        {ledger.event_count}")
-            print(f"envelopeSends     {ledger.envelope_sends}")
             print("reductionRatio    " + (f"{ratio:.6f}" if ratio is not None else "undefined"))
         else:
             for path in harness.export_report(args.run, args.format):

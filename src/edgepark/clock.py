@@ -62,8 +62,8 @@ class _EventQueue:
 class VirtualScheduler(_EventQueue):
     """Deterministic event queue with an explicit clock.
 
-    Callbacks run inline during run_until/run_for, in (due, priority,
-    insertion) order; exceptions propagate to the caller driving time.
+    Callbacks run inline during run_until, in (due, priority, insertion)
+    order; exceptions propagate to the caller driving time.
     """
 
     def __init__(self, start_ms: int) -> None:
@@ -94,9 +94,6 @@ class VirtualScheduler(_EventQueue):
                 fn(*args)
         if end > self._now:
             self._now = end
-
-    def run_for(self, duration_ms: int) -> None:
-        self.run_until(self._now + int(duration_ms))
 
 
 class RealScheduler(_EventQueue):

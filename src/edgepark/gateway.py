@@ -141,20 +141,6 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     )
 
 
-def snapshot_at(trace: SimTrace, sim_ts: int) -> dict[str, Any]:
-    """The 'bays' message describing every bay's status at sim_ts."""
-    if not 0 <= sim_ts <= trace.duration_ms:
-        raise ValueError(f"sim_ts {sim_ts} outside [0, {trace.duration_ms}]")
-    statuses = dict(trace.initial)
-    for item in trace.items:
-        if item.sim_ts > sim_ts:
-            break
-        statuses[item.bay_id] = item.new_status
-    return protocol.bays_message(
-        trace.lot_id, [(bay_id, statuses[bay_id].value) for bay_id in sorted(statuses)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Trace persistence (harness artifact and scripted scenarios)
 
@@ -217,7 +203,7 @@ def read_trace(path: str | Path) -> SimTrace:
                         raise ValueError(f"trace bay ids must be positive: {row!r}")
                 else:
                     raise ValueError(f"unknown trace line kind {kind!r}")
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
     return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
 
@@ -289,9 +275,11 @@ class GatewayCore:
 
     # -- session handling
 
+    def _offline(self) -> bool:
+        return self.refuse_until_ms is not None and self.sched.now_ms() < self.refuse_until_ms
+
     def _accept(self, conn: Any) -> None:
-        now = self.sched.now_ms()
-        if self.refuse_until_ms is not None and now < self.refuse_until_ms:
+        if self._offline():
             raise ConnectionRefusedError("gateway offline (injected fault)")
         conn.on_message = partial(self._on_message, conn)
         conn.on_close = partial(self._on_close, conn)
@@ -303,6 +291,9 @@ class GatewayCore:
     def _on_message(self, conn: Any, message: dict[str, Any]) -> None:
         mtype = message.get("type")
         if mtype == "hello":
+            if self._offline():  # accepted before the outage began: dropped unserved
+                conn.close()
+                return
             snapshot = protocol.bays_message(
                 self.config.lot_id,
                 [(bay_id, self.current[bay_id].value) for bay_id in sorted(self.current)],

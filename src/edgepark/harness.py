@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
-from . import eventlog
+from . import eventlog, protocol
 from .agent import (
     AgentConfig,
     BackoffPolicy,
@@ -257,15 +257,9 @@ class TrafficLedger:
 # run-sim
 
 
-@dataclass
-class RunResult:
-    out_dir: Path
-    ledger: TrafficLedger
-    summary_path: Path
-
-
-def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
-    """Execute one scenario end to end under the virtual clock."""
+def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> TrafficLedger:
+    """Execute one scenario end to end under the virtual clock; its traffic
+    ledger, also written to ledger.json beside summary.md."""
     out_dir = Path(out_dir)
     if (out_dir / "agent.log").exists():
         raise ScenarioError(
@@ -312,7 +306,6 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
 
         sched.call_at(kill_at, kill_and_restart, priority=PRIORITY_FAULT)
 
-    sched.run_until(scenario.end_ms)
     sched.run_until(scenario.end_ms + scenario.upload_grace_sec * 1000)
 
     agents[-1].stop()
@@ -352,14 +345,8 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> RunResult:
     (out_dir / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    summary_path = out_dir / "summary.md"
-    summary_path.write_text(build_report_markdown(store, ledger), encoding="utf-8")
-
-    return RunResult(
-        out_dir=out_dir,
-        ledger=ledger,
-        summary_path=summary_path,
-    )
+    (out_dir / "summary.md").write_text(build_report_markdown(store, ledger), encoding="utf-8")
+    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +477,39 @@ def trace_to_events(trace: SimTrace, epoch_ms: int) -> list[tuple[int, int, BayS
     return events
 
 
-def scenario_windows(meta: dict[str, Any]) -> list[RollupWindow]:
+class RunMeta(NamedTuple):
+    """What verify reads from a run's meta.json."""
+
+    lot_id: str
+    start_ms: int
+    end_ms: int
+    window_epoch_ms: int
+    period_ms: int
+    total_gap_ms: int
+
+
+# meta.json's key for each integer RunMeta field, in field order.
+META_INT_KEYS = ("startMs", "endMs", "windowEpochMs", "periodMs", "totalGapMs")
+
+
+def load_meta(run_dir: str | Path) -> RunMeta:
+    """The run's meta.json; ValueError for one that is not a run's meta."""
+    path = Path(run_dir) / "meta.json"
+    row = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        meta = RunMeta(row["lotId"], *(int(row[key]) for key in META_INT_KEYS))
+    except (LookupError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path} is not a run's meta: {exc!r}") from exc
+    if not (protocol.is_lot_id(meta.lot_id) and meta.period_ms > 0):
+        raise ValueError(f"{path} is not a run's meta: needs a valid lotId and periodMs > 0")
+    return meta
+
+
+def scenario_windows(meta: RunMeta) -> list[RollupWindow]:
     """Every whole window of the run's grid that overlaps [startMs, endMs)."""
-    period = int(meta["periodMs"])
-    first = window_floor(int(meta["startMs"]), period, int(meta["windowEpochMs"]))
-    last = int(meta["endMs"]) - period
-    return [RollupWindow(ws, ws + period) for ws in range(first, last + 1, period)]
+    period = meta.period_ms
+    first = window_floor(meta.start_ms, period, meta.window_epoch_ms)
+    return [RollupWindow(ws, ws + period) for ws in range(first, meta.end_ms - period + 1, period)]
 
 
 def verify_run(run_dir: str | Path) -> VerifyReport:
@@ -506,19 +520,15 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
     if missing:
         raise ValueError(f"{run_dir} is not a run: it has no {', '.join(missing)}")
 
-    meta = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))
-    allowed_ms = int(meta["totalGapMs"])
-    lot_id = meta["lotId"]
-    period_ms = int(meta["periodMs"])
-    trace = read_trace(run_dir / "trace.jsonl")
-    events = trace_to_events(trace, int(meta["startMs"]))
+    meta = load_meta(run_dir)
+    lot_id, allowed_ms = meta.lot_id, meta.total_gap_ms
     windows = scenario_windows(meta)
-
+    # The trace's order is checked here, before the log and the store are read.
+    sweep = oracle_windows(
+        trace_to_events(read_trace(run_dir / "trace.jsonl"), meta.start_ms), windows
+    )
     replayed = replay_log(
-        run_dir / "agent.log",
-        period_ms // 1000,
-        None,
-        epoch_ms=int(meta["windowEpochMs"]),
+        run_dir / "agent.log", meta.period_ms // 1000, None, epoch_ms=meta.window_epoch_ms
     )
     replay_by_start = {rw.window.start: rw for rw in replayed.windows}
     store = RollupStore(run_dir / "hub_store", fsync=False)
@@ -527,7 +537,7 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
     failures: list[str] = []
     max_error_ms = 0
 
-    for window, oracle in zip(windows, oracle_windows(events, windows)):
+    for window, oracle in zip(windows, sweep):
         label = f"window {window.start}"
         rw = replay_by_start.get(window.start)
         if rw is None:

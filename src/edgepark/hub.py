@@ -207,7 +207,7 @@ class HubCore:
             self.drop_acks_remaining -= 1
             log.info("dropping ack for %s (injected fault)", envelope.key)
             return None
-        return protocol.ack_message(envelope.key)
+        return {"type": "ack", "key": envelope.key}
 
     def _handle_query_daily(self, message: dict[str, Any]) -> dict[str, Any]:
         lot_id = message.get("lotId")
@@ -216,7 +216,7 @@ class HubCore:
             return protocol.error_message("queryDaily needs lotId and windowStart")
         records = self.store.query_daily(lot_id, window_start)
         if records is None:
-            return protocol.not_found_message()
+            return {"type": "notFound"}
         return protocol.daily_message(records)
 
     def _handle_query_weekly(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -226,5 +226,5 @@ class HubCore:
             return protocol.error_message("queryWeekly needs lotId and weekStart")
         report = self.store.weekly_report(lot_id, week_start)
         if report is None:
-            return protocol.not_found_message()
+            return {"type": "notFound"}
         return report

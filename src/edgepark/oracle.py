@@ -37,7 +37,9 @@ def oracle_windows(
     The windows must be sorted and disjoint. A bay still occupied at a
     window's end is truncated there. Every bay id appearing in the trace
     is present in each result, with 0 if it was never occupied inside
-    that window.
+    that window. Both orders are checked by this call, before the first
+    total: TraceOrderError or ValueError comes from it, not from the sweep
+    it returns.
     """
     # Per bay: run start times, and whether each run is occupied.
     runs: dict[int, tuple[list[int], list[bool]]] = {}
@@ -55,7 +57,12 @@ def oracle_windows(
                 f"windows not sorted and disjoint: [{before.start}, {before.end}) "
                 f"then [{after.start}, {after.end})"
             )
+    return _sweep(runs, windows)
 
+
+def _sweep(
+    runs: dict[int, tuple[list[int], list[bool]]], windows: Sequence[RollupWindow]
+) -> Iterator[dict[int, int]]:
     # Per bay: index of the first run that ends after the current window starts.
     cursors = dict.fromkeys(runs, 0)
 

@@ -133,22 +133,6 @@ def error_message(reason: str) -> dict[str, Any]:
     return {"type": "error", "reason": reason}
 
 
-def ack_message(key: str) -> dict[str, Any]:
-    return {"type": "ack", "key": key}
-
-
-def not_found_message() -> dict[str, Any]:
-    return {"type": "notFound"}
-
-
-def query_daily_message(lot_id: str, window_start: int) -> dict[str, Any]:
-    return {"type": "queryDaily", "lotId": lot_id, "windowStart": window_start}
-
-
-def query_weekly_message(lot_id: str, week_start: int) -> dict[str, Any]:
-    return {"type": "queryWeekly", "lotId": lot_id, "weekStart": week_start}
-
-
 def daily_message(records: Sequence[RollupRecord]) -> dict[str, Any]:
     return {"type": "daily", "records": [
         {"bayId": r.bay_id, "occupationTime": r.occupation_time_sec,

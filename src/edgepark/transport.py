@@ -21,8 +21,6 @@ from .clock import RealScheduler, VirtualScheduler
 
 log = logging.getLogger(__name__)
 
-Scheduler = VirtualScheduler | RealScheduler
-
 
 def parse_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")

@@ -174,7 +174,7 @@ class SimRig:
             self.agent.start()
 
     def run_for(self, ms: int) -> None:
-        self.sched.run_for(ms)
+        self.sched.run_until(self.sched.now_ms() + ms)
 
 
 @pytest.fixture

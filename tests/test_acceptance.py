@@ -124,9 +124,9 @@ def test_criterion_2_window_partition_conservation(oracle_battery):
 
 def test_criterion_3_overnight_boundary(tmp_path):
     scenario = harness.parse_scenario(SCENARIO_DIR / "overnight.scenario")
-    result = harness.run_sim(scenario, tmp_path / "run")
-    day1 = (result.out_dir / "csv" / "rollup_LOT-A_20181119T000000Z.csv").read_text()
-    day2 = (result.out_dir / "csv" / "rollup_LOT-A_20181120T000000Z.csv").read_text()
+    harness.run_sim(scenario, tmp_path / "run")
+    day1 = (tmp_path / "run" / "csv" / "rollup_LOT-A_20181119T000000Z.csv").read_text()
+    day2 = (tmp_path / "run" / "csv" / "rollup_LOT-A_20181120T000000Z.csv").read_text()
     rows1 = dict(line.split(",", 1) for line in day1.splitlines()[1:])
     rows2 = dict(line.split(",", 1) for line in day2.splitlines()[1:])
     ok = (
@@ -140,16 +140,16 @@ def test_criterion_3_overnight_boundary(tmp_path):
         f"day 1 = 14400 s, day 2 = 28800 s for bays 12 and 21, exact"
     )
     assert ok
-    report = harness.verify_run(result.out_dir)
+    report = harness.verify_run(tmp_path / "run")
     assert report.ok and report.max_error_ms == 0
 
 
 def test_criterion_4_calibrated_week(tmp_path):
     scenario = harness.parse_scenario(SCENARIO_DIR / "calibrated_week.scenario")
     started = time.monotonic()
-    result = harness.run_sim(scenario, tmp_path / "run")
+    harness.run_sim(scenario, tmp_path / "run")
     elapsed = time.monotonic() - started
-    store = RollupStore(result.out_dir / "hub_store", fsync=False)
+    store = RollupStore(tmp_path / "run" / "hub_store", fsync=False)
     per_day = [fleet_average_hours(s.records) for s in store.windows_for("LOT-A")]
     avg = sum(per_day) / len(per_day)
     ok = abs(avg - 7.5) <= 0.75 and elapsed < 30.0
@@ -192,18 +192,18 @@ def test_criterion_6_traffic_reduction(tmp_path):
         bays=scenario.bays, mean_occupied_min=3.0, mean_free_min=3.0, days=1,
     )
     busier = harness.run_sim(busier_scenario, tmp_path / "busier")
-    ratio = busy.ledger.reduction_ratio
+    ratio = busy.reduction_ratio
     ok = (
-        busy.ledger.event_count >= 500
-        and busy.ledger.aggregated_bytes < busy.ledger.raw_forward_bytes
-        and busier.ledger.aggregated_bytes == busy.ledger.aggregated_bytes
-        and busier.ledger.raw_forward_bytes > busy.ledger.raw_forward_bytes
+        busy.event_count >= 500
+        and busy.aggregated_bytes < busy.raw_forward_bytes
+        and busier.aggregated_bytes == busy.aggregated_bytes
+        and busier.raw_forward_bytes > busy.raw_forward_bytes
     )
     print(
         f"{'PASS' if ok else 'FAIL'} criterion 6 (traffic reduction): "
-        f"{busy.ledger.event_count} events/day, aggregated {busy.ledger.aggregated_bytes} B "
-        f"< raw {busy.ledger.raw_forward_bytes} B, ratio {ratio:.4f} (no target value); "
-        f"aggregated bytes invariant under {busier.ledger.event_count} events"
+        f"{busy.event_count} events/day, aggregated {busy.aggregated_bytes} B "
+        f"< raw {busy.raw_forward_bytes} B, ratio {ratio:.4f} (no target value); "
+        f"aggregated bytes invariant under {busier.event_count} events"
     )
     assert ok
 
@@ -212,17 +212,17 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     scenario = make_scenario(
         name="determinism", seed=1234, days=2, mean_occupied_min=90, mean_free_min=180
     )
-    a = harness.run_sim(scenario, tmp_path / "a")
-    b = harness.run_sim(scenario, tmp_path / "b")
+    harness.run_sim(scenario, tmp_path / "a")
+    harness.run_sim(scenario, tmp_path / "b")
     identical = []
     for rel in ["ledger.json"]:
-        identical.append((a.out_dir / rel).read_bytes() == (b.out_dir / rel).read_bytes())
-    csv_a = sorted((a.out_dir / "csv").glob("*.csv"))
-    csv_b = sorted((b.out_dir / "csv").glob("*.csv"))
+        identical.append((tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes())
+    csv_a = sorted((tmp_path / "a" / "csv").glob("*.csv"))
+    csv_b = sorted((tmp_path / "b" / "csv").glob("*.csv"))
     identical.append([p.name for p in csv_a] == [p.name for p in csv_b])
     identical.extend(x.read_bytes() == y.read_bytes() for x, y in zip(csv_a, csv_b))
-    store_a = sorted((a.out_dir / "hub_store").glob("*.jsonl"))
-    store_b = sorted((b.out_dir / "hub_store").glob("*.jsonl"))
+    store_a = sorted((tmp_path / "a" / "hub_store").glob("*.jsonl"))
+    store_b = sorted((tmp_path / "b" / "hub_store").glob("*.jsonl"))
     identical.extend(x.read_bytes() == y.read_bytes() for x, y in zip(store_a, store_b))
     ok = all(identical)
     print(
@@ -236,17 +236,17 @@ def test_criterion_8a_crash_recovery_equals_uninterrupted(tmp_path):
     base = dict(
         name="crash", seed=88, days=2, mean_occupied_min=60, mean_free_min=150
     )
-    plain = harness.run_sim(make_scenario(**base), tmp_path / "plain")
-    killed = harness.run_sim(
+    harness.run_sim(make_scenario(**base), tmp_path / "plain")
+    harness.run_sim(
         make_scenario(**base, inject_agent_kill_at_sec=46_130),  # mid-day 1
         tmp_path / "killed",
     )
-    csv_plain = sorted((plain.out_dir / "csv").glob("*.csv"))
-    csv_killed = sorted((killed.out_dir / "csv").glob("*.csv"))
+    csv_plain = sorted((tmp_path / "plain" / "csv").glob("*.csv"))
+    csv_killed = sorted((tmp_path / "killed" / "csv").glob("*.csv"))
     ok = [p.name for p in csv_plain] == [p.name for p in csv_killed] and all(
         x.read_bytes() == y.read_bytes() for x, y in zip(csv_plain, csv_killed)
     )
-    report = harness.verify_run(killed.out_dir)
+    report = harness.verify_run(tmp_path / "killed")
     ok = ok and report.ok and report.max_error_ms == 0
     print(
         f"{'PASS' if ok else 'FAIL'} criterion 8a (crash recovery): agent killed "
@@ -258,24 +258,24 @@ def test_criterion_8a_crash_recovery_equals_uninterrupted(tmp_path):
 
 def test_criterion_8b_disconnect_bound_and_upload_dedupe(tmp_path):
     scenario = harness.parse_scenario(SCENARIO_DIR / "disconnect_day.scenario")
-    result = harness.run_sim(scenario, tmp_path / "run")
-    report = harness.verify_run(result.out_dir)
+    ledger = harness.run_sim(scenario, tmp_path / "run")
+    report = harness.verify_run(tmp_path / "run")
     injected_ms = scenario.inject_gateway_disconnect_duration_sec * 1000
     store_lines = (
-        (result.out_dir / "hub_store" / "LOT-A.jsonl").read_text().strip().splitlines()
+        (tmp_path / "run" / "hub_store" / "LOT-A.jsonl").read_text().strip().splitlines()
     )
-    store = RollupStore(result.out_dir / "hub_store", fsync=False)
+    store = RollupStore(tmp_path / "run" / "hub_store", fsync=False)
     ok = (
         report.ok
         and report.max_error_ms <= injected_ms
-        and result.ledger.envelope_sends >= 3  # two dropped acks forced retries
+        and ledger.envelope_sends >= 3  # two dropped acks forced retries
         and len(store_lines) == 1  # exactly one stored record per window
         and store.query_daily("LOT-A", EPOCH_MS) is not None
     )
     print(
         f"{'PASS' if ok else 'FAIL'} criterion 8b (disconnect bound + dedupe): "
         f"120 s injected disconnect, max error {report.max_error_ms} ms <= "
-        f"{injected_ms} ms; {result.ledger.envelope_sends} sends converged to "
+        f"{injected_ms} ms; {ledger.envelope_sends} sends converged to "
         f"{len(store_lines)} stored record"
     )
     assert ok
@@ -300,11 +300,11 @@ def test_criterion_9_csv_bit_exactness(tmp_path):
     ok = content == golden and path.name == "rollup_LOT-A_20181119T000000Z.csv"
 
     # The same guarantees on a live run's files.
-    result = harness.run_sim(
+    harness.run_sim(
         make_scenario(seed=6, bays=9, mean_occupied_min=45, mean_free_min=90),
         tmp_path / "run",
     )
-    for csv_path in sorted((result.out_dir / "csv").glob("rollup_*.csv")):
+    for csv_path in sorted((tmp_path / "run" / "csv").glob("rollup_*.csv")):
         raw = csv_path.read_bytes()
         ok = ok and b"\r" not in raw and raw.endswith(b"\n")
         lines = raw.decode("utf-8").splitlines()

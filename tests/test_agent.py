@@ -204,6 +204,16 @@ def test_kill_ends_an_open_gap(rig_factory):
     assert rig.agent.total_gap_ms == 60_000
 
 
+def test_a_gateway_outage_at_the_start_is_a_gap_from_the_agent_start(rig_factory):
+    rig = rig_factory(faults=FaultPlan(disconnects=((0, 600_000),)))
+    rig.sched.run_until(EPOCH_MS + HOUR_MS)
+    assert rig.agent.handshaken
+    with eventlog.read_records(rig.agent_config.log_path) as records:
+        first_snapshot = next(r["ts"] for r in records if r.get("src") == "snapshot")
+    assert first_snapshot >= EPOCH_MS + 600_000
+    assert rig.agent.total_gap_ms == first_snapshot - EPOCH_MS
+
+
 def test_ping_count_is_floor_of_elapsed(rig_factory):
     rig = rig_factory()
     rig.sched.run_until(EPOCH_MS + 750_000)  # 12.5 poll intervals

@@ -1,7 +1,9 @@
 """Command-line surface: flags, env overrides, exit codes."""
 
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -240,6 +242,30 @@ def drop_a_meta_key(run):
     meta.write_text(json.dumps(values))
 
 
+def rewrite_meta(run, **values):
+    meta = run / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_bytes()), **values}))
+
+
+def null_the_period(run):
+    rewrite_meta(run, periodMs=None)
+
+
+def make_the_gap_infinite(run):
+    rewrite_meta(run, totalGapMs=float("inf"))  # written as Infinity
+
+
+def make_meta_an_array(run):
+    (run / "meta.json").write_text("[1]")
+
+
+def oversize_the_trace_duration(run):
+    trace = run / "trace.jsonl"
+    meta_row, *rows = trace.read_text().splitlines(keepends=True)
+    meta_row = re.sub(r'"durationMs":\d+', '"durationMs":1e400', meta_row)
+    trace.write_text("".join([meta_row, *rows]))
+
+
 def remove_the_run(run):
     shutil.rmtree(run)
 
@@ -251,7 +277,8 @@ def drop_the_trace(run):
 @pytest.mark.parametrize(
     "tamper",
     [refuse_a_log_record, break_a_trace_row, swap_two_item_rows, cut_meta_short, drop_a_meta_key,
-     remove_the_run, drop_the_trace],
+     remove_the_run, drop_the_trace, null_the_period, make_the_gap_infinite, make_meta_an_array,
+     oversize_the_trace_duration],
 )
 def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     scenario = write_scenario(
@@ -265,6 +292,29 @@ def test_verify_of_a_run_it_cannot_read_exits_2(tmp_path, capsys, tamper):
     err = capsys.readouterr().err
     assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_verify_refuses_a_swapped_trace_before_reading_the_log_or_the_store(
+    tmp_path, capsys, caplog
+):
+    scenario = write_scenario(
+        tmp_path, "seed = 4\nbays = 3\ndays = 1\nmean_occupied_min = 30\nmean_free_min = 60\n"
+        "inject_duplicate_updates = true\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == 0
+    caplog.set_level(logging.INFO)
+
+    def replay_or_store_load(messages):
+        return [m for m in messages if m.startswith("replay of ") or "rebuilt index" in m]
+
+    caplog.clear()
+    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_OK
+    assert len(replay_or_store_load(caplog.messages)) == 2  # the replay summary, the store load
+    swap_two_item_rows(out)
+    caplog.clear()
+    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_CONFIG
+    assert replay_or_store_load(caplog.messages) == []
 
 
 @pytest.mark.parametrize("cells", ["-1,0.0000", "10,1.5000", "10,nan", "10,inf"])

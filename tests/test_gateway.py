@@ -1,4 +1,4 @@
-"""Trace generation, snapshot reconstruction, and gateway session behavior."""
+"""Trace generation, trace files, and gateway session behavior."""
 
 import json
 import random
@@ -16,7 +16,6 @@ from edgepark.gateway import (
     TraceItem,
     generate_trace,
     read_trace,
-    snapshot_at,
     write_trace,
 )
 from edgepark.occupancy import BayStatus, InvariantViolationError
@@ -129,6 +128,18 @@ def test_read_trace_accepts_only_json_integer_simts_and_bay_id(tmp_path, row):
         read_trace(path)
 
 
+@pytest.mark.parametrize("key", ["durationMs", "bayCount"])
+def test_read_trace_refuses_an_oversized_number_in_the_meta_row(tmp_path, key):
+    path = tmp_path / "trace.jsonl"
+    write_trace(idle_trace(bays=2), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    row = {**json.loads(lines[0]), key: "HUGE"}
+    lines[0] = json.dumps(row).replace('"HUGE"', "1e400").encode() + b"\n"  # inf as a float
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(InvariantViolationError, match=f"^{path}:1: "):
+        read_trace(path)
+
+
 def test_read_trace_rejects_initial_bay_below_one(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(idle_trace(bays=2), path)
@@ -175,48 +186,6 @@ def test_write_trace_is_encode_line_of_every_row(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# snapshot_at
-
-
-def test_snapshot_before_any_item_shows_initial_statuses():
-    trace = items_trace([(1000, 3, "occupied")], bays=4)
-    message = snapshot_at(trace, 0)
-    statuses = {b["id"]: b["status"] for b in message["data"][0]["bays"]}
-    assert statuses == {1: "free", 2: "free", 3: "free", 4: "free"}
-
-
-def test_snapshot_between_events_reflects_most_recent():
-    trace = items_trace([(1000, 3, "occupied"), (5000, 3, "free")], bays=3)
-    statuses = {
-        b["id"]: b["status"] for b in snapshot_at(trace, 2500)["data"][0]["bays"]
-    }
-    assert statuses[3] == "occupied"
-
-
-def test_snapshot_out_of_range_rejected():
-    trace = items_trace([], bays=1, duration_ms=1000)
-    with pytest.raises(ValueError):
-        snapshot_at(trace, 1001)
-    with pytest.raises(ValueError):
-        snapshot_at(trace, -1)
-
-
-def test_snapshot_matches_linear_scan_oracle():
-    trace = generate_trace(config(seed=6, bays=8, occ=20, free=40), 6 * 3_600_000)
-    for sim_ts in (0, 1, 3_600_000, 12_345_678, trace.duration_ms):
-        message = snapshot_at(trace, sim_ts)
-        got = {b["id"]: b["status"] for b in message["data"][0]["bays"]}
-        want = {}
-        for bay in trace.initial:
-            status = trace.initial[bay]
-            for item in trace.items:
-                if item.bay_id == bay and item.sim_ts <= sim_ts:
-                    status = item.new_status
-            want[bay] = status.value
-        assert got == want
-
-
-# ---------------------------------------------------------------------------
 # GatewayCore sessions (in-process)
 
 
@@ -236,7 +205,7 @@ class Probe:
 
     def send(self, line):
         self.conn.send(line)
-        self.sched.run_for(0)
+        self.sched.run_until(self.sched.now_ms())
 
 
 def make_gateway(trace, faults=None):
@@ -248,6 +217,44 @@ def make_gateway(trace, faults=None):
     core = GatewayCore(sched, net, gw_config, trace)
     core.start()
     return sched, net, core
+
+
+# ---------------------------------------------------------------------------
+# The snapshot a hello gets
+
+
+def hello_statuses(sched, net):
+    """Every bay's status in the snapshot a new session's hello gets now."""
+    probe = Probe(sched, net)
+    probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
+    (snapshot,) = probe.received
+    return {b["id"]: b["status"] for b in snapshot["data"][0]["bays"]}
+
+
+def test_snapshot_before_any_item_shows_initial_statuses():
+    sched, net, _ = make_gateway(items_trace([(1000, 3, "occupied")], bays=4))
+    assert hello_statuses(sched, net) == {1: "free", 2: "free", 3: "free", 4: "free"}
+
+
+def test_snapshot_between_events_reflects_most_recent():
+    sched, net, _ = make_gateway(items_trace([(1000, 3, "occupied"), (5000, 3, "free")], bays=3))
+    sched.run_until(EPOCH_MS + 2500)
+    assert hello_statuses(sched, net)[3] == "occupied"
+
+
+def test_snapshot_matches_linear_scan_oracle():
+    trace = generate_trace(config(seed=6, bays=8, occ=20, free=40), 6 * 3_600_000)
+    sched, net, _ = make_gateway(trace)
+    for sim_ts in (0, 1, 3_600_000, 12_345_678, trace.duration_ms):
+        sched.run_until(EPOCH_MS + sim_ts)  # every item due at or before sim_ts is dispatched
+        want = {}
+        for bay in trace.initial:
+            status = trace.initial[bay]
+            for item in trace.items:
+                if item.bay_id == bay and item.sim_ts <= sim_ts:
+                    status = item.new_status
+            want[bay] = status.value
+        assert hello_statuses(sched, net) == want
 
 
 def test_hello_yields_full_snapshot():
@@ -290,7 +297,7 @@ def test_unknown_type_gets_error_and_close():
     sched, net, _ = make_gateway(items_trace([]))
     probe = Probe(sched, net)
     probe.send(protocol.encode_line({"type": "launch", "payload": 1}))
-    sched.run_for(0)
+    sched.run_until(sched.now_ms())
     assert probe.received[0]["type"] == "error"
     assert probe.closed
 
@@ -298,12 +305,12 @@ def test_unknown_type_gets_error_and_close():
 def test_midrun_join_snapshot_matches_trace_state():
     trace = items_trace([(1000, 1, "occupied"), (5000, 2, "occupied"), (9000, 1, "free")])
     sched, net, _ = make_gateway(trace)
-    sched.run_for(6000)  # two items dispatched
+    sched.run_until(sched.now_ms() + 6000)  # two items dispatched
     probe = Probe(sched, net)
     probe.send(protocol.encode_line({"type": "hello", "client": "late", "proto": 1}))
     statuses = {b["id"]: b["status"] for b in probe.received[0]["data"][0]["bays"]}
     assert statuses[1] == "occupied" and statuses[2] == "occupied"
-    sched.run_for(4000)  # third item pushed to the live session
+    sched.run_until(sched.now_ms() + 4000)  # third item pushed to the live session
     update = probe.received[-1]
     assert update["type"] == "baysUpdate"
     assert update["bay"] == {"id": 1, "status": "free"}
@@ -313,8 +320,19 @@ def test_updates_pushed_only_after_handshake():
     trace = items_trace([(1000, 1, "occupied")])
     sched, net, core = make_gateway(trace)
     probe = Probe(sched, net)  # connected but never says hello
-    sched.run_for(2000)
+    sched.run_until(sched.now_ms() + 2000)
     assert probe.received == []
+    assert core.updates_sent == 0
+
+
+def test_a_connection_accepted_before_an_outage_is_dropped_at_its_hello():
+    trace = items_trace([(1000, 1, "occupied")])
+    sched, net, core = make_gateway(trace, faults=FaultPlan(disconnects=((0, 600_000),)))
+    probe = Probe(sched, net)  # accepted at the outage's instant, before it fires
+    probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
+    assert probe.received == [] and probe.closed
+    assert core.sessions == []
+    sched.run_until(sched.now_ms() + 2000)
     assert core.updates_sent == 0
 
 
@@ -323,7 +341,7 @@ def test_duplicate_update_fault_sends_twice():
     sched, net, core = make_gateway(trace, faults=FaultPlan(duplicate_updates=True))
     probe = Probe(sched, net)
     probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
-    sched.run_for(2000)
+    sched.run_until(sched.now_ms() + 2000)
     updates = [m for m in probe.received if m["type"] == "baysUpdate"]
     assert len(updates) == 2
     assert core.updates_sent == 2
@@ -334,11 +352,11 @@ def test_injected_disconnect_refuses_reconnects_for_duration():
     sched, net, core = make_gateway(trace, faults=FaultPlan(disconnects=((5000, 2000),)))
     probe = Probe(sched, net)
     probe.send(protocol.encode_line({"type": "hello", "client": "probe", "proto": 1}))
-    sched.run_for(5000)
+    sched.run_until(sched.now_ms() + 5000)
     assert probe.closed
     with pytest.raises(ConnectionRefusedError):
         net.connect("sim://gw")
-    sched.run_for(2000)
+    sched.run_until(sched.now_ms() + 2000)
     Probe(sched, net)  # reconnect admitted once the window elapses
 
 
@@ -434,7 +452,7 @@ def test_negative_delay_dispatches_every_item_and_past_dues_at_the_start():
         (5000, 3, "occupied"),
     ])
     sched, session = recording_gateway(trace, FaultPlan(delay_ms=-3000))
-    sched.run_for(0)
+    sched.run_until(sched.now_ms())
     assert sent_updates(session) == [(2, "occupied"), (1, "occupied")]  # trace order
     sched.run_until(EPOCH_MS + DAY_MS)
     assert sent_updates(session) == [

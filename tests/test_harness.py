@@ -18,9 +18,9 @@ from conftest import DAY_MS, EPOCH_MS, make_scenario, traced_peak, update_lines
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def run_csvs(result):
-    """The live CSVs a run_sim result left in its run directory, by name."""
-    return sorted((result.out_dir / "csv").glob("rollup_*.csv"))
+def run_csvs(run_dir):
+    """The live CSVs a run left in run_dir, by name."""
+    return sorted((run_dir / "csv").glob("rollup_*.csv"))
 
 SCENARIOS = {
     "minimal": "days = 1\n",
@@ -152,15 +152,15 @@ def test_idle_day_run(tmp_path):
     script = tmp_path / "idle.jsonl"
     script.write_text("# nothing happens\n")
     scenario = make_scenario(script=script)
-    result = harness.run_sim(scenario, tmp_path / "run")
-    assert len(run_csvs(result)) == 1
-    lines = run_csvs(result)[0].read_text().splitlines()
+    ledger = harness.run_sim(scenario, tmp_path / "run")
+    assert len(run_csvs(tmp_path / "run")) == 1
+    lines = run_csvs(tmp_path / "run")[0].read_text().splitlines()
     assert len(lines) == 23 and all(l.endswith(",0,0.0000") for l in lines[1:])
     store = RollupStore(tmp_path / "run" / "hub_store", fsync=False)
     assert fleet_average_hours(store.windows_for("LOT-A")[0].records) == 0.0
-    assert result.ledger.event_count == 0
-    assert result.ledger.reduction_ratio is None
-    _, bays_csv = harness.export_report(result.out_dir, "csv")
+    assert ledger.event_count == 0
+    assert ledger.reduction_ratio is None
+    _, bays_csv = harness.export_report(tmp_path / "run", "csv")
     assert all(
         line.endswith(",0.0000,0.0000") for line in bays_csv.read_text().splitlines()[1:]
     )
@@ -174,8 +174,8 @@ def test_run_sim_refuses_reused_out_dir(tmp_path):
 
 
 def test_run_artifacts_present(tmp_path):
-    result = harness.run_sim(make_scenario(seed=13, bays=4), tmp_path / "run")
-    out = result.out_dir
+    out = tmp_path / "run"
+    harness.run_sim(make_scenario(seed=13, bays=4), out)
     for name in ("trace.jsonl", "agent.log", "ledger.json", "meta.json", "summary.md"):
         assert (out / name).exists()
     meta = json.loads((out / "meta.json").read_text())
@@ -194,7 +194,7 @@ def test_crash_day_logs_one_duplicate_summary_per_window(tmp_path, caplog, monke
     monkeypatch.setattr(harness, "EdgeAgentCore", tracked)
     caplog.set_level(logging.INFO, logger="edgepark")
     scenario = harness.parse_scenario(SCENARIO_DIR / "crash_day.scenario")
-    result = harness.run_sim(scenario, tmp_path / "run")
+    harness.run_sim(scenario, tmp_path / "run")
 
     messages = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
     kill = next(i for i, m in enumerate(messages) if m[2].startswith("agent killed"))
@@ -215,7 +215,7 @@ def test_crash_day_logs_one_duplicate_summary_per_window(tmp_path, caplog, monke
     assert after_kill == last.warnings["duplicate_update"]
     # The log holds about one line per window, not one per duplicate.
     assert len(messages) < len(windows) + 20
-    assert json.loads((result.out_dir / "meta.json").read_text())["counters"] == {
+    assert json.loads((tmp_path / "run" / "meta.json").read_text())["counters"] == {
         "agentIncarnations": 2, "eventsIngested": 680, "pingsSent": 1432,
         "rejectedEvents": 0, "uploadSends": 31, "warnings": 346,
     }
@@ -247,22 +247,22 @@ def test_replay_single_pair_single_nonzero_cell(tmp_path):
 
 
 def test_replay_reproduces_live_csvs_byte_for_byte(tmp_path):
-    result = harness.run_sim(
+    harness.run_sim(
         make_scenario(seed=21, bays=6, mean_occupied_min=45, mean_free_min=90),
         tmp_path / "run",
     )
     replay = harness.replay_log(
-        result.out_dir / "agent.log", 86_400, tmp_path / "replay"
+        tmp_path / "run" / "agent.log", 86_400, tmp_path / "replay"
     )
-    assert [p.name for p in replay.csv_paths] == [p.name for p in run_csvs(result)]
-    for live, rep in zip(run_csvs(result), replay.csv_paths):
+    assert [p.name for p in replay.csv_paths] == [p.name for p in run_csvs(tmp_path / "run")]
+    for live, rep in zip(run_csvs(tmp_path / "run"), replay.csv_paths):
         assert live.read_bytes() == rep.read_bytes()
 
 
 def test_replay_twice_is_byte_identical(tmp_path):
-    result = harness.run_sim(make_scenario(seed=2, bays=3), tmp_path / "run")
-    a = harness.replay_log(result.out_dir / "agent.log", 86_400, tmp_path / "a")
-    b = harness.replay_log(result.out_dir / "agent.log", 86_400, tmp_path / "b")
+    harness.run_sim(make_scenario(seed=2, bays=3), tmp_path / "run")
+    a = harness.replay_log(tmp_path / "run" / "agent.log", 86_400, tmp_path / "a")
+    b = harness.replay_log(tmp_path / "run" / "agent.log", 86_400, tmp_path / "b")
     for pa, pb in zip(a.csv_paths, b.csv_paths):
         assert pa.read_bytes() == pb.read_bytes()
 
@@ -361,11 +361,11 @@ def test_verify_passes_on_clean_run(tmp_path):
 
 
 def test_verify_names_tampered_cell(tmp_path):
-    result = harness.run_sim(
+    harness.run_sim(
         make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
         tmp_path / "run",
     )
-    path = run_csvs(result)[0]
+    path = run_csvs(tmp_path / "run")[0]
     lines = path.read_text().splitlines()
     bay, sec, rate = lines[1].split(",")
     lines[1] = f"{bay},{int(sec) + 60},{rate}"
@@ -376,32 +376,32 @@ def test_verify_names_tampered_cell(tmp_path):
 
 
 def verify_after(tmp_path, tamper):
-    """verify_run's failures after tamper(run result) changes a clean run."""
-    result = harness.run_sim(
+    """verify_run's failures after tamper(run directory) changes a clean run."""
+    harness.run_sim(
         make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
         tmp_path / "run",
     )
-    tamper(result)
+    tamper(tmp_path / "run")
     report = harness.verify_run(tmp_path / "run")
     assert report.ok is False
     return report.failures
 
 
 def test_verify_names_missing_csv(tmp_path):
-    failures = verify_after(tmp_path, lambda result: run_csvs(result)[0].unlink())
+    failures = verify_after(tmp_path, lambda run: run_csvs(run)[0].unlink())
     assert failures == [f"window {EPOCH_MS}: missing CSV rollup_LOT-A_20181119T000000Z.csv"]
 
 
 def test_verify_names_missing_hub_record(tmp_path):
     failures = verify_after(
-        tmp_path, lambda result: (result.out_dir / "hub_store" / "LOT-A.jsonl").unlink()
+        tmp_path, lambda run: (run / "hub_store" / "LOT-A.jsonl").unlink()
     )
     assert failures == [f"window {EPOCH_MS}: hub store has no record for key LOT-A:{EPOCH_MS}"]
 
 
 def test_verify_names_log_replay_beyond_the_gap_bound(tmp_path):
-    def drop_first_departure(result):
-        log_path = result.out_dir / "agent.log"
+    def drop_first_departure(run):
+        log_path = run / "agent.log"
         lines = log_path.read_bytes().splitlines(keepends=True)
         first_free = next(i for i, line in enumerate(lines) if b'"src":"update","status":"free"' in line)
         dropped.append(json.loads(lines.pop(first_free)))
@@ -417,17 +417,17 @@ def test_verify_names_log_replay_beyond_the_gap_bound(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("bayId", 0), ("simTs", -1)])
 def test_verify_raises_on_trace_row_outside_the_invariants(tmp_path, key, value):
-    result = harness.run_sim(
+    harness.run_sim(
         make_scenario(seed=31, bays=8, mean_occupied_min=60, mean_free_min=120),
         tmp_path / "run",
     )
-    trace_path = result.out_dir / "trace.jsonl"
+    trace_path = tmp_path / "run" / "trace.jsonl"
     lines = trace_path.read_bytes().splitlines(keepends=True)
     item = next(i for i, line in enumerate(lines) if b'"kind":"item"' in line)
     lines[item] = protocol.encode_line({**json.loads(lines[item]), key: value})
     trace_path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError):
-        harness.verify_run(result.out_dir)
+        harness.verify_run(tmp_path / "run")
 
 
 def test_a_script_out_of_time_order_runs_sorted_by_time_then_bay_and_verifies(tmp_path):
@@ -440,8 +440,8 @@ def test_a_script_out_of_time_order_runs_sorted_by_time_then_bay_and_verifies(tm
         '{"simTs":3600000,"bayId":1,"status":"free"}\n'
         '{"simTs":3600000,"bayId":1,"status":"occupied"}\n'
     )
-    result = harness.run_sim(make_scenario(bays=3, script=script), tmp_path / "run")
-    rows = map(json.loads, (result.out_dir / "trace.jsonl").read_text().splitlines())
+    harness.run_sim(make_scenario(bays=3, script=script), tmp_path / "run")
+    rows = map(json.loads, (tmp_path / "run" / "trace.jsonl").read_text().splitlines())
     items = [(r["simTs"], r["bayId"], r["status"]) for r in rows if r["kind"] == "item"]
     assert items == [  # by (simTs, bayId); bay 1's three rows at 3600000 in file order
         (1_800_000, 2, "occupied"),
@@ -451,15 +451,43 @@ def test_a_script_out_of_time_order_runs_sorted_by_time_then_bay_and_verifies(tm
         (3_600_000, 3, "occupied"),
         (7_200_000, 2, "free"),
     ]
-    report = harness.verify_run(result.out_dir)
+    report = harness.verify_run(tmp_path / "run")
     assert report.ok, report.failures
 
 
 def test_verify_reports_missing_artifacts(tmp_path):
-    result = harness.run_sim(make_scenario(seed=1, bays=2), tmp_path / "run")
-    (result.out_dir / "trace.jsonl").unlink()
-    with pytest.raises(ValueError, match=f"^{re.escape(str(result.out_dir))} .*trace.jsonl"):
-        harness.verify_run(result.out_dir)
+    run = tmp_path / "run"
+    harness.run_sim(make_scenario(seed=1, bays=2), run)
+    (run / "trace.jsonl").unlink()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(run))} .*trace.jsonl"):
+        harness.verify_run(run)
+
+
+def outage_at_start(tmp_path, duration_sec):
+    """verify's report on an hourly run whose gateway is down for its first duration_sec."""
+    harness.run_sim(
+        make_scenario(
+            seed=11, bays=22, mean_occupied_min=60, mean_free_min=120, rollup_period_sec=3600,
+            inject_gateway_disconnect_at_sec=0, inject_gateway_disconnect_duration_sec=duration_sec,
+        ),
+        tmp_path / "run",
+    )
+    return harness.verify_run(tmp_path / "run")
+
+
+def test_a_gateway_outage_at_the_start_drops_the_first_session_and_bounds_the_error(tmp_path):
+    report = outage_at_start(tmp_path, 600)
+    assert report.ok, report.render()
+    assert report.allowed_ms >= 600_000  # the gap counts from the agent's start
+    assert report.max_error_ms > 0  # the first session did not survive the outage
+
+
+@pytest.mark.xfail(
+    strict=True, reason="replay and the CSV names have no window before the first snapshot"
+)
+def test_a_gateway_outage_of_whole_windows_at_the_start_verifies(tmp_path):
+    report = outage_at_start(tmp_path, 9000)  # windows 00:00 and 01:00 end before the snapshot
+    assert report.ok, report.render()
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +497,13 @@ def test_verify_reports_missing_artifacts(tmp_path):
 def test_traffic_zero_events_reports_undefined_ratio(tmp_path):
     script = tmp_path / "idle.jsonl"
     script.write_text("")
-    result = harness.run_sim(make_scenario(script=script), tmp_path / "run")
-    assert result.ledger.raw_forward_bytes == 0
-    assert result.ledger.aggregated_bytes > 0
-    assert result.ledger.envelope_sends == 1
-    assert result.ledger.reduction_ratio is None
-    reloaded = harness.load_ledger(result.out_dir)
-    assert reloaded.to_json() == result.ledger.to_json()
+    ledger = harness.run_sim(make_scenario(script=script), tmp_path / "run")
+    assert ledger.raw_forward_bytes == 0
+    assert ledger.aggregated_bytes > 0
+    assert ledger.envelope_sends == 1
+    assert ledger.reduction_ratio is None
+    reloaded = harness.load_ledger(tmp_path / "run")
+    assert reloaded.to_json() == ledger.to_json()
 
 
 def test_traffic_aggregation_beats_forwarding_and_is_event_count_invariant(tmp_path):
@@ -487,13 +515,13 @@ def test_traffic_aggregation_beats_forwarding_and_is_event_count_invariant(tmp_p
         make_scenario(seed=9, mean_occupied_min=3, mean_free_min=3),
         tmp_path / "busier",
     )
-    assert busy.ledger.event_count >= 500
-    assert busier.ledger.event_count > busy.ledger.event_count
-    assert busy.ledger.aggregated_bytes < busy.ledger.raw_forward_bytes
-    assert busier.ledger.aggregated_bytes < busier.ledger.raw_forward_bytes
+    assert busy.event_count >= 500
+    assert busier.event_count > busy.event_count
+    assert busy.aggregated_bytes < busy.raw_forward_bytes
+    assert busier.aggregated_bytes < busier.raw_forward_bytes
     # Envelope bytes depend on bays and windows, not on how busy the day was.
-    assert busy.ledger.aggregated_bytes == busier.ledger.aggregated_bytes
-    assert busier.ledger.raw_forward_bytes > busy.ledger.raw_forward_bytes
+    assert busy.aggregated_bytes == busier.aggregated_bytes
+    assert busier.raw_forward_bytes > busy.raw_forward_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +529,16 @@ def test_traffic_aggregation_beats_forwarding_and_is_event_count_invariant(tmp_p
 
 
 def test_export_markdown_tables(tmp_path):
-    result = harness.run_sim(make_scenario(seed=3, bays=4, days=2), tmp_path / "run")
-    (path,) = harness.export_report(result.out_dir, "markdown")
+    harness.run_sim(make_scenario(seed=3, bays=4, days=2), tmp_path / "run")
+    (path,) = harness.export_report(tmp_path / "run", "markdown")
     text = path.read_text()
     assert "fleet average occupied hours" in text
     assert "| bay | min hours | max hours |" in text
 
 
 def test_export_csv_tables(tmp_path):
-    result = harness.run_sim(make_scenario(seed=3, bays=4, days=2), tmp_path / "run")
-    daily, bays = harness.export_report(result.out_dir, "csv")
+    harness.run_sim(make_scenario(seed=3, bays=4, days=2), tmp_path / "run")
+    daily, bays = harness.export_report(tmp_path / "run", "csv")
     daily_lines = daily.read_text().splitlines()
     assert daily_lines[0] == "lotId,windowStart,fleetAvgHours"
     assert len(daily_lines) == 3  # header + 2 days
@@ -522,8 +550,8 @@ def test_export_csv_tables(tmp_path):
 def test_export_overnight_scenario_day2_max(tmp_path, pytestconfig):
     scenario_path = pytestconfig.rootpath / "scenarios" / "overnight.scenario"
     scenario = harness.parse_scenario(scenario_path)
-    result = harness.run_sim(scenario, tmp_path / "run")
-    _, bays_csv = harness.export_report(result.out_dir, "csv")
+    harness.run_sim(scenario, tmp_path / "run")
+    _, bays_csv = harness.export_report(tmp_path / "run", "csv")
     rows = {
         line.split(",")[1]: line.split(",")
         for line in bays_csv.read_text().splitlines()[1:]
@@ -539,11 +567,12 @@ def test_export_overnight_scenario_day2_max(tmp_path, pytestconfig):
 
 def test_same_scenario_twice_is_byte_identical(tmp_path):
     scenario = make_scenario(seed=77, bays=5, mean_occupied_min=30, mean_free_min=60)
-    a = harness.run_sim(scenario, tmp_path / "a")
-    b = harness.run_sim(scenario, tmp_path / "b")
-    for pa, pb in zip(run_csvs(a), run_csvs(b)):
+    harness.run_sim(scenario, tmp_path / "a")
+    harness.run_sim(scenario, tmp_path / "b")
+    for pa, pb in zip(run_csvs(tmp_path / "a"), run_csvs(tmp_path / "b")):
         assert pa.read_bytes() == pb.read_bytes()
-    assert (a.out_dir / "ledger.json").read_bytes() == (b.out_dir / "ledger.json").read_bytes()
-    sa = (a.out_dir / "hub_store" / "LOT-A.jsonl").read_bytes()
-    sb = (b.out_dir / "hub_store" / "LOT-A.jsonl").read_bytes()
+    ledger_a = (tmp_path / "a" / "ledger.json").read_bytes()
+    assert ledger_a == (tmp_path / "b" / "ledger.json").read_bytes()
+    sa = (tmp_path / "a" / "hub_store" / "LOT-A.jsonl").read_bytes()
+    sb = (tmp_path / "b" / "hub_store" / "LOT-A.jsonl").read_bytes()
     assert sa == sb

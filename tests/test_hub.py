@@ -223,7 +223,7 @@ class HubProbe:
 
     def send(self, line):
         self.conn.send(line)
-        self.sched.run_for(0)
+        self.sched.run_until(self.sched.now_ms())
 
 
 def test_rollup_over_wire_acked_and_stored(tmp_path):
@@ -266,11 +266,13 @@ def test_query_daily_over_wire(tmp_path):
     records = full_day_records(27_000)
     raw = protocol.encode_rollup_envelope("LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, records)
     probe.send(raw)
-    probe.send(protocol.encode_line(protocol.query_daily_message("LOT-A", EPOCH_MS)))
+    probe.send(protocol.encode_line(
+        {"type": "queryDaily", "lotId": "LOT-A", "windowStart": EPOCH_MS}
+    ))
     reply = probe.received[-1]
     assert reply["type"] == "daily"
     assert len(reply["records"]) == 22
-    next_day = protocol.query_daily_message("LOT-A", EPOCH_MS + DAY_MS)
+    next_day = {"type": "queryDaily", "lotId": "LOT-A", "windowStart": EPOCH_MS + DAY_MS}
     probe.send(protocol.encode_line(next_day))
     assert probe.received[-1] == {"type": "notFound"}
 
@@ -281,12 +283,16 @@ def test_query_weekly_over_wire(tmp_path):
         "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, full_day_records(27_000)
     )
     probe.send(raw)
-    probe.send(protocol.encode_line(protocol.query_weekly_message("LOT-A", EPOCH_MS)))
+    probe.send(protocol.encode_line(
+        {"type": "queryWeekly", "lotId": "LOT-A", "weekStart": EPOCH_MS}
+    ))
     reply = probe.received[-1]
     assert reply["type"] == "weekly"
     assert reply["perDayFleetAvgHours"][0] == pytest.approx(7.5)
     assert reply["perBayMinHours"]["1"] == pytest.approx(7.5)
-    probe.send(protocol.encode_line(protocol.query_weekly_message("OTHER-LOT", EPOCH_MS)))
+    probe.send(protocol.encode_line(
+        {"type": "queryWeekly", "lotId": "OTHER-LOT", "weekStart": EPOCH_MS}
+    ))
     assert probe.received[-1] == {"type": "notFound"}
 
 
@@ -310,10 +316,10 @@ def test_query_replies_over_wire_are_pinned(tmp_path):
         return probe.received.pop()
 
     def daily(lot, day):
-        return ask(protocol.query_daily_message(lot, EPOCH_MS + day * DAY_MS))
+        return ask({"type": "queryDaily", "lotId": lot, "windowStart": EPOCH_MS + day * DAY_MS})
 
     def weekly(lot, day):
-        return ask(protocol.query_weekly_message(lot, EPOCH_MS + day * DAY_MS))
+        return ask({"type": "queryWeekly", "lotId": lot, "weekStart": EPOCH_MS + day * DAY_MS})
 
     not_found = {"type": "notFound"}
     assert daily("LOT-A", 0) == {"type": "daily", "records": [
@@ -378,7 +384,9 @@ def test_a_4300_digit_week_start_gets_an_error_and_the_link_lives_on(tmp_path):
     probe.send(protocol.encode_rollup_envelope(
         "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, full_day_records(27_000)
     ))
-    probe.send(protocol.encode_line(protocol.query_weekly_message("LOT-A", EPOCH_MS)))
+    probe.send(protocol.encode_line(
+        {"type": "queryWeekly", "lotId": "LOT-A", "weekStart": EPOCH_MS}
+    ))
     assert probe.received[-1]["type"] == "weekly"
 
 

@@ -234,8 +234,8 @@ def test_no_hostile_line_ends_the_hub_the_gateway_or_the_agent(rig_factory):
     ))
     send_each_on_a_new_link(rig, HUB_ADDRESS, hostile_lines(
         envelope,
-        protocol.query_daily_message("LOT-A", EPOCH_MS),
-        protocol.query_weekly_message("LOT-A", EPOCH_MS),
+        {"type": "queryDaily", "lotId": "LOT-A", "windowStart": EPOCH_MS},
+        {"type": "queryWeekly", "lotId": "LOT-A", "weekStart": EPOCH_MS},
     ))
     send_each_on_a_new_link(rig, GATEWAY_ADDRESS, hostile_lines(
         {"type": "hello", "client": "probe", "proto": 1}, {"type": "ping", "seq": 1},

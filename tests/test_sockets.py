@@ -10,7 +10,7 @@ import pytest
 from edgepark import protocol
 from edgepark.agent import AgentConfig, BackoffPolicy, EdgeAgentCore
 from edgepark.clock import RealScheduler
-from edgepark.gateway import GatewayConfig, GatewayCore, SensorModel, snapshot_at
+from edgepark.gateway import GatewayConfig, GatewayCore, SensorModel
 from edgepark.hub import HubCore, RollupStore
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import SocketNetwork
@@ -110,8 +110,11 @@ def test_gateway_midrun_join_snapshot_consistent(gateway_rig):
     client.send(protocol.hello_message("late"))
     snapshot = client.recv()
     statuses = {b["id"]: b["status"] for b in snapshot["data"][0]["bays"]}
-    expected = snapshot_at(trace, 25 * 60_000)  # state mid-gap, far from both items
-    expected_statuses = {b["id"]: b["status"] for b in expected["data"][0]["bays"]}
+    # The trace folded to 25 min: mid-gap, far from both items.
+    expected_statuses = {bay: status.value for bay, status in trace.initial.items()}
+    for sim_ts, bay_id, status in trace.items:
+        if sim_ts <= 25 * 60_000:
+            expected_statuses[bay_id] = status.value
     del statuses[2], expected_statuses[2]  # bay 2 flips at 20 min, near the probe
     assert statuses == expected_statuses
     client.close()
@@ -179,7 +182,7 @@ def test_hub_ack_dedupe_and_queries_over_tcp(hub_rig):
     client.sock.sendall(raw)
     assert client.recv()["type"] == "ack"
     assert len(store) == 1
-    client.send(protocol.query_daily_message("LOT-A", EPOCH_MS))
+    client.send({"type": "queryDaily", "lotId": "LOT-A", "windowStart": EPOCH_MS})
     reply = client.recv()
     assert reply["type"] == "daily" and len(reply["records"]) == 1
     client.send({"type": "rollup", "bogus": True})
