@@ -70,7 +70,7 @@ def run_services(work):
 
     for sched in (gw_sched, hub_sched, agent_sched):
         sched.start()
-    print(f"gateway :{gw_port}, hub :{hub_port}, {len(trace.items)} scripted changes")
+    print(f"gateway :{gw_port}, hub :{hub_port}, {gw_config.bay_count} bays over two simulated hours")
     print("letting two simulated hours elapse (about 8 real seconds) ...")
 
     deadline = time.monotonic() + 12

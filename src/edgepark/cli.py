@@ -174,7 +174,7 @@ def main_gateway(argv: list[str] | None = None) -> int:
         sched,
         lambda net: GatewayCore(sched, net, config, trace),
         f"gateway serving {config.bay_count} bays on {config.listen_address} "
-        f"(warp x{args.time_warp:g}, {len(trace.items)} trace items)",
+        f"for {duration_ms} ms of trace (warp x{args.time_warp:g})",
         until_ms=sched.now_ms() + duration_ms,
     )
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import protocol
 from .clock import PRIORITY_FAULT, PRIORITY_TRACE, RealScheduler, VirtualScheduler
@@ -80,13 +81,22 @@ class TraceItem(NamedTuple):
 
 @dataclass(frozen=True)
 class SimTrace:
-    """A full scripted run: initial statuses plus every status change."""
+    """A scripted run: initial statuses plus every status change, in time order.
+
+    A generated or read trace produces its items as they are taken, so
+    its items can be iterated once.
+    """
 
     lot_id: str
     bay_count: int
     duration_ms: int
     initial: dict[int, BayStatus]
-    items: tuple[TraceItem, ...]
+    items: Iterable[TraceItem]
+
+
+# Virtual time the generator draws ahead at once: every bay's changes in
+# one span are drawn, sorted and handed on together.
+TRACE_SPAN_MS = 3_600_000
 
 
 def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
@@ -94,7 +104,9 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
 
     Initial status is drawn with the long-run occupied fraction; dwell
     times are exponential with the configured means. Identical config and
-    duration always produce the identical trace.
+    duration always produce the identical trace. The arguments are checked
+    and the initial statuses drawn now; the changes are drawn one span of
+    TRACE_SPAN_MS at a time, as the items are taken.
     """
     # numpy's one user; importing it here keeps it out of the CLI's start,
     # the agent and hub services, verify and replay.
@@ -105,7 +117,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     model = config.model
     children = np.random.SeedSequence(model.seed).spawn(max(config.bay_count, 1))
     initial: dict[int, BayStatus] = {}
-    items: list[TraceItem] = []
+    bays: list[Iterator[TraceItem]] = []
     for bay_id in range(1, config.bay_count + 1):
         rng = np.random.default_rng(children[bay_id - 1])
         status = (
@@ -114,71 +126,111 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
             else BayStatus.FREE
         )
         initial[bay_id] = status
-        t = 0.0
-        prev_ts = -1
-        while True:
-            mean_ms = (
-                model.mean_occupied_min
-                if status is BayStatus.OCCUPIED
-                else model.mean_free_min
-            ) * 60_000.0
-            t += rng.exponential(mean_ms)
-            if t >= duration_ms:
-                break
-            ts = max(int(t), prev_ts + 1)  # keep per-bay timestamps strictly increasing
-            if ts >= duration_ms:
-                break
-            status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
-            items.append(TraceItem(ts, bay_id, status))
-            prev_ts = ts
-    items.sort()  # by (sim_ts, bay_id), unique: each bay's timestamps strictly increase
-    return SimTrace(
-        lot_id=config.lot_id,
-        bay_count=config.bay_count,
-        duration_ms=duration_ms,
-        initial=initial,
-        items=tuple(items),
-    )
+        bays.append(_bay_changes(rng, bay_id, status, model, duration_ms))
+    items = chain.from_iterable(_spans(bays, duration_ms))
+    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, items)
+
+
+def _bay_changes(
+    rng: Any, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
+) -> Iterator[TraceItem]:
+    """One bay's status changes in time order, each drawn as it is taken."""
+    mean_ms = {
+        BayStatus.OCCUPIED: model.mean_occupied_min * 60_000.0,
+        BayStatus.FREE: model.mean_free_min * 60_000.0,
+    }
+    t = 0.0
+    prev_ts = -1
+    while True:
+        t += rng.exponential(mean_ms[status])
+        if t >= duration_ms:
+            return
+        ts = max(int(t), prev_ts + 1)  # keep per-bay timestamps strictly increasing
+        if ts >= duration_ms:
+            return
+        status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
+        yield TraceItem(ts, bay_id, status)
+        prev_ts = ts
+
+
+def _spans(bays: list[Iterator[TraceItem]], duration_ms: int) -> Iterator[list[TraceItem]]:
+    """Every bay's changes, one span of virtual time at a time, each span in
+    (sim_ts, bay_id) order. Spans partition time, so this is the order of
+    the whole trace: unique, as each bay's timestamps strictly increase."""
+    heads = [next(bay, None) for bay in bays]
+    for span_end in range(TRACE_SPAN_MS, duration_ms + TRACE_SPAN_MS, TRACE_SPAN_MS):
+        span: list[TraceItem] = []
+        for i, bay in enumerate(bays):
+            item = heads[i]
+            while item is not None and item.sim_ts < span_end:
+                span.append(item)
+                item = next(bay, None)
+            heads[i] = item
+        span.sort()
+        yield span
 
 
 # ---------------------------------------------------------------------------
 # Trace persistence (harness artifact and scripted scenarios)
 
 
-def write_trace(trace: SimTrace, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        meta = {
-            "kind": "meta",
-            "lotId": trace.lot_id,
-            "bayCount": trace.bay_count,
-            "durationMs": trace.duration_ms,
-        }
-        fh.write(protocol.encode_line(meta))
-        initial = {
-            "kind": "initial",
-            "statuses": {str(b): s.value for b, s in sorted(trace.initial.items())},
-        }
-        fh.write(protocol.encode_line(initial))
-        # Item rows: the bytes encode_line writes for
+def write_trace(trace: SimTrace, fh: BinaryIO) -> Iterator[TraceItem]:
+    """Write the trace's meta and initial rows to fh now, and return its
+    items: each item's row is written to fh as the item is taken, so
+    draining the items writes the rest of the trace."""
+    meta = {
+        "kind": "meta",
+        "lotId": trace.lot_id,
+        "bayCount": trace.bay_count,
+        "durationMs": trace.duration_ms,
+    }
+    fh.write(protocol.encode_line(meta))
+    initial = {
+        "kind": "initial",
+        "statuses": {str(b): s.value for b, s in sorted(trace.initial.items())},
+    }
+    fh.write(protocol.encode_line(initial))
+
+    def written(item: TraceItem) -> TraceItem:
+        # The bytes encode_line writes for
         # {"kind": "item", "simTs": ..., "bayId": ..., "status": ...}.
-        fh.writelines(
+        fh.write(
             f'{{"bayId":{item.bay_id},"kind":"item","simTs":{item.sim_ts},'
             f'"status":{encode_basestring_ascii(item.new_status)}}}\n'.encode("ascii")
-            for item in trace.items
         )
+        return item
+
+    return map(written, trace.items)
 
 
 def read_trace(path: str | Path) -> SimTrace:
-    """Read trace.jsonl or a scenario's script: '#' lines are comments, and a
-    row with no kind is an item. Items come back in file order.
-    InvariantViolationError names the line of any row it refuses."""
-    lot_id = "lot"
-    bay_count = 0
-    duration_ms = 0
+    """Read trace.jsonl or a scenario's script: '#' lines are comments, a
+    row with no kind is an item, and the meta and initial rows come before
+    the first item. Those rows are read now; the items are read as they are
+    taken, in file order. InvariantViolationError names the line of any row
+    it refuses, a meta or initial row after the first item too."""
+    lot_id, bay_count, duration_ms = "lot", 0, 0
     initial: dict[int, BayStatus] = {}
-    items: list[TraceItem] = []
+    rows = _trace_rows(path)
+    for row in rows:
+        if type(row) is TraceItem:
+            items: Iterable[TraceItem] = chain((row,), rows)
+            break
+        if type(row) is dict:
+            initial = row
+        else:
+            lot_id, bay_count, duration_ms = row
+    else:
+        items = ()
+    return SimTrace(lot_id, bay_count, duration_ms, initial, items)
+
+
+def _trace_rows(
+    path: str | Path,
+) -> Iterator[TraceItem | tuple[str, int, int] | dict[int, BayStatus]]:
+    """Each row of a trace file, parsed: an item, a meta row's (lot_id,
+    bay_count, duration_ms) or an initial row's statuses."""
+    in_items = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,20 +244,25 @@ def read_trace(path: str | Path) -> SimTrace:
                     bay_id = row.get("bayId")
                     if not (type(sim_ts) is type(bay_id) is int and sim_ts >= 0 and bay_id >= 1):
                         raise ValueError("an item needs integer simTs >= 0 and bayId >= 1")
-                    items.append(TraceItem(sim_ts, bay_id, bay_status(row.get("status"))))
-                elif kind == "meta":
-                    lot_id = row["lotId"]
-                    bay_count = int(row["bayCount"])
-                    duration_ms = int(row["durationMs"])
-                elif kind == "initial":
-                    initial = {int(b): bay_status(s) for b, s in row["statuses"].items()}
-                    if min(initial, default=1) < 1:
-                        raise ValueError(f"trace bay ids must be positive: {row!r}")
-                else:
+                    parsed: Any = TraceItem(sim_ts, bay_id, bay_status(row.get("status")))
+                    in_items = True
+                elif kind not in ("meta", "initial"):
                     raise ValueError(f"unknown trace line kind {kind!r}")
+                elif in_items:
+                    raise ValueError(f"a {kind} row must come before the first item")
+                elif kind == "meta":
+                    lot_id, *counts = parsed = (row["lotId"], row["bayCount"], row["durationMs"])
+                    if not (protocol.is_lot_id(lot_id)
+                            and all(protocol.is_wire_int(n) and n >= 0 for n in counts)):
+                        raise ValueError("a meta row needs a lot id, and integer bayCount "
+                                         "and durationMs >= 0")
+                else:
+                    parsed = {int(b): bay_status(s) for b, s in row["statuses"].items()}
+                    if min(parsed, default=1) < 1:
+                        raise ValueError(f"trace bay ids must be positive: {row!r}")
             except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
-    return SimTrace(lot_id, bay_count, duration_ms, initial, tuple(items))
+            yield parsed
 
 
 def scripted_trace(config: GatewayConfig, duration_ms: int, script_path: str | Path) -> SimTrace:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import eventlog, protocol
 from .agent import (
@@ -279,9 +280,6 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> TrafficLedger:
             raise ScenarioError(f"cannot read script {scenario.script}: {exc}") from exc
     else:
         trace = generate_trace(gw_config, scenario.duration_ms)
-    write_trace(trace, out_dir / "trace.jsonl")
-
-    gateway = GatewayCore(sched, net, gw_config, trace)
     store = RollupStore(out_dir / "hub_store", fsync=False)
     hub = HubCore(sched, net, store, HUB_ADDRESS, drop_acks=scenario.inject_drop_acks)
 
@@ -292,21 +290,27 @@ def run_sim(scenario: ScenarioConfig, out_dir: str | Path) -> TrafficLedger:
         agents.append(core)
         core.start()
 
-    hub.start()
-    gateway.start()
-    spawn_agent()
+    with open(out_dir / "trace.jsonl", "wb") as trace_file:  # out_dir made by the store
+        # Each item's row is written as the gateway takes the item.
+        items = write_trace(trace, trace_file)
+        gateway = GatewayCore(sched, net, gw_config, replace(trace, items=items))
+        hub.start()
+        gateway.start()
+        spawn_agent()
 
-    if scenario.inject_agent_kill_at_sec is not None:
-        kill_at = epoch + scenario.inject_agent_kill_at_sec * 1000
+        if scenario.inject_agent_kill_at_sec is not None:
+            kill_at = epoch + scenario.inject_agent_kill_at_sec * 1000
 
-        def kill_and_restart() -> None:
-            agents[-1].kill()
-            log.info("agent killed at %d; restarting from its log", sched.now_ms())
-            spawn_agent()
+            def kill_and_restart() -> None:
+                agents[-1].kill()
+                log.info("agent killed at %d; restarting from its log", sched.now_ms())
+                spawn_agent()
 
-        sched.call_at(kill_at, kill_and_restart, priority=PRIORITY_FAULT)
+            sched.call_at(kill_at, kill_and_restart, priority=PRIORITY_FAULT)
 
-    sched.run_until(scenario.end_ms + scenario.upload_grace_sec * 1000)
+        sched.run_until(scenario.end_ms + scenario.upload_grace_sec * 1000)
+        for _ in items:  # an item the gateway has not taken still goes into the file
+            pass
 
     agents[-1].stop()
     gateway.stop()
@@ -469,12 +473,11 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def trace_to_events(trace: SimTrace, epoch_ms: int) -> list[tuple[int, int, BayStatus]]:
+def trace_to_events(trace: SimTrace, epoch_ms: int) -> Iterable[tuple[int, int, BayStatus]]:
     """The oracle's input as (ts, bay_id, status) triples: every bay's initial
-    status at the epoch, then every change."""
-    events = [(epoch_ms, bay_id, status) for bay_id, status in sorted(trace.initial.items())]
-    events.extend((epoch_ms + sim_ts, bay_id, status) for sim_ts, bay_id, status in trace.items)
-    return events
+    status at the epoch, then every change, as the trace's items are taken."""
+    initial = [(epoch_ms, bay_id, status) for bay_id, status in sorted(trace.initial.items())]
+    return chain(initial, ((epoch_ms + ts, bay_id, status) for ts, bay_id, status in trace.items))
 
 
 class RunMeta(NamedTuple):

@@ -5,19 +5,21 @@ no logic with apply_event/rollup: per bay it reconstructs the piecewise
 constant status function ("the most recent event at each instant") and
 measures its occupied portion inside each window. Keep it that way.
 
-The trace is a ts-sorted sequence of (ts, bay_id, status) triples, the
-form ``harness.trace_to_events`` builds from a trace file. Every window
+The trace is a ts-sorted iterable of (ts, bay_id, status) triples, the
+form ``harness.trace_to_events`` streams from a trace file. Every window
 is half-open, [window.start, window.end). The trace is grouped once into
 per-bay runs (ts_i, status_i), each holding until ts_{i+1}; the last run
-is open-ended. One sweep over the sorted, disjoint window grid keeps a
-cursor per bay and splits each occupied run across the windows it
-overlaps, so checking W windows costs O(events + W × bays) rather than W
-passes over the whole trace.
+is open-ended; a bay's runs are an array of 64-bit starts and a
+bytearray of occupied flags, 9 bytes per event. One sweep over the
+sorted, disjoint window grid keeps a cursor per bay and splits each
+occupied run across the windows it overlaps, so checking W windows costs
+O(events + W × bays) rather than W passes over the whole trace.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from array import array
+from typing import Iterable, Iterator, Sequence
 
 from .occupancy import BayStatus, RollupWindow
 
@@ -30,7 +32,7 @@ class TraceOrderError(ValueError):
 
 
 def oracle_windows(
-    trace: Sequence[Observation], windows: Sequence[RollupWindow]
+    trace: Iterable[Observation], windows: Sequence[RollupWindow]
 ) -> Iterator[dict[int, int]]:
     """Per-bay occupied milliseconds in each window, yielded in grid order.
 
@@ -39,18 +41,23 @@ def oracle_windows(
     is present in each result, with 0 if it was never occupied inside
     that window. Both orders are checked by this call, before the first
     total: TraceOrderError or ValueError comes from it, not from the sweep
-    it returns.
+    it returns. A timestamp outside the signed 64-bit range is a ValueError.
     """
     # Per bay: run start times, and whether each run is occupied.
-    runs: dict[int, tuple[list[int], list[bool]]] = {}
+    runs: dict[int, tuple[array[int], bytearray]] = {}
     prev_ts: int | None = None
-    for ts, bay_id, status in trace:
-        if prev_ts is not None and ts < prev_ts:
-            raise TraceOrderError(f"trace not sorted by ts at {ts} < {prev_ts}")
-        prev_ts = ts
-        starts, occupied = runs.setdefault(bay_id, ([], []))
-        starts.append(ts)
-        occupied.append(status is BayStatus.OCCUPIED)
+    try:
+        for ts, bay_id, status in trace:
+            if prev_ts is not None and ts < prev_ts:
+                raise TraceOrderError(f"trace not sorted by ts at {ts} < {prev_ts}")
+            prev_ts = ts
+            bay_runs = runs.get(bay_id)
+            if bay_runs is None:
+                bay_runs = runs[bay_id] = (array("q"), bytearray())
+            bay_runs[0].append(ts)
+            bay_runs[1].append(status is BayStatus.OCCUPIED)
+    except OverflowError as exc:
+        raise ValueError(f"trace timestamp {prev_ts} is beyond 64 bits") from exc
     for before, after in zip(windows, windows[1:]):
         if after.start < before.end:
             raise ValueError(
@@ -61,7 +68,7 @@ def oracle_windows(
 
 
 def _sweep(
-    runs: dict[int, tuple[list[int], list[bool]]], windows: Sequence[RollupWindow]
+    runs: dict[int, tuple[array[int], bytearray]], windows: Sequence[RollupWindow]
 ) -> Iterator[dict[int, int]]:
     # Per bay: index of the first run that ends after the current window starts.
     cursors = dict.fromkeys(runs, 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import protocol
 from .clock import RealScheduler, VirtualScheduler
@@ -91,31 +91,41 @@ class VirtualConn(_LineEndpoint):
             self._sched.post(peer._deliver_close)
 
 
+class VirtualListener(NamedTuple):
+    """An in-process listener; closing it frees its address."""
+
+    listeners: dict[str, VirtualListener]
+    address: str
+    on_accept: Callable[[VirtualConn], None]
+
+    def close(self) -> None:
+        if self.listeners.get(self.address) is self:
+            del self.listeners[self.address]
+
+
 class VirtualNetwork:
     """Address book of in-process listeners over one virtual scheduler."""
 
     def __init__(self, sched: VirtualScheduler) -> None:
         self._sched = sched
-        self._listeners: dict[str, Callable[[VirtualConn], None]] = {}
+        self._listeners: dict[str, VirtualListener] = {}
 
-    def listen(self, address: str, on_accept: Callable[[VirtualConn], None]) -> None:
+    def listen(self, address: str, on_accept: Callable[[VirtualConn], None]) -> VirtualListener:
         if address in self._listeners:
             raise OSError(f"address already in use: {address}")
-        self._listeners[address] = on_accept
-
-    def unlisten(self, address: str) -> None:
-        self._listeners.pop(address, None)
+        listener = self._listeners[address] = VirtualListener(self._listeners, address, on_accept)
+        return listener
 
     def connect(self, address: str) -> VirtualConn:
-        on_accept = self._listeners.get(address)
-        if on_accept is None:
+        listener = self._listeners.get(address)
+        if listener is None:
             raise ConnectionRefusedError(f"nothing listening on {address}")
         client = VirtualConn(self._sched, f"client->{address}")
         server = VirtualConn(self._sched, f"server@{address}")
         client.peer = server
         server.peer = client
         # The acceptor may refuse (fault injection) by raising.
-        on_accept(server)
+        listener.on_accept(server)
         return client
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import string
 import tracemalloc
@@ -17,6 +18,7 @@ from edgepark.gateway import (
     GatewayCore,
     SimTrace,
     TraceItem,
+    write_trace,
 )
 from edgepark.harness import GATEWAY_ADDRESS, HUB_ADDRESS, ScenarioConfig
 from edgepark.hub import HubCore, RollupStore
@@ -66,6 +68,18 @@ def items_trace(
         initial={b: BayStatus.FREE for b in range(1, bays + 1)},
         items=tuple(TraceItem(ts, bay, BayStatus(status)) for ts, bay, status in items),
     )
+
+
+def materialised(trace: SimTrace) -> SimTrace:
+    """The trace with its items taken into a tuple, to compare or iterate again."""
+    return dataclasses.replace(trace, items=tuple(trace.items))
+
+
+def save_trace(trace: SimTrace, path) -> None:
+    """Write the whole trace to path."""
+    with open(path, "wb") as fh:
+        for _ in write_trace(trace, fh):
+            pass
 
 
 def update_lines(ts: int, updates: int, bays: int = 4) -> bytes:

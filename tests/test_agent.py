@@ -682,8 +682,7 @@ def test_upload_retries_until_hub_comes_up(tmp_path):
     from conftest import SimRig
 
     rig = SimRig(tmp_path, idle_trace(), rollup_period_sec=3600)
-    rig.hub.stop()
-    rig.net.unlisten("sim://hub")
+    rig.hub.stop()  # closes its listener: the hub's address refuses connects
     rig.sched.run_until(EPOCH_MS + HOUR_MS + 2500)  # two refused connects
     assert rig.agent.upload_sends == 0
     assert rig.agent.upload_queue
@@ -730,8 +729,7 @@ def test_requeued_csv_keeps_the_window_end_of_its_flush_marker(rig_factory):
         items_trace([(HOUR_MS, 1, "occupied"), (2 * HOUR_MS, 1, "free")], bays=3,
                     duration_ms=2 * DAY_MS)
     )
-    rig.hub.stop()
-    rig.net.unlisten(HUB_ADDRESS)
+    rig.hub.stop()  # closes its listener: the hub's address refuses connects
     rig.sched.run_until(EPOCH_MS + DAY_MS + 1000)
     rig.agent.kill()
     hourly = dataclasses.replace(rig.agent_config, rollup_period_sec=3600)
@@ -951,7 +949,7 @@ def test_backoff_stays_at_the_cap_past_a_float_overflow(attempt):
 
 def test_agent_redials_a_gateway_back_after_a_ten_hour_outage(rig_factory):
     rig = rig_factory(backoff=BackoffPolicy(), start_agent=False)
-    rig.net.unlisten(GATEWAY_ADDRESS)
+    rig.gateway.listener.close()
     rig.agent.start()
     rig.run_for(10 * HOUR_MS)  # 30 s apart at the cap: past attempt 1,024
     assert rig.agent.connect_attempt > 1024
@@ -963,8 +961,7 @@ def test_agent_redials_a_gateway_back_after_a_ten_hour_outage(rig_factory):
 
 def test_agent_uploads_to_a_hub_back_after_a_ten_hour_outage(rig_factory):
     rig = rig_factory(rollup_period_sec=3600, backoff=BackoffPolicy())
-    rig.hub.stop()
-    rig.net.unlisten(HUB_ADDRESS)
+    rig.hub.stop()  # closes its listener: the hub's address refuses connects
     rig.run_for(10 * HOUR_MS)
     assert rig.agent.upload_attempt > 1024
     assert len(rig.agent.upload_queue) == 10

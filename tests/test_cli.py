@@ -14,6 +14,8 @@ import pytest
 import edgepark
 from edgepark import cli, protocol
 
+from conftest import traced_peak
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -413,6 +415,24 @@ def test_a_ledger_it_cannot_read_exits_2(tmp_path, capsys, tamper, argv):
 
 def never_serve(sched, build, banner, until_ms=None):
     pytest.fail(f"service started: {banner}")
+
+
+def test_live_gateway_starts_without_drawing_its_whole_duration(monkeypatch):
+    banners = []
+
+    def record_banner(sched, build, banner, until_ms=None):
+        banners.append(banner)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "serve", record_banner)
+    argv = ["--listen", "127.0.0.1:0", "--bays", "100"]
+    assert cli.main_gateway([*argv, "--duration", "1h"]) == cli.EXIT_OK  # imports numpy
+    peak = traced_peak(lambda: cli.main_gateway([*argv, "--duration", "366d"]))
+    # A year of 100 bays is about 73k changes: some 10 MiB, were they drawn now.
+    assert peak < 2**20
+    assert banners[-1] == (
+        "gateway serving 100 bays on 127.0.0.1:0 for 31622400000 ms of trace (warp x1)"
+    )
 
 
 def test_agent_env_overrides_apply(capsys, monkeypatch):

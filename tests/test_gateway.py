@@ -3,9 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
-from edgepark import protocol
+from edgepark import gateway, protocol
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import (
     FaultPlan,
@@ -16,12 +17,13 @@ from edgepark.gateway import (
     TraceItem,
     generate_trace,
     read_trace,
-    write_trace,
 )
 from edgepark.occupancy import BayStatus, InvariantViolationError
 from edgepark.transport import VirtualNetwork
 
-from conftest import EPOCH_MS, idle_trace, items_trace, random_int, random_text
+from conftest import (
+    EPOCH_MS, idle_trace, items_trace, materialised, random_int, random_text, save_trace,
+)
 
 DAY_MS = 86_400_000
 WEEK_MS = 7 * DAY_MS
@@ -44,22 +46,22 @@ def test_config_refuses_a_lot_id_the_hub_would_refuse(lot_id):
 def test_same_config_gives_identical_traces():
     a = generate_trace(config(seed=5), DAY_MS)
     b = generate_trace(config(seed=5), DAY_MS)
-    assert a == b
+    assert materialised(a) == materialised(b)
 
 
 def test_different_seed_gives_different_trace():
     a = generate_trace(config(seed=1), DAY_MS)
     b = generate_trace(config(seed=2), DAY_MS)
-    assert a != b
+    assert materialised(a) != materialised(b)
 
 
 def test_zero_bays_gives_empty_trace():
     trace = generate_trace(config(bays=0), DAY_MS)
-    assert trace.items == () and trace.initial == {}
+    assert tuple(trace.items) == () and trace.initial == {}
 
 
 def test_per_bay_alternation_and_strictly_increasing_timestamps():
-    trace = generate_trace(config(seed=3, occ=30, free=30), DAY_MS)
+    trace = materialised(generate_trace(config(seed=3, occ=30, free=30), DAY_MS))
     last_ts = {}
     last_status = dict(trace.initial)
     for item in trace.items:
@@ -80,6 +82,62 @@ def test_generate_trace_items_are_strictly_sorted_by_time_then_bay(bays, seed):
     assert all(a < b for a, b in zip(keys, keys[1:]))
     if bays == 50:
         assert len({ts for ts, _bay in keys}) < len(keys)
+
+
+def eager_trace(config, duration_ms):
+    """The generator before it streamed, as the reference: every bay's whole
+    draw loop, then one sort. Its initial statuses and its items."""
+    model = config.model
+    children = np.random.SeedSequence(model.seed).spawn(max(config.bay_count, 1))
+    initial, items = {}, []
+    for bay_id in range(1, config.bay_count + 1):
+        rng = np.random.default_rng(children[bay_id - 1])
+        status = (
+            BayStatus.OCCUPIED if rng.random() < model.occupied_fraction else BayStatus.FREE
+        )
+        initial[bay_id] = status
+        t, prev_ts = 0.0, -1
+        while True:
+            mean_min = (
+                model.mean_occupied_min if status is BayStatus.OCCUPIED else model.mean_free_min
+            )
+            t += rng.exponential(mean_min * 60_000.0)
+            if t >= duration_ms:
+                break
+            ts = max(int(t), prev_ts + 1)
+            if ts >= duration_ms:
+                break
+            status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
+            items.append(TraceItem(ts, bay_id, status))
+            prev_ts = ts
+    items.sort()
+    return initial, items
+
+
+def streamed(config, duration_ms):
+    trace = generate_trace(config, duration_ms)
+    return trace.initial, list(trace.items)
+
+
+@pytest.mark.parametrize("bays", [0, 1, 50, 125])
+@pytest.mark.parametrize("seed", [0, 1, 31, 104729])
+def test_streamed_generator_draws_the_eager_trace_item_for_item(bays, seed, monkeypatch):
+    span = gateway.TRACE_SPAN_MS
+    for duration_ms in (span // 2, 5 * span // 2 + 1):  # under one span; not a multiple of it
+        model = config(bays=bays, seed=seed, occ=20.0, free=10.0)
+        assert streamed(model, duration_ms) == eager_trace(model, duration_ms)
+    # Dwell times of a fraction of a millisecond: each change is bumped +1 ms
+    # past the last, in runs that cross the boundaries of 100 ms spans.
+    monkeypatch.setattr(gateway, "TRACE_SPAN_MS", 100)
+    model = config(bays=bays, seed=seed, occ=1e-5, free=1e-5)
+    initial, items = streamed(model, 250)
+    assert (initial, items) == eager_trace(model, 250)
+    if bays:
+        crossing = {(99, 100), (199, 200)}
+        per_bay = {}
+        for item in items:
+            per_bay.setdefault(item.bay_id, []).append(item.sim_ts)
+        assert all(crossing <= set(zip(ts, ts[1:])) for ts in per_bay.values())
 
 
 def occupied_ms_from_trace(trace):
@@ -107,10 +165,10 @@ def test_calibrated_week_averages_near_7_5_hours_per_day():
 
 
 def test_trace_write_read_roundtrip(tmp_path):
-    trace = generate_trace(config(seed=8, bays=5), 3_600_000)
+    trace = materialised(generate_trace(config(seed=8, bays=5), 3_600_000))
     path = tmp_path / "trace.jsonl"
-    write_trace(trace, path)
-    assert read_trace(path) == trace
+    save_trace(trace, path)
+    assert materialised(read_trace(path)) == trace
 
 
 @pytest.mark.parametrize(
@@ -120,7 +178,7 @@ def test_trace_write_read_roundtrip(tmp_path):
 )
 def test_read_trace_accepts_only_json_integer_simts_and_bay_id(tmp_path, row):
     path = tmp_path / "trace.jsonl"
-    write_trace(items_trace([(5, 3, "occupied")], bays=4), path)
+    save_trace(items_trace([(5, 3, "occupied")], bays=4), path)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[-1] = protocol.encode_line({**json.loads(lines[-1]), **row})
     path.write_bytes(b"".join(lines))
@@ -128,21 +186,45 @@ def test_read_trace_accepts_only_json_integer_simts_and_bay_id(tmp_path, row):
         read_trace(path)
 
 
-@pytest.mark.parametrize("key", ["durationMs", "bayCount"])
-def test_read_trace_refuses_an_oversized_number_in_the_meta_row(tmp_path, key):
+# Each meta value must be a JSON integer >= 0 in 64 bits, or a lot id.
+META_VALUES = [
+    pytest.param("durationMs", "1e400", id="durationMs"),  # inf as a float
+    pytest.param("bayCount", "1e400", id="bayCount"),
+    *(pytest.param(key, value, id=f"{key}={value}")
+      for key in ("bayCount", "durationMs")
+      for value in ("true", "2.5", '"7"', "1e3", "-1", str(2**63))),
+    pytest.param("lotId", "5", id="lotId=5"),
+    pytest.param("lotId", '"a/b"', id="lotId=a/b"),
+]
+
+
+@pytest.mark.parametrize("key, value", META_VALUES)
+def test_read_trace_refuses_an_oversized_number_in_the_meta_row(tmp_path, key, value):
     path = tmp_path / "trace.jsonl"
-    write_trace(idle_trace(bays=2), path)
+    save_trace(idle_trace(bays=2), path)
     lines = path.read_bytes().splitlines(keepends=True)
-    row = {**json.loads(lines[0]), key: "HUGE"}
-    lines[0] = json.dumps(row).replace('"HUGE"', "1e400").encode() + b"\n"  # inf as a float
+    row = {**json.loads(lines[0]), key: "VALUE"}
+    lines[0] = json.dumps(row).replace('"VALUE"', value).encode() + b"\n"
     path.write_bytes(b"".join(lines))
     with pytest.raises(InvariantViolationError, match=f"^{path}:1: "):
         read_trace(path)
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_read_trace_refuses_a_meta_or_initial_row_after_the_first_item(tmp_path, row):
+    path = tmp_path / "trace.jsonl"
+    save_trace(items_trace([(5, 1, "occupied"), (9, 2, "occupied")], bays=2), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(3, lines.pop(row))  # after the first item: line 4
+    path.write_bytes(b"".join(lines))
+    trace = read_trace(path)
+    with pytest.raises(InvariantViolationError, match=f"^{path}:4: a (meta|initial) row must "):
+        tuple(trace.items)
+
+
 def test_read_trace_rejects_initial_bay_below_one(tmp_path):
     path = tmp_path / "trace.jsonl"
-    write_trace(idle_trace(bays=2), path)
+    save_trace(idle_trace(bays=2), path)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = protocol.encode_line({"kind": "initial", "statuses": {"0": "free", "1": "free"}})
     path.write_bytes(b"".join(lines))
@@ -180,7 +262,7 @@ def test_write_trace_is_encode_line_of_every_row(tmp_path):
                 for _ in range(10)
             ),
         )
-        write_trace(trace, tmp_path / f"{case}.jsonl")
+        save_trace(trace, tmp_path / f"{case}.jsonl")
         write_trace_reference(trace, tmp_path / f"{case}.ref")
         assert (tmp_path / f"{case}.jsonl").read_bytes() == (tmp_path / f"{case}.ref").read_bytes()
 
@@ -243,7 +325,7 @@ def test_snapshot_between_events_reflects_most_recent():
 
 
 def test_snapshot_matches_linear_scan_oracle():
-    trace = generate_trace(config(seed=6, bays=8, occ=20, free=40), 6 * 3_600_000)
+    trace = materialised(generate_trace(config(seed=6, bays=8, occ=20, free=40), 6 * 3_600_000))
     sched, net, _ = make_gateway(trace)
     for sim_ts in (0, 1, 3_600_000, 12_345_678, trace.duration_ms):
         sched.run_until(EPOCH_MS + sim_ts)  # every item due at or before sim_ts is dispatched
@@ -439,7 +521,7 @@ def test_start_queues_one_trace_dispatch_whatever_the_trace_length(bays):
 
 
 def test_run_sends_every_update_in_trace_order():
-    trace = generate_trace(config(bays=50, occ=20.0, free=10.0), DAY_MS)
+    trace = materialised(generate_trace(config(bays=50, occ=20.0, free=10.0), DAY_MS))
     sched, session = recording_gateway(trace)
     sched.run_until(EPOCH_MS + DAY_MS)
     assert len(trace.items) > 1000

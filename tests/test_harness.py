@@ -290,6 +290,44 @@ def test_replay_memory_does_not_grow_with_the_log(tmp_path):
     assert large - small < 64 * 1024, peaks  # a list of the whole log would grow by megabytes
 
 
+def ingest_burst(days, bays=125):
+    """The ingest_burst benchmark scenario: 20/10-minute dwell, daily windows."""
+    return make_scenario(
+        seed=1, bays=bays, mean_occupied_min=20.0, mean_free_min=10.0, days=days
+    )
+
+
+@pytest.fixture(scope="module")
+def ingest_burst_peaks(tmp_path_factory):
+    """tracemalloc peaks of run_sim and verify_run at 2 and 8 days, in MiB,
+    after one small run of each warms caches up."""
+    tmp = tmp_path_factory.mktemp("ingest_burst")
+    harness.run_sim(ingest_burst(1, bays=5), tmp / "warm-up")
+    assert harness.verify_run(tmp / "warm-up").ok
+    peaks = {}
+    for days in (2, 8):
+        out = tmp / f"{days}d"
+        sim = traced_peak(lambda: harness.run_sim(ingest_burst(days), out))
+        reports = []
+        verify = traced_peak(lambda: reports.append(harness.verify_run(out)))
+        assert reports[0].ok, reports[0].render()
+        peaks[days] = (sim / 2**20, verify / 2**20)
+    return peaks
+
+
+def test_run_sim_memory_does_not_grow_with_the_run(ingest_burst_peaks):
+    (sim_2d, _), (sim_8d, _) = ingest_burst_peaks[2], ingest_burst_peaks[8]
+    # A trace held whole grows by about 8 MiB from 2 to 8 days.
+    assert sim_8d <= sim_2d + 0.5, ingest_burst_peaks
+
+
+def test_verify_memory_is_the_oracle_runs_not_the_trace(ingest_burst_peaks):
+    # About 9 bytes per event (24k events at 2 days, 96k at 8); the trace
+    # held whole, as a tuple, a list and the oracle's lists, took 4.9 and 19.7 MiB.
+    (_, verify_2d), (_, verify_8d) = ingest_burst_peaks[2], ingest_burst_peaks[8]
+    assert verify_2d <= 0.75 and verify_8d <= 1.3, ingest_burst_peaks
+
+
 def test_replay_logs_one_summary_warning_for_its_per_event_warnings(tmp_path, caplog):
     caplog.set_level(logging.DEBUG, logger="edgepark")
     first = {"ts": EPOCH_MS, "lotId": "L", "bayId": 7, "status": "free", "src": "snapshot"}

@@ -243,6 +243,12 @@ def test_sweep_rejects_unsorted_or_overlapping_windows(bounds):
         list(oracle_windows([obs(0, 1, "occupied")], windows))
 
 
+@pytest.mark.parametrize("ts", [2**63, -(2**63) - 1])
+def test_a_timestamp_beyond_64_bits_is_a_value_error(ts):
+    with pytest.raises(ValueError, match="beyond 64 bits"):
+        oracle_windows([obs(ts, 1, "occupied")], [RollupWindow(0, 1000)])
+
+
 def test_verify_run_sweeps_the_oracle_once(tmp_path, monkeypatch):
     calls = []
 
