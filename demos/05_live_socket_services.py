@@ -84,11 +84,13 @@ def run_services(work):
         for line in path.read_text().splitlines()[:4]:
             print(f"  {line}")
 
+    # Each scheduler first: its stop() joins its thread, so no callback
+    # runs while its core stops.
+    for sched in (gw_sched, hub_sched, agent_sched):
+        sched.stop()
     agent.stop()
     gateway.stop()
     hub.stop()
-    for sched in (gw_sched, hub_sched, agent_sched):
-        sched.stop()
 
 
 if __name__ == "__main__":

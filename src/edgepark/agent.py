@@ -17,6 +17,9 @@ snapshot only backs off and redials. The hub link ends in
 close the dropped connection without running its on_close, so a dropped
 connection never calls back into the agent. An upload the hub refuses by
 its key is final: it is parked in the dead letter and never resent.
+A dropped connection and a cancelled timer call nothing, so only
+``_connect`` and ``_pump_uploads`` check for a killed agent: not every
+redial and upload retry timer is held for ``kill`` to cancel.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .occupancy import (
     RollupRecord,
     RollupWindow,
     apply_event,
-    bay_status,
     invalidate_statuses,
     rollup,
 )
@@ -47,6 +49,7 @@ log = logging.getLogger(__name__)
 CSV_HEADER = "bayId,occupationTime,occupationRate"
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
 CLIENT_NAME = "edge-agent"  # sent in the hello
+UNKNOWN_LOT = "unknown"  # names a window rolled up before any lot is known, live or replayed
 
 # The agent counts its warnings by these kinds, in bounded memory. A per-event
 # kind (raised once per update or log record; duplicate_update and unknown_bay come
@@ -180,8 +183,9 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
     for line in lines[1:]:
         bay, sec, rate = line.split(",")
         record = RollupRecord(int(bay), int(sec), float(rate))
-        if record.occupation_time_sec < 0 or not 0 <= record.occupation_rate <= 1:  # NaN too
-            raise ValueError(f"{path}: seconds or rate out of range in row {line!r}")
+        if (not protocol.is_bay_id(record.bay_id) or record.occupation_time_sec < 0
+                or not 0 <= record.occupation_rate <= 1):  # NaN too
+            raise ValueError(f"{path}: bay id, seconds or rate out of range in row {line!r}")
         records.append(record)
     return lot_id, window_start, records
 
@@ -301,7 +305,8 @@ class EdgeAgentCore:
 
     def kill(self) -> None:
         """Abrupt stop (crash simulation): no markers, no flush. An open gap
-        ends here, so total_gap_ms stays fixed afterwards."""
+        ends here, so total_gap_ms stays fixed afterwards. It runs where the
+        callbacks run: a live service stops its scheduler first."""
         self._dead = True
         if self._gap_open is not None:
             self._closed_gap_ms += self.sched.now_ms() - self._gap_open
@@ -404,13 +409,9 @@ class EdgeAgentCore:
         self.sched.call_later(delay, self._connect)
 
     def _handshake_timeout(self) -> None:
-        if self._dead or self.session is None or self.handshaken:
-            return
         self._end_session("handshake timed out")
 
     def _on_gateway_close(self) -> None:
-        if self._dead:
-            return
         self._end_session("session closed by peer")
 
     def _end_session(self, reason: str) -> None:
@@ -440,8 +441,6 @@ class EdgeAgentCore:
         self._connect()
 
     def _on_gateway_message(self, message: dict[str, Any]) -> None:
-        if self._dead:
-            return
         mtype = message.get("type")
         if mtype == "bays":
             self._on_snapshot(message)
@@ -473,7 +472,6 @@ class EdgeAgentCore:
             self._closed_gap_ms += now - self._gap_open
             self._gap_open = None
         for lot_id, bay_id, status in triples:
-            status = bay_status(status)
             self._append_log(eventlog.event_line(EventKind.SNAPSHOT, now, lot_id, bay_id, status))
             apply_event(self.table, EventKind.SNAPSHOT, now, lot_id, bay_id, status, self.warnings)
             self.lot_id = lot_id
@@ -492,7 +490,6 @@ class EdgeAgentCore:
             self._warn("malformed_update", "malformed update: %s", exc)
             return
         now = self.sched.now_ms()
-        status = bay_status(status)
         state = self.table.get(bay_id)
         if state is not None and now < state.last_transition_ts:
             # Clock regression: record it, touch nothing.
@@ -522,8 +519,6 @@ class EdgeAgentCore:
         )
 
     def _ping_tick(self) -> None:
-        if self._dead or self.session is None or not self.handshaken:
-            return
         if self.ping_seq > 0 and self.last_pong_seq < self.ping_seq:
             self.missed_pongs += 1
             if self.missed_pongs >= 3:
@@ -552,15 +547,13 @@ class EdgeAgentCore:
         )
 
     def _on_boundary(self, boundary: int) -> None:
-        if self._dead:
-            return
         self._run_rollup(boundary)
         self._schedule_boundary()
 
     def _run_rollup(self, boundary: int) -> None:
         window = RollupWindow(self.window_start, boundary)
         records, _ = rollup(self.table, window)
-        lot_id = self.lot_id if self.lot_id is not None else "unknown"
+        lot_id = self.lot_id if self.lot_id is not None else UNKNOWN_LOT
         key = protocol.envelope_key(lot_id, window.start)
         payload = protocol.encode_rollup_envelope(lot_id, window.start, window.end, records)
         try:
@@ -633,14 +626,10 @@ class EdgeAgentCore:
         self._upload_retry_timer = self.sched.call_later(delay, self._pump_uploads)
 
     def _on_ack_timeout(self) -> None:
-        if self._dead or self.upload_inflight is None:
-            return
         self._end_upload_link(f"ack timed out for {self.upload_inflight}")
 
     def _on_hub_message(self, message: dict[str, Any]) -> None:
         """An ack or an error naming the in-flight key ends it; a refused envelope is parked."""
-        if self._dead:
-            return
         mtype = message.get("type")
         key = message.get("key")
         if mtype not in ("ack", "error") or key is None or key != self.upload_inflight:
@@ -657,8 +646,6 @@ class EdgeAgentCore:
         self._pump_uploads()
 
     def _on_hub_close(self) -> None:
-        if self._dead:
-            return
         self._end_upload_link("link closed by hub")
 
     def _end_upload_link(self, reason: str) -> None:

@@ -21,7 +21,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import protocol
 from .clock import PRIORITY_FAULT, PRIORITY_TRACE, RealScheduler, VirtualScheduler
-from .occupancy import BayStatus, InvariantViolationError, bay_status
+from .occupancy import BayStatus, InvariantViolationError
 
 log = logging.getLogger(__name__)
 
@@ -241,10 +241,10 @@ def _trace_rows(
                 kind = row.get("kind", "item")
                 if kind == "item":
                     sim_ts = row.get("simTs")
-                    bay_id = row.get("bayId")
-                    if not (type(sim_ts) is type(bay_id) is int and sim_ts >= 0 and bay_id >= 1):
-                        raise ValueError("an item needs integer simTs >= 0 and bayId >= 1")
-                    parsed: Any = TraceItem(sim_ts, bay_id, bay_status(row.get("status")))
+                    if not (protocol.is_wire_int(sim_ts) and sim_ts >= 0):
+                        raise ValueError("an item needs an integer simTs >= 0")
+                    bay = protocol.parse_bay(row.get("bayId"), row.get("status"))
+                    parsed: Any = TraceItem(sim_ts, *bay)
                     in_items = True
                 elif kind not in ("meta", "initial"):
                     raise ValueError(f"unknown trace line kind {kind!r}")
@@ -257,9 +257,7 @@ def _trace_rows(
                         raise ValueError("a meta row needs a lot id, and integer bayCount "
                                          "and durationMs >= 0")
                 else:
-                    parsed = {int(b): bay_status(s) for b, s in row["statuses"].items()}
-                    if min(parsed, default=1) < 1:
-                        raise ValueError(f"trace bay ids must be positive: {row!r}")
+                    parsed = dict(protocol.parse_bay(int(b), s) for b, s in row["statuses"].items())
             except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
             yield parsed

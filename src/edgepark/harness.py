@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import eventlog, protocol
 from .agent import (
+    UNKNOWN_LOT,
     AgentConfig,
     BackoffPolicy,
     EdgeAgentCore,
@@ -60,7 +61,6 @@ log = logging.getLogger(__name__)
 
 GATEWAY_ADDRESS = "sim://gateway"
 HUB_ADDRESS = "sim://hub"
-REPLAY_LOT_FALLBACK = "lot"  # names the CSV of a log with no event in it
 
 
 class ScenarioError(ValueError):
@@ -407,7 +407,7 @@ def replay_log(
     window_start: int | None = None  # set by the first record
     table: dict[int, Any] = {}
     warnings: Counter[str] = Counter()
-    lot_seen = REPLAY_LOT_FALLBACK
+    lot_seen = UNKNOWN_LOT
     has_observations = False
 
     def close_window(boundary: int) -> None:
@@ -438,7 +438,7 @@ def replay_log(
                 has_observations = True
 
     if window_start is None:  # no record: one empty window
-        emit(RollupWindow(0, period), {}, [], REPLAY_LOT_FALLBACK)
+        emit(RollupWindow(0, period), {}, [], UNKNOWN_LOT)
     elif has_observations:
         # A log that simply stops mid-window (a crash leftover) still gets its
         # in-progress window closed; a log ending at a flush boundary does not.

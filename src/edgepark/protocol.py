@@ -23,11 +23,13 @@ same ``str``, value and exception type alike, in one
 ``JSONDecoder.raw_decode`` call instead of ``loads``' three frames and
 two whitespace regex matches.
 
-Integer fields reject JSON booleans (``is_wire_int``, or ``type(x) is
-int`` per roll-up record): Python's bool is an int, and a ``true``
-accepted as bay 1 would be written back as ``True``, which is not JSON.
-They also reject an integer outside the signed 64-bit range, whose sums
-could outgrow the interpreter's int digit limit and fail to print.
+Integer fields reject JSON booleans (``is_wire_int``, ``is_bay_id``, or
+``type(x) is int`` per roll-up record): Python's bool is an int, and a
+``true`` accepted as bay 1 would be written back as ``True``, which is not
+JSON. They also reject an integer outside the signed 64-bit range, whose
+sums could outgrow the interpreter's int digit limit and fail to print.
+``is_bay_id`` is the one bay-id rule, and ``parse_bay`` adds the wire
+statuses: wire, trace, script and CSV readers all check a bay with them.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ import re
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .occupancy import RollupRecord
+from .occupancy import BayStatus, RollupRecord, bay_status
 
 PROTO_VERSION = 1
 
 WIRE_STATUSES = ("occupied", "free")
 STATUS_RULE = f"bay status must be one of {WIRE_STATUSES}"
+BAY_ID_RULE = "bay id must be an integer from 1 to 2**63 - 1"
+_SERVED = {status: bay_status(status) for status in WIRE_STATUSES}  # parse_bay's statuses
 
 
 class ProtocolError(ValueError):
@@ -184,9 +188,23 @@ def is_wire_int(value: Any) -> bool:
     return type(value) is int and -2**63 <= value < 2**63
 
 
+def is_bay_id(value: Any) -> bool:
+    """The one bay-id rule: a positive integer within is_wire_int's range."""
+    return type(value) is int and 1 <= value < 2**63
+
+
 def _require(condition: bool, reason: str) -> None:
     if not condition:
         raise ProtocolError(reason)
+
+
+def parse_bay(bay_id: Any, status: Any) -> tuple[int, BayStatus]:
+    """A bay the gateway may serve; ProtocolError names the rule it breaks."""
+    _require(is_bay_id(bay_id), BAY_ID_RULE)
+    try:
+        return bay_id, _SERVED[status]
+    except (KeyError, TypeError):  # TypeError: an unhashable status
+        raise ProtocolError(STATUS_RULE) from None
 
 
 def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
@@ -205,7 +223,7 @@ def parse_wire_records(raw_records: Any, window_sec: int) -> list[RollupRecord]:
         bay_id = raw.get("bayId")
         sec = raw.get("occupationTime")
         rate = raw.get("occupationRate")
-        if type(bay_id) is not int or not 1 <= bay_id < 2**63:  # a JSON true is a bool
+        if not is_bay_id(bay_id):
             raise ProtocolError("bayId must be a positive integer")
         if type(sec) is not int or sec < 0:
             raise ProtocolError("occupationTime must be a non-negative integer")
@@ -248,12 +266,12 @@ def parse_rollup_envelope(message: Mapping[str, Any]) -> RollupEnvelope:
     return RollupEnvelope(key, lot_id, ws, we, tuple(records))
 
 
-def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]]:
+def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, BayStatus]]:
     """Flatten a 'bays' snapshot of one lot into (lot_id, bay_id, status) triples."""
     _require(message.get("type") == "bays", "type must be 'bays'")
     data = message.get("data")
     _require(isinstance(data, list), "data must be a list of parking lots")
-    triples: list[tuple[str, int, str]] = []
+    triples: list[tuple[str, int, BayStatus]] = []
     for lot in data:
         _require(isinstance(lot, dict), "parking lot entry must be an object")
         lot_id = lot.get("lotId")
@@ -263,22 +281,14 @@ def parse_bays_snapshot(message: Mapping[str, Any]) -> list[tuple[str, int, str]
         _require(isinstance(bays, list), "bays must be a list")
         for bay in bays:
             _require(isinstance(bay, dict), "bay entry must be an object")
-            bay_id = bay.get("id")
-            status = bay.get("status")
-            _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
-            _require(status in WIRE_STATUSES, STATUS_RULE)
-            triples.append((lot_id, bay_id, status))
+            triples.append((lot_id, *parse_bay(bay.get("id"), bay.get("status"))))
     return triples
 
 
-def parse_bays_update(message: Mapping[str, Any]) -> tuple[str, int, str]:
+def parse_bays_update(message: Mapping[str, Any]) -> tuple[str, int, BayStatus]:
     _require(message.get("type") == "baysUpdate", "type must be 'baysUpdate'")
     lot_id = message.get("lotId")
     bay = message.get("bay")
     _require(is_lot_id(lot_id), LOT_ID_RULE)
     _require(isinstance(bay, dict), "bay must be an object")
-    bay_id = bay.get("id")
-    status = bay.get("status")
-    _require(is_wire_int(bay_id) and bay_id >= 1, "bay id must be a positive integer")
-    _require(status in WIRE_STATUSES, STATUS_RULE)
-    return lot_id, bay_id, status
+    return (lot_id, *parse_bay(bay.get("id"), bay.get("status")))

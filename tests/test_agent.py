@@ -637,6 +637,14 @@ def test_read_csv_records_refuses_seconds_or_rate_out_of_range(tmp_path, cells):
         read_csv_records(path)
 
 
+@pytest.mark.parametrize("bay", ["0", "-1", "9223372036854775808"])
+def test_read_csv_records_refuses_a_bay_id_out_of_range(tmp_path, bay):
+    path = tmp_path / "rollup_LOT-A_20181119T000000Z.csv"
+    path.write_text(f"bayId,occupationTime,occupationRate\n{bay},10,0.0001\n")
+    with pytest.raises(ValueError, match="bay id, seconds or rate out of range"):
+        read_csv_records(path)
+
+
 @pytest.mark.parametrize("lot_id", ["a b", "LOT\u00e9", ""])
 def test_read_csv_records_refuses_a_name_without_a_valid_lot_id(tmp_path, lot_id):
     path = tmp_path / f"rollup_{lot_id}_20181119T000000Z.csv"

@@ -346,6 +346,12 @@ def test_verify_of_a_run_with_a_csv_row_out_of_range_exits_2(tmp_path, capsys, c
         '{"kind":"initial","statuses":{"0":"occupied"}}',
         '{"initial":{"1":"occupied"}}',  # the old script-only form is an item without simTs
         "[1, 2]",
+        # A row follows the wire's bay-id and status rules.
+        '{"kind":"initial","statuses":{"1":"unknown"}}',
+        '{"kind":"initial","statuses":{"9223372036854775808":"occupied"}}',
+        '{"simTs":5,"bayId":9223372036854775808,"status":"free"}',
+        '{"simTs":5,"bayId":1,"status":"unknown"}',
+        '{"simTs":9223372036854775808,"bayId":1,"status":"free"}',
     ],
 )
 def test_a_bad_script_row_exits_2_and_writes_nothing(tmp_path, capsys, row):

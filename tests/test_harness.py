@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from edgepark import eventlog, harness, protocol
-from edgepark.agent import EdgeAgentCore
+from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import InvariantViolationError
 
@@ -518,6 +518,14 @@ def test_a_gateway_outage_at_the_start_drops_the_first_session_and_bounds_the_er
     assert report.ok, report.render()
     assert report.allowed_ms >= 600_000  # the gap counts from the agent's start
     assert report.max_error_ms > 0  # the first session did not survive the outage
+
+
+def test_replay_names_a_window_before_any_lot_as_the_live_agent_does(tmp_path):
+    outage_at_start(tmp_path, 9000)  # no snapshot, so no lot, before 02:30
+    paths = harness.replay_log(tmp_path / "run" / "agent.log", 3600, tmp_path / "replay").csv_paths
+    assert f"rollup_{UNKNOWN_LOT}_20181119T010000Z.csv" in [path.name for path in paths]
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "run" / "csv" / path.name).read_bytes()
 
 
 @pytest.mark.xfail(

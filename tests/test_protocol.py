@@ -6,6 +6,8 @@ import random
 import pytest
 
 from edgepark import protocol
+from edgepark.agent import CSV_HEADER, read_csv_records
+from edgepark.gateway import read_trace
 from edgepark.occupancy import RollupRecord
 
 from conftest import random_int, random_text
@@ -225,6 +227,55 @@ def test_every_parser_refuses_an_integer_outside_64_bits(value):
     record = {"bayId": value, "occupationTime": 0, "occupationRate": 0.0}
     with pytest.raises(protocol.ProtocolError, match="bayId must be a positive integer"):
         protocol.parse_wire_records([record], 3600)
+
+
+# One bay rule for every reader of a bay the gateway serves or the hub
+# stores: each value is written as JSON text and read back as the reader reads it.
+BAD_BAY_IDS = ["0", "true", "1.0", '"1"', str(2**63)]
+BAD_STATUSES = ['"unknown"', '"parked"', "null"]
+GOOD_BAY_IDS = ["1", str(2**63 - 1)]
+
+
+def written(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    return path
+
+
+BAY_READERS = {
+    "snapshot": lambda tmp_path, bay, status: protocol.parse_bays_snapshot(protocol.decode_line(
+        f'{{"type":"bays","data":[{{"lotId":"L","bays":[{{"id":{bay},"status":{status}}}]}}]}}'
+        .encode())),
+    "update": lambda tmp_path, bay, status: protocol.parse_bays_update(protocol.decode_line(
+        f'{{"type":"baysUpdate","lotId":"L","bay":{{"id":{bay},"status":{status}}}}}'.encode())),
+    "roll-up records": lambda tmp_path, bay, status: protocol.parse_wire_records(
+        protocol.decode_json(f'[{{"bayId":{bay},"occupationTime":0,"occupationRate":0.0}}]'), 60),
+    "trace item": lambda tmp_path, bay, status: list(read_trace(written(
+        tmp_path, "trace.jsonl", f'{{"simTs":0,"bayId":{bay},"status":{status}}}')).items),
+    "trace initial row": lambda tmp_path, bay, status: read_trace(written(
+        tmp_path, "trace.jsonl", f'{{"kind":"initial","statuses":{{{json.dumps(bay)}:{status}}}}}')),
+    "CSV row": lambda tmp_path, bay, status: read_csv_records(written(
+        tmp_path, "rollup_L_20181119T000000Z.csv", f"{CSV_HEADER}\n{bay},0,0.0000")),
+}
+STATUS_READERS = ("snapshot", "update", "trace item", "trace initial row")
+
+
+def test_every_bay_reader_refuses_what_the_bay_rule_refuses_and_takes_the_rest(tmp_path):
+    wrong = []
+    for name, read in BAY_READERS.items():
+        cases = [(bay, '"free"', False) for bay in BAD_BAY_IDS]
+        cases += [(bay, '"occupied"', True) for bay in GOOD_BAY_IDS]
+        if name in STATUS_READERS:
+            cases += [("1", status, False) for status in BAD_STATUSES]
+        for bay, status, takes in cases:
+            try:
+                read(tmp_path, bay, status)
+                took = True
+            except ValueError:
+                took = False
+            if took != takes:
+                wrong.append(f"{name} {'refused' if takes else 'took'} bay {bay} {status}")
+    assert not wrong
 
 
 # One lot-id rule for every parser: a lot id names hub files and CSVs and

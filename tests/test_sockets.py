@@ -58,8 +58,8 @@ def gateway_rig():
     core.start()
     sched.start()
     yield port, trace, core
+    sched.stop()  # joins its thread, so no callback runs during core.stop()
     core.stop()
-    sched.stop()
 
 
 def test_gateway_hello_snapshot_and_ping(gateway_rig):
@@ -167,8 +167,8 @@ def hub_rig(tmp_path):
     core.start()
     sched.start()
     yield port, store
-    core.stop()
     sched.stop()
+    core.stop()
 
 
 def test_hub_ack_dedupe_and_queries_over_tcp(hub_rig):
@@ -247,8 +247,8 @@ def test_full_stack_over_tcp(tmp_path):
         csvs = sorted((tmp_path / "csv").glob("rollup_*.csv"))
         assert csvs, "no CSV written"
     finally:
+        for sched in (gw_sched, hub_sched, agent_sched):
+            sched.stop()
         agent.stop()
         gateway.stop()
         hub.stop()
-        for sched in (gw_sched, hub_sched, agent_sched):
-            sched.stop()
