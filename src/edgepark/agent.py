@@ -182,7 +182,7 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
         raise ValueError(f"{path}: missing header")
     for line in lines[1:]:
         bay, sec, rate = line.split(",")
-        record = RollupRecord(int(bay), int(sec), float(rate))
+        record = RollupRecord(protocol.bay_id_from_text(bay), int(sec), float(rate))
         if (not protocol.is_bay_id(record.bay_id) or record.occupation_time_sec < 0
                 or not 0 <= record.occupation_rate <= 1):  # NaN too
             raise ValueError(f"{path}: bay id, seconds or rate out of range in row {line!r}")

@@ -22,6 +22,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple
 from . import protocol
 from .clock import PRIORITY_FAULT, PRIORITY_TRACE, RealScheduler, VirtualScheduler
 from .occupancy import BayStatus, InvariantViolationError
+from .rng import Generator
 
 log = logging.getLogger(__name__)
 
@@ -108,18 +109,15 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     and the initial statuses drawn now; the changes are drawn one span of
     TRACE_SPAN_MS at a time, as the items are taken.
     """
-    # numpy's one user; importing it here keeps it out of the CLI's start,
-    # the agent and hub services, verify and replay.
-    import numpy as np
-
+    # Bay b draws from child b - 1 of the seed (rng.Generator), so a bay's
+    # draws do not depend on how many bays there are.
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     model = config.model
-    children = np.random.SeedSequence(model.seed).spawn(max(config.bay_count, 1))
     initial: dict[int, BayStatus] = {}
     bays: list[Iterator[TraceItem]] = []
     for bay_id in range(1, config.bay_count + 1):
-        rng = np.random.default_rng(children[bay_id - 1])
+        rng = Generator(model.seed, bay_id - 1)
         status = (
             BayStatus.OCCUPIED
             if rng.random() < model.occupied_fraction
@@ -132,7 +130,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
 
 
 def _bay_changes(
-    rng: Any, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
+    rng: Generator, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
 ) -> Iterator[TraceItem]:
     """One bay's status changes in time order, each drawn as it is taken."""
     mean_ms = {
@@ -257,7 +255,8 @@ def _trace_rows(
                         raise ValueError("a meta row needs a lot id, and integer bayCount "
                                          "and durationMs >= 0")
                 else:
-                    parsed = dict(protocol.parse_bay(int(b), s) for b, s in row["statuses"].items())
+                    parsed = dict(protocol.parse_bay(protocol.bay_id_from_text(b), s)
+                                  for b, s in row["statuses"].items())
             except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
             yield parsed

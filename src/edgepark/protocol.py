@@ -30,6 +30,7 @@ JSON. They also reject an integer outside the signed 64-bit range, whose
 sums could outgrow the interpreter's int digit limit and fail to print.
 ``is_bay_id`` is the one bay-id rule, and ``parse_bay`` adds the wire
 statuses: wire, trace, script and CSV readers all check a bay with them.
+A bay id read from text goes through ``bay_id_from_text`` first.
 """
 
 from __future__ import annotations
@@ -191,6 +192,16 @@ def is_wire_int(value: Any) -> bool:
 def is_bay_id(value: Any) -> bool:
     """The one bay-id rule: a positive integer within is_wire_int's range."""
     return type(value) is int and 1 <= value < 2**63
+
+
+def bay_id_from_text(text: str) -> int | None:
+    """The bay id in a trace initial row's key or a CSV bay column, or None:
+    only the text str() writes for a bay id reads back, not "01", " 2" or "1_0"."""
+    try:
+        bay_id = int(text)
+    except ValueError:
+        return None
+    return bay_id if is_bay_id(bay_id) and str(bay_id) == text else None
 
 
 def _require(condition: bool, reason: str) -> None:

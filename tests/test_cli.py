@@ -352,6 +352,11 @@ def test_verify_of_a_run_with_a_csv_row_out_of_range_exits_2(tmp_path, capsys, c
         '{"simTs":5,"bayId":9223372036854775808,"status":"free"}',
         '{"simTs":5,"bayId":1,"status":"unknown"}',
         '{"simTs":9223372036854775808,"bayId":1,"status":"free"}',
+        # An initial row's key is a bay id only in the form the trace writer writes.
+        '{"kind":"initial","statuses":{"01":"occupied"}}',
+        '{"kind":"initial","statuses":{"+1_0":"occupied"}}',
+        '{"kind":"initial","statuses":{" 2":"occupied"}}',
+        '{"kind":"initial","statuses":{"\\uff12":"occupied"}}',
     ],
 )
 def test_a_bad_script_row_exits_2_and_writes_nothing(tmp_path, capsys, row):
@@ -432,7 +437,8 @@ def test_live_gateway_starts_without_drawing_its_whole_duration(monkeypatch):
 
     monkeypatch.setattr(cli, "serve", record_banner)
     argv = ["--listen", "127.0.0.1:0", "--bays", "100"]
-    assert cli.main_gateway([*argv, "--duration", "1h"]) == cli.EXIT_OK  # imports numpy
+    # A first call loads the gateway's modules, so the peak below is the draw alone.
+    assert cli.main_gateway([*argv, "--duration", "1h"]) == cli.EXIT_OK
     peak = traced_peak(lambda: cli.main_gateway([*argv, "--duration", "366d"]))
     # A year of 100 bays is about 73k changes: some 10 MiB, were they drawn now.
     assert peak < 2**20
@@ -596,10 +602,38 @@ assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
-def test_scripted_run_verify_replay_never_import_numpy(tmp_path):
-    # Only generate_trace draws from numpy; a scripted scenario never calls it.
+NO_NUMPY_GATEWAY_CHILD = """
+import sys
+
+from edgepark import cli
+
+def build_only(sched, build, banner, until_ms=None):
+    core = build(None)
+    assert next(iter(core.trace.items), None) is not None
+    return cli.EXIT_OK
+
+cli.serve = build_only
+assert cli.main_gateway(["--listen", "127.0.0.1:0", "--bays", "50", "--duration", "1h"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def run_without_numpy(*argv):
+    """Run a child interpreter that asserts numpy was never imported."""
     env = dict(os.environ, PYTHONPATH=str(Path(edgepark.__file__).parents[1]))
-    scenario = SCENARIOS / "overnight.scenario"
-    argv = [sys.executable, "-c", NO_NUMPY_CHILD, str(scenario), str(tmp_path)]
+    argv = [sys.executable, "-c", *map(str, argv)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_scripted_run_verify_replay_never_import_numpy(tmp_path):
+    run_without_numpy(NO_NUMPY_CHILD, SCENARIOS / "overnight.scenario", tmp_path)
+
+
+def test_generated_run_verify_replay_never_import_numpy(tmp_path):
+    # generate_trace draws with edgepark.rng, which reproduces numpy's draws.
+    run_without_numpy(NO_NUMPY_CHILD, SCENARIOS / "calibrated_week.scenario", tmp_path)
+
+
+def test_live_gateway_build_never_imports_numpy():
+    run_without_numpy(NO_NUMPY_GATEWAY_CHILD)

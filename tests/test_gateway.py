@@ -1,9 +1,11 @@
 """Trace generation, trace files, and gateway session behavior."""
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from edgepark import gateway, protocol
@@ -86,7 +88,8 @@ def test_generate_trace_items_are_strictly_sorted_by_time_then_bay(bays, seed):
 
 def eager_trace(config, duration_ms):
     """The generator before it streamed, as the reference: every bay's whole
-    draw loop, then one sort. Its initial statuses and its items."""
+    draw loop, then one sort, drawn by numpy. Its initial statuses and its items."""
+    np = pytest.importorskip("numpy")
     model = config.model
     children = np.random.SeedSequence(model.seed).spawn(max(config.bay_count, 1))
     initial, items = {}, []
@@ -117,6 +120,23 @@ def eager_trace(config, duration_ms):
 def streamed(config, duration_ms):
     trace = generate_trace(config, duration_ms)
     return trace.initial, list(trace.items)
+
+
+def benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", benchmark_workloads().values(), ids=lambda w: w.name)
+@pytest.mark.parametrize("seed", [0, 1, 31, 104729])
+def test_generate_trace_draws_numpy_s_trace_on_every_benchmark_workload(workload, seed):
+    model = config(bays=workload.bays, seed=seed, occ=workload.mean_occupied_min,
+                   free=workload.mean_free_min)
+    duration_ms = workload.days * DAY_MS
+    assert streamed(model, duration_ms) == eager_trace(model, duration_ms)
 
 
 @pytest.mark.parametrize("bays", [0, 1, 50, 125])

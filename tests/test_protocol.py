@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -276,6 +277,35 @@ def test_every_bay_reader_refuses_what_the_bay_rule_refuses_and_takes_the_rest(t
             if took != takes:
                 wrong.append(f"{name} {'refused' if takes else 'took'} bay {bay} {status}")
     assert not wrong
+
+
+# A bay id read from text, a trace initial row's key or a CSV bay column, is
+# only the text str() writes for it: int() alone would take each of these.
+NON_CANONICAL_BAY_TEXT = ["01", "+1_0", " 2", "2 ", "\uff12", "1_0", "+1", "00"]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_BAY_TEXT)
+def test_both_text_readers_refuse_a_bay_id_in_a_form_no_writer_writes(tmp_path, text):
+    assert protocol.bay_id_from_text(text) is None
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"kind": "initial", "statuses": {text: "free"}}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(protocol.BAY_ID_RULE)):
+        read_trace(trace)
+    csv = tmp_path / "rollup_L_20181119T000000Z.csv"
+    csv.write_text(f"{CSV_HEADER}\n{text},0,0.0000\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bay id, seconds or rate out of range"):
+        read_csv_records(csv)
+
+
+@pytest.mark.parametrize("bay_id", [1, 10, 2**63 - 1])
+def test_both_text_readers_take_a_bay_id_as_written(tmp_path, bay_id):
+    assert protocol.bay_id_from_text(str(bay_id)) == bay_id
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"kind": "initial", "statuses": {str(bay_id): "free"}}) + "\n")
+    assert read_trace(trace).initial == {bay_id: "free"}
+    csv = tmp_path / "rollup_L_20181119T000000Z.csv"
+    csv.write_text(f"{CSV_HEADER}\n{bay_id},0,0.0000\n", encoding="utf-8")
+    assert read_csv_records(csv)[2] == [(bay_id, 0, 0.0)]
 
 
 # One lot-id rule for every parser: a lot id names hub files and CSVs and

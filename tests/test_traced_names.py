@@ -14,6 +14,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from edgepark import harness  # also loads every module the tracer patches
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +23,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
+    pytest.importorskip("numpy")  # the benchmark, and so its tracer, imports numpy
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
