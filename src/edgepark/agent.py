@@ -29,6 +29,7 @@ import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -47,6 +48,7 @@ from .occupancy import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "bayId,occupationTime,occupationRate"
+CSV_ROW = "{},{},{:.4f}\n"  # a RollupRecord's row
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
 CLIENT_NAME = "edge-agent"  # sent in the hello
 UNKNOWN_LOT = "unknown"  # names a window rolled up before any lot is known, live or replayed
@@ -138,13 +140,18 @@ def csv_filename(lot_id: str, window_start_ms: int) -> str:
     return f"rollup_{lot_id}_{window_stamp(window_start_ms)}.csv"
 
 
+def csv_bytes(records: Iterable[RollupRecord]) -> bytes:
+    """Bit-exact roll-up CSV: LF endings, integer seconds, 4-decimal rates."""
+    return (CSV_HEADER + "\n" + "".join(starmap(CSV_ROW.format, records))).encode("utf-8")
+
+
 def write_csv(
     records: list[RollupRecord],
     window: RollupWindow,
     lot_id: str,
     csv_dir: str | Path,
 ) -> Path:
-    """Bit-exact roll-up CSV: LF endings, integer seconds, 4-decimal rates.
+    """Write ``csv_bytes(records)`` under the window's CSV name.
 
     The file is written beside its final name and renamed onto it, so a
     crash leaves either the previous file or the whole new one, never a
@@ -154,9 +161,8 @@ def write_csv(
     """
     path = Path(csv_dir) / csv_filename(lot_id, window.start)
     tmp = path.with_name(f".{path.name}.tmp")  # not matched by rollup_*.csv
-    rows = [f"{r.bay_id},{r.occupation_time_sec},{r.occupation_rate:.4f}\n" for r in records]
     try:
-        tmp.write_bytes((CSV_HEADER + "\n" + "".join(rows)).encode("utf-8"))
+        tmp.write_bytes(csv_bytes(records))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -165,27 +171,33 @@ def write_csv(
 
 
 def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
-    """Parse a roll-up CSV back into (lot_id, window_start_ms, records); ValueError on a bad row."""
+    """Parse a roll-up CSV back into (lot_id, window_start_ms, records); ValueError
+    unless its name and each row (line ends aside) are as the writer writes them."""
     path = Path(path)
     stem = path.name
-    if not stem.startswith("rollup_") or not stem.endswith(".csv"):
-        raise ValueError(f"not a roll-up CSV name: {stem}")
-    body = stem[len("rollup_"):-len(".csv")]
-    lot_id, _, stamp = body.rpartition("_")
+    lot_id, _, stamp = stem[len("rollup_"):-len(".csv")].rpartition("_")
     if not protocol.is_lot_id(lot_id):
         raise ValueError(f"roll-up CSV name has no valid lot id: {stem}")
     start_dt = datetime.strptime(stamp, STAMP_FORMAT).replace(tzinfo=timezone.utc)
     window_start = int(start_dt.timestamp() * 1000)
+    if csv_filename(lot_id, window_start) != stem:  # also "rollup_" and ".csv"
+        raise ValueError(f"not a roll-up CSV name: {stem}")
     records: list[RollupRecord] = []
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing header")
     for line in lines[1:]:
-        bay, sec, rate = line.split(",")
-        record = RollupRecord(protocol.bay_id_from_text(bay), int(sec), float(rate))
+        try:
+            bay, sec, rate = line.split(",")
+            # + 0.0 turns -0.0 into 0.0, so a "-0.0000" cell is not its row as written.
+            record = RollupRecord(protocol.bay_id_from_text(bay), int(sec), float(rate) + 0.0)
+        except ValueError:
+            raise ValueError(f"{path}: not a roll-up row: {line!r}") from None
         if (not protocol.is_bay_id(record.bay_id) or record.occupation_time_sec < 0
                 or not 0 <= record.occupation_rate <= 1):  # NaN too
             raise ValueError(f"{path}: bay id, seconds or rate out of range in row {line!r}")
+        if CSV_ROW.format(*record) != line + "\n":
+            raise ValueError(f"{path}: row {line!r} is not written as {CSV_ROW.format(*record)!r}")
         records.append(record)
     return lot_id, window_start, records
 

@@ -200,24 +200,26 @@ def update_occupation_time(
 
 def rollup(
     table: dict[int, BayState], window: RollupWindow
-) -> tuple[list[RollupRecord], dict[int, BayState]]:
+) -> tuple[list[RollupRecord], dict[int, int]]:
     """Close a window: flush at window.end, emit records, reset accumulators.
 
-    Occupancy spanning the boundary is truncated at window.end; its
-    continuation accrues to the next window because statuses survive the
-    reset and every bay's interval restarts at window.end. Records are
-    sorted by bay id.
+    Returns the records, sorted by bay id, and each bay's flushed ms before
+    the reset. Occupancy spanning the boundary is truncated at window.end;
+    its continuation accrues to the next window because statuses survive
+    the reset and every bay's interval restarts at window.end.
     """
     update_occupation_time(table, window.end)
     records: list[RollupRecord] = []
+    totals_ms: dict[int, int] = {}
     length_ms = window.length_ms
     for bay_id in sorted(table):
         state = table[bay_id]
-        sec = state.accumulated_occupation_ms // MS_PER_SEC
+        totals_ms[bay_id] = occ_ms = state.accumulated_occupation_ms
+        sec = occ_ms // MS_PER_SEC
         records.append(RollupRecord(bay_id, sec, occupation_rate(sec * MS_PER_SEC, length_ms)))
         state.accumulated_occupation_ms = 0
         state.last_transition_ts = window.end
-    return records, table
+    return records, totals_ms
 
 
 def invalidate_statuses(

@@ -19,9 +19,9 @@ transport as one encoded line.
 Decoding rule: every JSON line edgepark reads (wire messages, event-log
 and hub-store records, trace rows, scenario scripts) goes through
 ``decode_json``. It returns exactly what ``json.loads`` returns for the
-same ``str``, value and exception type alike, in one
-``JSONDecoder.raw_decode`` call instead of ``loads``' three frames and
-two whitespace regex matches.
+same ``str``, value and exception type alike, in one call of the
+decoder's scanner instead of ``loads``' three frames and two whitespace
+regex matches.
 
 Integer fields reject JSON booleans (``is_wire_int``, ``is_bay_id``, or
 ``type(x) is int`` per roll-up record): Python's bool is an int, and a
@@ -70,10 +70,13 @@ def decode_json(text: str) -> Any:
 
     A JSON text is one value with optional whitespace around it, so the
     text is stripped of that whitespace and must be consumed whole by one
-    ``raw_decode``.
+    call of the decoder's scanner, as ``raw_decode`` makes it.
     """
     text = text.strip(_JSON_WHITESPACE)
-    value, end = _DECODER.raw_decode(text)
+    try:
+        value, end = _DECODER.scan_once(text, 0)
+    except StopIteration as err:  # what raw_decode raises, without its frame
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return value

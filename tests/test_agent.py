@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import re
 
 import pytest
 
@@ -642,6 +643,28 @@ def test_read_csv_records_refuses_a_bay_id_out_of_range(tmp_path, bay):
     path = tmp_path / "rollup_LOT-A_20181119T000000Z.csv"
     path.write_text(f"bayId,occupationTime,occupationRate\n{bay},10,0.0001\n")
     with pytest.raises(ValueError, match="bay id, seconds or rate out of range"):
+        read_csv_records(path)
+
+
+# Rows and names that int(), float() and strptime() take, but that csv_bytes and
+# csv_filename never write.
+NOT_AS_WRITTEN_ROWS = ["1,+1_0,5e-1", "2, 7,0.5 ", "1,10,.5", "1,10,0.50000", "1,0,-0.0000",
+                       "", "1,10", "1,10,0.0001,5", "1,ten,0.0001", "1,10,x"]
+
+
+@pytest.mark.parametrize("row", NOT_AS_WRITTEN_ROWS)
+def test_read_csv_records_refuses_a_row_not_as_written(tmp_path, row):
+    path = tmp_path / "rollup_LOT-A_20181119T000000Z.csv"
+    path.write_text(f"bayId,occupationTime,occupationRate\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(repr(row))):
+        read_csv_records(path)
+
+
+@pytest.mark.parametrize("stamp", ["2018111T000000Z", "20181119T0000Z"])
+def test_read_csv_records_refuses_a_name_not_as_written(tmp_path, stamp):
+    path = tmp_path / f"rollup_LOT-A_{stamp}.csv"
+    path.write_text("bayId,occupationTime,occupationRate\n1,10,0.0001\n")
+    with pytest.raises(ValueError, match=re.escape(path.name)):
         read_csv_records(path)
 
 

@@ -14,7 +14,7 @@ import pytest
 import edgepark
 from edgepark import cli, protocol
 
-from conftest import traced_peak
+from conftest import EPOCH_MS, traced_peak
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -319,21 +319,55 @@ def test_verify_refuses_a_swapped_trace_before_reading_the_log_or_the_store(
     assert replay_or_store_load(caplog.messages) == []
 
 
-@pytest.mark.parametrize("cells", ["-1,0.0000", "10,1.5000", "10,nan", "10,inf"])
-def test_verify_of_a_run_with_a_csv_row_out_of_range_exits_2(tmp_path, capsys, cells):
+def verify_with_a_csv_rewritten(tmp_path, capsys, rewrite):
+    """verify's exit code and output on a run whose first CSV's text is rewrite(text)."""
     out = tmp_path / "run"
     assert cli.main_harness(
         ["run-sim", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]
     ) == 0
     victim = next((out / "csv").glob("*.csv"))
-    lines = victim.read_text().splitlines()
-    lines[1] = lines[1].split(",")[0] + "," + cells
-    victim.write_text("\n".join(lines) + "\n")
+    victim.write_bytes(rewrite(victim.read_bytes().decode()).encode())
     capsys.readouterr()
-    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
-    assert "Traceback" not in err
+    return cli.main_harness(["verify", "--run", str(out)]), capsys.readouterr()
+
+
+def with_first_row_cells(cells):
+    """A CSV rewrite that keeps the first row's bay and replaces its other cells."""
+    def rewrite(text):
+        lines = text.splitlines()
+        lines[1] = lines[1].split(",")[0] + "," + cells
+        return "\n".join(lines) + "\n"
+    return rewrite
+
+
+@pytest.mark.parametrize("cells", ["-1,0.0000", "10,1.5000", "10,nan", "10,inf"])
+def test_verify_of_a_run_with_a_csv_row_out_of_range_exits_2(tmp_path, capsys, cells):
+    code, output = verify_with_a_csv_rewritten(tmp_path, capsys, with_first_row_cells(cells))
+    assert code == cli.EXIT_CONFIG
+    assert sum(line.startswith("configuration error: ") for line in output.err.splitlines()) == 1
+    assert "Traceback" not in output.err
+
+
+@pytest.mark.parametrize("cells", ["+1_0,5e-1", " 7,0.5 ", "10,.5", "0,0.0"])
+def test_verify_of_a_run_with_a_csv_row_not_as_written_exits_2(tmp_path, capsys, cells):
+    code, output = verify_with_a_csv_rewritten(tmp_path, capsys, with_first_row_cells(cells))
+    assert code == cli.EXIT_CONFIG
+    assert output.err.startswith("configuration error: ") and "is not written as" in output.err
+
+
+@pytest.mark.parametrize(
+    "rewrite", [lambda text: text.replace("\n", "\r\n"), lambda text: text[:-1]],
+    ids=["crlf", "no final newline"],
+)
+def test_verify_of_a_csv_with_the_replayed_records_in_other_bytes_exits_1(
+    tmp_path, capsys, rewrite
+):
+    code, output = verify_with_a_csv_rewritten(tmp_path, capsys, rewrite)
+    assert code == cli.EXIT_VERIFY_FAILED
+    failures = [line for line in output.out.splitlines() if line.startswith("FAIL: ")]
+    assert failures == [
+        f"FAIL: window {EPOCH_MS}: CSV has the replayed records but not their bytes"
+    ]
 
 
 @pytest.mark.parametrize(

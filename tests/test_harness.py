@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from edgepark import eventlog, harness, protocol
-from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore
+from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore, read_csv_records
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import InvariantViolationError
 
@@ -411,6 +411,26 @@ def test_verify_names_tampered_cell(tmp_path):
     report = harness.verify_run(tmp_path / "run")
     assert not report.ok
     assert any(f"bay {bay}" in f and "CSV" in f for f in report.failures)
+
+
+def test_verify_parses_a_csv_only_when_its_bytes_differ(tmp_path, monkeypatch):
+    harness.run_sim(make_scenario(seed=31, bays=8, days=3), tmp_path / "run")
+    parsed = []
+
+    def counting(path):
+        parsed.append(Path(path).name)
+        return read_csv_records(path)
+
+    monkeypatch.setattr(harness, "read_csv_records", counting)
+    assert harness.verify_run(tmp_path / "run").ok
+    assert parsed == []
+    victim = run_csvs(tmp_path / "run")[1]
+    lines = victim.read_text().splitlines()
+    bay, sec, rate = lines[1].split(",")
+    lines[1] = f"{bay},{int(sec) + 60},{rate}"
+    victim.write_text("\n".join(lines) + "\n")
+    assert not harness.verify_run(tmp_path / "run").ok
+    assert parsed == [victim.name]
 
 
 def verify_after(tmp_path, tamper):

@@ -186,9 +186,17 @@ def test_update_occupation_time_regression_leaves_whole_table_untouched():
 # rollup
 
 
+def checked_rollup(table, window):
+    """rollup's records, once its totals_ms are checked against the flushed accumulators."""
+    flushed = update_occupation_time(copy.deepcopy(table), window.end)
+    records, totals_ms = rollup(table, window)
+    assert totals_ms == {bay: state.accumulated_occupation_ms for bay, state in flushed.items()}
+    return records
+
+
 def test_rollup_full_window_occupancy():
     table = {12: BayState(12, "L", BayStatus.OCCUPIED, 0)}
-    records, _ = rollup(table, RollupWindow(0, DAY_MS))
+    records = checked_rollup(table, RollupWindow(0, DAY_MS))
     assert records[0].occupation_time_sec == 86_400
     assert records[0].occupation_rate == 1.0
 
@@ -199,17 +207,17 @@ def test_rollup_overnight_boundary_split():
     for bay in (12, 21):
         apply_event(table, *snap(0, bay, "free"))
         apply_event(table, *upd(20 * HOUR_MS, bay, "occupied"))
-    day1, _ = rollup(table, RollupWindow(0, DAY_MS))
+    day1 = checked_rollup(table, RollupWindow(0, DAY_MS))
     assert [r.occupation_time_sec for r in day1] == [14_400, 14_400]
     for bay in (12, 21):
         apply_event(table, *upd(32 * HOUR_MS, bay, "free"))
-    day2, _ = rollup(table, RollupWindow(DAY_MS, 2 * DAY_MS))
+    day2 = checked_rollup(table, RollupWindow(DAY_MS, 2 * DAY_MS))
     assert [r.occupation_time_sec for r in day2] == [28_800, 28_800]
 
 
 def test_rollup_resets_accumulator_but_preserves_status():
     table = {1: BayState(1, "L", BayStatus.OCCUPIED, 0)}
-    records, _ = rollup(table, RollupWindow(0, HOUR_MS))
+    records = checked_rollup(table, RollupWindow(0, HOUR_MS))
     assert records[0].occupation_time_sec == 3600
     assert table[1].accumulated_occupation_ms == 0
     assert table[1].status is BayStatus.OCCUPIED
@@ -220,8 +228,17 @@ def test_rollup_records_sorted_by_bay_id():
     table = {}
     for bay in (7, 2, 19, 1):
         apply_event(table, *snap(0, bay, "free"))
-    records, _ = rollup(table, RollupWindow(0, HOUR_MS))
+    records = checked_rollup(table, RollupWindow(0, HOUR_MS))
     assert [r.bay_id for r in records] == [1, 2, 7, 19]
+
+
+def test_rollup_totals_keep_the_milliseconds_its_records_floor():
+    table = {}
+    apply_event(table, *snap(0, 3, "occupied"))
+    apply_event(table, *upd(1_500, 3, "free"))
+    apply_event(table, *snap(0, 4, "free"))
+    records, totals_ms = rollup(table, RollupWindow(0, HOUR_MS))
+    assert (records, totals_ms) == ([(3, 1, 0.0003), (4, 0, 0.0)], {3: 1_500, 4: 0})
 
 
 def test_rollup_requires_end_after_all_transitions():
