@@ -172,7 +172,8 @@ def write_csv(
 
 def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
     """Parse a roll-up CSV back into (lot_id, window_start_ms, records); ValueError
-    unless its name and each row (line ends aside) are as the writer writes them."""
+    unless its name and each row are as the writer writes them, in ascending bay
+    order. Rows end at a newline, with or without a carriage return before it."""
     path = Path(path)
     stem = path.name
     lot_id, _, stamp = stem[len("rollup_"):-len(".csv")].rpartition("_")
@@ -183,8 +184,9 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
     if csv_filename(lot_id, window_start) != stem:  # also "rollup_" and ".csv"
         raise ValueError(f"not a roll-up CSV name: {stem}")
     records: list[RollupRecord] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing header")
     for line in lines[1:]:
         try:
@@ -198,6 +200,8 @@ def read_csv_records(path: str | Path) -> tuple[str, int, list[RollupRecord]]:
             raise ValueError(f"{path}: bay id, seconds or rate out of range in row {line!r}")
         if CSV_ROW.format(*record) != line + "\n":
             raise ValueError(f"{path}: row {line!r} is not written as {CSV_ROW.format(*record)!r}")
+        if records and record.bay_id <= records[-1].bay_id:
+            raise ValueError(f"{path}: row {line!r} is not after bay {records[-1].bay_id}")
         records.append(record)
     return lot_id, window_start, records
 
@@ -579,12 +583,10 @@ class EdgeAgentCore:
                 self._dead_letter(key, payload, f"CSV write failed twice ({exc2})")
         # One write and one flush: the flush marker, then the carried-over
         # statuses, so replay from the marker rebuilds the post-reset table.
-        block = [protocol.encode_line(eventlog.flush_record(boundary, window.start))]
-        block.extend(
-            eventlog.event_line(EventKind.SNAPSHOT, boundary, state.lot_id, bay_id, state.status)
-            for bay_id, state in sorted(self.table.items())
+        self._append_log(
+            protocol.encode_line(eventlog.flush_record(boundary, window.start))
+            + eventlog.reseed_lines(self.table, boundary)
         )
-        self._append_log(b"".join(block))
         rose = Counter({k: self.warnings[k] for k in PER_EVENT_KINDS}) - self._summarised
         if rose:
             self._summarised += rose

@@ -17,7 +17,11 @@ one per ingested update, come from ``event_line``, which takes the
 event's fields and writes the same bytes as ``protocol.encode_line`` of
 the event's dict; markers are dicts passed through ``encode_line``, and
 hub rows come from ``hub.store_row_line``. A roll-up's flush marker and
-re-seed lines are one append: one write and one flush.
+re-seed lines are one append: one write and one flush. ``reseed_lines``
+is the one rendering of a window's re-seed block, one snapshot line per
+bay at the boundary. Replay renders it again from its own table and
+steps past the block when the log holds exactly those bytes
+(``LogRecords.consume``), so it decodes only the lines that differ.
 
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a
@@ -65,6 +69,18 @@ def event_line(
         f'{flag}"src":{encode_basestring_ascii(kind)},'
         f'"status":{encode_basestring_ascii(status)},"ts":{ts}}}\n'
     ).encode("ascii")
+
+
+def reseed_lines(table: dict[int, BayState], boundary: int) -> bytes:
+    """A window's re-seed block: event_line of each bay's snapshot at the boundary,
+    in bay order, with the parts every line shares encoded once."""
+    src = f',"src":{encode_basestring_ascii(EventKind.SNAPSHOT)},"status":'
+    ts = f',"ts":{boundary}}}\n'
+    return "".join([
+        f'{{"bayId":{bay_id},"lotId":{encode_basestring_ascii(state.lot_id)}{src}'
+        f'{encode_basestring_ascii(state.status)}{ts}'
+        for bay_id, state in sorted(table.items())
+    ]).encode("ascii")
 
 
 def flush_record(ts: int, window_start: int) -> dict[str, Any]:
@@ -185,14 +201,18 @@ class LogRecords:
 
     A torn final line is dropped and undecodable lines (nested past the
     recursion limit included) are skipped; ``skipped`` counts both as read
-    so far, the torn tail as the pass opens the file. The file is closed at
-    the end of the pass, by ``close()`` or a ``with`` block, or when a pass
-    dropped part-way is collected.
+    so far, the torn tail as the pass opens the file. Between records,
+    ``consume`` steps past whole lines the caller already knows, by their
+    bytes, without decoding them. The file is opened by the first step of
+    the pass and closed at its end, by ``close()`` or a ``with`` block, or
+    when a pass dropped part-way is collected.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.skipped = 0
+        self._fh: IO[bytes] | None = None  # set as the pass opens the file
+        self._consumed_lines = 0
         self._records = self._read()
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
@@ -207,12 +227,26 @@ class LogRecords:
     def close(self) -> None:
         self._records.close()
 
+    def consume(self, block: bytes) -> bool:
+        """Step past ``block``, whole lines, if the file's next bytes are exactly
+        it; True if it did. Otherwise the pass goes on from where it was."""
+        fh = self._fh
+        if fh is None or fh.closed:
+            return False
+        pos = fh.tell()
+        if fh.read(len(block)) == block:
+            self._consumed_lines += block.count(b"\n")
+            return True
+        fh.seek(pos)
+        return False
+
     def _read(self) -> Iterator[dict[str, Any]]:
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:
             return
         with fh:
+            self._fh = fh
             end = fh.seek(0, os.SEEK_END)
             torn = end - _last_line_end(fh, end)
             if torn:
@@ -230,6 +264,7 @@ class LogRecords:
                         raise ValueError("log line is not an object")
                 except (ValueError, RecursionError) as exc:
                     self.skipped += 1
+                    lineno += self._consumed_lines
                     log.warning("%s:%d: skipping undecodable line: %s", self.path, lineno, exc)
                     continue
                 yield record

@@ -389,6 +389,11 @@ def replay_log(
     redundant against that grid, disconnect markers invalidate statuses,
     and rejected events are skipped; apply_event's warnings are summed in
     one WARNING. Running twice yields byte-identical CSVs.
+
+    The re-seed block after a flush marker at the boundary just closed is
+    checked by its bytes: one that is ``eventlog.reseed_lines`` of the
+    table is skipped, as folding it would change nothing but the lot seen.
+    Any other line is decoded and folded.
     """
     if window_sec < 1:
         raise ValueError("window must be at least 1 s")
@@ -423,8 +428,15 @@ def replay_log(
             ts = eventlog.record_ts(record)
             if window_start is None:
                 window_start = window_floor(ts, period, epoch_ms)
-            while ts >= window_start + period:
-                close_window()
+            if ts >= window_start + period:
+                while ts >= window_start + period:
+                    close_window()
+                # Every bay's interval now starts at the boundary: the table's own
+                # re-seed lines would keep each bay's status and ts.
+                if (ts == window_start and table and record.get("marker") == eventlog.MARKER_FLUSH
+                        and records.consume(eventlog.reseed_lines(table, ts))):
+                    lot_seen = table[max(table)].lot_id
+                    continue
             applied = eventlog.apply_record(table, record, warnings)
             if applied is not None:
                 kind, lot_seen = applied

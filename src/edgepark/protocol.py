@@ -8,11 +8,12 @@ on bay count, window count, and field widths, never on event counts.
 Byte-identity rule: every other line is the compact, sorted-key,
 ASCII-escaped encoding that ``encode_line`` produces. A fixed-field
 encoder for a hot line shape (``bays_update_line``, ``ping_line`` and
-``pong_line`` here, ``eventlog.event_line``, the item rows of
-``gateway.write_trace``, the hub's ``store_row_line``) must write exactly
-the bytes ``encode_line`` writes for the same dict: keys in sorted order,
-``,``/``:`` separators, strings through ``encode_basestring_ascii``,
-integers as ``str(int)``, floats as ``float.__repr__``.
+``pong_line`` here, ``eventlog.event_line`` and ``eventlog.reseed_lines``,
+the item rows of ``gateway.write_trace``, the hub's ``store_row_line``)
+must write exactly the bytes ``encode_line`` writes for the same dict:
+keys in sorted order, ``,``/``:`` separators, strings through
+``encode_basestring_ascii``, integers as ``str(int)``, floats as
+``float.__repr__``.
 Every message, on sockets and in the simulator alike, crosses the
 transport as one encoded line.
 

@@ -660,6 +660,54 @@ def test_read_csv_records_refuses_a_row_not_as_written(tmp_path, row):
         read_csv_records(path)
 
 
+HEADER = "bayId,occupationTime,occupationRate"
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\r", "\x1c", "\x85"])
+def test_read_csv_records_splits_rows_only_at_a_newline(tmp_path, separator):
+    path = tmp_path / "rollup_LOT-A_20181119T000000Z.csv"
+    path.write_bytes(f"{HEADER}\n1,0,0.0000{separator}2,0,0.0000\n".encode())
+    with pytest.raises(ValueError, match="not a roll-up row"):
+        read_csv_records(path)
+
+
+def test_read_csv_records_takes_crlf_rows_as_the_records_written(tmp_path):
+    records = [RollupRecord(1, 27_000, 0.3125), RollupRecord(21, 0, 0.0)]
+    path = write_csv(records, RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS), "LOT-A", tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_csv_records(path)[2] == records
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["2,0,0.0000", "1,0,0.0000", "1,5,0.0001"], ["1,0,0.0000", "1,5,0.0001"],
+     ["3,0,0.0000", "2,0,0.0000"]],
+    ids=["out of order and repeated", "repeated", "descending"],
+)
+def test_read_csv_records_refuses_rows_not_in_ascending_bay_order(tmp_path, rows):
+    path = tmp_path / "rollup_LOT-A_20181119T000000Z.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    with pytest.raises(ValueError, match="is not after bay"):
+        read_csv_records(path)
+
+
+def test_a_restart_counts_a_csv_with_rows_out_of_bay_order_and_requeues_the_rest(tmp_path):
+    csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
+    good = write_csv([RollupRecord(1, 100, 0.0012)], RollupWindow(EPOCH_MS - DAY_MS, EPOCH_MS),
+                     "LOT-A", csv_dir)
+    bad = csv_dir / csv_filename("LOT-A", EPOCH_MS - 2 * DAY_MS)
+    bad.write_text(f"{HEADER}\n2,0,0.0000\n1,0,0.0000\n1,5,0.0001\n")
+    log = eventlog.EventLogWriter(tmp_path / "agent.log")
+    log.append(protocol.encode_line(eventlog.flush_record(EPOCH_MS, EPOCH_MS - DAY_MS)))
+    log.close()
+    agent, _ = make_agent(tmp_path)
+    agent.start()
+    assert agent.warnings["csv_requeue_failed"] == 1
+    assert [p.key for p in agent.upload_queue] == [f"LOT-A:{EPOCH_MS - DAY_MS}"]
+    assert good.exists() and bad.exists()
+
+
 @pytest.mark.parametrize("stamp", ["2018111T000000Z", "20181119T0000Z"])
 def test_read_csv_records_refuses_a_name_not_as_written(tmp_path, stamp):
     path = tmp_path / f"rollup_LOT-A_{stamp}.csv"

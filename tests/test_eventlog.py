@@ -70,6 +70,21 @@ def test_event_line_covers_every_status_source_and_flag():
                 assert (b'"rejected":true' in line) is rejected
 
 
+def test_reseed_lines_are_event_lines_of_each_bay_snapshot_in_bay_order():
+    rng = random.Random(1_542_589_200)
+    for _ in range(200):
+        table = {}
+        for _ in range(rng.randint(0, 8)):
+            bay_id = abs(random_int(rng)) + 1
+            table[bay_id] = BayState(bay_id, random_text(rng), rng.choice(list(BayStatus)), 0)
+        boundary = abs(random_int(rng))
+        assert eventlog.reseed_lines(table, boundary) == b"".join(
+            encode_line(event_record((EventKind.SNAPSHOT, boundary, state.lot_id, bay_id,
+                                      state.status)))
+            for bay_id, state in sorted(table.items())
+        )
+
+
 def read_all(path):
     """Every record of one pass over the log, and the lines that pass skipped."""
     with eventlog.read_records(path) as reader:
@@ -176,6 +191,41 @@ def test_a_pass_stopped_early_closes_its_file(tmp_path):
         del reader  # dropped part-way: an unclosed file would warn as it is collected
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_consume_steps_past_exactly_the_given_bytes_between_records(tmp_path, caplog):
+    path = tmp_path / "events.log"
+    block = eventlog.event_line(*ev(2, 1, "free")) + eventlog.event_line(*ev(2, 2, "free"))
+    path.write_bytes(
+        eventlog.event_line(*ev(1, 1, "occupied")) + block + b"garbage\n"
+        + eventlog.event_line(*ev(3, 2, "occupied"))
+    )
+    reader = eventlog.read_records(path)
+    assert not reader.consume(block)  # the pass has not opened the file
+    records = iter(reader)
+    assert next(records)["ts"] == 1
+    assert not reader.consume(block[:-1] + b"X")  # one byte differs: nothing consumed
+    assert not reader.consume(block + block)  # past the end of the file
+    assert reader.consume(block)
+    assert next(records)["ts"] == 3
+    assert reader.skipped == 1
+    # The skipped line is named by its line number in the file, consumed lines counted.
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:4: skipping undecodable line: Expecting value: line 1 column 1 (char 0)",
+    ]
+    assert list(records) == [] and not reader.consume(b"")  # the pass is over
+
+
+def test_a_block_that_does_not_match_is_read_line_by_line(tmp_path):
+    path = tmp_path / "events.log"
+    lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in range(1, 5)]
+    path.write_bytes(b"".join(lines) + b'{"ts": 5')
+    with eventlog.read_records(path) as reader:
+        records = iter(reader)
+        assert next(records)["ts"] == 1
+        assert not reader.consume(lines[1] + lines[2].replace(b"free", b"busy"))
+        assert [r["ts"] for r in records] == [2, 3, 4]
+    assert reader.skipped == 1  # the torn tail
 
 
 def test_writer_cuts_a_torn_tail_longer_than_a_scan_block_in_bounded_memory(tmp_path):

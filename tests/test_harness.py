@@ -11,7 +11,9 @@ import pytest
 from edgepark import eventlog, harness, protocol
 from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore, read_csv_records
 from edgepark.hub import RollupStore, fleet_average_hours
-from edgepark.occupancy import InvariantViolationError
+from edgepark.occupancy import (
+    BayState, BayStatus, EventKind, InvariantViolationError, RollupRecord,
+)
 
 from conftest import DAY_MS, EPOCH_MS, make_scenario, traced_peak, update_lines
 
@@ -344,6 +346,173 @@ def test_replay_logs_one_summary_warning_for_its_per_event_warnings(tmp_path, ca
     ]
     details = [r.levelno for r in caplog.records if r.name == "edgepark.occupancy"]
     assert details == [logging.DEBUG] * 3
+
+
+# Hourly windows over one day: 24 flush markers, each with a re-seed block of 6 lines.
+HOURLY = dict(seed=21, bays=6, mean_occupied_min=45, mean_free_min=90, rollup_period_sec=3600)
+
+
+@pytest.fixture(scope="module")
+def hourly_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("hourly") / "run"
+    harness.run_sim(make_scenario(**HOURLY), run)
+    return run
+
+
+def log_lines(path):
+    """The log's lines, each with its newline; a torn tail as its last item."""
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def reseed_line_indexes(lines):
+    """Indexes of the re-seed lines: the snapshot lines at a flush marker's ts right after it."""
+    indexes, flush_ts = [], None
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("marker") == "flush":
+            flush_ts = record["ts"]
+        elif record.get("src") == "snapshot" and record["ts"] == flush_ts:
+            indexes.append(i)
+        else:
+            flush_ts = None
+    return indexes
+
+
+def replay(log_path, window_sec, out, monkeypatch, *, line_by_line=False):
+    """replay_log's result and the text of every line it decoded; ``line_by_line``
+    folds every line as the reader did before it could step past a re-seed block."""
+    decoded = []
+
+    def counting_decode(text):
+        decoded.append(text)
+        return protocol.decode_json(text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eventlog, "decode_json", counting_decode)
+        if line_by_line:
+            patch.setattr(eventlog.LogRecords, "consume", lambda self, block: False)
+        return harness.replay_log(log_path, window_sec, out), decoded
+
+
+def same_replay(got, want):
+    """Two replays with the same windows, totals, records, CSV bytes and skipped count."""
+    assert got.skipped_lines == want.skipped_lines
+    assert [(w.window, w.totals_ms, w.records) for w in got.windows] == [
+        (w.window, w.totals_ms, w.records) for w in want.windows
+    ]
+    assert [p.name for p in got.csv_paths] == [p.name for p in want.csv_paths]
+    assert [p.read_bytes() for p in got.csv_paths] == [p.read_bytes() for p in want.csv_paths]
+
+
+def test_replay_decodes_no_reseed_line_of_a_clean_log(hourly_run, tmp_path, monkeypatch):
+    log_path = hourly_run / "agent.log"
+    lines = log_lines(log_path)
+    reseed = reseed_line_indexes(lines)
+    assert len(reseed) == 24 * 6
+    result, decoded = replay(log_path, 3600, tmp_path / "replay", monkeypatch)
+    assert decoded == [
+        line.decode()[:-1] for i, line in enumerate(lines) if i not in set(reseed)
+    ]
+    assert [p.read_bytes() for p in result.csv_paths] == [
+        p.read_bytes() for p in run_csvs(hourly_run)
+    ]
+    reference, decoded = replay(log_path, 3600, tmp_path / "ref", monkeypatch, line_by_line=True)
+    assert len(decoded) == len(lines)
+    same_replay(result, reference)
+
+
+@pytest.mark.parametrize("which", ["one", "every"])
+def test_replay_of_reseed_lines_in_other_bytes_folds_them_to_the_same_csvs(
+    hourly_run, tmp_path, monkeypatch, which
+):
+    lines = log_lines(hourly_run / "agent.log")
+    reseed = reseed_line_indexes(lines)
+    for i in reseed[len(reseed) // 2:][:1] if which == "one" else reseed:
+        lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"  # ", " and ": "
+    log_path = tmp_path / "spaced.log"
+    log_path.write_bytes(b"".join(lines))
+    result, decoded = replay(log_path, 3600, tmp_path / "replay", monkeypatch)
+    clean, clean_decoded = replay(hourly_run / "agent.log", 3600, tmp_path / "clean", monkeypatch)
+    same_replay(result, clean)
+    # A block that differs in one line is folded line by line, all of it.
+    assert len(decoded) == len(clean_decoded) + (6 if which == "one" else len(reseed))
+
+
+def test_replay_of_a_reseed_line_with_another_status_folds_that_status(tmp_path, monkeypatch):
+    hour = 3_600_000
+
+    def line(ts, bay, status, src="update"):
+        return eventlog.event_line(EventKind(src), EPOCH_MS + ts, "L", bay, BayStatus(status))
+
+    def flush(ts):
+        return protocol.encode_line(eventlog.flush_record(EPOCH_MS + ts, EPOCH_MS + ts - hour))
+
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join([
+        line(0, 1, "free", "snapshot"), line(0, 2, "free", "snapshot"),
+        line(600_000, 1, "occupied"),
+        flush(hour), line(hour, 1, "occupied", "snapshot"),
+        line(hour, 2, "occupied", "snapshot"),  # the agent's table had bay 2 free
+        line(hour + 900_000, 1, "free"), line(hour + 1_800_000, 2, "free"),
+        flush(2 * hour), line(2 * hour, 1, "free", "snapshot"),
+        line(2 * hour, 2, "free", "snapshot"),
+    ]))
+    result, _ = replay(log_path, 3600, None, monkeypatch)
+    # Bay 1: occupied 00:10-01:15. Bay 2: occupied from its re-seed line at 01:00 to 01:30.
+    assert [w.records for w in result.windows] == [
+        [RollupRecord(1, 3000, 0.8333), RollupRecord(2, 0, 0.0)],
+        [RollupRecord(1, 900, 0.25), RollupRecord(2, 1800, 0.5)],
+    ]
+    same_replay(result, replay(log_path, 3600, None, monkeypatch, line_by_line=True)[0])
+
+
+def test_a_skipped_reseed_block_leaves_the_lot_of_its_last_bay(tmp_path, monkeypatch):
+    hour = 3_600_000
+    table = {1: BayState(1, "A", BayStatus.OCCUPIED, EPOCH_MS + hour),
+             2: BayState(2, "B", BayStatus.FREE, EPOCH_MS + hour)}
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join([
+        eventlog.event_line(EventKind.SNAPSHOT, EPOCH_MS, "A", 1, BayStatus.FREE),
+        eventlog.event_line(EventKind.SNAPSHOT, EPOCH_MS, "B", 2, BayStatus.FREE),
+        eventlog.event_line(EventKind.UPDATE, EPOCH_MS + 600_000, "A", 1, BayStatus.OCCUPIED),
+        protocol.encode_line(eventlog.flush_record(EPOCH_MS + hour, EPOCH_MS)),
+        eventlog.reseed_lines(table, EPOCH_MS + hour),
+        protocol.encode_line(eventlog.flush_record(EPOCH_MS + 2 * hour, EPOCH_MS + hour)),
+    ]))
+    result, decoded = replay(log_path, 3600, tmp_path / "replay", monkeypatch)
+    assert len(decoded) == 5
+    # The first window is named by the update's lot, the second by bay 2's re-seed line.
+    assert [p.name for p in result.csv_paths] == [
+        "rollup_A_20181119T000000Z.csv", "rollup_B_20181119T010000Z.csv",
+    ]
+    same_replay(result, replay(log_path, 3600, tmp_path / "ref", monkeypatch, line_by_line=True)[0])
+
+
+@pytest.mark.parametrize("cut", ["mid-line", "line end"])
+def test_replay_of_a_log_cut_inside_a_reseed_block_is_the_line_by_line_fold(
+    hourly_run, tmp_path, monkeypatch, cut
+):
+    lines = log_lines(hourly_run / "agent.log")
+    third = reseed_line_indexes(lines)[2]  # the third line of the first block
+    body = b"".join(lines[:third])
+    log_path = tmp_path / "cut.log"
+    log_path.write_bytes(body + (lines[third][:20] if cut == "mid-line" else b""))
+    result, _ = replay(log_path, 3600, tmp_path / "replay", monkeypatch)
+    assert result.skipped_lines == (cut == "mid-line")
+    reference, _ = replay(log_path, 3600, tmp_path / "ref", monkeypatch, line_by_line=True)
+    same_replay(result, reference)
+
+
+def test_crash_day_replays_to_its_live_csvs(tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    harness.run_sim(harness.parse_scenario(SCENARIO_DIR / "crash_day.scenario"), run)
+    result, decoded = replay(run / "agent.log", 3600, tmp_path / "replay", monkeypatch)
+    assert [p.name for p in result.csv_paths] == [p.name for p in run_csvs(run)]
+    assert [p.read_bytes() for p in result.csv_paths] == [p.read_bytes() for p in run_csvs(run)]
+    reference, every = replay(run / "agent.log", 3600, tmp_path / "ref", monkeypatch,
+                              line_by_line=True)
+    same_replay(result, reference)
+    assert len(every) - len(decoded) == len(reseed_line_indexes(log_lines(run / "agent.log")))
 
 
 def test_replay_rejects_bad_window():
