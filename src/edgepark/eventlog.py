@@ -19,9 +19,10 @@ the event's dict; markers are dicts passed through ``encode_line``, and
 hub rows come from ``hub.store_row_line``. A roll-up's flush marker and
 re-seed lines are one append: one write and one flush. ``reseed_lines``
 is the one rendering of a window's re-seed block, one snapshot line per
-bay at the boundary. Replay renders it again from its own table and
-steps past the block when the log holds exactly those bytes
-(``LogRecords.consume``), so it decodes only the lines that differ.
+bay at the boundary. At every flush marker, replay credits its table up
+to the marker's ts, renders the block again from it and steps past the
+block when the log holds exactly those bytes (``LogRecords.consume``),
+so it decodes only the lines that differ.
 
 Torn tails: a final line without its newline is a crash leftover. Reading
 drops it; opening a writer cuts it off, so the next record starts on a

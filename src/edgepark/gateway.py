@@ -10,6 +10,7 @@ and off by default.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from functools import partial
@@ -84,8 +85,8 @@ class TraceItem(NamedTuple):
 class SimTrace:
     """A scripted run: initial statuses plus every status change, in time order.
 
-    A generated or read trace produces its items as they are taken, so
-    its items can be iterated once.
+    A generated trace draws each item as it is taken, a read trace reads
+    it, so the items of either can be iterated once.
     """
 
     lot_id: str
@@ -95,19 +96,14 @@ class SimTrace:
     items: Iterable[TraceItem]
 
 
-# Virtual time the generator draws ahead at once: every bay's changes in
-# one span are drawn, sorted and handed on together.
-TRACE_SPAN_MS = 3_600_000
-
-
 def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     """Seeded per-bay alternating occupied/free trace, merged by time.
 
     Initial status is drawn with the long-run occupied fraction; dwell
     times are exponential with the configured means. Identical config and
     duration always produce the identical trace. The arguments are checked
-    and the initial statuses drawn now; the changes are drawn one span of
-    TRACE_SPAN_MS at a time, as the items are taken.
+    and the initial statuses drawn now; each bay's changes are drawn as the
+    merge of the bays, in (sim_ts, bay_id) order, takes them.
     """
     # Bay b draws from child b - 1 of the seed (rng.Generator), so a bay's
     # draws do not depend on how many bays there are.
@@ -125,7 +121,8 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         )
         initial[bay_id] = status
         bays.append(_bay_changes(rng, bay_id, status, model, duration_ms))
-    items = chain.from_iterable(_spans(bays, duration_ms))
+    # (sim_ts, bay_id) is unique, so the merge never compares two statuses.
+    items = heapq.merge(*bays)
     return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, items)
 
 
@@ -149,23 +146,6 @@ def _bay_changes(
         status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
         yield TraceItem(ts, bay_id, status)
         prev_ts = ts
-
-
-def _spans(bays: list[Iterator[TraceItem]], duration_ms: int) -> Iterator[list[TraceItem]]:
-    """Every bay's changes, one span of virtual time at a time, each span in
-    (sim_ts, bay_id) order. Spans partition time, so this is the order of
-    the whole trace: unique, as each bay's timestamps strictly increase."""
-    heads = [next(bay, None) for bay in bays]
-    for span_end in range(TRACE_SPAN_MS, duration_ms + TRACE_SPAN_MS, TRACE_SPAN_MS):
-        span: list[TraceItem] = []
-        for i, bay in enumerate(bays):
-            item = heads[i]
-            while item is not None and item.sim_ts < span_end:
-                span.append(item)
-                item = next(bay, None)
-            heads[i] = item
-        span.sort()
-        yield span
 
 
 # ---------------------------------------------------------------------------

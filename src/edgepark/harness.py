@@ -53,6 +53,7 @@ from .occupancy import (
     RollupRecord,
     RollupWindow,
     rollup,
+    update_occupation_time,
 )
 from .oracle import oracle_windows
 from .transport import VirtualNetwork
@@ -385,15 +386,15 @@ def replay_log(
     """Feed an event log through the accounting core from a clean table.
 
     Window boundaries are re-derived on the epoch-aligned grid (default:
-    midnight UTC of the first record), flush markers in the log are
-    redundant against that grid, disconnect markers invalidate statuses,
-    and rejected events are skipped; apply_event's warnings are summed in
-    one WARNING. Running twice yields byte-identical CSVs.
+    midnight UTC of the first record), disconnect markers invalidate
+    statuses, and rejected events are skipped; apply_event's warnings are
+    summed in one WARNING. Running twice yields byte-identical CSVs.
 
-    The re-seed block after a flush marker at the boundary just closed is
-    checked by its bytes: one that is ``eventlog.reseed_lines`` of the
-    table is skipped, as folding it would change nothing but the lot seen.
-    Any other line is decoded and folded.
+    Every flush marker, on this grid or off it, credits each occupied bay
+    up to its ts, as the agent's roll-up did. The re-seed block after it is
+    checked by its bytes: one that is ``eventlog.reseed_lines`` of the table
+    is skipped, as folding it would change no status or total, only the lot
+    seen. Any other line is decoded and folded.
     """
     if window_sec < 1:
         raise ValueError("window must be at least 1 s")
@@ -402,13 +403,6 @@ def replay_log(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     windows: list[ReplayWindow] = []
-
-    def emit(window: RollupWindow, totals: dict[int, int], recs: list[RollupRecord], lot: str) -> None:
-        csv_path = None
-        if out is not None:
-            csv_path = write_csv(recs, window, lot, out)
-        windows.append(ReplayWindow(window, totals, recs, csv_path))
-
     window_start: int | None = None  # set by the first record
     table: dict[int, Any] = {}
     warnings: Counter[str] = Counter()
@@ -419,7 +413,8 @@ def replay_log(
         nonlocal window_start, has_observations
         window = RollupWindow(window_start, window_start + period)
         recs, totals = rollup(table, window)
-        emit(window, totals, recs, lot_seen)
+        csv_path = write_csv(recs, window, lot_seen, out) if out is not None else None
+        windows.append(ReplayWindow(window, totals, recs, csv_path))
         window_start = window.end
         has_observations = False
 
@@ -428,14 +423,14 @@ def replay_log(
             ts = eventlog.record_ts(record)
             if window_start is None:
                 window_start = window_floor(ts, period, epoch_ms)
-            if ts >= window_start + period:
-                while ts >= window_start + period:
-                    close_window()
-                # Every bay's interval now starts at the boundary: the table's own
-                # re-seed lines would keep each bay's status and ts.
-                if (ts == window_start and table and record.get("marker") == eventlog.MARKER_FLUSH
-                        and records.consume(eventlog.reseed_lines(table, ts))):
+            while ts >= window_start + period:
+                close_window()
+            if record.get("marker") == eventlog.MARKER_FLUSH and table:
+                # Credit up to ts, as the roll-up did: the re-seed lines credit nothing.
+                update_occupation_time(table, ts)
+                if records.consume(eventlog.reseed_lines(table, ts)):
                     lot_seen = table[max(table)].lot_id
+                    has_observations |= ts > window_start
                     continue
             applied = eventlog.apply_record(table, record, warnings)
             if applied is not None:
@@ -448,8 +443,8 @@ def replay_log(
                 has_observations = True
 
     if window_start is None:  # no record: one empty window
-        emit(RollupWindow(0, period), {}, [], UNKNOWN_LOT)
-    elif has_observations:
+        window_start, has_observations = 0, True
+    if has_observations:
         # A log that simply stops mid-window (a crash leftover) still gets its
         # in-progress window closed; a log ending at a flush boundary does not.
         close_window()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from edgepark import gateway, protocol
+from edgepark import protocol
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import (
     FaultPlan,
@@ -141,14 +141,13 @@ def test_generate_trace_draws_numpy_s_trace_on_every_benchmark_workload(workload
 
 @pytest.mark.parametrize("bays", [0, 1, 50, 125])
 @pytest.mark.parametrize("seed", [0, 1, 31, 104729])
-def test_streamed_generator_draws_the_eager_trace_item_for_item(bays, seed, monkeypatch):
-    span = gateway.TRACE_SPAN_MS
-    for duration_ms in (span // 2, 5 * span // 2 + 1):  # under one span; not a multiple of it
+def test_streamed_generator_draws_the_eager_trace_item_for_item(bays, seed):
+    hour = 3_600_000
+    for duration_ms in (hour // 2, 5 * hour // 2 + 1):  # under an hour; not a multiple of it
         model = config(bays=bays, seed=seed, occ=20.0, free=10.0)
         assert streamed(model, duration_ms) == eager_trace(model, duration_ms)
     # Dwell times of a fraction of a millisecond: each change is bumped +1 ms
-    # past the last, in runs that cross the boundaries of 100 ms spans.
-    monkeypatch.setattr(gateway, "TRACE_SPAN_MS", 100)
+    # past the last, in runs that cross the 100 ms and 200 ms marks.
     model = config(bays=bays, seed=seed, occ=1e-5, free=1e-5)
     initial, items = streamed(model, 250)
     assert (initial, items) == eager_trace(model, 250)

@@ -12,7 +12,7 @@ from edgepark import eventlog, harness, protocol
 from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore, read_csv_records
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import (
-    BayState, BayStatus, EventKind, InvariantViolationError, RollupRecord,
+    BayState, BayStatus, EventKind, InvariantViolationError, RollupRecord, RollupWindow,
 )
 
 from conftest import DAY_MS, EPOCH_MS, make_scenario, traced_peak, update_lines
@@ -503,9 +503,15 @@ def test_replay_of_a_log_cut_inside_a_reseed_block_is_the_line_by_line_fold(
     same_replay(result, reference)
 
 
-def test_crash_day_replays_to_its_live_csvs(tmp_path, monkeypatch):
-    run = tmp_path / "run"
+@pytest.fixture(scope="module")
+def crash_day_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("crash_day") / "run"
     harness.run_sim(harness.parse_scenario(SCENARIO_DIR / "crash_day.scenario"), run)
+    return run
+
+
+def test_crash_day_replays_to_its_live_csvs(crash_day_run, tmp_path, monkeypatch):
+    run = crash_day_run
     result, decoded = replay(run / "agent.log", 3600, tmp_path / "replay", monkeypatch)
     assert [p.name for p in result.csv_paths] == [p.name for p in run_csvs(run)]
     assert [p.read_bytes() for p in result.csv_paths] == [p.read_bytes() for p in run_csvs(run)]
@@ -513,6 +519,88 @@ def test_crash_day_replays_to_its_live_csvs(tmp_path, monkeypatch):
                               line_by_line=True)
     same_replay(result, reference)
     assert len(every) - len(decoded) == len(reseed_line_indexes(log_lines(run / "agent.log")))
+
+
+def bay_totals(result):
+    """Each bay's occupied ms, summed over the replay's windows."""
+    totals = {}
+    for rw in result.windows:
+        for bay_id, ms in rw.totals_ms.items():
+            totals[bay_id] = totals.get(bay_id, 0) + ms
+    return totals
+
+
+@pytest.mark.parametrize("window_sec", [3600, 5400, 86_400])
+@pytest.mark.parametrize("line_by_line", [False, True])
+def test_replay_credits_occupancy_across_a_flush_marker_at_any_window_length(
+    tmp_path, monkeypatch, window_sec, line_by_line
+):
+    hour = 3_600_000
+
+    def line(ts, status, src="update"):
+        return eventlog.event_line(EventKind(src), EPOCH_MS + ts, "L", 1, BayStatus(status))
+
+    def flush(ts):
+        return protocol.encode_line(eventlog.flush_record(EPOCH_MS + ts, EPOCH_MS + ts - hour))
+
+    # Bay 1 occupied 00:30-02:30, rolled up hourly: a flush marker and its
+    # re-seed line at 01:00, 02:00 and 03:00.
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join([
+        line(0, "free", "snapshot"), line(hour // 2, "occupied"),
+        flush(hour), line(hour, "occupied", "snapshot"),
+        flush(2 * hour), line(2 * hour, "occupied", "snapshot"),
+        line(5 * hour // 2, "free"),
+        flush(3 * hour), line(3 * hour, "free", "snapshot"),
+    ]))
+    result, decoded = replay(log_path, window_sec, tmp_path / "replay", monkeypatch,
+                             line_by_line=line_by_line)
+    assert len(decoded) == (9 if line_by_line else 6)
+    assert bay_totals(result) == {1: 7_200_000}
+    assert sum(rw.records[0].occupation_time_sec for rw in result.windows) == 7200
+
+
+@pytest.mark.parametrize("reseed", ["as written", "spaced"])
+def test_crash_day_daily_replay_is_the_sum_of_its_hourly_replay(
+    crash_day_run, tmp_path, monkeypatch, reseed
+):
+    log_path = crash_day_run / "agent.log"
+    hourly, _ = replay(log_path, 3600, None, monkeypatch)
+    if reseed == "spaced":
+        lines = log_lines(log_path)
+        for i in reseed_line_indexes(lines):
+            lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"  # ", " and ": "
+        log_path = tmp_path / "spaced.log"
+        log_path.write_bytes(b"".join(lines))
+    daily, _ = replay(log_path, 86_400, None, monkeypatch)
+    assert [rw.window for rw in daily.windows] == [
+        RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS)
+    ]
+    assert daily.windows[0].totals_ms == bay_totals(hourly)
+    assert sum(bay_totals(hourly).values()) > 0
+
+
+@pytest.mark.parametrize("line_by_line", [False, True])
+def test_a_log_ending_after_an_off_grid_flush_block_closes_its_window(
+    tmp_path, monkeypatch, line_by_line
+):
+    hour = 3_600_000
+    table = {1: BayState(1, "L", BayStatus.OCCUPIED, EPOCH_MS + hour)}
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join([
+        eventlog.event_line(EventKind.SNAPSHOT, EPOCH_MS, "L", 1, BayStatus.FREE),
+        eventlog.event_line(EventKind.UPDATE, EPOCH_MS + hour // 2, "L", 1, BayStatus.OCCUPIED),
+        protocol.encode_line(eventlog.flush_record(EPOCH_MS + hour, EPOCH_MS)),
+        eventlog.reseed_lines(table, EPOCH_MS + hour),
+    ]))
+    result, decoded = replay(log_path, 86_400, tmp_path / "replay", monkeypatch,
+                             line_by_line=line_by_line)
+    # The log stops mid-window, so the window is closed and the bay credited to its
+    # end, across the flush marker.
+    assert [rw.window for rw in result.windows] == [RollupWindow(EPOCH_MS, EPOCH_MS + DAY_MS)]
+    assert [p.name for p in result.csv_paths] == ["rollup_L_20181119T000000Z.csv"]
+    assert result.windows[0].totals_ms == {1: DAY_MS - hour // 2}
+    assert len(decoded) == (4 if line_by_line else 3)
 
 
 def test_replay_rejects_bad_window():
