@@ -122,30 +122,33 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         initial[bay_id] = status
         bays.append(_bay_changes(rng, bay_id, status, model, duration_ms))
     # (sim_ts, bay_id) is unique, so the merge never compares two statuses.
-    items = heapq.merge(*bays)
+    items = heapq.merge(*map(chain.from_iterable, bays))
     return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, items)
 
 
 def _bay_changes(
     rng: Generator, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
-) -> Iterator[TraceItem]:
-    """One bay's status changes in time order, each drawn as it is taken."""
+) -> Iterator[list[TraceItem]]:
+    """One bay's status changes in time order, drawn in runs of 16 as they are taken."""
     mean_ms = {
         BayStatus.OCCUPIED: model.mean_occupied_min * 60_000.0,
         BayStatus.FREE: model.mean_free_min * 60_000.0,
     }
     t = 0.0
     prev_ts = -1
+    run: list[TraceItem] = []
     while True:
         t += rng.exponential(mean_ms[status])
-        if t >= duration_ms:
-            return
         ts = max(int(t), prev_ts + 1)  # keep per-bay timestamps strictly increasing
-        if ts >= duration_ms:
+        if ts >= duration_ms:  # t >= duration_ms too, as duration_ms is whole
+            yield run
             return
         status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
-        yield TraceItem(ts, bay_id, status)
+        run.append(TraceItem(ts, bay_id, status))
         prev_ts = ts
+        if len(run) == 16:
+            yield run
+            run = []
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +327,6 @@ class GatewayCore:
 
     def _on_message(self, conn: Any, message: dict[str, Any]) -> None:
         mtype = message.get("type")
-        if mtype == "hello":
-            if self._offline():  # accepted before the outage began: dropped unserved
-                conn.close()
-                return
-            snapshot = protocol.bays_message(
-                self.config.lot_id,
-                [(bay_id, self.current[bay_id].value) for bay_id in sorted(self.current)],
-            )
-            try:
-                conn.send(protocol.encode_line(snapshot))
-            except ConnectionError:
-                return
-            if conn not in self.sessions:
-                self.sessions.append(conn)
-            return
         if mtype == "ping":
             seq = message.get("seq")
             if not protocol.is_wire_int(seq):
@@ -355,6 +343,21 @@ class GatewayCore:
                     conn.send(protocol.pong_line(seq))
                 except ConnectionError:
                     pass
+            return
+        if mtype == "hello":
+            if self._offline():  # accepted before the outage began: dropped unserved
+                conn.close()
+                return
+            snapshot = protocol.bays_message(
+                self.config.lot_id,
+                [(bay_id, self.current[bay_id].value) for bay_id in sorted(self.current)],
+            )
+            try:
+                conn.send(protocol.encode_line(snapshot))
+            except ConnectionError:
+                return
+            if conn not in self.sessions:
+                self.sessions.append(conn)
             return
         self._reject(conn, f"unknown message type {mtype!r}")
 

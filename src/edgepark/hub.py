@@ -3,15 +3,15 @@
 Persistence is one append-only JSON-lines file per lot with an in-memory
 key index rebuilt on startup. A record is durable on disk before its ack
 is sent, so an acked upload survives a hub restart; duplicate deliveries
-of one idempotency key are acked but stored once. The files are read and
-appended with the event log's reader and writer, so a torn final line
-left by a crash is dropped on load and cut off before the next append.
+of one idempotency key are acked but stored once. The event log's reader
+loads the files; its writer appends, one per lot kept open until close().
+A torn final line left by a crash is dropped on load and cut off as a
+lot's writer opens: at its first receive and after an append that raised.
 """
 
 from __future__ import annotations
 
 import logging
-from contextlib import closing
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -75,6 +75,7 @@ class RollupStore:
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
         self._by_key: dict[str, protocol.RollupEnvelope] = {}
+        self._writers: dict[str, eventlog.EventLogWriter] = {}  # by lot id
         self.skipped_rows = 0
         self._load()
 
@@ -101,11 +102,21 @@ class RollupStore:
         """Persist a validated envelope; returns False for a duplicate key."""
         if envelope.key in self._by_key:
             return False
-        path = self.store_dir / f"{envelope.lot_id}.jsonl"
-        with closing(eventlog.EventLogWriter(path, fsync=self._fsync)) as writer:
+        writer = self._writers.pop(envelope.lot_id, None) or eventlog.EventLogWriter(
+            self.store_dir / f"{envelope.lot_id}.jsonl", fsync=self._fsync)
+        try:
             writer.append(store_row_line(envelope, received_at))
+        except BaseException:  # dropped: the next receive opens the file and cuts a torn row
+            writer.close()
+            raise
+        self._writers[envelope.lot_id] = writer
         self._by_key[envelope.key] = envelope
         return True
+
+    def close(self) -> None:
+        """Close every lot's file; a later receive opens its lot's file again."""
+        while self._writers:
+            self._writers.popitem()[1].close()
 
     def query_daily(self, lot_id: str, window_start: int) -> tuple[RollupRecord, ...] | None:
         envelope = self._by_key.get(protocol.envelope_key(lot_id, window_start))
@@ -172,6 +183,7 @@ class HubCore:
     def stop(self) -> None:
         if self.listener is not None:
             self.listener.close()
+        self.store.close()
 
     def _accept(self, conn: Any) -> None:
         conn.on_message = partial(self._on_message, conn)

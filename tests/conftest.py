@@ -144,6 +144,23 @@ def kill_built_agents():
         _built_agents.pop().kill()
 
 
+# Every store a helper opens, closed when its test ends: a store keeps each
+# lot's file open, and no file handle may outlive the test.
+_opened_stores: list[RollupStore] = []
+
+
+def open_store(store_dir) -> RollupStore:
+    _opened_stores.append(RollupStore(store_dir, fsync=False))
+    return _opened_stores[-1]
+
+
+@pytest.fixture(autouse=True)
+def close_opened_stores():
+    yield
+    while _opened_stores:
+        _opened_stores.pop().close()
+
+
 class SimRig:
     """Gateway + hub + agent wired in-process under one virtual clock."""
 
@@ -169,7 +186,7 @@ class SimRig:
             faults=faults or FaultPlan(),
         )
         self.gateway = GatewayCore(self.sched, self.net, gw_config, trace)
-        self.store = RollupStore(tmp_path / "hub_store", fsync=False)
+        self.store = open_store(tmp_path / "hub_store")
         self.hub = HubCore(self.sched, self.net, self.store, HUB_ADDRESS, drop_acks=drop_acks)
         self.agent_config = AgentConfig(
             gateway_address=GATEWAY_ADDRESS,

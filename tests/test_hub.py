@@ -7,11 +7,11 @@ import pytest
 
 from edgepark import protocol
 from edgepark.clock import VirtualScheduler
-from edgepark.hub import HubCore, RollupStore, fleet_average_hours, store_row_line
+from edgepark.hub import HubCore, fleet_average_hours, store_row_line
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import VirtualNetwork
 
-from conftest import DAY_MS, EPOCH_MS
+from conftest import DAY_MS, EPOCH_MS, open_store
 
 
 def envelope(lot="LOT-A", start=EPOCH_MS, records=None, period=DAY_MS):
@@ -31,14 +31,14 @@ def full_day_records(sec, bays=22):
 
 
 def test_fresh_envelope_stored(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     assert store.receive(envelope(), received_at=1) is True
     assert len(store) == 1
     assert store.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
 
 
 def test_duplicate_key_stored_once(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     for i in range(5):
         stored = store.receive(envelope(), received_at=i)
         assert stored is (i == 0)
@@ -48,35 +48,35 @@ def test_duplicate_key_stored_once(tmp_path):
 
 
 def test_two_windows_two_records(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(start=EPOCH_MS), received_at=1)
     store.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=2)
     assert len(store) == 2
 
 
 def test_unknown_window_is_not_found(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     assert store.query_daily("LOT-A", EPOCH_MS) is None
 
 
 def test_ack_implies_durable_across_restart(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(), received_at=42)
-    reopened = RollupStore(tmp_path, fsync=False)
+    reopened = open_store(tmp_path)
     assert reopened.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
     # Duplicate after restart still deduped.
     assert reopened.receive(envelope(), received_at=43) is False
 
 
 def test_store_survives_torn_append(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(start=EPOCH_MS), received_at=1)
     with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
         fh.write(b'{"key":"L:864')  # crash mid-append: no newline
-    reopened = RollupStore(tmp_path, fsync=False)
+    reopened = open_store(tmp_path)
     assert len(reopened) == 1
     assert reopened.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=2) is True
-    again = RollupStore(tmp_path, fsync=False)
+    again = open_store(tmp_path)
     assert again.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
     assert again.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 100, 0.0012),)
 
@@ -133,7 +133,7 @@ def test_store_row_line_is_encode_line_of_the_row(tmp_path):
 
 def test_receive_writes_the_encode_line_bytes_of_each_row(tmp_path, monkeypatch):
     rng = random.Random(12)
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     kept = []
     with monkeypatch.context() as patched:
         patched.setattr(protocol, "encode_line", lambda row: pytest.fail("row through encode_line"))
@@ -155,7 +155,7 @@ def test_receive_writes_the_encode_line_bytes_of_each_row(tmp_path, monkeypatch)
 
 
 def test_weekly_report_single_uniform_day(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(records=full_day_records(27_000)), received_at=1)
     report = store.weekly_report("LOT-A", EPOCH_MS)
     assert report["perDayFleetAvgHours"][0] == pytest.approx(7.5)
@@ -165,7 +165,7 @@ def test_weekly_report_single_uniform_day(tmp_path):
 
 
 def test_weekly_report_min_max_extremes(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(
         envelope(start=EPOCH_MS, records=[RollupRecord(4, 86_400, 1.0)]), received_at=1
     )
@@ -180,7 +180,7 @@ def test_weekly_report_min_max_extremes(tmp_path):
 
 
 def test_weekly_report_requires_at_least_one_day(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     assert store.weekly_report("LOT-A", EPOCH_MS) is None
 
 
@@ -188,7 +188,7 @@ def test_weekly_report_consistent_with_daily_queries(tmp_path):
     import random
 
     rng = random.Random(11)
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     for day in range(7):
         if day == 3:
             continue  # missing day stays missing
@@ -213,7 +213,7 @@ class HubProbe:
     def __init__(self, tmp_path, drop_acks=0):
         self.sched = VirtualScheduler(EPOCH_MS)
         self.net = VirtualNetwork(self.sched)
-        self.store = RollupStore(tmp_path / "store", fsync=False)
+        self.store = open_store(tmp_path / "store")
         self.hub = HubCore(self.sched, self.net, self.store, "sim://hub", drop_acks=drop_acks)
         self.hub.start()
         self.received = []
@@ -483,11 +483,11 @@ GOOD_ROW = {
          "bad-key", "record-without-rate", "unsorted-records"],
 )
 def test_a_bad_stored_row_is_skipped_logged_and_counted(tmp_path, row, caplog):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(), received_at=1)
     with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
         fh.write(protocol.encode_line(row) + protocol.encode_line(GOOD_ROW))
-    reopened = RollupStore(tmp_path, fsync=False)
+    reopened = open_store(tmp_path)
     assert reopened.skipped_rows == 1
     assert "skipping bad stored row" in caplog.text
     assert len(reopened) == 2  # the rows before and after it are kept
@@ -496,19 +496,19 @@ def test_a_bad_stored_row_is_skipped_logged_and_counted(tmp_path, row, caplog):
 
 
 def test_load_counts_a_torn_row_as_skipped(tmp_path):
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     store.receive(envelope(), received_at=1)
     with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
         fh.write(b'{"key":"L:864')
-    assert RollupStore(tmp_path, fsync=False).skipped_rows == 1
+    assert open_store(tmp_path).skipped_rows == 1
 
 
 def test_a_stored_row_loads_as_the_rollup_it_stored(tmp_path):
     rng = random.Random(5)
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     for i in range(200):
         store.receive(protocol.parse_rollup_envelope(random_wire_envelope(rng)), received_at=i)
-    reopened = RollupStore(tmp_path, fsync=False)
+    reopened = open_store(tmp_path)
     assert reopened.skipped_rows == 0
     assert reopened.lots() == store.lots()
     for lot in store.lots():
@@ -518,7 +518,7 @@ def test_a_stored_row_loads_as_the_rollup_it_stored(tmp_path):
 def test_receive_indexes_a_key_only_after_its_append_returns(tmp_path, monkeypatch):
     from edgepark import eventlog
 
-    store = RollupStore(tmp_path, fsync=False)
+    store = open_store(tmp_path)
     real_append = eventlog.EventLogWriter.append
 
     def failing_append(self, line):
@@ -530,4 +530,79 @@ def test_receive_indexes_a_key_only_after_its_append_returns(tmp_path, monkeypat
     assert len(store) == 0
     monkeypatch.setattr(eventlog.EventLogWriter, "append", real_append)
     assert store.receive(envelope(), received_at=2) is True
-    assert RollupStore(tmp_path, fsync=False).query_daily("LOT-A", EPOCH_MS) is not None
+    assert open_store(tmp_path).query_daily("LOT-A", EPOCH_MS) is not None
+
+
+@pytest.fixture
+def lot_writers(monkeypatch):
+    """Every EventLogWriter the store constructs, in order."""
+    from edgepark import eventlog
+
+    writers = []
+
+    class TrackedWriter(eventlog.EventLogWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(self)
+
+    monkeypatch.setattr(eventlog, "EventLogWriter", TrackedWriter)
+    return writers
+
+
+def test_receives_into_one_lot_open_its_file_once(tmp_path, lot_writers):
+    store = open_store(tmp_path)
+    for day in range(30):
+        assert store.receive(envelope(start=EPOCH_MS + day * DAY_MS), received_at=day) is True
+    assert store.receive(envelope(), received_at=30) is False
+    assert store.receive(envelope(lot="LOT-B"), received_at=31) is True
+    assert [w.path for w in lot_writers] == [tmp_path / "LOT-A.jsonl", tmp_path / "LOT-B.jsonl"]
+    assert len((tmp_path / "LOT-A.jsonl").read_bytes().splitlines()) == 30
+
+
+def test_a_failed_append_leaves_no_torn_row(tmp_path, monkeypatch, lot_writers):
+    from edgepark import eventlog
+
+    store = open_store(tmp_path)
+    assert store.receive(envelope(start=EPOCH_MS), received_at=1) is True
+
+    def torn_append(self, line):  # half the row reaches the file, then the disk fills
+        self._fh.write(line[: len(line) // 2])
+        self._fh.flush()
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(eventlog.EventLogWriter, "append", torn_append)
+        with pytest.raises(OSError, match="disk full"):
+            store.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=2)
+    assert not (tmp_path / "LOT-A.jsonl").read_bytes().endswith(b"\n")
+    assert lot_writers[0]._fh.closed  # the failed writer is closed and dropped
+    assert len(store) == 1
+    assert store.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=3) is True
+    assert len(lot_writers) == 2  # reopened, cutting the torn half row
+    reopened = open_store(tmp_path)
+    assert reopened.skipped_rows == 0
+    assert len(reopened) == 2
+    rows = (tmp_path / "LOT-A.jsonl").read_bytes().splitlines(keepends=True)
+    assert rows == [store_row_line(envelope(start=EPOCH_MS), 1),
+                    store_row_line(envelope(start=EPOCH_MS + DAY_MS), 3)]
+
+
+def test_hub_stop_closes_every_lot_file_and_a_later_receive_reopens_one(tmp_path, lot_writers):
+    probe = HubProbe(tmp_path)
+    for lot in ("LOT-A", "LOT-B"):
+        probe.send(protocol.encode_rollup_envelope(
+            lot, EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 60, 0.0007)]
+        ))
+    assert [w.path.name for w in lot_writers] == ["LOT-A.jsonl", "LOT-B.jsonl"]
+    assert not any(w._fh.closed for w in lot_writers)
+    probe.hub.stop()
+    assert all(w._fh.closed for w in lot_writers)
+    probe.store.close()  # idempotent
+    # A receive after close() opens its lot's file again: the row is stored
+    # and the key deduped as before, until the next close().
+    assert probe.store.receive(envelope(start=EPOCH_MS + DAY_MS), received_at=5) is True
+    assert probe.store.receive(envelope(lot="LOT-B"), received_at=6) is False
+    assert len(lot_writers) == 3 and not lot_writers[2]._fh.closed
+    probe.store.close()
+    assert lot_writers[2]._fh.closed
+    assert len(open_store(tmp_path / "store")) == 3
