@@ -530,8 +530,9 @@ class EdgeAgentCore:
         self.ping_seq = 0
         self.last_pong_seq = 0
         self.missed_pongs = 0
-        self._poll_ms = self.config.poll_interval_ms  # read once per session
-        self._ping_timer = self.sched.call_at(session_start + self._poll_ms, self._ping_tick)
+        self._ping_timer = self.sched.call_at(
+            session_start + self.config.poll_interval_ms, self._ping_tick
+        )
 
     def _ping_tick(self) -> None:
         if self.ping_seq > 0 and self.last_pong_seq < self.ping_seq:
@@ -548,7 +549,9 @@ class EdgeAgentCore:
             self._end_session("ping send failed")
             return
         self.pings_sent += 1
-        self._ping_timer = self.sched.call_later(self._poll_ms, self._ping_tick)
+        self._ping_timer = self.sched.call_later(
+            self.config.poll_interval_ms, self._ping_tick
+        )
 
     # ------------------------------------------------------------------
     # roll-up schedule

@@ -39,8 +39,7 @@ class Handle:
 class _EventQueue:
     """The queue both schedulers share: a heap of (due, priority, seq, handle, fn, args).
 
-    Subclasses supply now_ms() and call_at(), which pushes one entry, and
-    which post() and call_later() use (VirtualScheduler's read its _now).
+    Subclasses supply now_ms() and call_at(), which pushes one entry.
     """
 
     def __init__(self) -> None:
@@ -73,13 +72,6 @@ class VirtualScheduler(_EventQueue):
 
     def now_ms(self) -> int:
         return self._now
-
-    def call_later(self, delay_ms: int, fn: Callable[..., None], *args: Any,
-                   priority: int = PRIORITY_DELIVERY) -> Handle:
-        return self.call_at(self._now + max(0, int(delay_ms)), fn, *args, priority=priority)
-
-    def post(self, fn: Callable[..., None], *args: Any) -> Handle:
-        return self.call_at(self._now, fn, *args)
 
     def call_at(self, due_ms: int, fn: Callable[..., None], *args: Any,
                 priority: int = PRIORITY_DELIVERY) -> Handle:

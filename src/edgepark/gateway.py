@@ -28,6 +28,7 @@ from .rng import Generator
 log = logging.getLogger(__name__)
 
 DEFAULT_BAY_COUNT = 22
+_RUN = 16  # trace changes a bay draws at a time: resuming it per change costs more
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     Initial status is drawn with the long-run occupied fraction; dwell
     times are exponential with the configured means. Identical config and
     duration always produce the identical trace. The arguments are checked
-    and the initial statuses drawn now; each bay's changes are drawn as the
-    merge of the bays, in (sim_ts, bay_id) order, takes them.
+    and the initial statuses drawn now; each bay's changes are drawn in runs
+    of _RUN as the merge of the bays, in (sim_ts, bay_id) order, reaches them.
     """
     # Bay b draws from child b - 1 of the seed (rng.Generator), so a bay's
     # draws do not depend on how many bays there are.
@@ -111,7 +112,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         raise ValueError("duration must be positive")
     model = config.model
     initial: dict[int, BayStatus] = {}
-    bays: list[Iterator[TraceItem]] = []
+    bays: list[Iterator[list[TraceItem]]] = []
     for bay_id in range(1, config.bay_count + 1):
         rng = Generator(model.seed, bay_id - 1)
         status = (
@@ -129,7 +130,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
 def _bay_changes(
     rng: Generator, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
 ) -> Iterator[list[TraceItem]]:
-    """One bay's status changes in time order, drawn in runs of 16 as they are taken."""
+    """One bay's status changes in time order, drawn in runs of _RUN."""
     mean_ms = {
         BayStatus.OCCUPIED: model.mean_occupied_min * 60_000.0,
         BayStatus.FREE: model.mean_free_min * 60_000.0,
@@ -146,7 +147,7 @@ def _bay_changes(
         status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
         run.append(TraceItem(ts, bay_id, status))
         prev_ts = ts
-        if len(run) == 16:
+        if len(run) == _RUN:
             yield run
             run = []
 
@@ -334,11 +335,8 @@ class GatewayCore:
                 return
             self.pings_received += 1
             self.last_ping_seq = seq
-            muted = (
-                self.config.faults.mute_pongs_after is not None
-                and seq > self.config.faults.mute_pongs_after
-            )
-            if not muted:
+            mute_after = self.config.faults.mute_pongs_after
+            if mute_after is None or seq <= mute_after:
                 try:
                     conn.send(protocol.pong_line(seq))
                 except ConnectionError:

@@ -3,15 +3,17 @@
 Persistence is one append-only JSON-lines file per lot with an in-memory
 key index rebuilt on startup. A record is durable on disk before its ack
 is sent, so an acked upload survives a hub restart; duplicate deliveries
-of one idempotency key are acked but stored once. The event log's reader
-loads the files; its writer appends, one per lot kept open until close().
-A torn final line left by a crash is dropped on load and cut off as a
-lot's writer opens: at its first receive and after an append that raised.
+of one idempotency key are acked but stored once. The files are read and
+appended with the event log's reader and writer; a store keeps the writers
+of its MAX_OPEN_LOTS most recently received lots open until close(). A torn
+final line left by a crash is dropped on load and cut off as a lot's file
+opens for append: at its first receive, or after its writer was closed.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -24,6 +26,7 @@ from .occupancy import RollupRecord
 log = logging.getLogger(__name__)
 
 MS_PER_DAY = 86_400_000
+MAX_OPEN_LOTS = 8  # lot ids come off the wire: bound the files a store keeps open
 
 
 def fleet_average_hours(records: Sequence[RollupRecord]) -> float:
@@ -102,11 +105,15 @@ class RollupStore:
         """Persist a validated envelope; returns False for a duplicate key."""
         if envelope.key in self._by_key:
             return False
-        writer = self._writers.pop(envelope.lot_id, None) or eventlog.EventLogWriter(
-            self.store_dir / f"{envelope.lot_id}.jsonl", fsync=self._fsync)
+        writer = self._writers.pop(envelope.lot_id, None)  # put back last: most recent
+        if writer is None:
+            if len(self._writers) >= MAX_OPEN_LOTS:
+                self._writers.pop(next(iter(self._writers))).close()
+            writer = eventlog.EventLogWriter(
+                self.store_dir / f"{envelope.lot_id}.jsonl", fsync=self._fsync)
         try:
             writer.append(store_row_line(envelope, received_at))
-        except BaseException:  # dropped: the next receive opens the file and cuts a torn row
+        except BaseException:  # dropped: the next receive reopens the file, cutting a torn row
             writer.close()
             raise
         self._writers[envelope.lot_id] = writer
@@ -181,9 +188,9 @@ class HubCore:
         self.listener = self.net.listen(self.listen_address, self._accept)
 
     def stop(self) -> None:
-        if self.listener is not None:
-            self.listener.close()
-        self.store.close()
+        with closing(self.store):  # closed even when the listener's close raises
+            if self.listener is not None:
+                self.listener.close()
 
     def _accept(self, conn: Any) -> None:
         conn.on_message = partial(self._on_message, conn)

@@ -7,7 +7,7 @@ import pytest
 
 from edgepark import protocol
 from edgepark.clock import VirtualScheduler
-from edgepark.hub import HubCore, fleet_average_hours, store_row_line
+from edgepark.hub import MAX_OPEN_LOTS, HubCore, fleet_average_hours, store_row_line
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import VirtualNetwork
 
@@ -606,3 +606,42 @@ def test_hub_stop_closes_every_lot_file_and_a_later_receive_reopens_one(tmp_path
     probe.store.close()
     assert lot_writers[2]._fh.closed
     assert len(open_store(tmp_path / "store")) == 3
+
+
+def test_a_store_keeps_at_most_max_open_lots_files_open(tmp_path, lot_writers):
+    # Lot ids come off the wire, so a store's open files are bounded.
+    store = open_store(tmp_path)
+    lots = [f"LOT-{n}" for n in range(MAX_OPEN_LOTS + 3)]
+    for n, lot in enumerate(lots):
+        assert store.receive(envelope(lot=lot), received_at=n) is True
+        assert sum(not w._fh.closed for w in lot_writers) == min(n + 1, MAX_OPEN_LOTS)
+    # The least recently received lots were closed, in the order they were opened.
+    assert [w._fh.closed for w in lot_writers] == [True] * 3 + [False] * MAX_OPEN_LOTS
+    # A receive into a kept lot reuses its writer, and makes it the most recent.
+    assert store.receive(envelope(lot=lots[3], start=EPOCH_MS + DAY_MS), received_at=20) is True
+    assert len(lot_writers) == len(lots)
+    # A closed lot opens its file again, closing the least recent other lot (lots[4]).
+    assert store.receive(envelope(lot=lots[0], start=EPOCH_MS + DAY_MS), received_at=21) is True
+    assert len(lot_writers) == len(lots) + 1
+    assert [lot for lot, w in zip(lots, lot_writers) if w._fh.closed] == lots[:3] + [lots[4]]
+    assert sum(not w._fh.closed for w in lot_writers) == MAX_OPEN_LOTS
+    store.close()
+    reopened = open_store(tmp_path)
+    assert reopened.skipped_rows == 0
+    assert len(reopened) == len(lots) + 2
+
+
+def test_hub_stop_closes_the_store_when_the_listener_close_raises(tmp_path, lot_writers):
+    probe = HubProbe(tmp_path)
+    probe.send(protocol.encode_rollup_envelope(
+        "LOT-A", EPOCH_MS, EPOCH_MS + DAY_MS, [RollupRecord(1, 60, 0.0007)]
+    ))
+
+    class FailingListener:
+        def close(self):
+            raise OSError("close failed")
+
+    probe.hub.listener = FailingListener()
+    with pytest.raises(OSError, match="close failed"):
+        probe.hub.stop()
+    assert [w._fh.closed for w in lot_writers] == [True]
