@@ -36,6 +36,7 @@ from typing import Any, Iterable
 from . import eventlog, protocol
 from .clock import PRIORITY_ROLLUP, RealScheduler, VirtualScheduler
 from .occupancy import (
+    MS_PER_DAY,
     BayState,
     EventKind,
     RollupRecord,
@@ -114,9 +115,7 @@ class AgentConfig:
 
 
 def midnight_utc(ts_ms: int) -> int:
-    dt = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc)
-    midnight = dt.replace(hour=0, minute=0, second=0, microsecond=0)
-    return int(midnight.timestamp() * 1000)
+    return ts_ms - ts_ms % MS_PER_DAY
 
 
 def window_floor(ts_ms: int, period_ms: int, epoch_ms: int | None = None) -> int:
@@ -217,18 +216,22 @@ class _RestartLog:
     """What a restart keeps from its one pass over ``agent.log``."""
 
     count: int = 0  # decodable records
+    ahead: int = 0  # records skipped for a valid ts after the restart's now
     first_ts: int | None = None  # the first valid ts
     flush_ts: int | None = None  # the last flush marker with a valid ts
     tail: list[dict[str, Any]] = field(default_factory=list)  # the records after that marker
     window_ends: dict[int, int] = field(default_factory=dict)  # flush windowStart -> its ts
 
     @classmethod
-    def fold(cls, records: Iterable[dict[str, Any]]) -> _RestartLog:
+    def fold(cls, records: Iterable[dict[str, Any]], now: int) -> _RestartLog:
         kept = cls()
         for record in records:
             kept.count += 1
             ts = record.get("ts")
             if eventlog.is_log_ts(ts):
+                if ts > now:  # logged before the clock stepped back; folded, it fails at now
+                    kept.ahead += 1
+                    continue
                 if kept.first_ts is None:
                     kept.first_ts = ts
                 if record.get("marker") == eventlog.MARKER_FLUSH:
@@ -301,17 +304,22 @@ class EdgeAgentCore:
         now = self.sched.now_ms()
         # One pass, finished before the writer opens: the writer cuts a torn tail.
         with eventlog.read_records(self.config.log_path) as records:
-            kept = _RestartLog.fold(records)
-        self.warnings["skipped_log_line"] += records.skipped  # read_records logs each one
+            kept = _RestartLog.fold(records, now)
+        # read_records logs each line it skips; _recover logs the records ahead of now.
+        self.warnings["skipped_log_line"] += records.skipped + kept.ahead
+        # The last valid flush ts, else the window of the first valid ts, else of now.
+        if kept.flush_ts is not None:
+            self.window_start = kept.flush_ts
+        else:
+            first = now if kept.first_ts is None else kept.first_ts
+            self.window_start = window_floor(
+                first, self.config.rollup_period_ms, self.config.rollup_epoch_ms
+            )
         self.log_writer = eventlog.EventLogWriter(self.config.log_path)
         try:
             Path(self.config.csv_dir).mkdir(parents=True, exist_ok=True)
             if kept.count:
                 self._recover(kept, now)
-            else:
-                self.window_start = window_floor(
-                    now, self.config.rollup_period_ms, self.config.rollup_epoch_ms
-                )
         except BaseException:
             self.log_writer.close()
             raise
@@ -354,13 +362,6 @@ class EdgeAgentCore:
     def _recover(self, kept: _RestartLog, now: int) -> None:
         self.recovered = True
         period = self.config.rollup_period_ms
-        # The window start comes from the last flush marker with a valid ts,
-        # else the first valid ts, else now (as for an empty log).
-        if kept.flush_ts is not None:
-            self.window_start = kept.flush_ts
-        else:
-            first = now if kept.first_ts is None else kept.first_ts
-            self.window_start = window_floor(first, period, self.config.rollup_epoch_ms)
         for record in kept.tail:
             try:
                 applied = eventlog.apply_record(self.table, record, self.warnings)
@@ -377,8 +378,8 @@ class EdgeAgentCore:
         invalidate_statuses(self.table, now)
         self._requeue_existing_csvs(kept.window_ends)
         log.info(
-            "recovered %d bays from %s (%d log records)",
-            len(self.table), self.config.log_path, kept.count,
+            "recovered %d bays from %s (%d log records, %d ahead of the clock skipped)",
+            len(self.table), self.config.log_path, kept.count, kept.ahead,
         )
 
     def _requeue_existing_csvs(self, window_ends: dict[int, int]) -> None:

@@ -8,7 +8,8 @@ its verification tools.
 
 Exit codes: 0 pass, or a service stopped by Ctrl-C or at the end of its
 duration; 1 verification failure; 2 configuration error; 3 component
-crash, including a service's failed start, callback or stop.
+crash: a service's failed start, callback or stop, or any error a harness
+subcommand does not refuse as configuration.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def address(text: str) -> str:
 def _parse_faults(specs: list[str]) -> FaultPlan:
     disconnects: list[tuple[int, int]] = []
     duplicate_updates = False
-    delay_ms = 0
     mute_after: int | None = None
     for spec in specs:
         kind, _, rest = spec.partition(":")
@@ -84,18 +84,11 @@ def _parse_faults(specs: list[str]) -> FaultPlan:
             disconnects.append((int(at_sec) * 1000, int(dur_sec) * 1000))
         elif kind == "duplicate-updates":
             duplicate_updates = True
-        elif kind == "delay":
-            delay_ms = int(rest)
         elif kind == "mute-pongs-after":
             mute_after = int(rest)
         else:
             raise ValueError(f"unknown fault {spec!r}")
-    return FaultPlan(
-        disconnects=tuple(disconnects),
-        duplicate_updates=duplicate_updates,
-        delay_ms=delay_ms,
-        mute_pongs_after=mute_after,
-    )
+    return FaultPlan(tuple(disconnects), duplicate_updates, mute_after)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +146,7 @@ def main_gateway(argv: list[str] | None = None) -> int:
                         help="simulated seconds per real second")
     parser.add_argument("--inject", action="append", default=[], metavar="FAULT",
                         help="disconnect:<at_sec>:<dur_sec> | duplicate-updates | "
-                             "delay:<ms> | mute-pongs-after:<seq>")
+                             "mute-pongs-after:<seq>")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
@@ -256,7 +249,7 @@ def main_hub(argv: list[str] | None = None) -> int:
 
 
 # What each harness subcommand refuses as a configuration error (exit 2).
-# Anything else run-sim raises is a component crash (exit 3).
+# Anything else a subcommand raises is a component crash (exit 3).
 HARNESS_REFUSES: dict[str, tuple[type[Exception], ...]] = {
     "run-sim": (harness.ScenarioError,),
     "replay": (ValueError, OSError),
@@ -328,9 +321,7 @@ def main_harness(argv: list[str] | None = None) -> int:
     except HARNESS_REFUSES[args.command] as exc:
         return config_error(exc)
     except Exception as exc:
-        if args.command != "run-sim":
-            raise
-        log.exception("run-sim failed")
+        log.exception("%s failed", args.command)
         print(f"component crash: {exc}", file=sys.stderr)
         return EXIT_CRASH
     return EXIT_OK

@@ -119,21 +119,18 @@ def apply_record(
     InvariantViolationError and leaves the table as it is. ``warnings``
     counts apply_event's warnings by kind.
     """
+    ts = record_ts(record)
     marker = record.get("marker")
     if marker is not None or record.get("rejected"):
-        ts = record_ts(record)
         if marker == MARKER_DISCONNECT:
             invalidate_statuses(table, ts)
         return None
-    ts = record.get("ts")
     lot_id = record.get("lotId")
     bay_id = record.get("bayId")
-    if (
-        type(ts) is not int or type(bay_id) is not int or type(lot_id) is not str
-        or "status" not in record or "src" not in record
-    ):
+    if (type(bay_id) is not int or type(lot_id) is not str
+            or "status" not in record or "src" not in record):
         raise InvariantViolationError(
-            f"log event needs integer ts and bayId, a string lotId, a status and a src, "
+            f"log event needs an integer bayId, a string lotId, a status and a src, "
             f"got {record!r}"
         )
     kind = event_kind(record["src"])

@@ -4,8 +4,7 @@ Per-bay occupancy is an alternating on/off process with exponential
 holding times, fully determined by the seed. The gateway serves the
 protocol surface the edge agent speaks: a full snapshot on handshake,
 a push per status change, and pong echoes. Fault injection (session
-drops, duplicated updates, delivery delay, muted pongs) is config-gated
-and off by default.
+drops, duplicated updates, muted pongs) is config-gated and off by default.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .rng import Generator
 log = logging.getLogger(__name__)
 
 DEFAULT_BAY_COUNT = 22
-_RUN = 16  # trace changes a bay draws at a time: resuming it per change costs more
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,6 @@ class FaultPlan:
 
     disconnects: tuple[tuple[int, int], ...] = ()  # (at_ms, duration_ms), relative
     duplicate_updates: bool = False
-    delay_ms: int = 0
     mute_pongs_after: int | None = None
 
 
@@ -103,8 +100,8 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     Initial status is drawn with the long-run occupied fraction; dwell
     times are exponential with the configured means. Identical config and
     duration always produce the identical trace. The arguments are checked
-    and the initial statuses drawn now; each bay's changes are drawn in runs
-    of _RUN as the merge of the bays, in (sim_ts, bay_id) order, reaches them.
+    and the initial statuses drawn now; each change is drawn as the merge of
+    the bays, in (sim_ts, bay_id) order, reaches it.
     """
     # Bay b draws from child b - 1 of the seed (rng.Generator), so a bay's
     # draws do not depend on how many bays there are.
@@ -112,7 +109,7 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         raise ValueError("duration must be positive")
     model = config.model
     initial: dict[int, BayStatus] = {}
-    bays: list[Iterator[list[TraceItem]]] = []
+    bays: list[Iterator[TraceItem]] = []
     for bay_id in range(1, config.bay_count + 1):
         rng = Generator(model.seed, bay_id - 1)
         status = (
@@ -123,33 +120,28 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
         initial[bay_id] = status
         bays.append(_bay_changes(rng, bay_id, status, model, duration_ms))
     # (sim_ts, bay_id) is unique, so the merge never compares two statuses.
-    items = heapq.merge(*map(chain.from_iterable, bays))
+    items = heapq.merge(*bays)
     return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, items)
 
 
 def _bay_changes(
     rng: Generator, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
-) -> Iterator[list[TraceItem]]:
-    """One bay's status changes in time order, drawn in runs of _RUN."""
+) -> Iterator[TraceItem]:
+    """One bay's status changes in time order, each drawn as it is taken."""
     mean_ms = {
         BayStatus.OCCUPIED: model.mean_occupied_min * 60_000.0,
         BayStatus.FREE: model.mean_free_min * 60_000.0,
     }
     t = 0.0
     prev_ts = -1
-    run: list[TraceItem] = []
     while True:
         t += rng.exponential(mean_ms[status])
         ts = max(int(t), prev_ts + 1)  # keep per-bay timestamps strictly increasing
         if ts >= duration_ms:  # t >= duration_ms too, as duration_ms is whole
-            yield run
             return
         status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
-        run.append(TraceItem(ts, bay_id, status))
+        yield TraceItem(ts, bay_id, status)
         prev_ts = ts
-        if len(run) == _RUN:
-            yield run
-            run = []
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +364,8 @@ class GatewayCore:
     def _arm_next(self) -> None:
         item = next(self._pending, None)
         if item is not None:
-            due = self.start_ms + item.sim_ts + self.config.faults.delay_ms
-            self.sched.call_at(due, self._dispatch, item, priority=PRIORITY_TRACE)
+            self.sched.call_at(self.start_ms + item.sim_ts, self._dispatch, item,
+                               priority=PRIORITY_TRACE)
 
     def _dispatch(self, item: TraceItem) -> None:
         self._arm_next()

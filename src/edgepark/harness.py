@@ -46,8 +46,9 @@ from .gateway import (
     scripted_trace,
     write_trace,
 )
-from .hub import MS_PER_DAY, HubCore, RollupStore, fleet_average_hours, per_bay_extremes
+from .hub import HubCore, RollupStore, fleet_average_hours, per_bay_extremes
 from .occupancy import (
+    MS_PER_DAY,
     BayStatus,
     EventKind,
     RollupRecord,

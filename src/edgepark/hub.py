@@ -21,11 +21,10 @@ from typing import Any, Iterable, Sequence
 
 from . import eventlog, protocol
 from .clock import RealScheduler, VirtualScheduler
-from .occupancy import RollupRecord
+from .occupancy import MS_PER_DAY, RollupRecord
 
 log = logging.getLogger(__name__)
 
-MS_PER_DAY = 86_400_000
 MAX_OPEN_LOTS = 8  # lot ids come off the wire: bound the files a store keeps open
 
 

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, TypeVar
 log = logging.getLogger(__name__)
 
 MS_PER_SEC = 1_000
+MS_PER_DAY = 86_400_000
 
 
 class BayStatus(str, Enum):

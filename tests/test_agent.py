@@ -968,6 +968,27 @@ def test_recover_without_a_valid_flush_uses_the_first_valid_ts(tmp_path):
     assert agent.warnings["skipped_log_line"] == 2
 
 
+@pytest.mark.parametrize("ahead_ts", [EPOCH_MS + HOUR_MS, 10**24], ids=["an-hour", "1e24"])
+def test_restart_skips_and_counts_records_ahead_of_the_clock(tmp_path, ahead_ts):
+    # A clock that stepped back restarts on a log holding records after its now.
+    flush = eventlog.flush_record(EPOCH_MS - HOUR_MS, EPOCH_MS - 2 * HOUR_MS)
+    now = EPOCH_MS - HOUR_MS // 2
+    before = {"ts": now - 60_000, "lotId": "L", "bayId": 1, "status": "occupied", "src": "update"}
+    ahead = {"ts": ahead_ts, "lotId": "L", "bayId": 2, "status": "occupied", "src": "snapshot"}
+    ahead_flush = eventlog.flush_record(ahead_ts, EPOCH_MS)
+    log_path = tmp_path / "agent.log"
+    log_path.write_bytes(b"".join(
+        protocol.encode_line(r) for r in (flush, before, ahead_flush, ahead)
+    ))
+    agent, _ = make_agent(tmp_path, VirtualScheduler(now), rollup_period_sec=3600)
+    agent.start()
+    assert agent.window_start == EPOCH_MS - HOUR_MS  # not the flush marker ahead
+    assert agent.table[1].accumulated_occupation_ms == 60_000
+    assert 2 not in agent.table
+    assert agent.warnings["skipped_log_line"] == 2
+    assert list(eventlog.read_records(log_path))[-1] == eventlog.disconnect_record(now)
+
+
 def test_restart_memory_does_not_grow_with_history_before_the_last_flush(tmp_path):
     peaks = []
     for n, windows in enumerate((20, 20, 80)):  # the first start warms caches up

@@ -592,12 +592,12 @@ def test_parse_duration_ms():
 
 
 def test_parse_faults():
-    plan = cli._parse_faults(["disconnect:3600:120", "duplicate-updates", "delay:50"])
+    plan = cli._parse_faults(["disconnect:3600:120", "duplicate-updates"])
     assert plan.disconnects == ((3_600_000, 120_000),)
     assert plan.duplicate_updates is True
-    assert plan.delay_ms == 50
-    with pytest.raises(ValueError):
-        cli._parse_faults(["explode"])
+    for spec in ("explode", "delay:50"):
+        with pytest.raises(ValueError):
+            cli._parse_faults([spec])
 
 
 def test_traffic_report_missing_run_exits_2(tmp_path):
@@ -618,6 +618,16 @@ def test_component_crash_exits_3(tmp_path, monkeypatch, capsys):
     )
     assert code == cli.EXIT_CRASH
     assert "component crash" in capsys.readouterr().err
+
+
+def test_verify_crash_exits_3(tmp_path, monkeypatch, capsys):
+    # An error verify does not refuse as configuration takes run-sim's crash path.
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.harness, "verify_run", explode)
+    assert cli.main_harness(["verify", "--run", str(tmp_path)]) == cli.EXIT_CRASH
+    assert "component crash: boom" in capsys.readouterr().err
 
 
 NO_NUMPY_CHILD = """

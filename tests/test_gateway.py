@@ -510,12 +510,10 @@ def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
 # trace dispatch: one pending item, in the order the whole trace queued at once
 
 
-def recording_gateway(trace, faults=None):
+def recording_gateway(trace):
     """A started gateway with one session that records every update from the start."""
     sched = VirtualScheduler(EPOCH_MS)
-    gw_config = GatewayConfig(
-        "sim://gw", trace.lot_id, trace.bay_count, faults=faults or FaultPlan()
-    )
+    gw_config = GatewayConfig("sim://gw", trace.lot_id, trace.bay_count)
     core = GatewayCore(sched, VirtualNetwork(sched), gw_config, trace)
     session = RawRecorder()
     core.sessions.append(session)
@@ -545,17 +543,3 @@ def test_run_sends_every_update_in_trace_order():
     sched.run_until(EPOCH_MS + DAY_MS)
     assert len(trace.items) > 1000
     assert sent_updates(session) == [(i.bay_id, i.new_status) for i in trace.items]
-
-
-def test_negative_delay_dispatches_every_item_and_past_dues_at_the_start():
-    trace = items_trace([
-        (1000, 2, "occupied"), (2000, 1, "occupied"), (4000, 4, "occupied"),
-        (5000, 3, "occupied"),
-    ])
-    sched, session = recording_gateway(trace, FaultPlan(delay_ms=-3000))
-    sched.run_until(sched.now_ms())
-    assert sent_updates(session) == [(2, "occupied"), (1, "occupied")]  # trace order
-    sched.run_until(EPOCH_MS + DAY_MS)
-    assert sent_updates(session) == [
-        (2, "occupied"), (1, "occupied"), (4, "occupied"), (3, "occupied"),
-    ]
