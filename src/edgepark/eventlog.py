@@ -17,7 +17,7 @@ one per ingested update, come from ``event_line``, which takes the
 event's fields and writes the same bytes as ``protocol.encode_line`` of
 the event's dict; markers are dicts passed through ``encode_line``, and
 hub rows come from ``hub.store_row_line``. A roll-up's flush marker and
-re-seed lines are one append: one write and one flush. ``reseed_lines``
+re-seed lines are one append, one write call. ``reseed_lines``
 is the one rendering of a window's re-seed block, one snapshot line per
 bay at the boundary. At every flush marker, replay credits its table up
 to the marker's ts, renders the block again from it and steps past the
@@ -169,23 +169,25 @@ def _cut_torn_tail(fh: IO[bytes], path: Path) -> None:
 
 
 class EventLogWriter:
-    """Appends encoded lines, each flushed as it is appended.
+    """Appends encoded lines, each handed to the kernel as it is appended.
 
     The caller encodes; each line, or each of the lines appended at
-    once, must end with a newline. Opening the file cuts a torn final line
-    back to the last newline.
+    once, must end with a newline. The file is unbuffered, so an append is
+    one write call, repeated only for the rest of a short write. Opening the
+    file cuts a torn final line back to the last newline.
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
-        self._fh = open(self.path, "a+b")
+        self._fh = open(self.path, "a+b", buffering=0)
         _cut_torn_tail(self._fh, self.path)
 
     def append(self, line: bytes) -> None:
-        self._fh.write(line)
-        self._fh.flush()
+        written = self._fh.write(line)
+        while written < len(line):
+            written += self._fh.write(line[written:])
         if self._fsync:
             os.fsync(self._fh.fileno())
 

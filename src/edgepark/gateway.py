@@ -9,10 +9,10 @@ drops, duplicated updates, muted pongs) is config-gated and off by default.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heapreplace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -100,48 +100,44 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
     Initial status is drawn with the long-run occupied fraction; dwell
     times are exponential with the configured means. Identical config and
     duration always produce the identical trace. The arguments are checked
-    and the initial statuses drawn now; each change is drawn as the merge of
-    the bays, in (sim_ts, bay_id) order, reaches it.
+    and the initial statuses drawn now. The items come off one heap that
+    holds each bay's next change, in (sim_ts, bay_id) order, and a bay draws
+    its next change when its last one is taken: one change per bay ahead.
     """
     # Bay b draws from child b - 1 of the seed (rng.Generator), so a bay's
     # draws do not depend on how many bays there are.
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     model = config.model
-    initial: dict[int, BayStatus] = {}
-    bays: list[Iterator[TraceItem]] = []
-    for bay_id in range(1, config.bay_count + 1):
-        rng = Generator(model.seed, bay_id - 1)
-        status = (
-            BayStatus.OCCUPIED
-            if rng.random() < model.occupied_fraction
-            else BayStatus.FREE
-        )
-        initial[bay_id] = status
-        bays.append(_bay_changes(rng, bay_id, status, model, duration_ms))
-    # (sim_ts, bay_id) is unique, so the merge never compares two statuses.
-    items = heapq.merge(*bays)
-    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, items)
-
-
-def _bay_changes(
-    rng: Generator, bay_id: int, status: BayStatus, model: SensorModel, duration_ms: int
-) -> Iterator[TraceItem]:
-    """One bay's status changes in time order, each drawn as it is taken."""
     mean_ms = {
         BayStatus.OCCUPIED: model.mean_occupied_min * 60_000.0,
         BayStatus.FREE: model.mean_free_min * 60_000.0,
     }
-    t = 0.0
-    prev_ts = -1
-    while True:
-        t += rng.exponential(mean_ms[status])
-        ts = max(int(t), prev_ts + 1)  # keep per-bay timestamps strictly increasing
-        if ts >= duration_ms:  # t >= duration_ms too, as duration_ms is whole
-            return
-        status = BayStatus.FREE if status is BayStatus.OCCUPIED else BayStatus.OCCUPIED
-        yield TraceItem(ts, bay_id, status)
-        prev_ts = ts
+    flipped = {BayStatus.OCCUPIED: BayStatus.FREE, BayStatus.FREE: BayStatus.OCCUPIED}
+    initial: dict[int, BayStatus] = {}
+    # An entry is (sim_ts, bay_id, status, t, rng): a bay's next change, or at
+    # sim_ts -1 its initial status, which is not an item. (sim_ts, bay_id) is
+    # unique, so the heap never compares two statuses.
+    heap: list[tuple[int, int, BayStatus, float, Generator]] = []
+    for bay_id in range(1, config.bay_count + 1):
+        rng = Generator(model.seed, bay_id - 1)
+        occupied = rng.random() < model.occupied_fraction
+        initial[bay_id] = status = BayStatus.OCCUPIED if occupied else BayStatus.FREE
+        heap.append((-1, bay_id, status, 0.0, rng))  # in bay order, so already a heap
+
+    def changes() -> Iterator[TraceItem]:
+        while heap:
+            ts, bay_id, status, t, rng = heap[0]
+            if ts >= 0:
+                yield TraceItem(ts, bay_id, status)
+            t += rng.exponential(mean_ms[status])
+            next_ts = max(int(t), ts + 1)  # keep per-bay timestamps strictly increasing
+            if next_ts >= duration_ms:  # t >= duration_ms too, as duration_ms is whole
+                heappop(heap)
+            else:
+                heapreplace(heap, (next_ts, bay_id, flipped[status], t, rng))
+
+    return SimTrace(config.lot_id, config.bay_count, duration_ms, initial, changes())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from edgepark import eventlog, harness, protocol
+from edgepark import agent, eventlog, harness, protocol
 from edgepark.agent import (
     WARNING_KINDS,
     AgentConfig,
@@ -77,6 +77,25 @@ def test_ingest_pair_credits_600_seconds(rig_factory):
         (100_000, "occupied"),
         (700_000, "free"),
     ]
+
+
+def test_each_update_is_in_agent_log_before_it_is_applied(rig_factory, monkeypatch):
+    """Write-ahead: when apply_event runs for an update, the update's line is
+    already the last line of agent.log, as a second open of the file reads it."""
+    rig = rig_factory(items_trace([(1000, 3, "occupied"), (5000, 3, "free"), (5000, 7, "occupied")]))
+    real_apply = agent.apply_event
+    logged = []
+
+    def apply_after_reading_the_log(table, kind, ts, lot_id, bay_id, status, warnings=None):
+        if kind is EventKind.UPDATE:
+            with open(rig.agent_config.log_path, "rb") as fh:
+                log_bytes = fh.read()
+            logged.append(log_bytes.endswith(eventlog.event_line(kind, ts, lot_id, bay_id, status)))
+        return real_apply(table, kind, ts, lot_id, bay_id, status, warnings)
+
+    monkeypatch.setattr(agent, "apply_event", apply_after_reading_the_log)
+    rig.run_for(10_000)
+    assert logged == [True, True, True]
 
 
 def agent_warnings(caplog):

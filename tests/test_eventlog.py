@@ -112,6 +112,41 @@ def test_append_read_roundtrip(tmp_path):
     assert records[4]["rejected"] is True
 
 
+class ShortWrites:
+    """A raw file double whose write takes at most ``most`` bytes of what it is given."""
+
+    def __init__(self, raw, most):
+        self.raw, self.most, self.calls = raw, most, 0
+
+    def write(self, data):
+        self.calls += 1
+        return self.raw.write(data[: self.most])
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+
+def test_append_writes_the_rest_of_a_short_write(tmp_path):
+    path = tmp_path / "events.log"
+    writer = eventlog.EventLogWriter(path)
+    writer._fh = short = ShortWrites(writer._fh, 7)
+    line = eventlog.event_line(*ev(1, 1, "occupied"))
+    table = {b: BayState(b, "L", BayStatus.FREE, 0) for b in (1, 2, 3)}
+    block = encode_line(eventlog.flush_record(100, 0)) + eventlog.reseed_lines(table, 100)
+    after = eventlog.event_line(*ev(200, 2, "occupied"))
+    writer.append(line)
+    assert short.calls == -(-len(line) // 7)  # every call took 7 bytes, the last the rest
+    assert path.read_bytes() == line  # whole, before append returned
+    writer.append(block)
+    assert path.read_bytes() == line + block
+    writer.append(after)
+    writer.close()
+    assert path.read_bytes() == line + block + after
+    records, skipped = read_all(path)
+    assert skipped == 0
+    assert [r["ts"] for r in records] == [1, 100, 100, 100, 100, 200]
+
+
 def test_torn_tail_discarded_with_count(tmp_path):
     path = tmp_path / "events.log"
     writer = eventlog.EventLogWriter(path)

@@ -4,11 +4,12 @@ import importlib.util
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from edgepark import protocol
+from edgepark import gateway, protocol
 from edgepark.clock import VirtualScheduler
 from edgepark.gateway import (
     FaultPlan,
@@ -84,6 +85,33 @@ def test_generate_trace_items_are_strictly_sorted_by_time_then_bay(bays, seed):
     assert all(a < b for a, b in zip(keys, keys[1:]))
     if bays == 50:
         assert len({ts for ts, _bay in keys}) < len(keys)
+
+
+def test_a_bay_draws_its_next_change_when_its_last_is_taken(monkeypatch):
+    """No bay draws more than one change ahead of the items taken, so the
+    trace holds one pending change per bay however long the run."""
+    draws = Counter()
+
+    class CountingGenerator(gateway.Generator):
+        def __init__(self, seed, child):
+            super().__init__(seed, child)
+            self.bay_id = child + 1
+
+        def exponential(self, scale):
+            draws[self.bay_id] += 1
+            return super().exponential(scale)
+
+    monkeypatch.setattr(gateway, "Generator", CountingGenerator)
+    bays = range(1, 41)
+    trace = generate_trace(config(bays=len(bays), seed=4, occ=0.5, free=0.5), 3_600_000)
+    assert not draws  # only the initial statuses are drawn up front
+    taken = Counter()
+    for item in trace.items:
+        taken[item.bay_id] += 1
+        assert draws[item.bay_id] == taken[item.bay_id]  # its next change is not drawn yet
+        assert all(draws[b] <= taken[b] + 1 for b in bays)
+    assert taken.total() > 4000
+    assert all(draws[b] == taken[b] + 1 for b in bays)  # each drew one change past the end
 
 
 def eager_trace(config, duration_ms):
