@@ -17,9 +17,10 @@ snapshot only backs off and redials. The hub link ends in
 close the dropped connection without running its on_close, so a dropped
 connection never calls back into the agent. An upload the hub refuses by
 its key is final: it is parked in the dead letter and never resent.
-A dropped connection and a cancelled timer call nothing, so only
-``_connect`` and ``_pump_uploads`` check for a killed agent: not every
-redial and upload retry timer is held for ``kill`` to cancel.
+``kill`` cancels the three timers the agent holds, as each would act on a
+killed agent: the session timer (the handshake timeout, then the next ping
+tick), the ack timer and the boundary timer. Redial and upload retry timers
+are not held: ``_connect`` and ``_pump_uploads`` return on a killed agent.
 """
 
 from __future__ import annotations
@@ -270,19 +271,17 @@ class EdgeAgentCore:
         self.session: Any = None
         self.handshaken = False
         self.connect_attempt = 0
-        self._handshake_timer: Any = None
+        self._session_timer: Any = None  # the handshake timeout, then the next ping tick
 
         self.ping_seq = 0
         self.last_pong_seq = 0
         self.missed_pongs = 0
-        self._ping_timer: Any = None
 
         self.upload_queue: deque[_PendingUpload] = deque()
         self.hub_conn: Any = None
         self.upload_inflight: str | None = None
         self.upload_attempt = 0
         self._ack_timer: Any = None
-        self._upload_retry_timer: Any = None
 
         self.warnings: Counter[str] = Counter(dict.fromkeys(WARNING_KINDS, 0))
         self._summarised: Counter[str] = Counter()  # per-event counts already logged
@@ -290,7 +289,6 @@ class EdgeAgentCore:
         self.pings_sent = 0
         self.upload_sends = 0
         self.upload_bytes = 0
-        self.recovered = False
         self._closed_gap_ms = 0
         self._gap_open: int | None = None
 
@@ -335,10 +333,7 @@ class EdgeAgentCore:
         if self._gap_open is not None:
             self._closed_gap_ms += self.sched.now_ms() - self._gap_open
             self._gap_open = None
-        for timer in (
-            self._handshake_timer, self._ping_timer, self._ack_timer,
-            self._upload_retry_timer, self._boundary_timer,
-        ):
+        for timer in (self._session_timer, self._ack_timer, self._boundary_timer):
             if timer is not None:
                 timer.cancel()
         for conn in (self.session, self.hub_conn):
@@ -360,7 +355,6 @@ class EdgeAgentCore:
     # recovery
 
     def _recover(self, kept: _RestartLog, now: int) -> None:
-        self.recovered = True
         period = self.config.rollup_period_ms
         for record in kept.tail:
             try:
@@ -416,7 +410,7 @@ class EdgeAgentCore:
         except ConnectionError:
             self._end_session("hello send failed")
             return
-        self._handshake_timer = self.sched.call_later(
+        self._session_timer = self.sched.call_later(
             self.config.poll_interval_ms, self._handshake_timeout
         )
 
@@ -440,10 +434,9 @@ class EdgeAgentCore:
         session, self.session = self.session, None
         if session is not None:
             _abandon(session)
-        for timer in (self._handshake_timer, self._ping_timer):
-            if timer is not None:
-                timer.cancel()
-        self._handshake_timer = self._ping_timer = None
+        if self._session_timer is not None:
+            self._session_timer.cancel()
+            self._session_timer = None
         if not self.handshaken:
             log.info("gateway session ended before its snapshot: %s", reason)
             self._schedule_reconnect()
@@ -480,8 +473,6 @@ class EdgeAgentCore:
             self._warn("malformed_snapshot", "malformed snapshot: %s", exc)
             self._end_session("malformed snapshot")
             return
-        if self._handshake_timer is not None:
-            self._handshake_timer.cancel()
         now = self.sched.now_ms()
         self.handshaken = True
         self.connect_attempt = 0
@@ -526,12 +517,11 @@ class EdgeAgentCore:
     # ping loop
 
     def _start_ping_loop(self, session_start: int) -> None:
-        if self._ping_timer is not None:
-            self._ping_timer.cancel()
+        self._session_timer.cancel()  # the handshake timeout, or a running loop's next tick
         self.ping_seq = 0
         self.last_pong_seq = 0
         self.missed_pongs = 0
-        self._ping_timer = self.sched.call_at(
+        self._session_timer = self.sched.call_at(
             session_start + self.config.poll_interval_ms, self._ping_tick
         )
 
@@ -550,7 +540,7 @@ class EdgeAgentCore:
             self._end_session("ping send failed")
             return
         self.pings_sent += 1
-        self._ping_timer = self.sched.call_later(
+        self._session_timer = self.sched.call_later(
             self.config.poll_interval_ms, self._ping_tick
         )
 
@@ -638,7 +628,7 @@ class EdgeAgentCore:
     def _schedule_upload_retry(self) -> None:
         delay = self.config.reconnect_backoff.delay_ms(self.upload_attempt)
         self.upload_attempt += 1
-        self._upload_retry_timer = self.sched.call_later(delay, self._pump_uploads)
+        self.sched.call_later(delay, self._pump_uploads)
 
     def _on_ack_timeout(self) -> None:
         self._end_upload_link(f"ack timed out for {self.upload_inflight}")

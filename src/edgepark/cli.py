@@ -275,7 +275,6 @@ def main_harness(argv: list[str] | None = None) -> int:
     p_replay.add_argument("--log", required=True)
     p_replay.add_argument("--window-sec", type=int, required=True)
     p_replay.add_argument("--out", required=True)
-    p_replay.add_argument("--epoch-ms", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="diff a run's artifacts against the oracle")
     p_verify.add_argument("--run", required=True)
@@ -296,9 +295,7 @@ def main_harness(argv: list[str] | None = None) -> int:
             print((Path(args.out) / "summary.md").read_text(encoding="utf-8"))
             print(f"run artifacts in {Path(args.out)}")
         elif args.command == "replay":
-            result = harness.replay_log(
-                args.log, args.window_sec, args.out, epoch_ms=args.epoch_ms
-            )
+            result = harness.replay_log(args.log, args.window_sec, args.out)
             print(
                 f"replayed {len(result.windows)} window(s), "
                 f"{result.skipped_lines} torn/undecodable line(s) skipped"

@@ -24,10 +24,11 @@ to the marker's ts, renders the block again from it and steps past the
 block when the log holds exactly those bytes (``LogRecords.consume``),
 so it decodes only the lines that differ.
 
-Torn tails: a final line without its newline is a crash leftover. Reading
-drops it; opening a writer cuts it off, so the next record starts on a
-line of its own. Reading is one pass that yields each record as its line
-is decoded, so a caller that folds as it reads never holds the whole log.
+Torn tails: a final line without its newline is a crash leftover. A pass
+stops before it; opening a writer cuts it off, so the next record starts on
+a line of its own. Both find it by scanning back from the end, so a long one
+costs one block. Reading is one pass that yields each record as its line is
+decoded, so a caller that folds as it reads never holds the whole log.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class LogRecords:
 
     A torn final line is dropped and undecodable lines (nested past the
     recursion limit included) are skipped; ``skipped`` counts both as read
-    so far, the torn tail as the pass opens the file. Between records,
+    so far, the torn tail as the pass opens the file. The pass ends at the
+    last newline, so it never reads the torn tail. Between records,
     ``consume`` steps past whole lines the caller already knows, by their
     bytes, without decoding them. The file is opened by the first step of
     the pass and closed at its end, by ``close()`` or a ``with`` block, or
@@ -212,6 +214,7 @@ class LogRecords:
         self.path = path
         self.skipped = 0
         self._fh: IO[bytes] | None = None  # set as the pass opens the file
+        self._pos = 0  # offset of the pass's next line, counted, not asked of the file
         self._consumed_lines = 0
         self._records = self._read()
 
@@ -233,11 +236,11 @@ class LogRecords:
         fh = self._fh
         if fh is None or fh.closed:
             return False
-        pos = fh.tell()
         if fh.read(len(block)) == block:
+            self._pos += len(block)
             self._consumed_lines += block.count(b"\n")
             return True
-        fh.seek(pos)
+        fh.seek(self._pos)
         return False
 
     def _read(self) -> Iterator[dict[str, Any]]:
@@ -248,14 +251,18 @@ class LogRecords:
         with fh:
             self._fh = fh
             end = fh.seek(0, os.SEEK_END)
-            torn = end - _last_line_end(fh, end)
-            if torn:
+            keep = _last_line_end(fh, end)
+            if keep < end:
                 self.skipped += 1
-                log.warning("%s: discarding torn final line (%d bytes)", self.path, torn)
+                log.warning("%s: discarding torn final line (%d bytes)", self.path, end - keep)
             fh.seek(0)
-            for lineno, line in enumerate(fh, start=1):
-                if line[-1:] != b"\n":
-                    break  # the torn tail, counted above
+            readline, lineno = fh.readline, 0
+            while self._pos < keep:
+                line = readline()
+                if not line:
+                    break  # the file shrank during the pass
+                self._pos += len(line)
+                lineno += 1
                 if len(line) == 1:
                     continue
                 try:
@@ -264,8 +271,8 @@ class LogRecords:
                         raise ValueError("log line is not an object")
                 except (ValueError, RecursionError) as exc:
                     self.skipped += 1
-                    lineno += self._consumed_lines
-                    log.warning("%s:%d: skipping undecodable line: %s", self.path, lineno, exc)
+                    log.warning("%s:%d: skipping undecodable line: %s",
+                                self.path, lineno + self._consumed_lines, exc)
                     continue
                 yield record
 

@@ -399,6 +399,8 @@ def replay_log(
     """
     if window_sec < 1:
         raise ValueError("window must be at least 1 s")
+    if not Path(log_path).is_file():
+        raise FileNotFoundError(f"no event log at {log_path}")
     period = window_sec * 1000
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

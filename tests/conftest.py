@@ -104,6 +104,17 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+MIB = 1 << 20
+
+
+def append_long_torn_tail(path) -> None:
+    """Append 32 MiB with no newline, a MiB at a time: a reader that read it
+    whole would peak above 64 MiB."""
+    with open(path, "ab") as fh:
+        for _ in range(32):
+            fh.write(b"x" * MIB)
+
+
 # Characters JSON must escape, plus non-ASCII, astral-plane and lone
 # surrogate code points, for byte-identity tests of the line encoders.
 AWKWARD_CHARS = '"\\/\x00\x01\x1f\x7f\b\f\n\r\té\xff中\u2028\U0001F600\U0001D11E\ud800'

@@ -29,7 +29,8 @@ from edgepark.occupancy import (
 from edgepark.transport import VirtualNetwork
 
 from conftest import (
-    DAY_MS, EPOCH_MS, idle_trace, items_trace, track_agent, traced_peak, update_lines,
+    DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, idle_trace, items_trace, track_agent,
+    traced_peak, update_lines,
 )
 
 HOUR_MS = 3_600_000
@@ -862,7 +863,19 @@ def test_recover_empty_log_starts_empty(tmp_path):
     agent, _ = make_agent(tmp_path)
     agent.start()
     assert agent.table == {}
-    assert not agent.recovered
+    assert (tmp_path / "agent.log").read_bytes() == b""  # no restart's disconnect marker
+
+
+def test_a_restart_over_a_long_torn_tail_costs_one_scan_block(tmp_path):
+    log = tmp_path / "agent.log"
+    snapshot = eventlog.event_line(EventKind.SNAPSHOT, EPOCH_MS, "L", 1, BayStatus.OCCUPIED)
+    log.write_bytes(snapshot)
+    append_long_torn_tail(log)
+    agent, _ = make_agent(tmp_path)
+    assert traced_peak(agent.start) < MIB  # neither the pass nor the writer reads the tail
+    assert agent.warnings["skipped_log_line"] == 1
+    marker = protocol.encode_line(eventlog.disconnect_record(EPOCH_MS))
+    assert log.read_bytes() == snapshot + marker  # the tail cut, then the restart's marker
 
 
 def test_recover_replays_only_after_last_flush_marker(tmp_path):
@@ -879,15 +892,14 @@ def test_recover_replays_only_after_last_flush_marker(tmp_path):
 
     agent, _ = make_agent(tmp_path, rollup_epoch_ms=None)
     agent.start()
-    assert agent.recovered
+    records = list(eventlog.read_records(tmp_path / "agent.log"))
+    assert records[-1] == eventlog.disconnect_record(EPOCH_MS)  # the restart's, at its start
     assert 1 not in agent.table  # pre-marker history excluded
     assert agent.window_start == EPOCH_MS - 1800_000
     # 60 s completed inside the window, plus the still-occupied interval
     # flushed when recovery closed the observation stream at start time.
     assert agent.table[2].accumulated_occupation_ms == 60_000 + 1_620_000
     assert agent.table[2].status is BayStatus.UNKNOWN
-    records = list(eventlog.read_records(tmp_path / "agent.log"))
-    assert records[-1]["marker"] == "disconnect"
 
 
 def test_recover_before_first_flush_uses_window_of_first_record(tmp_path):

@@ -145,6 +145,19 @@ def test_replay_of_a_log_line_missing_a_field_exits_2(tmp_path, capsys, missing)
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["absent.log", "a_directory"])
+def test_replay_of_a_log_that_is_not_a_file_exits_2_and_creates_nothing(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / "out"
+    code = cli.main_harness(
+        ["replay", "--log", str(tmp_path / name), "--window-sec", "3600", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert sum(line.startswith("configuration error: ") for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     scenario = write_scenario(tmp_path, "nonsense = 1\n")
     assert cli.main_harness(

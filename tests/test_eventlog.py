@@ -20,7 +20,7 @@ from edgepark.occupancy import (
 )
 from edgepark.protocol import encode_line
 
-from conftest import random_int, random_text
+from conftest import MIB, append_long_torn_tail, random_int, random_text, traced_peak
 
 
 def ev(ts, bay, status, kind=EventKind.UPDATE):
@@ -276,6 +276,73 @@ def test_writer_cuts_a_torn_tail_longer_than_a_scan_block_in_bounded_memory(tmp_
         tracemalloc.stop()
     assert path.read_bytes() == head
     assert peak < 2 * eventlog._SCAN_BLOCK  # one block, not the 1 MiB tail
+
+
+def test_a_pass_over_a_long_torn_tail_costs_one_scan_block(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_bytes(b"".join(eventlog.event_line(*ev(ts, 1, "free")) for ts in (1, 2)))
+    append_long_torn_tail(path)
+    got = []
+
+    def one_pass():
+        with eventlog.read_records(path) as reader:
+            got.extend(record["ts"] for record in reader)
+        got.append(reader.skipped)
+
+    assert traced_peak(one_pass) < MIB  # the pass stops at the last newline
+    assert got == [1, 2, 1]
+
+
+def test_a_pass_stops_at_the_last_whole_line_of_a_cut_reseed_block(tmp_path):
+    path = tmp_path / "events.log"
+    statuses = {1: BayStatus.OCCUPIED, 2: BayStatus.FREE, 3: BayStatus.OCCUPIED}
+    table = {b: BayState(b, "L", status, 0) for b, status in statuses.items()}
+    head = eventlog.event_line(*ev(1, 1, "occupied")) + encode_line(eventlog.flush_record(100, 0))
+    block = eventlog.reseed_lines(table, 100)
+    for cut in range(len(block)):  # the fragment is a prefix of the block consume compares
+        path.write_bytes(head + block[:cut])
+        with eventlog.read_records(path) as reader:
+            records = iter(reader)
+            assert [next(records)["ts"], next(records)["marker"]] == [1, "flush"]
+            assert not reader.consume(block)
+            rest = [record["bayId"] for record in records]
+        assert rest == [1, 2, 3][: block[:cut].count(b"\n")], cut
+        assert reader.skipped == (not block[:cut].endswith(b"\n") and cut > 0), cut
+    path.write_bytes(head + block + b'{"ts": 5')  # the whole block, then a torn line
+    with eventlog.read_records(path) as reader:
+        records = iter(reader)
+        assert [next(records)["ts"], next(records)["marker"]] == [1, "flush"]
+        assert reader.consume(block)
+        assert list(records) == []
+    assert reader.skipped == 1
+
+
+def test_a_pass_over_a_file_that_shrinks_ends(tmp_path):
+    path = tmp_path / "events.log"
+    lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in range(1, 2001)]
+    path.write_bytes(b"".join(lines))
+    with eventlog.read_records(path) as reader:
+        records = iter(reader)
+        assert next(records)["ts"] == 1
+        with open(path, "r+b") as fh:
+            fh.truncate(0)
+        rest = [record["ts"] for record in records]  # what the pass had buffered, then the end
+    assert rest == list(range(2, 2 + len(rest))) and len(rest) < 1999
+
+
+def test_each_skipped_line_is_named_by_its_own_line_number(tmp_path, caplog):
+    path = tmp_path / "events.log"
+    block = eventlog.event_line(*ev(2, 1, "free"))
+    path.write_bytes(
+        eventlog.event_line(*ev(1, 1, "occupied")) + block + b"bad\n"
+        + eventlog.event_line(*ev(3, 1, "occupied")) + b"worse\n"
+    )
+    with eventlog.read_records(path) as reader:
+        records = iter(reader)
+        assert next(records)["ts"] == 1
+        assert reader.consume(block)
+        assert [record["ts"] for record in records] == [3]
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [f"{path}:3", f"{path}:5"]
 
 
 @pytest.mark.parametrize("size", [5, 3 * eventlog._SCAN_BLOCK + 5])

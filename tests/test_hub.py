@@ -11,7 +11,7 @@ from edgepark.hub import MAX_OPEN_LOTS, HubCore, fleet_average_hours, store_row_
 from edgepark.occupancy import RollupRecord
 from edgepark.transport import VirtualNetwork
 
-from conftest import DAY_MS, EPOCH_MS, open_store
+from conftest import DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, open_store, traced_peak
 
 
 def envelope(lot="LOT-A", start=EPOCH_MS, records=None, period=DAY_MS):
@@ -501,6 +501,15 @@ def test_load_counts_a_torn_row_as_skipped(tmp_path):
     with open(tmp_path / "LOT-A.jsonl", "ab") as fh:
         fh.write(b'{"key":"L:864')
     assert open_store(tmp_path).skipped_rows == 1
+
+
+def test_a_load_over_a_long_torn_tail_costs_one_scan_block(tmp_path):
+    open_store(tmp_path).receive(envelope(), received_at=1)
+    append_long_torn_tail(tmp_path / "LOT-A.jsonl")
+    loaded = []
+    assert traced_peak(lambda: loaded.append(open_store(tmp_path))) < MIB
+    assert loaded[0].skipped_rows == 1
+    assert loaded[0].query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
 
 
 def test_a_stored_row_loads_as_the_rollup_it_stored(tmp_path):
