@@ -21,6 +21,14 @@ its key is final: it is parked in the dead letter and never resent.
 killed agent: the session timer (the handshake timeout, then the next ping
 tick), the ack timer and the boundary timer. Redial and upload retry timers
 are not held: ``_connect`` and ``_pump_uploads`` return on a killed agent.
+
+Link state is derived, not held twice: a session has its snapshot exactly
+while no gap is open, the queue's head is in flight exactly while the ack
+timer is set, and ``ping_seq - last_pong_seq`` pings are unanswered in a row
+(a pong counts only for the last ping). ``_close_windows`` closes every window
+whose boundary now has reached. The boundary timer, recovery and each callback
+that stamps now call it first, so a record is logged and applied in the window
+that holds its ts, also when a live loop runs the callback after the boundary.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import starmap
 from pathlib import Path
 from typing import Any, Iterable
@@ -106,11 +115,11 @@ class AgentConfig:
         if self.ack_timeout_ms < 1:
             raise ValueError("ack timeout must be at least 1 ms")
 
-    @property
+    @cached_property
     def poll_interval_ms(self) -> int:
         return self.poll_interval_sec * 1000
 
-    @property
+    @cached_property  # read on every update: a plain attribute after the first read
     def rollup_period_ms(self) -> int:
         return self.rollup_period_sec * 1000
 
@@ -269,19 +278,16 @@ class EdgeAgentCore:
         self.log_writer: eventlog.EventLogWriter | None = None
 
         self.session: Any = None
-        self.handshaken = False
         self.connect_attempt = 0
         self._session_timer: Any = None  # the handshake timeout, then the next ping tick
 
         self.ping_seq = 0
         self.last_pong_seq = 0
-        self.missed_pongs = 0
 
         self.upload_queue: deque[_PendingUpload] = deque()
         self.hub_conn: Any = None
-        self.upload_inflight: str | None = None
         self.upload_attempt = 0
-        self._ack_timer: Any = None
+        self._ack_timer: Any = None  # set while the queue's head is in flight
 
         self.warnings: Counter[str] = Counter(dict.fromkeys(WARNING_KINDS, 0))
         self._summarised: Counter[str] = Counter()  # per-event counts already logged
@@ -290,7 +296,7 @@ class EdgeAgentCore:
         self.upload_sends = 0
         self.upload_bytes = 0
         self._closed_gap_ms = 0
-        self._gap_open: int | None = None
+        self._gap_open: int | None = None  # set while no session has its snapshot
 
         self._boundary_timer: Any = None
         self._dead = False
@@ -330,9 +336,7 @@ class EdgeAgentCore:
         ends here, so total_gap_ms stays fixed afterwards. It runs where the
         callbacks run: a live service stops its scheduler first."""
         self._dead = True
-        if self._gap_open is not None:
-            self._closed_gap_ms += self.sched.now_ms() - self._gap_open
-            self._gap_open = None
+        self._closed_gap_ms, self._gap_open = self.total_gap_ms, None
         for timer in (self._session_timer, self._ack_timer, self._boundary_timer):
             if timer is not None:
                 timer.cancel()
@@ -355,7 +359,6 @@ class EdgeAgentCore:
     # recovery
 
     def _recover(self, kept: _RestartLog, now: int) -> None:
-        period = self.config.rollup_period_ms
         for record in kept.tail:
             try:
                 applied = eventlog.apply_record(self.table, record, self.warnings)
@@ -364,9 +367,7 @@ class EdgeAgentCore:
                 continue
             if applied is not None:
                 self.lot_id = applied[1]
-        # Close any windows whose boundary passed while we were down.
-        while self.window_start + period <= now:
-            self._run_rollup(self.window_start + period)
+        self._close_windows(now)  # those whose boundary passed while we were down
         # The downtime itself is an unobserved gap.
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
@@ -437,17 +438,16 @@ class EdgeAgentCore:
         if self._session_timer is not None:
             self._session_timer.cancel()
             self._session_timer = None
-        if not self.handshaken:
+        if self._gap_open is not None:
             log.info("gateway session ended before its snapshot: %s", reason)
             self._schedule_reconnect()
             return
-        self.handshaken = False
         now = self.sched.now_ms()
+        self._close_windows(now)
         log.warning("observation interrupted at %d: %s", now, reason)
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))
         invalidate_statuses(self.table, now)
-        if self._gap_open is None:
-            self._gap_open = now
+        self._gap_open = now
         self._connect()
 
     def _on_gateway_message(self, message: dict[str, Any]) -> None:
@@ -474,7 +474,7 @@ class EdgeAgentCore:
             self._end_session("malformed snapshot")
             return
         now = self.sched.now_ms()
-        self.handshaken = True
+        self._close_windows(now)
         self.connect_attempt = 0
         if self._gap_open is not None:
             self._closed_gap_ms += now - self._gap_open
@@ -487,7 +487,7 @@ class EdgeAgentCore:
         log.info("handshake complete: %d bays at %d", len(triples), now)
 
     def _on_update(self, message: dict[str, Any]) -> None:
-        if not self.handshaken:
+        if self._gap_open is not None:
             self._warn("update_before_snapshot", "update received before snapshot; ignored")
             return
         try:
@@ -498,6 +498,8 @@ class EdgeAgentCore:
             self._warn("malformed_update", "malformed update: %s", exc)
             return
         now = self.sched.now_ms()
+        if now >= self.window_start + self.config.rollup_period_ms:  # ran late, past a boundary
+            self._close_windows(now)
         state = self.table.get(bay_id)
         if state is not None and now < state.last_transition_ts:
             # Clock regression: record it, touch nothing.
@@ -520,19 +522,14 @@ class EdgeAgentCore:
         self._session_timer.cancel()  # the handshake timeout, or a running loop's next tick
         self.ping_seq = 0
         self.last_pong_seq = 0
-        self.missed_pongs = 0
         self._session_timer = self.sched.call_at(
             session_start + self.config.poll_interval_ms, self._ping_tick
         )
 
     def _ping_tick(self) -> None:
-        if self.ping_seq > 0 and self.last_pong_seq < self.ping_seq:
-            self.missed_pongs += 1
-            if self.missed_pongs >= 3:
-                self._end_session("3 consecutive pings unanswered")
-                return
-        else:
-            self.missed_pongs = 0
+        if self.ping_seq - self.last_pong_seq >= 3:
+            self._end_session("3 consecutive pings unanswered")
+            return
         self.ping_seq += 1
         try:
             self.session.send(protocol.ping_line(self.ping_seq))
@@ -550,12 +547,18 @@ class EdgeAgentCore:
     def _schedule_boundary(self) -> None:
         boundary = self.window_start + self.config.rollup_period_ms
         self._boundary_timer = self.sched.call_at(
-            boundary, self._on_boundary, boundary, priority=PRIORITY_ROLLUP
+            boundary, self._on_boundary, priority=PRIORITY_ROLLUP
         )
 
-    def _on_boundary(self, boundary: int) -> None:
-        self._run_rollup(boundary)
+    def _on_boundary(self) -> None:
+        self._close_windows(self.sched.now_ms())
         self._schedule_boundary()
+
+    def _close_windows(self, now: int) -> None:
+        """Roll up every window whose boundary now has reached, and only those."""
+        period = self.config.rollup_period_ms
+        while self.window_start + period <= now:
+            self._run_rollup(self.window_start + period)
 
     def _run_rollup(self, boundary: int) -> None:
         window = RollupWindow(self.window_start, boundary)
@@ -601,7 +604,7 @@ class EdgeAgentCore:
     # uploads (at-least-once)
 
     def _pump_uploads(self) -> None:
-        if self._dead or self.upload_inflight is not None or not self.upload_queue:
+        if self._dead or self._ack_timer is not None or not self.upload_queue:
             return
         if self.hub_conn is None:
             try:
@@ -620,7 +623,6 @@ class EdgeAgentCore:
             return
         self.upload_sends += 1
         self.upload_bytes += size
-        self.upload_inflight = head.key
         self._ack_timer = self.sched.call_later(
             self.config.ack_timeout_ms, self._on_ack_timeout
         )
@@ -631,18 +633,17 @@ class EdgeAgentCore:
         self.sched.call_later(delay, self._pump_uploads)
 
     def _on_ack_timeout(self) -> None:
-        self._end_upload_link(f"ack timed out for {self.upload_inflight}")
+        self._end_upload_link(f"ack timed out for {self.upload_queue[0].key}")
 
     def _on_hub_message(self, message: dict[str, Any]) -> None:
         """An ack or an error naming the in-flight key ends it; a refused envelope is parked."""
         mtype = message.get("type")
         key = message.get("key")
-        if mtype not in ("ack", "error") or key is None or key != self.upload_inflight:
+        if (mtype not in ("ack", "error") or self._ack_timer is None
+                or key != self.upload_queue[0].key):
             return  # any other reply: the ack timer handles it
-        if self._ack_timer is not None:
-            self._ack_timer.cancel()
-            self._ack_timer = None
-        self.upload_inflight = None
+        self._ack_timer.cancel()
+        self._ack_timer = None
         self.upload_attempt = 0
         head = self.upload_queue.popleft()
         if mtype == "error":
@@ -661,7 +662,6 @@ class EdgeAgentCore:
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
-        self.upload_inflight = None
         if self.upload_queue:
             log.warning("hub link ended (%s); retrying", reason)
             self._schedule_upload_retry()

@@ -273,8 +273,6 @@ class GatewayCore:
         self.refuse_until_ms: int | None = None
         self.current: dict[int, BayStatus] = dict(trace.initial)
         self.sessions: list[Any] = []  # handshaken connections
-        self.pings_received = 0
-        self.last_ping_seq: int | None = None
         self.updates_sent = 0
         self.update_bytes = 0
         self.listener: Any = None
@@ -321,8 +319,6 @@ class GatewayCore:
             if not protocol.is_wire_int(seq):
                 self._reject(conn, "ping must carry an integer seq")
                 return
-            self.pings_received += 1
-            self.last_ping_seq = seq
             mute_after = self.config.faults.mute_pongs_after
             if mute_after is None or seq <= mute_after:
                 try:

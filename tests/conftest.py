@@ -219,6 +219,21 @@ class SimRig:
         self.sched.run_until(self.sched.now_ms() + ms)
 
 
+def record_pings(gateway: GatewayCore) -> list:
+    """The seq of each ping the gateway receives, in order, on every session
+    it accepts from now on: install it before the agent starts."""
+    seqs = []
+    handle = gateway._on_message
+
+    def recorded(conn, message):
+        if message.get("type") == "ping":
+            seqs.append(message.get("seq"))
+        handle(conn, message)
+
+    gateway._on_message = recorded
+    return seqs
+
+
 @pytest.fixture
 def rig_factory(tmp_path):
     def build(trace: SimTrace | None = None, **kwargs) -> SimRig:

@@ -170,16 +170,18 @@ def test_criterion_4_calibrated_week(tmp_path):
 
 @pytest.mark.parametrize("n_intervals", [10, 240])
 def test_criterion_5_ping_cadence(tmp_path, n_intervals):
-    from conftest import SimRig
+    from conftest import SimRig, record_pings
 
-    rig = SimRig(tmp_path / f"rig{n_intervals}", idle_trace())
+    rig = SimRig(tmp_path / f"rig{n_intervals}", idle_trace(), start_agent=False)
+    pings = record_pings(rig.gateway)
+    rig.agent.start()
     rig.sched.run_until(EPOCH_MS + n_intervals * 60_000)
-    # One session, whose seqs start at 1 and step by one: n pings, the last seq n.
-    ok = (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (n_intervals, n_intervals)
+    # One session, whose seqs start at 1 and step by one: n pings, seqs 1 to n.
+    ok = pings == list(range(1, n_intervals + 1))
     print(
         f"{'PASS' if ok else 'FAIL'} criterion 5 (ping cadence): "
-        f"{n_intervals}x60 s advanced, {rig.gateway.pings_received} pings, "
-        f"last seq {rig.gateway.last_ping_seq}"
+        f"{n_intervals}x60 s advanced, {len(pings)} pings, "
+        f"last seq {pings[-1] if pings else None}"
     )
     assert ok
 

@@ -1,9 +1,12 @@
 """Edge agent behavior: handshake, ingest, ping loop, roll-ups, uploads, recovery."""
 
 import dataclasses
+import heapq
 import json
 import logging
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -29,8 +32,8 @@ from edgepark.occupancy import (
 from edgepark.transport import VirtualNetwork
 
 from conftest import (
-    DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, idle_trace, items_trace, track_agent,
-    traced_peak, update_lines,
+    DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, idle_trace, items_trace, record_pings,
+    track_agent, traced_peak, update_lines,
 )
 
 HOUR_MS = 3_600_000
@@ -54,7 +57,7 @@ def csv_rows(rig, window_start):
 def test_handshake_initializes_all_bays_free(rig_factory):
     rig = rig_factory()
     rig.run_for(0)
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None  # the snapshot arrived
     assert len(rig.agent.table) == 22
     assert all(s.status is BayStatus.FREE for s in rig.agent.table.values())
     assert all(s.accumulated_occupation_ms == 0 for s in rig.agent.table.values())
@@ -64,7 +67,7 @@ def test_handshake_initializes_all_bays_free(rig_factory):
 def test_empty_snapshot_leaves_empty_table_but_connected(rig_factory):
     rig = rig_factory(idle_trace(bays=0))
     rig.run_for(0)
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None  # the snapshot arrived
     assert rig.agent.table == {}
 
 
@@ -165,16 +168,12 @@ def test_warnings_are_counted_by_kind_in_bounded_memory(rig_factory):
         assert len(rig.agent.warnings) == len(WARNING_KINDS)
     assert totals == [10, 110, 1110]
     assert rig.agent.warnings["duplicate_update"] == 1110
-    # The gateway counts pings and keeps the last seq, not one entry per ping.
-    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (3, 3)
 
 
 def test_final_table_equals_log_replay(rig_factory):
     items = []
     status = {}
     ts = 10_000
-    import random
-
     rng = random.Random(4)
     for _ in range(300):
         bay = rng.randint(1, 22)
@@ -197,23 +196,27 @@ def test_final_table_equals_log_replay(rig_factory):
 
 
 def test_ping_cadence_exact_count(rig_factory):
-    rig = rig_factory()
+    rig = rig_factory(start_agent=False)
+    pings = record_pings(rig.gateway)
+    rig.agent.start()
     rig.sched.run_until(EPOCH_MS + 300_000)  # 5 minutes
-    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (5, 5)
+    assert pings == [1, 2, 3, 4, 5]
     assert rig.agent.pings_sent == 5
 
 
 def test_silent_gateway_triggers_reconnect_after_three_missed_pongs(rig_factory):
-    rig = rig_factory(faults=FaultPlan(mute_pongs_after=10))
+    rig = rig_factory(faults=FaultPlan(mute_pongs_after=10), start_agent=False)
+    pings = record_pings(rig.gateway)
+    rig.agent.start()
     rig.sched.run_until(EPOCH_MS + 840_000)  # tick 14: third miss detected
-    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (13, 13)
+    assert pings == list(range(1, 14))
     # Session was torn down and re-established at the same instant.
     assert disconnect_times(rig) == [EPOCH_MS + 840_000]
     assert rig.agent.total_gap_ms == 0
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None
     rig.sched.run_until(EPOCH_MS + 960_000)
-    # A fresh session restarts seq: two more pings, the last with seq 2.
-    assert (rig.gateway.pings_received, rig.gateway.last_ping_seq) == (15, 2)
+    # A fresh session restarts seq: two more pings, seqs 1 and 2.
+    assert pings == [*range(1, 14), 1, 2]
 
 
 def test_kill_ends_an_open_gap(rig_factory):
@@ -228,7 +231,7 @@ def test_kill_ends_an_open_gap(rig_factory):
 def test_a_gateway_outage_at_the_start_is_a_gap_from_the_agent_start(rig_factory):
     rig = rig_factory(faults=FaultPlan(disconnects=((0, 600_000),)))
     rig.sched.run_until(EPOCH_MS + HOUR_MS)
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None
     with eventlog.read_records(rig.agent_config.log_path) as records:
         first_snapshot = next(r["ts"] for r in records if r.get("src") == "snapshot")
     assert first_snapshot >= EPOCH_MS + 600_000
@@ -281,7 +284,7 @@ def test_mismatched_pong_counts_as_missing(tmp_path):
     )
     agent.start()
     sched.run_until(EPOCH_MS + 239_000)
-    assert agent.missed_pongs == 2  # wrong seqs never matched
+    assert (agent.ping_seq, agent.last_pong_seq) == (3, 0)  # wrong seqs never matched
     sched.run_until(EPOCH_MS + 240_000)  # third strike: session replaced
     assert len(sessions) == 2
 
@@ -310,6 +313,65 @@ def test_pong_with_boolean_seq_counts_as_missing(tmp_path):
     assert agent.last_pong_seq == 0
 
 
+def test_seeded_pong_patterns_end_each_session_where_a_missed_pong_counter_does(tmp_path):
+    """Each ping is answered at once, answered 30 s late, dropped, answered with a
+    wrong seq, or answered with its own seq after the next ping has gone out.
+    A session ends at the tick where a counter of consecutive ticks that found
+    the last ping unanswered, reset by an answered one, reaches 3."""
+    rng = random.Random(30)
+    sched = VirtualScheduler(EPOCH_MS)
+    net = VirtualNetwork(sched)
+    patterns = Counter()
+    expected_ends = []
+
+    def accept(conn):
+        missed = 0
+        answered = True  # the first tick finds no ping sent
+
+        def pong(seq):
+            try:
+                conn.send(protocol.pong_line(seq))
+            except ConnectionError:  # the session has ended
+                pass
+
+        def handle(msg):
+            nonlocal missed, answered
+            if msg["type"] == "hello":
+                conn.send(protocol.encode_line(protocol.bays_message("LOT", [(1, "free")])))
+                return
+            seq, now = msg["seq"], sched.now_ms()
+            missed = 0 if answered else missed + 1  # what the tick that sent this ping found
+            pattern = rng.choices(("now", "late_in_time", "dropped", "wrong", "after_next"),
+                                  weights=(5, 2, 1, 1, 1))[0]
+            patterns[pattern] += 1
+            answered = pattern in ("now", "late_in_time")
+            if pattern == "now":
+                pong(seq)
+            elif pattern == "late_in_time":
+                sched.call_at(now + 30_000, pong, seq)
+            elif pattern == "wrong":
+                pong(seq + rng.choice((-1, 1, 1000)))
+            elif pattern == "after_next":
+                sched.call_at(now + 60_001, pong, seq)
+            if not answered and missed == 2:
+                expected_ends.append(now + 60_000)  # the next tick finds a third miss
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+
+    net.listen("sim://gw", accept)
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
+    )
+    agent.start()
+    sched.run_until(EPOCH_MS + 6 * HOUR_MS)
+    assert sum(patterns.values()) >= 200 and len(patterns) == 5
+    assert len(expected_ends) >= 5
+    ends = [r["ts"] for r in eventlog.read_records(tmp_path / "agent.log")
+            if r.get("marker") == "disconnect"]
+    assert ends == expected_ends
+
+
 def test_malformed_snapshot_triggers_reconnect(tmp_path):
     sched = VirtualScheduler(EPOCH_MS)
     net = VirtualNetwork(sched)
@@ -335,7 +397,7 @@ def test_malformed_snapshot_triggers_reconnect(tmp_path):
     sched.run_until(EPOCH_MS + 5000)
     assert agent.warnings["malformed_snapshot"] >= 1
     assert len(hellos) >= 2  # reconnected after the protocol error
-    assert agent.handshaken
+    assert agent._gap_open is None
 
 
 def test_an_update_naming_another_lot_is_malformed_and_neither_logged_nor_applied(
@@ -381,7 +443,7 @@ def test_a_snapshot_naming_two_lots_is_malformed_and_ends_the_session(tmp_path):
     agent.start()
     sched.run_until(EPOCH_MS + 5000)
     assert agent.warnings["malformed_snapshot"] == 1
-    assert len(hellos) == 2 and agent.handshaken
+    assert len(hellos) == 2 and agent._gap_open is None
     assert sorted(agent.table) == [1]
     assert b"OTHER" not in (tmp_path / "agent.log").read_bytes()
 
@@ -410,7 +472,7 @@ def test_unresponsive_gateway_handshake_times_out(tmp_path):
     )
     agent.start()
     sched.run_until(EPOCH_MS + 200_000)
-    assert not agent.handshaken
+    assert agent.total_gap_ms == 200_000  # no snapshot ever closed the gap
     assert len(accepted) >= 3  # timed out and retried with backoff
 
 
@@ -448,7 +510,7 @@ def test_malformed_snapshot_mid_session_ends_it_like_any_session_loss(rig_factor
     rig.sched.run_until(EPOCH_MS + 2 * HOUR_MS)
     assert disconnect_times(rig) == [EPOCH_MS + 2 * HOUR_MS]
     assert rig.agent.table[3].accumulated_occupation_ms == HOUR_MS  # the observed hour
-    assert rig.agent.handshaken  # redialled at once
+    assert rig.agent._gap_open is None  # redialled at once
     rig.sched.run_until(EPOCH_MS + DAY_MS)
     assert rig.agent.total_gap_ms == 0
     assert csv_rows(rig, EPOCH_MS)["3"] == "14400,0.1667"
@@ -461,10 +523,10 @@ def test_gateway_conn_dropped_on_failed_hello_cannot_end_the_live_session(rig_fa
     rig.run_for(5000)  # backed off, redialled and handshaken
     (broken,) = dialled
     live = rig.agent.session
-    assert rig.agent.handshaken and live is not broken
+    assert rig.agent._gap_open is None and live is not broken
     broken._deliver_close()  # what its reader delivers when the socket dies
     rig.run_for(1000)
-    assert rig.agent.session is live and rig.agent.handshaken
+    assert rig.agent.session is live and rig.agent._gap_open is None
     assert disconnect_times(rig) == []
 
 
@@ -499,7 +561,7 @@ def test_hub_hanging_up_mid_upload_still_stores_the_window_once(rig_factory):
     # Resent after one backoff, well before the 5 s ack timeout.
     rig.sched.run_until(EPOCH_MS + HOUR_MS + 1000)
     assert rig.agent.upload_sends == 2
-    assert not rig.agent.upload_queue and rig.agent.upload_inflight is None
+    assert not rig.agent.upload_queue and rig.agent._ack_timer is None
     store_file = rig.store.store_dir / "LOT-A.jsonl"
     assert len(store_file.read_text().splitlines()) == 1
 
@@ -765,6 +827,65 @@ def test_csv_write_failure_parks_envelope_in_dead_letter(rig_factory, monkeypatc
     assert rig.agent.window_start == EPOCH_MS + DAY_MS
 
 
+class LateScheduler(VirtualScheduler):
+    """Runs callbacks in due order, as the live loop does, but runs a delivery
+    due at late_due lag_ms after it; now never moves back."""
+
+    def __init__(self, start_ms, late_due, lag_ms):
+        super().__init__(start_ms)
+        self.late_due, self.lag_ms = late_due, lag_ms
+
+    def run_until(self, end_ms):
+        while self._heap and self._heap[0][0] <= end_ms:
+            due, _prio, _seq, handle, fn, args = heapq.heappop(self._heap)
+            late = due == self.late_due and getattr(fn, "__name__", "") == "_deliver"
+            self._now = max(self._now, due + self.lag_ms * late)
+            if not handle.cancelled:
+                fn(*args)
+        self._now = max(self._now, end_ms)
+
+
+def test_an_update_run_after_its_boundary_is_logged_and_applied_in_the_next_window(tmp_path):
+    # An update due 10 ms before 01:00 runs 10 ms after it, before the boundary does.
+    boundary = EPOCH_MS + HOUR_MS
+    sched = LateScheduler(EPOCH_MS, late_due=boundary - 10, lag_ms=20)
+    net = VirtualNetwork(sched)
+    sessions = []
+
+    def accept(conn):
+        def handle(msg):
+            if msg["type"] == "hello":
+                conn.send(protocol.encode_line(protocol.bays_message("LOT", [(1, "free")])))
+            elif msg["type"] == "ping":
+                conn.send(protocol.pong_line(msg["seq"]))
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+        sessions.append(conn)
+
+    net.listen("sim://gw", accept)
+    agent, _ = make_agent(tmp_path, sched, net, gateway_address="sim://gw",
+                          rollup_period_sec=3600)
+    agent.start()
+    update = protocol.bays_update_line("LOT", 1, "occupied")
+    sched.call_at(boundary - 10, lambda: sessions[0].send(update))
+    sched.run_until(boundary + HOUR_MS // 2)
+    assert agent.table[1].status is BayStatus.OCCUPIED
+    records = list(eventlog.read_records(tmp_path / "agent.log"))
+    # [00:00, 01:00) closed once, at 01:00; the update is logged after its flush block.
+    assert [r for r in records if "marker" in r] == [eventlog.flush_record(boundary, EPOCH_MS)]
+    assert [r.get("src") for r in records] == ["snapshot", None, "snapshot", "update"]
+    assert records[-1]["ts"] == boundary + 10
+    csv = tmp_path / "csv" / csv_filename("LOT", EPOCH_MS)
+    assert read_csv_records(csv) == ("LOT", EPOCH_MS, [RollupRecord(1, 0, 0.0)])
+    agent.kill()
+    restarted, _ = make_agent(tmp_path, VirtualScheduler(boundary + 90 * 60_000),
+                              rollup_period_sec=3600)
+    restarted.start()  # closes [01:00, 02:00) from the log
+    assert restarted.window_start == boundary + HOUR_MS
+    assert (tmp_path / "csv" / csv_filename("LOT", boundary)).exists()
+
+
 # ---------------------------------------------------------------------------
 # uploads
 
@@ -791,6 +912,70 @@ def test_upload_retries_until_hub_comes_up(tmp_path):
     assert len(rig.store) == 1
 
 
+def test_a_reply_for_no_upload_in_flight_changes_nothing(tmp_path):
+    """The hub leaves the first send of window 0 unanswered, so its ack times out
+    after window 1 is queued; it acks the resend twice, and the duplicate arrives
+    while window 1 is in flight. Stray replies come with window 1's send, and
+    replies after the queue has drained, with nothing in flight."""
+    sched = VirtualScheduler(EPOCH_MS)
+    net = VirtualNetwork(sched)
+    key0, key1 = (protocol.envelope_key(agent.UNKNOWN_LOT, EPOCH_MS + n * 60_000)
+                  for n in (0, 1))
+    stray = [
+        {"type": "ack", "key": key0}, {"type": "error", "key": key0, "reason": "x"},
+        {"type": "ack", "key": "LOT:1"}, {"type": "ack"}, {"type": "ack", "key": None},
+        {"type": "ack", "key": 7}, {"type": "stored", "key": key1},
+    ]
+    replies = [[], [{"type": "ack", "key": key0}] * 2, [*stray, {"type": "ack", "key": key1}]]
+    links = []
+
+    def accept(conn):
+        links.append(conn)
+
+        def handle(envelope):
+            for reply in replies.pop(0):
+                conn.send(protocol.encode_line(reply))
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+
+    net.listen("sim://hub", accept)
+    edge, _ = make_agent(tmp_path, sched, net, cloud_address="sim://hub",
+                         rollup_period_sec=60, ack_timeout_ms=100_000)
+    seen = []
+    handle = edge._on_hub_message
+
+    def state():
+        return [u.key for u in edge.upload_queue], edge._ack_timer, edge.upload_attempt
+
+    def recorded(message):
+        before = state()
+        handle(message)
+        seen.append((message, before, state()))
+
+    edge._on_hub_message = recorded
+    edge.start()
+    sched.run_until(EPOCH_MS + 160_000 - 1)  # window 0 in flight since 01:00, window 1 queued
+    assert [u.key for u in edge.upload_queue] == [key0, key1] and edge._ack_timer is not None
+    sched.run_until(EPOCH_MS + 170_000)  # timed out at 02:40, resent after 1 s backoff
+    assert edge.upload_sends == 3 and not replies
+    first_ack, duplicate, *strays, last_ack = seen
+    assert first_ack[:2] == ({"type": "ack", "key": key0}, ([key0, key1], first_ack[1][1], 1))
+    in_flight = first_ack[2]  # window 1, sent as window 0 was acked
+    assert in_flight[0] == [key1] and in_flight[1] is not None and in_flight[2] == 0
+    assert duplicate == ({"type": "ack", "key": key0}, in_flight, in_flight)
+    assert [m for m, _, _ in strays] == stray
+    assert all(before == after == in_flight for _, before, after in strays)
+    assert last_ack == ({"type": "ack", "key": key1}, in_flight, ([], None, 0))
+    # Nothing in flight: a late ack or error changes nothing and reads no queue head.
+    late = [{"type": "ack", "key": key1}, {"type": "error", "key": key1, "reason": "x"}]
+    for reply in late:
+        links[-1].send(protocol.encode_line(reply))
+    sched.run_until(EPOCH_MS + 175_000)
+    assert seen[-2:] == [(reply, ([], None, 0), ([], None, 0)) for reply in late]
+    assert edge.warnings["upload_refused"] == 0
+
+
 def test_dropped_acks_cause_retries_but_single_store(rig_factory):
     rig = rig_factory(rollup_period_sec=3600, drop_acks=2)
     rig.sched.run_until(EPOCH_MS + HOUR_MS + 60_000)
@@ -813,7 +998,7 @@ def test_hub_refusal_is_final_and_later_windows_still_upload(rig_factory):
     rig.sched.run_until(EPOCH_MS + 2 * HOUR_MS + 1000)
     assert restarted.upload_sends == 3  # the refused window once, then both hourly windows
     assert restarted.warnings["upload_refused"] == 1
-    assert not restarted.upload_queue and restarted.upload_inflight is None
+    assert not restarted.upload_queue and restarted._ack_timer is None
     assert rig.store.query_daily("LOT-A", EPOCH_MS) is not None
     assert rig.store.query_daily("LOT-A", EPOCH_MS + HOUR_MS) is not None
     (parked,) = (rig.agent_config.csv_dir / "deadletter").glob("*.envelope.json")
@@ -1084,10 +1269,10 @@ def test_agent_redials_a_gateway_back_after_a_ten_hour_outage(rig_factory):
     rig.agent.start()
     rig.run_for(10 * HOUR_MS)  # 30 s apart at the cap: past attempt 1,024
     assert rig.agent.connect_attempt > 1024
-    assert not rig.agent.handshaken
+    assert rig.agent._gap_open == EPOCH_MS  # no snapshot yet
     rig.net.listen(GATEWAY_ADDRESS, rig.gateway._accept)
     rig.run_for(30_000)
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None
 
 
 def test_agent_uploads_to_a_hub_back_after_a_ten_hour_outage(rig_factory):

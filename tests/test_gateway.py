@@ -414,12 +414,11 @@ def test_malformed_line_is_dropped_and_session_stays_up():
 
 
 def test_ping_with_boolean_seq_gets_error_and_close():
-    sched, net, core = make_gateway(items_trace([]))
+    sched, net, _ = make_gateway(items_trace([]))
     probe = Probe(sched, net)
     probe.send(protocol.encode_line({"type": "ping", "seq": True}))
     assert [m["type"] for m in probe.received] == ["error"]
     assert probe.closed
-    assert core.pings_received == 0
 
 
 def test_unknown_type_gets_error_and_close():

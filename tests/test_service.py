@@ -251,5 +251,5 @@ def test_no_hostile_line_ends_the_hub_the_gateway_or_the_agent(rig_factory):
         rig.agent.hub_conn.peer.send(line)  # as the hub
         rig.run_for(0)
     rig.run_for(HOUR_MS)  # every component still serves
-    assert rig.agent.handshaken
+    assert rig.agent._gap_open is None
     assert rig.store.query_daily("LOT-A", EPOCH_MS + HOUR_MS) is not None
