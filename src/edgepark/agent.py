@@ -63,6 +63,7 @@ CSV_ROW = "{},{},{:.4f}\n"  # a RollupRecord's row
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"  # UTC basic format of a window start, in CSV names
 CLIENT_NAME = "edge-agent"  # sent in the hello
 UNKNOWN_LOT = "unknown"  # names a window rolled up before any lot is known, live or replayed
+MAX_UPDATE_PREFIXES = 1024  # (lot, bay, status) update lines whose event_prefix the agent keeps
 
 # The agent counts its warnings by these kinds, in bounded memory. A per-event
 # kind (raised once per update or log record; duplicate_update and unknown_bay come
@@ -276,6 +277,7 @@ class EdgeAgentCore:
         self.lot_id: str | None = None
         self.window_start: int = 0
         self.log_writer: eventlog.EventLogWriter | None = None
+        self._update_prefixes: dict[tuple[str, int, str], bytes] = {}
 
         self.session: Any = None
         self.connect_attempt = 0
@@ -511,7 +513,12 @@ class EdgeAgentCore:
                 bay_id, now, state.last_transition_ts,
             )
             return
-        self._append_log(eventlog.event_line(EventKind.UPDATE, now, lot_id, bay_id, status))
+        prefix = self._update_prefixes.get(key := (lot_id, bay_id, status))
+        if prefix is None:
+            prefix = eventlog.event_prefix(EventKind.UPDATE, *key)
+            if len(self._update_prefixes) < MAX_UPDATE_PREFIXES:
+                self._update_prefixes[key] = prefix
+        self._append_log(prefix + eventlog.EVENT_TS_TAIL % now)
         apply_event(self.table, EventKind.UPDATE, now, lot_id, bay_id, status, self.warnings)
         self.events_ingested += 1
 

@@ -15,13 +15,14 @@ uses the same reader and writer for its roll-up files.
 The writer appends lines its caller has already encoded. Event lines,
 one per ingested update, come from ``event_line``, which takes the
 event's fields and writes the same bytes as ``protocol.encode_line`` of
-the event's dict; markers are dicts passed through ``encode_line``, and
+the event's dict: its ``event_prefix``, the same for every event of a bay
+and status, then ``EVENT_TS_TAIL % ts``. Markers go through ``encode_line``,
 hub rows come from ``hub.store_row_line``. A roll-up's flush marker and
-re-seed lines are one append, one write call. ``reseed_lines``
-is the one rendering of a window's re-seed block, one snapshot line per
-bay at the boundary. At every flush marker, replay credits its table up
-to the marker's ts, renders the block again from it and steps past the
-block when the log holds exactly those bytes (``LogRecords.consume``),
+re-seed lines are one append, one write call. ``reseed_lines`` is the one
+rendering of a window's re-seed block, one snapshot line per bay at the
+boundary. At every flush marker, replay credits its table up to the
+marker's ts, renders the block again from it and steps past the block
+when the log holds exactly those bytes (``LogRecords.consume``),
 so it decodes only the lines that differ.
 
 Torn tails: a final line without its newline is a crash leftover. A pass
@@ -56,12 +57,13 @@ log = logging.getLogger(__name__)
 
 MARKER_FLUSH = "flush"
 MARKER_DISCONNECT = "disconnect"
+EVENT_TS_TAIL = b"%d}\n"  # an event line after its event_prefix: % its ts, the last key
 
 
-def event_line(
-    kind: EventKind, ts: int, lot_id: str, bay_id: int, status: BayStatus, rejected: bool = False
+def event_prefix(
+    kind: EventKind, lot_id: str, bay_id: int, status: BayStatus, rejected: bool = False
 ) -> bytes:
-    """One encoded event line, keys in sorted order as encode_line writes them.
+    """An event line up to its ts, keys in sorted order as encode_line writes them.
 
     Both enums are str enums: encode_basestring_ascii writes a member as its value.
     """
@@ -69,8 +71,13 @@ def event_line(
     return (
         f'{{"bayId":{bay_id},"lotId":{encode_basestring_ascii(lot_id)},'
         f'{flag}"src":{encode_basestring_ascii(kind)},'
-        f'"status":{encode_basestring_ascii(status)},"ts":{ts}}}\n'
+        f'"status":{encode_basestring_ascii(status)},"ts":'
     ).encode("ascii")
+
+
+def event_line(kind: EventKind, ts: int, lot_id: str, bay_id: int, status: BayStatus,
+               rejected: bool = False) -> bytes:
+    return event_prefix(kind, lot_id, bay_id, status, rejected) + EVENT_TS_TAIL % ts
 
 
 def reseed_lines(table: dict[int, BayState], boundary: int) -> bytes:

@@ -277,6 +277,7 @@ class GatewayCore:
         self.update_bytes = 0
         self.listener: Any = None
         self._pending: Iterator[TraceItem] = iter(())
+        self._update_lines: dict[tuple[int, BayStatus], bytes] = {}
 
     def start(self) -> None:
         self.start_ms = self.sched.now_ms()
@@ -362,8 +363,10 @@ class GatewayCore:
     def _dispatch(self, item: TraceItem) -> None:
         self._arm_next()
         self.current[item.bay_id] = item.new_status
-        # Encoded once; every session and every repeat gets the same bytes.
-        line = protocol.bays_update_line(self.config.lot_id, item.bay_id, item.new_status)
+        # Encoded once per (bay, status), two per bay: sessions and repeats share the bytes.
+        line = self._update_lines.get(key := (item.bay_id, item.new_status))
+        if line is None:
+            line = self._update_lines[key] = protocol.bays_update_line(self.config.lot_id, *key)
         repeats = 2 if self.config.faults.duplicate_updates else 1
         for conn in list(self.sessions):
             for _ in range(repeats):

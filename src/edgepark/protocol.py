@@ -22,7 +22,9 @@ and hub-store records, trace rows, scenario scripts) goes through
 ``decode_json``. It returns exactly what ``json.loads`` returns for the
 same ``str``, value and exception type alike, in one call of the
 decoder's scanner instead of ``loads``' three frames and two whitespace
-regex matches.
+regex matches. A delivered wire message is read-only: the receiving
+connection may hand the same decoded dict to every delivery of an equal
+'baysUpdate' line (``transport._LineEndpoint``).
 
 Integer fields reject JSON booleans (``is_wire_int``, ``is_bay_id``, or
 ``type(x) is int`` per roll-up record): Python's bool is an int, and a

@@ -20,6 +20,8 @@ from . import protocol
 from .clock import RealScheduler, VirtualScheduler
 
 log = logging.getLogger(__name__)
+MAX_DECODED_UPDATES = 1024  # distinct 'baysUpdate' lines a connection keeps decoded,
+MAX_DECODED_LINE_BYTES = 256  # each at most this long
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -30,21 +32,30 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 class _LineEndpoint:
-    """What either transport does with a received line and the peer's close."""
+    """What either transport does with a received line and the peer's close. A
+    delivered message is read-only: equal 'baysUpdate' lines share one."""
 
-    label: str
     closed: bool = False
     on_message: Callable[[dict[str, Any]], None] | None = None
     on_close: Callable[[], None] | None = None
 
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self._decoded: dict[bytes, dict[str, Any]] = {}
+
     def _deliver(self, line: bytes) -> None:
         if self.closed or self.on_message is None:
             return
-        try:
-            message = protocol.decode_line(line)
-        except protocol.ProtocolError as exc:
-            log.warning("%s: dropping malformed line: %s", self.label, exc)
-            return
+        message = self._decoded.get(line)
+        if message is None:
+            try:
+                message = protocol.decode_line(line)
+            except protocol.ProtocolError as exc:
+                log.warning("%s: dropping malformed line: %s", self.label, exc)
+                return
+            if (message["type"] == "baysUpdate" and len(line) <= MAX_DECODED_LINE_BYTES
+                    and len(self._decoded) < MAX_DECODED_UPDATES):
+                self._decoded[line] = message
         self.on_message(message)
 
     def _deliver_close(self) -> None:
@@ -59,8 +70,8 @@ class VirtualConn(_LineEndpoint):
     """One endpoint of an in-memory session."""
 
     def __init__(self, sched: VirtualScheduler, label: str) -> None:
+        super().__init__(label)
         self._sched = sched
-        self.label = label
         self.peer: VirtualConn | None = None
 
     def send(self, line: bytes) -> int:
@@ -133,9 +144,9 @@ class SocketConn(_LineEndpoint):
     """TCP session endpoint; a reader thread feeds the scheduler."""
 
     def __init__(self, sched: RealScheduler, sock: socket.socket, label: str) -> None:
+        super().__init__(label)
         self._sched = sched
         self._sock = sock
-        self.label = label
         self._lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, name=f"rx-{label}", daemon=True)
 

@@ -462,6 +462,50 @@ def test_clock_regression_event_logged_as_rejected(rig_factory):
     assert records[-1].get("rejected") is True
 
 
+def test_a_second_session_on_another_lot_logs_its_updates_under_that_lot(tmp_path):
+    """Each session's snapshot names a different lot, and both update bay 1 to
+    occupied: the second session's lines carry the second lot. A rejected update
+    is logged in full, with its flag."""
+    sched = VirtualScheduler(EPOCH_MS)
+    net = VirtualNetwork(sched)
+    lots = ["LOT-A", "LOT-B"]
+
+    def accept(conn):
+        lot_id = lots.pop(0)
+
+        def handle(msg):
+            if msg["type"] == "hello":
+                conn.send(protocol.encode_line(protocol.bays_message(lot_id, [(1, "free")])))
+                for at in (1000, 2000):
+                    sched.call_later(at, conn.send, protocol.bays_update_line(lot_id, 1, "occupied"))
+                if lots:
+                    sched.call_later(3000, conn.close)
+
+        conn.on_message = handle
+        conn.on_close = lambda: None
+
+    net.listen("sim://gw", accept)
+    agent, _ = make_agent(
+        tmp_path, sched, net, gateway_address="sim://gw", cloud_address="sim://hub"
+    )
+    agent.start()
+    sched.run_until(EPOCH_MS + 10_000)
+    assert not lots and agent.lot_id == "LOT-B"
+    updates = [line for line in (tmp_path / "agent.log").read_bytes().splitlines(keepends=True)
+               if b'"src":"update"' in line]
+    assert updates == [
+        eventlog.event_line(EventKind.UPDATE, ts, lot_id, 1, BayStatus.OCCUPIED)
+        for lot_id, ts in (("LOT-A", EPOCH_MS + 1000), ("LOT-A", EPOCH_MS + 2000),
+                           ("LOT-B", EPOCH_MS + 4000), ("LOT-B", EPOCH_MS + 5000))
+    ]
+
+    agent.table[1].last_transition_ts = EPOCH_MS + 10_000_000
+    agent._on_update(protocol.decode_line(protocol.bays_update_line("LOT-B", 1, "occupied")))
+    assert (tmp_path / "agent.log").read_bytes().endswith(eventlog.event_line(
+        EventKind.UPDATE, EPOCH_MS + 10_000, "LOT-B", 1, BayStatus.OCCUPIED, rejected=True
+    ))
+
+
 def test_unresponsive_gateway_handshake_times_out(tmp_path):
     sched = VirtualScheduler(EPOCH_MS)
     net = VirtualNetwork(sched)

@@ -533,6 +533,32 @@ def test_dispatch_encodes_once_and_fans_out_the_bytes(monkeypatch):
     }
 
 
+def test_each_bay_and_status_is_encoded_once_over_many_dispatches(monkeypatch):
+    encodes = []
+    real_update_line = protocol.bays_update_line
+
+    def counting_update_line(*args):
+        encodes.append(args)
+        return real_update_line(*args)
+
+    monkeypatch.setattr(protocol, "bays_update_line", counting_update_line)
+    statuses = ("occupied", "free")
+    trace = items_trace([(1000 * i, 1 + i % 2, statuses[i // 2 % 2]) for i in range(10)])
+    core = GatewayCore(VirtualScheduler(EPOCH_MS), None,
+                       GatewayConfig("sim://gw", trace.lot_id, trace.bay_count), trace)
+    session = RawRecorder()
+    core.sessions.append(session)
+    for item in trace.items:
+        core._dispatch(item)
+
+    assert sorted(encodes) == sorted(
+        ("LOT-A", bay, status) for bay in (1, 2) for status in statuses
+    )
+    assert session.sent == [
+        real_update_line("LOT-A", item.bay_id, item.new_status) for item in trace.items
+    ]
+
+
 # ---------------------------------------------------------------------------
 # trace dispatch: one pending item, in the order the whole trace queued at once
 
