@@ -25,17 +25,29 @@ marker's ts, renders the block again from it and steps past the block
 when the log holds exactly those bytes (``LogRecords.consume``),
 so it decodes only the lines that differ.
 
+A pass decodes each distinct head once, a line's head being its bytes up
+to its last ``"ts":``. A canonical line (``encode_line`` of its record, so
+no key repeats) whose record has the ts last and holds no list or object is
+its head's template. A later line of that head that ends in a ts in
+canonical digits and ``}`` reads as a copy of the template with that ts:
+JSON is read left to right, so equal heads decode alike, and a template's
+last ``"ts":`` is its own last key, not the end of a key like ``"x\\"ts"``
+or one in a nested object. The templates are the pass's: at most
+``MAX_TEMPLATES``, from lines of at most ``MAX_TEMPLATE_LINE`` bytes, with
+their keys and strings held once. Each record yielded is a dict of its own.
+
 Torn tails: a final line without its newline is a crash leftover. A pass
 stops before it; opening a writer cuts it off, so the next record starts on
 a line of its own. Both find it by scanning back from the end, so a long one
 costs one block. Reading is one pass that yields each record as its line is
-decoded, so a caller that folds as it reads never holds the whole log.
+read, so a caller that folds as it reads never holds the whole log.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -51,7 +63,7 @@ from .occupancy import (
     event_kind,
     invalidate_statuses,
 )
-from .protocol import decode_json
+from .protocol import decode_json, encode_line
 
 log = logging.getLogger(__name__)
 
@@ -147,6 +159,9 @@ def apply_record(
 
 
 _SCAN_BLOCK = 1 << 16  # bytes read per step of the backward newline scan
+MAX_TEMPLATES = 1024  # heads whose record one pass keeps
+MAX_TEMPLATE_LINE = 256  # bytes: a longer line is decoded, never kept
+_TS_TAIL = re.compile(rb"(0|[1-9][0-9]{0,18})\}\n")  # a ts in canonical digits, the last key
 
 
 def _last_line_end(fh: IO[bytes], end: int) -> int:
@@ -264,6 +279,8 @@ class LogRecords:
                 log.warning("%s: discarding torn final line (%d bytes)", self.path, end - keep)
             fh.seek(0)
             readline, lineno = fh.readline, 0
+            templates: dict[bytes, dict[str, Any]] = {}  # head -> its record; see the module
+            strings: dict[str, str] = {}  # one object per key and string value they hold
             while self._pos < keep:
                 line = readline()
                 if not line:
@@ -271,6 +288,13 @@ class LogRecords:
                 self._pos += len(line)
                 lineno += 1
                 if len(line) == 1:
+                    continue
+                head, _, tail = line.rpartition(b'"ts":')
+                template = templates.get(head)
+                if template is not None and (ts := _TS_TAIL.fullmatch(tail)):
+                    record = template.copy()
+                    record["ts"] = int(ts[1])
+                    yield record
                     continue
                 try:
                     record = decode_json(line[:-1].decode("utf-8"))
@@ -281,6 +305,14 @@ class LogRecords:
                     log.warning("%s:%d: skipping undecodable line: %s",
                                 self.path, lineno + self._consumed_lines, exc)
                     continue
+                if (len(line) <= MAX_TEMPLATE_LINE and len(templates) < MAX_TEMPLATES
+                        and next(reversed(record), None) == "ts"
+                        and not any(type(v) is dict or type(v) is list for v in record.values())
+                        and encode_line(record) == line):
+                    templates[head] = {
+                        strings.setdefault(k, k): strings.setdefault(v, v) if type(v) is str else v
+                        for k, v in record.items()
+                    }
                 yield record
 
 

@@ -10,6 +10,7 @@ drops, duplicated updates, muted pongs) is config-gated and off by default.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heapreplace
@@ -144,6 +145,12 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
 # Trace persistence (harness artifact and scripted scenarios)
 
 
+# write_trace's item row in canonical digits, which _trace_rows reads without a decode.
+_ITEM_ROW = re.compile(r'\{"bayId":([1-9][0-9]{0,18}),"kind":"item",'
+                       r'"simTs":(0|[1-9][0-9]{0,18}),"status":"(occupied|free)"\}')
+MAX_TRACE_BAYS = 4096  # (bay, status) pairs whose parse_bay one read of a trace keeps
+
+
 def write_trace(trace: SimTrace, fh: BinaryIO) -> Iterator[TraceItem]:
     """Write the trace's meta and initial rows to fh now, and return its
     items: each item's row is written to fh as the item is taken, so
@@ -199,11 +206,21 @@ def _trace_rows(
     path: str | Path,
 ) -> Iterator[TraceItem | tuple[str, int, int] | dict[int, BayStatus]]:
     """Each row of a trace file, parsed: an item, a meta row's (lot_id,
-    bay_count, duration_ms) or an initial row's statuses."""
+    bay_count, duration_ms) or an initial row's statuses. An item row in
+    write_trace's bytes whose (bay id, status) text an earlier row of the
+    read parsed to a bay is that bay at its simTs; any other row is decoded."""
     in_items = False
+    bays: dict[tuple[str, str], tuple[int, BayStatus]] = {}  # parse_bay of an _ITEM_ROW's text
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
+            if fixed := _ITEM_ROW.fullmatch(line):
+                bay = bays.get(key := fixed.group(1, 3))
+                sim_ts = int(fixed[2])
+                if bay is not None and sim_ts < 2**63:
+                    in_items = True
+                    yield TraceItem(sim_ts, *bay)
+                    continue
             if not line or line.startswith("#"):
                 continue
             try:
@@ -231,6 +248,8 @@ def _trace_rows(
                                   for b, s in row["statuses"].items())
             except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
+            if fixed and len(bays) < MAX_TRACE_BAYS:
+                bays[key] = bay
             yield parsed
 
 

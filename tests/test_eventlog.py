@@ -452,3 +452,52 @@ def test_read_records_matches_line_by_line_json_loads(tmp_path, caplog):
         path = tmp_path / f"log{n}.log"
         path.write_bytes(body)
         assert read_all(path) == reference_read_records(path)
+
+
+def decoded_lines(monkeypatch):
+    """The text of each line the log reader decodes, appended as it decodes it."""
+    decoded = []
+    decode = eventlog.decode_json
+    monkeypatch.setattr(eventlog, "decode_json", lambda text: decoded.append(text) or decode(text))
+    return decoded
+
+
+def test_a_pass_keeps_at_most_max_templates_heads(tmp_path, monkeypatch):
+    monkeypatch.setattr(eventlog, "MAX_TEMPLATES", 3)
+    decoded = decoded_lines(monkeypatch)
+    path = tmp_path / "events.log"
+    lines = [eventlog.event_line(*ev(ts, ts % 10 + 1, "free")) for ts in range(50)]  # ten heads
+    path.write_bytes(b"".join(lines))
+    for _ in range(2):
+        decoded.clear()
+        assert read_all(path) == ([json.loads(line) for line in lines], 0)
+        # Each pass keeps the first three heads, decoded once; the other seven every time.
+        assert len(decoded) == 3 + 7 * 5
+
+
+def test_a_line_longer_than_max_template_line_is_decoded_every_time(tmp_path, monkeypatch):
+    short = [eventlog.event_line(*ev(ts, 1, "free")) for ts in (1, 2, 3)]
+    long = [eventlog.event_line(EventKind.UPDATE, ts, "LOT-B", 1, BayStatus.FREE)
+            for ts in (1, 2, 3)]
+    monkeypatch.setattr(eventlog, "MAX_TEMPLATE_LINE", len(short[0]))
+    decoded = decoded_lines(monkeypatch)
+    path = tmp_path / "events.log"
+    path.write_bytes(b"".join(long + short))
+    assert read_all(path) == ([json.loads(line) for line in long + short], 0)
+    assert decoded == [line[:-1].decode() for line in long + short[:1]]
+
+
+def test_each_record_of_a_pass_is_a_dict_of_its_own(tmp_path):
+    path = tmp_path / "events.log"
+    lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in (1, 2, 3)]
+    path.write_bytes(b"".join(lines))
+    with eventlog.read_records(path) as reader:
+        records = iter(reader)
+        first = next(records)  # the line its head's template is taken from
+        first.update(lotId="X", extra=True)
+        del first["ts"]
+        second = next(records)
+        second["status"] = "occupied"
+        third = next(records)
+    assert second == {**json.loads(lines[1]), "status": "occupied"}
+    assert third == json.loads(lines[2])

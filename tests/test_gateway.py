@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -596,3 +597,75 @@ def test_run_sends_every_update_in_trace_order():
     sched.run_until(EPOCH_MS + DAY_MS)
     assert len(trace.items) > 1000
     assert sent_updates(session) == [(i.bay_id, i.new_status) for i in trace.items]
+
+
+ITEM_ROW = '{"bayId":%s,"kind":"item","simTs":%s,"status":"%s"}\n'
+NEAR_FIXED_ROWS = {
+    "bay 0": ITEM_ROW % (0, 5, "free"),
+    "bay 2**63 - 1": ITEM_ROW % (2**63 - 1, 5, "free"),
+    "bay 2**63": ITEM_ROW % (2**63, 5, "free"),
+    "simTs 0": ITEM_ROW % (1, 0, "free"),
+    "simTs 10**18": ITEM_ROW % (1, 10**18, "free"),
+    "simTs 2**63 - 1": ITEM_ROW % (1, 2**63 - 1, "free"),
+    "simTs 2**63": ITEM_ROW % (1, 2**63, "free"),
+    "simTs 10**19 - 1": ITEM_ROW % (1, 10**19 - 1, "free"),
+    "simTs 10**19": ITEM_ROW % (1, 10**19, "free"),
+    "bay 01": ITEM_ROW % ("01", 5, "free"),
+    "simTs 05": ITEM_ROW % (1, "05", "free"),
+    "unknown": ITEM_ROW % (1, 5, "unknown"),
+    "reordered keys": '{"kind":"item","bayId":1,"simTs":5,"status":"free"}\n',
+    "meta after an item": '{"bayCount":2,"durationMs":9,"kind":"meta","lotId":"L"}\n',
+}
+
+
+def trace_outcome(path):
+    """read_trace's header and items, in repr, or the text of its error."""
+    try:
+        trace = read_trace(path)
+        items = tuple(trace.items)
+    except InvariantViolationError as exc:
+        return f"error: {exc}"
+    return repr((trace.lot_id, trace.bay_count, trace.duration_ms, trace.initial, items))
+
+
+@pytest.mark.parametrize("row", NEAR_FIXED_ROWS.values(), ids=NEAR_FIXED_ROWS)
+def test_read_trace_reads_a_row_alike_on_the_fixed_field_path_and_off_it(
+    tmp_path, monkeypatch, row
+):
+    path = tmp_path / "trace.jsonl"
+    # Free items of bays 1 and 2**63 - 1 first, so the row's bay may already be parsed.
+    save_trace(items_trace([(0, 1, "free"), (0, 2**63 - 1, "free")], bays=2), path)
+    with open(path, "a") as fh:
+        fh.write(row * 2)
+    fixed = trace_outcome(path)
+    monkeypatch.setattr(gateway, "_ITEM_ROW", re.compile("(?!)"))  # every row decoded
+    assert fixed == trace_outcome(path)
+
+
+def parse_bay_calls(monkeypatch):
+    """The (bay id, status) of each protocol.parse_bay call, appended as it is made."""
+    calls = []
+    parse_bay = protocol.parse_bay
+    monkeypatch.setattr(protocol, "parse_bay", lambda b, s: calls.append((b, s)) or parse_bay(b, s))
+    return calls
+
+
+@pytest.mark.parametrize("cap", [gateway.MAX_TRACE_BAYS, 3])
+def test_a_read_of_a_trace_parses_each_bay_and_status_once_up_to_its_cap(
+    tmp_path, monkeypatch, cap
+):
+    monkeypatch.setattr(gateway, "MAX_TRACE_BAYS", cap)
+    trace = materialised(generate_trace(config(bays=5, seed=3, occ=20.0, free=10.0), DAY_MS))
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    calls = parse_bay_calls(monkeypatch)
+    assert materialised(read_trace(path)) == trace
+    want = [(bay_id, status.value) for bay_id, status in trace.initial.items()]
+    kept = set()  # the first ``cap`` item pairs are kept; any other is parsed each time
+    for pair in ((item.bay_id, item.new_status.value) for item in trace.items):
+        if pair not in kept:
+            want.append(pair)
+            if len(kept) < cap:
+                kept.add(pair)
+    assert len(kept) == min(cap, 10) and len(trace.items) > 100
+    assert calls == want

@@ -1,6 +1,7 @@
 """Scenario parsing, run-sim artifacts, replay, verify, traffic, and export."""
 
 import dataclasses
+import io
 import json
 import logging
 import re
@@ -379,16 +380,25 @@ def reseed_line_indexes(lines):
 
 
 def replay(log_path, window_sec, out, monkeypatch, *, line_by_line=False):
-    """replay_log's result and the text of every line it decoded; ``line_by_line``
-    folds every line as the reader did before it could step past a re-seed block."""
+    """replay_log's result and the text of every line its pass turned into a record,
+    decoded or read off a cached head: each non-blank line it read, none it stepped
+    past. ``line_by_line`` folds every line as the reader did before it could step
+    past a re-seed block."""
     decoded = []
 
-    def counting_decode(text):
-        decoded.append(text)
-        return protocol.decode_json(text)
+    class RecordingReader(io.BufferedReader):
+        def readline(self, size=-1):
+            line = super().readline(size)
+            if len(line) > 1:
+                decoded.append(line[:-1].decode("utf-8", "replace"))
+            return line
+
+    def recording_open(path, mode):
+        assert mode == "rb"  # replay only reads
+        return RecordingReader(io.FileIO(path, mode))
 
     with monkeypatch.context() as patch:
-        patch.setattr(eventlog, "decode_json", counting_decode)
+        patch.setattr(eventlog, "open", recording_open, raising=False)
         if line_by_line:
             patch.setattr(eventlog.LogRecords, "consume", lambda self, block: False)
         return harness.replay_log(log_path, window_sec, out), decoded
