@@ -230,28 +230,28 @@ class _RestartLog:
     ahead: int = 0  # records skipped for a valid ts after the restart's now
     first_ts: int | None = None  # the first valid ts
     flush_ts: int | None = None  # the last flush marker with a valid ts
-    tail: list[dict[str, Any]] = field(default_factory=list)  # the records after that marker
+    tail: list[eventlog.LogItem] = field(default_factory=list)  # the items after that marker
     window_ends: dict[int, int] = field(default_factory=dict)  # flush windowStart -> its ts
 
     @classmethod
-    def fold(cls, records: Iterable[dict[str, Any]], now: int) -> _RestartLog:
+    def fold(cls, records: Iterable[eventlog.LogItem], now: int) -> _RestartLog:
         kept = cls()
-        for record in records:
+        for item in records:
             kept.count += 1
-            ts = record.get("ts")
-            if eventlog.is_log_ts(ts):
+            ts, _, record = item
+            if record is None or eventlog.is_log_ts(ts := record.get("ts")):
                 if ts > now:  # logged before the clock stepped back; folded, it fails at now
                     kept.ahead += 1
                     continue
                 if kept.first_ts is None:
                     kept.first_ts = ts
-                if record.get("marker") == eventlog.MARKER_FLUSH:
+                if record is not None and record.get("marker") == eventlog.MARKER_FLUSH:
                     kept.flush_ts = ts
                     kept.tail = []
                     if eventlog.is_log_ts(record.get("windowStart")):
                         kept.window_ends[record["windowStart"]] = ts
                     continue
-            kept.tail.append(record)  # a bad ts is refused, and counted, on recovery
+            kept.tail.append(item)  # a bad ts is refused, and counted, on recovery
         return kept
 
 
@@ -361,14 +361,18 @@ class EdgeAgentCore:
     # recovery
 
     def _recover(self, kept: _RestartLog, now: int) -> None:
-        for record in kept.tail:
+        for ts, event, record in kept.tail:
             try:
-                applied = eventlog.apply_record(self.table, record, self.warnings)
+                if event is None:
+                    event = eventlog.apply_record(self.table, record, self.warnings)
+                else:
+                    kind, lot_id, bay_id, status = event
+                    apply_event(self.table, kind, ts, lot_id, bay_id, status, self.warnings)
             except ValueError as exc:  # skipped, like an undecodable line
                 self._warn("skipped_log_line", "log recovery skipped a refused record: %s", exc)
                 continue
-            if applied is not None:
-                self.lot_id = applied[1]
+            if event is not None:
+                self.lot_id = event[1]
         self._close_windows(now)  # those whose boundary passed while we were down
         # The downtime itself is an unobserved gap.
         self._append_log(protocol.encode_line(eventlog.disconnect_record(now)))

@@ -8,9 +8,9 @@ Line shapes (ts and bayId are JSON integers, lotId a string):
 
 Events are written before the state mutation they describe (write-ahead),
 so replaying a log through the state machine reproduces the live table.
-``apply_record`` folds one decoded line straight into ``apply_event``;
-no event object stands between the line and the table. The hub store
-uses the same reader and writer for its roll-up files.
+``apply_record`` folds one decoded line straight into ``apply_event``, and
+a line read by its head goes there with the head's checked fields. The
+hub store uses the same reader and writer for its roll-up files.
 
 The writer appends lines its caller has already encoded. Event lines,
 one per ingested update, come from ``event_line``, which takes the
@@ -25,16 +25,18 @@ marker's ts, renders the block again from it and steps past the block
 when the log holds exactly those bytes (``LogRecords.consume``),
 so it decodes only the lines that differ.
 
-A pass decodes each distinct head once, a line's head being its bytes up
-to its last ``"ts":``. A canonical line (``encode_line`` of its record, so
-no key repeats) whose record has the ts last and holds no list or object is
-its head's template. A later line of that head that ends in a ts in
-canonical digits and ``}`` reads as a copy of the template with that ts:
-JSON is read left to right, so equal heads decode alike, and a template's
-last ``"ts":`` is its own last key, not the end of a key like ``"x\\"ts"``
-or one in a nested object. The templates are the pass's: at most
-``MAX_TEMPLATES``, from lines of at most ``MAX_TEMPLATE_LINE`` bytes, with
-their keys and strings held once. Each record yielded is a dict of its own.
+A pass decodes and checks each distinct head once, a line's head being its
+bytes up to its last ``"ts":``. A canonical line (``encode_line`` of its
+record, so no key repeats) whose record has the ts last, holds no list or
+object and passes ``event_fields`` makes its head a template of those
+fields. A later line of that head that ends in a ts in canonical digits and
+``}`` is that event at that ts: JSON is read left to right, so equal heads
+decode alike, and a template's last ``"ts":`` is its own last key, not the
+end of a key like ``"x\\"ts"`` or one in a nested object. It yields
+``(ts, event, None)``, with no dict built; every other line, markers,
+rejected events and failed heads included, yields ``(None, None, record)``.
+The templates are the pass's: at most ``MAX_TEMPLATES``, from lines of at
+most ``MAX_TEMPLATE_LINE`` bytes.
 
 Torn tails: a final line without its newline is a crash leftover. A pass
 stops before it; opening a writer cuts it off, so the next record starts on
@@ -49,6 +51,7 @@ import logging
 import os
 import re
 from collections import Counter
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Iterator
@@ -70,6 +73,9 @@ log = logging.getLogger(__name__)
 MARKER_FLUSH = "flush"
 MARKER_DISCONNECT = "disconnect"
 EVENT_TS_TAIL = b"%d}\n"  # an event line after its event_prefix: % its ts, the last key
+
+Event = tuple[EventKind, str, int, BayStatus]  # a checked event's kind, lot id, bay id, status
+LogItem = tuple[int | None, Event | None, dict[str, Any] | None]  # what a pass yields per line
 
 
 def event_prefix(
@@ -125,25 +131,10 @@ def record_ts(record: dict[str, Any]) -> int:
     return ts
 
 
-def apply_record(
-    table: dict[int, BayState],
-    record: dict[str, Any],
-    warnings: Counter[str] | None = None,
-) -> tuple[EventKind, str] | None:
-    """Fold one log record into the table; returns (kind, lot id) of an applied event.
-
-    Every record needs a valid ts. A disconnect marker invalidates every
-    bay; flush markers and rejected events leave the table as it is. An
-    event needs a status and a src, its ts and bayId must be JSON integers
-    and its lotId a string. A record that breaks a rule raises
-    InvariantViolationError and leaves the table as it is. ``warnings``
-    counts apply_event's warnings by kind.
-    """
-    ts = record_ts(record)
-    marker = record.get("marker")
-    if marker is not None or record.get("rejected"):
-        if marker == MARKER_DISCONNECT:
-            invalidate_statuses(table, ts)
+def event_fields(record: dict[str, Any]) -> Event | None:
+    """An event's checked (kind, lot id, bay id, status), None for a marker or rejected
+    event; ValueError unless an integer bayId, a string lotId, a known src and status."""
+    if record.get("marker") is not None or record.get("rejected"):
         return None
     lot_id = record.get("lotId")
     bay_id = record.get("bayId")
@@ -153,13 +144,36 @@ def apply_record(
             f"log event needs an integer bayId, a string lotId, a status and a src, "
             f"got {record!r}"
         )
-    kind = event_kind(record["src"])
-    apply_event(table, kind, ts, lot_id, bay_id, bay_status(record["status"]), warnings)
+    return event_kind(record["src"]), lot_id, bay_id, bay_status(record["status"])
+
+
+def apply_record(
+    table: dict[int, BayState],
+    record: dict[str, Any],
+    warnings: Counter[str] | None = None,
+    ts: int | None = None,
+) -> tuple[EventKind, str] | None:
+    """Fold one log record into the table; returns (kind, lot id) of an applied event.
+
+    Every record needs a valid ts, checked here unless passed as record_ts
+    returned it. A disconnect marker invalidates every bay; flush markers and
+    rejected events leave the table as it is. A record that breaks a rule of
+    event_fields or apply_event raises and leaves the table as it is.
+    ``warnings`` counts apply_event's warnings by kind.
+    """
+    ts = record_ts(record) if ts is None else ts
+    event = event_fields(record)
+    if event is None:
+        if record.get("marker") == MARKER_DISCONNECT:
+            invalidate_statuses(table, ts)
+        return None
+    kind, lot_id, bay_id, status = event
+    apply_event(table, kind, ts, lot_id, bay_id, status, warnings)
     return kind, lot_id
 
 
 _SCAN_BLOCK = 1 << 16  # bytes read per step of the backward newline scan
-MAX_TEMPLATES = 1024  # heads whose record one pass keeps
+MAX_TEMPLATES = 1024  # heads whose checked event one pass keeps
 MAX_TEMPLATE_LINE = 256  # bytes: a longer line is decoded, never kept
 _TS_TAIL = re.compile(rb"(0|[1-9][0-9]{0,18})\}\n")  # a ts in canonical digits, the last key
 
@@ -220,7 +234,7 @@ class EventLogWriter:
 
 
 class LogRecords:
-    """One pass over a log's decodable records, read line by line as iterated.
+    """One pass over a log's decodable lines as LogItems, read line by line as iterated.
 
     A torn final line is dropped and undecodable lines (nested past the
     recursion limit included) are skipped; ``skipped`` counts both as read
@@ -240,7 +254,7 @@ class LogRecords:
         self._consumed_lines = 0
         self._records = self._read()
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
+    def __iter__(self) -> Iterator[LogItem]:
         return self._records
 
     def __enter__(self) -> LogRecords:
@@ -265,7 +279,7 @@ class LogRecords:
         fh.seek(self._pos)
         return False
 
-    def _read(self) -> Iterator[dict[str, Any]]:
+    def _read(self) -> Iterator[LogItem]:
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:
@@ -279,8 +293,7 @@ class LogRecords:
                 log.warning("%s: discarding torn final line (%d bytes)", self.path, end - keep)
             fh.seek(0)
             readline, lineno = fh.readline, 0
-            templates: dict[bytes, dict[str, Any]] = {}  # head -> its record; see the module
-            strings: dict[str, str] = {}  # one object per key and string value they hold
+            templates: dict[bytes, Event] = {}  # head -> its checked event; see the module
             while self._pos < keep:
                 line = readline()
                 if not line:
@@ -290,11 +303,9 @@ class LogRecords:
                 if len(line) == 1:
                     continue
                 head, _, tail = line.rpartition(b'"ts":')
-                template = templates.get(head)
-                if template is not None and (ts := _TS_TAIL.fullmatch(tail)):
-                    record = template.copy()
-                    record["ts"] = int(ts[1])
-                    yield record
+                event = templates.get(head)
+                if event is not None and (ts := _TS_TAIL.fullmatch(tail)):
+                    yield int(ts[1]), event, None
                     continue
                 try:
                     record = decode_json(line[:-1].decode("utf-8"))
@@ -309,11 +320,10 @@ class LogRecords:
                         and next(reversed(record), None) == "ts"
                         and not any(type(v) is dict or type(v) is list for v in record.values())
                         and encode_line(record) == line):
-                    templates[head] = {
-                        strings.setdefault(k, k): strings.setdefault(v, v) if type(v) is str else v
-                        for k, v in record.items()
-                    }
-                yield record
+                    with suppress(ValueError):  # a head that fails is not kept
+                        if (event := event_fields(record)) is not None:
+                            templates[head] = event
+                yield None, None, record
 
 
 def read_records(path: str | Path) -> LogRecords:

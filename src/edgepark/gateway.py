@@ -213,7 +213,7 @@ def _trace_rows(
     bays: dict[tuple[str, str], tuple[int, BayStatus]] = {}  # parse_bay of an _ITEM_ROW's text
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(protocol.JSON_WHITESPACE)
             if fixed := _ITEM_ROW.fullmatch(line):
                 bay = bays.get(key := fixed.group(1, 3))
                 sim_ts = int(fixed[2])

@@ -53,6 +53,7 @@ from .occupancy import (
     EventKind,
     RollupRecord,
     RollupWindow,
+    apply_event,
     rollup,
     update_occupation_time,
 )
@@ -422,28 +423,33 @@ def replay_log(
         has_observations = False
 
     with eventlog.read_records(log_path) as records:
-        for record in records:
-            ts = eventlog.record_ts(record)
+        for ts, event, record in records:
+            if record is not None:
+                ts = eventlog.record_ts(record)
             if window_start is None:
                 window_start = window_floor(ts, period, epoch_ms)
             while ts >= window_start + period:
                 close_window()
-            if record.get("marker") == eventlog.MARKER_FLUSH and table:
-                # Credit up to ts, as the roll-up did: the re-seed lines credit nothing.
-                update_occupation_time(table, ts)
-                if records.consume(eventlog.reseed_lines(table, ts)):
-                    lot_seen = table[max(table)].lot_id
-                    has_observations |= ts > window_start
+            if event is not None:  # a line read by its head
+                kind, lot_seen, bay_id, status = event
+                apply_event(table, kind, ts, lot_seen, bay_id, status, warnings)
+            else:
+                if record.get("marker") == eventlog.MARKER_FLUSH and table:
+                    # Credit up to ts, as the roll-up did: the re-seed lines credit nothing.
+                    update_occupation_time(table, ts)
+                    if records.consume(eventlog.reseed_lines(table, ts)):
+                        lot_seen = table[max(table)].lot_id
+                        has_observations |= ts > window_start
+                        continue
+                applied = eventlog.apply_record(table, record, warnings, ts)
+                if applied is None:
+                    if record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
+                        has_observations = True
                     continue
-            applied = eventlog.apply_record(table, record, warnings)
-            if applied is not None:
                 kind, lot_seen = applied
-                # Updates are real observations; snapshots at exactly the window
-                # start are boundary bookkeeping (post-rollup re-seed lines).
-                if kind is EventKind.UPDATE or ts > window_start:
-                    has_observations = True
-            elif record.get("marker") == eventlog.MARKER_DISCONNECT and ts > window_start:
-                has_observations = True
+            # Updates are real observations; snapshots at exactly the window
+            # start are boundary bookkeeping (post-rollup re-seed lines).
+            has_observations |= kind is EventKind.UPDATE or ts > window_start
 
     if window_start is None:  # no record: one empty window
         window_start, has_observations = 0, True

@@ -86,8 +86,10 @@ class RollupStore:
         receivedAt; a row that is not is skipped, logged and counted."""
         for path in sorted(self.store_dir.glob("*.jsonl")):
             with eventlog.read_records(path) as rows:
-                for row in rows:
+                for _, _, row in rows:
                     try:
+                        if row is None:  # an event line read by its head
+                            raise protocol.ProtocolError("an event line is not a stored row")
                         envelope = protocol.parse_rollup_envelope(row)
                         if not protocol.is_wire_int(row.get("receivedAt")):
                             raise protocol.ProtocolError("receivedAt must be an integer")

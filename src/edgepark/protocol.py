@@ -59,9 +59,7 @@ class ProtocolError(ValueError):
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _DECODER = json.JSONDecoder()
-# The whitespace json.loads skips around a value; str.strip() would also
-# drop form feeds and other characters that json.loads rejects.
-_JSON_WHITESPACE = " \t\n\r"
+JSON_WHITESPACE = " \t\n\r"  # what json.loads skips around a value: str.strip() skips more
 
 
 def encode_line(message: Mapping[str, Any]) -> bytes:
@@ -75,7 +73,7 @@ def decode_json(text: str) -> Any:
     text is stripped of that whitespace and must be consumed whole by one
     call of the decoder's scanner, as ``raw_decode`` makes it.
     """
-    text = text.strip(_JSON_WHITESPACE)
+    text = text.strip(JSON_WHITESPACE)
     try:
         value, end = _DECODER.scan_once(text, 0)
     except StopIteration as err:  # what raw_decode raises, without its frame

@@ -30,6 +30,22 @@ EPOCH_MS = 1_542_585_600_000
 DAY_MS = 86_400_000
 
 
+def item_record(item) -> dict:
+    """The record a log pass's item stands for. A line of a checked head comes as
+    its ts and event fields, and the logs the tests read hold no other keys in one."""
+    ts, event, record = item
+    if event is None:
+        return record
+    kind, lot_id, bay_id, status = event
+    return {"bayId": bay_id, "lotId": lot_id, "src": kind.value, "status": status.value, "ts": ts}
+
+
+def log_records(path) -> list[dict]:
+    """Every record of one pass over a log."""
+    with eventlog.read_records(path) as reader:
+        return [item_record(item) for item in reader]
+
+
 def make_scenario(**overrides) -> ScenarioConfig:
     values = dict(
         name="test",

@@ -32,15 +32,15 @@ from edgepark.occupancy import (
 from edgepark.transport import VirtualNetwork
 
 from conftest import (
-    DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, idle_trace, items_trace, record_pings,
-    track_agent, traced_peak, update_lines,
+    DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, idle_trace, items_trace, log_records,
+    record_pings, track_agent, traced_peak, update_lines,
 )
 
 HOUR_MS = 3_600_000
 
 
 def disconnect_times(rig):
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     return [r["ts"] for r in records if r.get("marker") == "disconnect"]
 
 
@@ -75,7 +75,7 @@ def test_ingest_pair_credits_600_seconds(rig_factory):
     rig = rig_factory(items_trace([(100_000, 5, "occupied"), (700_000, 5, "free")]))
     rig.run_for(800_000)
     assert rig.agent.table[5].accumulated_occupation_ms == 600_000
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     updates = [r for r in records if r.get("src") == "update"]
     assert [(r["ts"] - EPOCH_MS, r["status"]) for r in updates] == [
         (100_000, "occupied"),
@@ -117,7 +117,7 @@ def test_duplicate_update_counted_logged_at_debug_then_summarised_state_unchange
     rig.run_for(5000)
     assert rig.agent.table[3].status is BayStatus.OCCUPIED
     assert rig.agent.warnings["duplicate_update"] == 1
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     assert len([r for r in records if r.get("src") == "update"]) == 2
     # The detail is DEBUG only; the window's roll-up logs the one WARNING.
     assert [(r.levelno, r.getMessage()) for r in caplog.records if "bay 3" in r.getMessage()] == [
@@ -183,7 +183,7 @@ def test_final_table_equals_log_replay(rig_factory):
     rig = rig_factory(items_trace(items, duration_ms=DAY_MS))
     rig.run_for(ts + 1000)
 
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     replayed = {}
     for record in records:
         assert "marker" not in record  # no boundary crossed in this run
@@ -232,8 +232,8 @@ def test_a_gateway_outage_at_the_start_is_a_gap_from_the_agent_start(rig_factory
     rig = rig_factory(faults=FaultPlan(disconnects=((0, 600_000),)))
     rig.sched.run_until(EPOCH_MS + HOUR_MS)
     assert rig.agent._gap_open is None
-    with eventlog.read_records(rig.agent_config.log_path) as records:
-        first_snapshot = next(r["ts"] for r in records if r.get("src") == "snapshot")
+    first_snapshot = next(r["ts"] for r in log_records(rig.agent_config.log_path)
+                          if r.get("src") == "snapshot")
     assert first_snapshot >= EPOCH_MS + 600_000
     assert rig.agent.total_gap_ms == first_snapshot - EPOCH_MS
 
@@ -367,7 +367,7 @@ def test_seeded_pong_patterns_end_each_session_where_a_missed_pong_counter_does(
     sched.run_until(EPOCH_MS + 6 * HOUR_MS)
     assert sum(patterns.values()) >= 200 and len(patterns) == 5
     assert len(expected_ends) >= 5
-    ends = [r["ts"] for r in eventlog.read_records(tmp_path / "agent.log")
+    ends = [r["ts"] for r in log_records(tmp_path / "agent.log")
             if r.get("marker") == "disconnect"]
     assert ends == expected_ends
 
@@ -458,7 +458,7 @@ def test_clock_regression_event_logged_as_rejected(rig_factory):
     )
     assert rig.agent.warnings["rejected_event"] == 1
     assert rig.agent.table[3].status is BayStatus.OCCUPIED  # untouched
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     assert records[-1].get("rejected") is True
 
 
@@ -647,7 +647,7 @@ def test_idle_day_produces_all_zero_csv(rig_factory):
 def test_flush_marker_and_reseed_written_at_boundary(rig_factory):
     rig = rig_factory(items_trace([(1000, 4, "occupied")]))
     rig.sched.run_until(EPOCH_MS + DAY_MS)
-    records = list(eventlog.read_records(rig.agent_config.log_path))
+    records = log_records(rig.agent_config.log_path)
     markers = [r for r in records if r.get("marker") == "flush"]
     assert markers == [{"ts": EPOCH_MS + DAY_MS, "marker": "flush", "windowStart": EPOCH_MS}]
     reseed = [r for r in records if r.get("src") == "snapshot" and r["ts"] == EPOCH_MS + DAY_MS]
@@ -915,7 +915,7 @@ def test_an_update_run_after_its_boundary_is_logged_and_applied_in_the_next_wind
     sched.call_at(boundary - 10, lambda: sessions[0].send(update))
     sched.run_until(boundary + HOUR_MS // 2)
     assert agent.table[1].status is BayStatus.OCCUPIED
-    records = list(eventlog.read_records(tmp_path / "agent.log"))
+    records = log_records(tmp_path / "agent.log")
     # [00:00, 01:00) closed once, at 01:00; the update is logged after its flush block.
     assert [r for r in records if "marker" in r] == [eventlog.flush_record(boundary, EPOCH_MS)]
     assert [r.get("src") for r in records] == ["snapshot", None, "snapshot", "update"]
@@ -1121,7 +1121,7 @@ def test_recover_replays_only_after_last_flush_marker(tmp_path):
 
     agent, _ = make_agent(tmp_path, rollup_epoch_ms=None)
     agent.start()
-    records = list(eventlog.read_records(tmp_path / "agent.log"))
+    records = log_records(tmp_path / "agent.log")
     assert records[-1] == eventlog.disconnect_record(EPOCH_MS)  # the restart's, at its start
     assert 1 not in agent.table  # pre-marker history excluded
     assert agent.window_start == EPOCH_MS - 1800_000
@@ -1172,8 +1172,37 @@ def test_recover_skips_and_counts_a_refused_log_record(tmp_path, key, value):
     agent.start()
     assert agent.table[1].accumulated_occupation_ms == 5000  # flushed at recovery
     assert agent.warnings["skipped_log_line"] == 1
-    records = list(eventlog.read_records(log_path))
+    records = log_records(log_path)
     assert records[-1] == eventlog.disconnect_record(EPOCH_MS)
+
+
+def test_a_head_that_fails_its_check_is_refused_at_each_of_its_lines(tmp_path, monkeypatch):
+    valid = [
+        eventlog.event_line(EventKind.SNAPSHOT, EPOCH_MS - 9000, "L", 1, BayStatus.FREE),
+        eventlog.event_line(EventKind.UPDATE, EPOCH_MS - 5000, "L", 1, BayStatus.OCCUPIED),
+    ]
+    bogus = [protocol.encode_line({"bayId": 2, "lotId": "L", "src": "bogus", "status": "free",
+                                   "ts": EPOCH_MS - 4000 + i}) for i in range(5)]
+    assert len({line.rpartition(b'"ts":')[0] for line in bogus}) == 1  # one canonical head
+    log_path = tmp_path / "agent.log"
+    log_path.write_bytes(b"".join(valid + bogus))
+    seen = []  # the ts of each record replay checks
+    record_ts = eventlog.record_ts
+
+    def checked_ts(record):
+        seen.append(record_ts(record))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eventlog, "record_ts", checked_ts)
+        with pytest.raises(ValueError, match=r"^'bogus' is not a valid EventKind$"):
+            harness.replay_log(log_path, 86_400, None)
+    assert seen[-1] == EPOCH_MS - 4000  # the first of them
+    agent, _ = make_agent(tmp_path)
+    agent.start()
+    assert agent.warnings["skipped_log_line"] == 5
+    assert agent.table[1].accumulated_occupation_ms == 5000  # the valid lines folded
+    assert 2 not in agent.table
 
 
 def test_failed_start_closes_the_log_it_opened(tmp_path):
@@ -1246,7 +1275,7 @@ def test_restart_skips_and_counts_records_ahead_of_the_clock(tmp_path, ahead_ts)
     assert agent.table[1].accumulated_occupation_ms == 60_000
     assert 2 not in agent.table
     assert agent.warnings["skipped_log_line"] == 2
-    assert list(eventlog.read_records(log_path))[-1] == eventlog.disconnect_record(now)
+    assert log_records(log_path)[-1] == eventlog.disconnect_record(now)
 
 
 def test_restart_memory_does_not_grow_with_history_before_the_last_flush(tmp_path):

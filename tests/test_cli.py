@@ -389,6 +389,7 @@ def test_verify_of_a_csv_with_the_replayed_records_in_other_bytes_exits_1(
         '{"simTs":5,"bayId":1,"status":"parked"}',
         "not json",
         '{"simTs":-5,"bayId":1,"status":"free"}',
+        '{"simTs":1,"bayId":1,"status":"free"}\f',  # json.loads refuses a form feed
         '{"bayId":1,"status":"free"}',
         '{"kind":"initial","statuses":{"0":"occupied"}}',
         '{"initial":{"1":"occupied"}}',  # the old script-only form is an item without simTs

@@ -20,7 +20,7 @@ from edgepark.occupancy import (
 )
 from edgepark.protocol import encode_line
 
-from conftest import MIB, append_long_torn_tail, random_int, random_text, traced_peak
+from conftest import MIB, append_long_torn_tail, item_record, random_int, random_text, traced_peak
 
 
 def ev(ts, bay, status, kind=EventKind.UPDATE):
@@ -88,7 +88,7 @@ def test_reseed_lines_are_event_lines_of_each_bay_snapshot_in_bay_order():
 def read_all(path):
     """Every record of one pass over the log, and the lines that pass skipped."""
     with eventlog.read_records(path) as reader:
-        records = list(reader)
+        records = [item_record(item) for item in reader]
     return records, reader.skipped
 
 
@@ -200,7 +200,7 @@ def test_read_records_is_one_pass_counting_skips_as_it_reads(tmp_path, caplog):
     )
     reader = eventlog.read_records(path)
     assert reader.skipped == 0  # nothing read yet
-    records = iter(reader)
+    records = map(item_record, reader)
     assert next(records)["ts"] == 1
     assert reader.skipped == 1  # the torn tail, counted as the pass opens the file
     assert next(records)["ts"] == 2
@@ -217,7 +217,7 @@ def test_a_pass_stopped_early_closes_its_file(tmp_path):
     path = tmp_path / "events.log"
     path.write_bytes(eventlog.event_line(*ev(1, 1, "occupied")) * 3)
     with eventlog.read_records(path) as reader:
-        assert next(iter(reader))["ts"] == 1
+        assert item_record(next(iter(reader)))["ts"] == 1
     assert list(reader) == []  # closed: the pass is over
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -237,7 +237,7 @@ def test_consume_steps_past_exactly_the_given_bytes_between_records(tmp_path, ca
     )
     reader = eventlog.read_records(path)
     assert not reader.consume(block)  # the pass has not opened the file
-    records = iter(reader)
+    records = map(item_record, reader)
     assert next(records)["ts"] == 1
     assert not reader.consume(block[:-1] + b"X")  # one byte differs: nothing consumed
     assert not reader.consume(block + block)  # past the end of the file
@@ -256,7 +256,7 @@ def test_a_block_that_does_not_match_is_read_line_by_line(tmp_path):
     lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in range(1, 5)]
     path.write_bytes(b"".join(lines) + b'{"ts": 5')
     with eventlog.read_records(path) as reader:
-        records = iter(reader)
+        records = map(item_record, reader)
         assert next(records)["ts"] == 1
         assert not reader.consume(lines[1] + lines[2].replace(b"free", b"busy"))
         assert [r["ts"] for r in records] == [2, 3, 4]
@@ -286,7 +286,7 @@ def test_a_pass_over_a_long_torn_tail_costs_one_scan_block(tmp_path):
 
     def one_pass():
         with eventlog.read_records(path) as reader:
-            got.extend(record["ts"] for record in reader)
+            got.extend(record["ts"] for record in map(item_record, reader))
         got.append(reader.skipped)
 
     assert traced_peak(one_pass) < MIB  # the pass stops at the last newline
@@ -302,7 +302,7 @@ def test_a_pass_stops_at_the_last_whole_line_of_a_cut_reseed_block(tmp_path):
     for cut in range(len(block)):  # the fragment is a prefix of the block consume compares
         path.write_bytes(head + block[:cut])
         with eventlog.read_records(path) as reader:
-            records = iter(reader)
+            records = map(item_record, reader)
             assert [next(records)["ts"], next(records)["marker"]] == [1, "flush"]
             assert not reader.consume(block)
             rest = [record["bayId"] for record in records]
@@ -310,7 +310,7 @@ def test_a_pass_stops_at_the_last_whole_line_of_a_cut_reseed_block(tmp_path):
         assert reader.skipped == (not block[:cut].endswith(b"\n") and cut > 0), cut
     path.write_bytes(head + block + b'{"ts": 5')  # the whole block, then a torn line
     with eventlog.read_records(path) as reader:
-        records = iter(reader)
+        records = map(item_record, reader)
         assert [next(records)["ts"], next(records)["marker"]] == [1, "flush"]
         assert reader.consume(block)
         assert list(records) == []
@@ -322,7 +322,7 @@ def test_a_pass_over_a_file_that_shrinks_ends(tmp_path):
     lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in range(1, 2001)]
     path.write_bytes(b"".join(lines))
     with eventlog.read_records(path) as reader:
-        records = iter(reader)
+        records = map(item_record, reader)
         assert next(records)["ts"] == 1
         with open(path, "r+b") as fh:
             fh.truncate(0)
@@ -338,7 +338,7 @@ def test_each_skipped_line_is_named_by_its_own_line_number(tmp_path, caplog):
         + eventlog.event_line(*ev(3, 1, "occupied")) + b"worse\n"
     )
     with eventlog.read_records(path) as reader:
-        records = iter(reader)
+        records = map(item_record, reader)
         assert next(records)["ts"] == 1
         assert reader.consume(block)
         assert [record["ts"] for record in records] == [3]
@@ -489,15 +489,20 @@ def test_a_line_longer_than_max_template_line_is_decoded_every_time(tmp_path, mo
 
 def test_each_record_of_a_pass_is_a_dict_of_its_own(tmp_path):
     path = tmp_path / "events.log"
-    lines = [eventlog.event_line(*ev(ts, 1, "free")) for ts in (1, 2, 3)]
+    # No template keeps a rejected event's head: each of its lines is decoded to a record.
+    lines = [eventlog.event_line(*ev(ts, 1, "free"), rejected=True) for ts in (1, 2, 3)]
+    lines += [eventlog.event_line(*ev(ts, 1, "free")) for ts in (4, 5)]
     path.write_bytes(b"".join(lines))
     with eventlog.read_records(path) as reader:
-        records = iter(reader)
-        first = next(records)  # the line its head's template is taken from
+        items = iter(reader)
+        first = next(items)[2]
         first.update(lotId="X", extra=True)
         del first["ts"]
-        second = next(records)
+        second = next(items)[2]
         second["status"] = "occupied"
-        third = next(records)
+        third = next(items)[2]
+        next(items)[2]["lotId"] = "X"  # a checked head's first line, whose template it is
+        fifth = next(items)  # a later line of that head: its ts and the kept fields
     assert second == {**json.loads(lines[1]), "status": "occupied"}
     assert third == json.loads(lines[2])
+    assert fifth == (5, (EventKind.UPDATE, "L", 1, BayStatus.FREE), None)

@@ -628,6 +628,28 @@ def trace_outcome(path):
     return repr((trace.lot_id, trace.bay_count, trace.duration_ms, trace.initial, items))
 
 
+@pytest.mark.parametrize("end", [" ", "\t", "\r", " \t\r "])
+def test_read_trace_reads_a_row_with_trailing_json_whitespace_as_before(tmp_path, end):
+    path = tmp_path / "trace.jsonl"
+    rows = [ITEM_ROW % (1, ts, "free") for ts in (5, 9)]  # the second on the fixed-field path
+    path.write_text("".join(rows))
+    want = trace_outcome(path)
+    path.write_text("".join(row[:-1] + end + "\n" for row in rows))
+    assert trace_outcome(path) == want and want.startswith("(")
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_read_trace_refuses_a_row_json_loads_refuses_for_a_form_feed(tmp_path, line):
+    path = tmp_path / "trace.jsonl"
+    rows = ['{"simTs":1,"bayId":1,"status":"free"}\n', ITEM_ROW % (1, 5, "free")]
+    rows[line - 1] = rows[line - 1][:-1] + "\f\n"
+    with pytest.raises(ValueError):
+        json.loads(rows[line - 1])
+    path.write_text("".join(rows))
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(path))}:{line}: "):
+        tuple(read_trace(path).items)
+
+
 @pytest.mark.parametrize("row", NEAR_FIXED_ROWS.values(), ids=NEAR_FIXED_ROWS)
 def test_read_trace_reads_a_row_alike_on_the_fixed_field_path_and_off_it(
     tmp_path, monkeypatch, row

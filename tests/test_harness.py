@@ -653,6 +653,37 @@ def test_replay_accepts_only_json_integers_and_a_string_lot(tmp_path, key, value
         harness.replay_log(log_with_second_event(tmp_path, key, value), 86_400, None)
 
 
+def ts_checks(monkeypatch):
+    """The ts of each eventlog.is_log_ts call, the one ts rule record_ts applies too."""
+    seen = []
+    is_log_ts = eventlog.is_log_ts
+    monkeypatch.setattr(eventlog, "is_log_ts", lambda ts: seen.append(ts) or is_log_ts(ts))
+    return seen
+
+
+@pytest.mark.parametrize("max_templates", [0, eventlog.MAX_TEMPLATES])
+def test_replay_checks_each_ts_once_and_none_of_a_line_read_by_its_head(
+    tmp_path, monkeypatch, max_templates
+):
+    monkeypatch.setattr(eventlog, "MAX_TEMPLATES", max_templates)
+    path = tmp_path / "events.log"
+    lines = update_lines(EPOCH_MS, 40) + b"".join(
+        protocol.encode_line(record) for record in (
+            eventlog.disconnect_record(EPOCH_MS + 50),
+            eventlog.flush_record(EPOCH_MS + 60, EPOCH_MS),  # no re-seed block follows it
+        )
+    ) + eventlog.event_line(EventKind.UPDATE, EPOCH_MS + 70, "L", 1, BayStatus.OCCUPIED)
+    path.write_bytes(lines)
+    records = [json.loads(line) for line in log_lines(path)]
+    seen = ts_checks(monkeypatch)
+    harness.replay_log(path, 86_400, None)
+    # The first line of each head, four snapshots and eight (bay, status) updates, and the
+    # two markers are decoded; every later update line is read by its head.
+    decoded = [r["ts"] for r in records
+               if max_templates == 0 or "marker" in r or r["ts"] <= EPOCH_MS + 8]
+    assert seen == decoded and len(records) == 47
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from edgepark import protocol
+from edgepark import eventlog, protocol
 from edgepark.clock import VirtualScheduler
 from edgepark.hub import MAX_OPEN_LOTS, HubCore, fleet_average_hours, store_row_line
-from edgepark.occupancy import RollupRecord
+from edgepark.occupancy import BayStatus, EventKind, RollupRecord
 from edgepark.transport import VirtualNetwork
 
 from conftest import DAY_MS, EPOCH_MS, MIB, append_long_torn_tail, open_store, traced_peak
@@ -493,6 +493,18 @@ def test_a_bad_stored_row_is_skipped_logged_and_counted(tmp_path, row, caplog):
     assert len(reopened) == 2  # the rows before and after it are kept
     assert reopened.query_daily("LOT-A", EPOCH_MS) == (RollupRecord(1, 100, 0.0012),)
     assert reopened.query_daily("LOT-A", EPOCH_MS + DAY_MS) == (RollupRecord(1, 60, 0.0007),)
+
+
+def test_each_event_line_in_a_store_file_is_a_bad_row(tmp_path, caplog):
+    store = open_store(tmp_path)
+    store.receive(envelope(), received_at=1)
+    with open(tmp_path / "LOT-A.jsonl", "ab") as fh:  # one head: the later lines read by it
+        fh.write(b"".join(eventlog.event_line(EventKind.UPDATE, ts, "LOT-A", 1, BayStatus.FREE)
+                          for ts in (1, 2, 3)) + protocol.encode_line(GOOD_ROW))
+    reopened = open_store(tmp_path)
+    assert reopened.skipped_rows == 3
+    assert caplog.text.count("skipping bad stored row") == 3
+    assert len(reopened) == 2
 
 
 def test_load_counts_a_torn_row_as_skipped(tmp_path):

@@ -1,16 +1,23 @@
-"""A log pass reads a line of a head it has seen as a copy of that head's record;
-it yields exactly the records and the skipped count a decode of every line yields."""
+"""A log pass reads a line of a checked head it has seen as that head's event at the
+line's ts; it yields exactly what a decode of every line yields, and replay and a
+restart fold the same log alike with templates and without."""
 
+import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from edgepark import eventlog  # noqa: E402
+from edgepark import eventlog, harness  # noqa: E402
+from edgepark.agent import AgentConfig, EdgeAgentCore  # noqa: E402
+from edgepark.clock import VirtualScheduler  # noqa: E402
 from edgepark.occupancy import BayStatus, EventKind  # noqa: E402
+from edgepark.protocol import encode_line  # noqa: E402
+from edgepark.transport import VirtualNetwork  # noqa: E402
 
 from test_eventlog import read_all, reference_read_records  # noqa: E402
 
@@ -86,3 +93,100 @@ def test_a_pass_yields_what_a_decode_of_every_line_yields(lines, torn):
     (records, skipped), (want, want_skipped) = one_pass_and_reference(lines, torn)
     # repr tells 1 from 1.0 and True, and shows the key order.
     assert (repr(records), skipped) == (repr(want), want_skipped)
+
+
+EPOCH_MS = 1_542_585_600_000
+WINDOW_MS = 60_000
+# One field of an update line each, in canonical lines whose head fails event_fields or,
+# for bay 0, apply_event.
+BAD_FIELDS = [("src", "bogus"), ("status", "busy"), ("bayId", True), ("bayId", "1"),
+              ("lotId", 5), ("bayId", 0)]
+SHAPES = ["event"] * 4 + ["rejected", "disconnect", "flush", "spaced"]
+
+
+@st.composite
+def fold_logs(draw):
+    """A log of update and snapshot lines, lines of heads that fail the check, rejected
+    lines, disconnect and flush markers (some followed by the re-seed block replay's
+    table renders) and spaced copies of earlier lines at a later ts. Half the logs also
+    hold bad lines and clock steps back of up to 5 s, which replay refuses and a restart
+    skips."""
+    lines, ts, table = [], EPOCH_MS, {}  # table: replay's, as far as it folds
+    shapes = SHAPES + (["bad", "back"] if draw(st.booleans()) else [])
+    for _ in range(draw(st.integers(0, 40))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "back":
+            ts = max(0, ts - draw(st.integers(1, 5_000)))
+            shape = "event"
+        ts += draw(st.integers(0, 20_000))
+        if shape in ("event", "rejected"):
+            line = eventlog.event_line(
+                draw(st.sampled_from(EventKind)), ts, draw(st.sampled_from(["L", "M"])),
+                draw(st.integers(1, 3)), draw(st.sampled_from(BayStatus)),
+                rejected=shape == "rejected")
+        elif shape == "bad":
+            key, value = draw(st.sampled_from(BAD_FIELDS))
+            line = encode_line({"bayId": 1, "lotId": "L", "src": "update", "status": "free",
+                                "ts": ts, key: value})
+        elif shape == "disconnect":
+            line = encode_line(eventlog.disconnect_record(ts))
+        elif shape == "flush":
+            line = encode_line(eventlog.flush_record(ts, ts - WINDOW_MS))
+            if table is not None and draw(st.booleans()):
+                line += eventlog.reseed_lines(table, ts)
+        elif lines:
+            record = {**json.loads(lines[draw(st.integers(0, len(lines) - 1))]), "ts": ts}
+            line = (json.dumps(record) + "\n").encode()
+        else:
+            continue
+        for part in line.splitlines(keepends=True):
+            lines.append(part)
+            try:
+                if table is not None:
+                    eventlog.apply_record(table, json.loads(part))
+            except ValueError:
+                table = None  # replay raises here
+    return b"".join(lines), ts
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def restart(log, now):
+    """What a restart at ``now`` from this log keeps: its table, warnings, lot and window."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agent.log"
+        path.write_bytes(log)
+        sched = VirtualScheduler(now)
+        config = AgentConfig("sim://nowhere", "sim://nohub", path, Path(tmp) / "csv",
+                             rollup_period_sec=WINDOW_MS // 1000, rollup_epoch_ms=EPOCH_MS)
+        agent = EdgeAgentCore(sched, VirtualNetwork(sched), config)
+        try:
+            agent.start()
+            return agent.table, agent.warnings, agent.lot_id, agent.window_start
+        finally:
+            agent.kill()
+
+
+def folds(log, now):
+    """Replay's windows and skipped count, and a restart's state, for the log."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agent.log"
+        path.write_bytes(log)
+        replayed = outcome(harness.replay_log, path, WINDOW_MS // 1000, None)
+    return repr(replayed), repr(outcome(restart, log, now))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=fold_logs(), now_after=st.integers(-30_000, 3 * WINDOW_MS))
+def test_replay_and_restart_fold_a_log_alike_with_templates_and_without(drawn, now_after):
+    log, last_ts = drawn
+    now = max(0, last_ts + now_after)
+    with_templates = folds(log, now)
+    with mock.patch.object(eventlog, "MAX_TEMPLATES", 0):  # every line decoded and checked
+        assert folds(log, now) == with_templates
