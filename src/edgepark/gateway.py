@@ -145,9 +145,12 @@ def generate_trace(config: GatewayConfig, duration_ms: int) -> SimTrace:
 # Trace persistence (harness artifact and scripted scenarios)
 
 
-# write_trace's item row in canonical digits, which _trace_rows reads without a decode.
-_ITEM_ROW = re.compile(r'\{"bayId":([1-9][0-9]{0,18}),"kind":"item",'
-                       r'"simTs":(0|[1-9][0-9]{0,18}),"status":"(occupied|free)"\}')
+# One line of a trace block: write_trace's item row with at most 18 digits per
+# number, as (row, bayId, simTs, status, b""), or any other line, as
+# (b"", b"", b"", b"", line). A line ends at "\n", "\r\n" or "\r", as in text mode.
+_ROWS = re.compile(rb'(\{"bayId":([1-9][0-9]{0,17}),"kind":"item","simTs":(0|[1-9][0-9]{0,17}),'
+                   rb'"status":"(occupied|free)"\})\n|([^\r\n]*)(?:\r\n?|\n)')
+TRACE_BLOCK = 4096  # bytes one read of a trace file takes at a time
 MAX_TRACE_BAYS = 4096  # (bay, status) pairs whose parse_bay one read of a trace keeps
 
 
@@ -183,9 +186,11 @@ def write_trace(trace: SimTrace, fh: BinaryIO) -> Iterator[TraceItem]:
 def read_trace(path: str | Path) -> SimTrace:
     """Read trace.jsonl or a scenario's script: '#' lines are comments, a
     row with no kind is an item, and the meta and initial rows come before
-    the first item. Those rows are read now; the items are read as they are
+    the first item. Lines are UTF-8 and end as in text mode, at LF, CRLF or
+    a lone CR. Those rows are read now; the items are read as they are
     taken, in file order. InvariantViolationError names the line of any row
-    it refuses, a meta or initial row after the first item too."""
+    it refuses: a line that is not UTF-8, a comment too, and a meta or
+    initial row after the first item."""
     lot_id, bay_count, duration_ms = "lot", 0, 0
     initial: dict[int, BayStatus] = {}
     rows = _trace_rows(path)
@@ -206,25 +211,30 @@ def _trace_rows(
     path: str | Path,
 ) -> Iterator[TraceItem | tuple[str, int, int] | dict[int, BayStatus]]:
     """Each row of a trace file, parsed: an item, a meta row's (lot_id,
-    bay_count, duration_ms) or an initial row's statuses. An item row in
-    write_trace's bytes whose (bay id, status) text an earlier row of the
-    read parsed to a bay is that bay at its simTs; any other row is decoded."""
+    bay_count, duration_ms) or an initial row's statuses.
+
+    One _ROWS scan splits each block of whole lines (_trace_blocks). A
+    write_trace item row whose (bay id, status) text an earlier row of the
+    read parsed to a bay is that bay at its simTs, built with no decode and
+    no Python-level frame. Any other line, a pair's first row included, is
+    decoded as strict UTF-8, stripped of JSON whitespace and parsed as a
+    row; an error names its line."""
     in_items = False
-    bays: dict[tuple[str, str], tuple[int, BayStatus]] = {}  # parse_bay of an _ITEM_ROW's text
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip(protocol.JSON_WHITESPACE)
-            if fixed := _ITEM_ROW.fullmatch(line):
-                bay = bays.get(key := fixed.group(1, 3))
-                sim_ts = int(fixed[2])
-                if bay is not None and sim_ts < 2**63:
-                    in_items = True
-                    yield TraceItem(sim_ts, *bay)
-                    continue
-            if not line or line.startswith("#"):
+    bays: dict[tuple[bytes, bytes], tuple[int, BayStatus]] = {}  # parse_bay of a fixed row's text
+    new = tuple.__new__
+    lineno = 0
+    for block in _trace_blocks(path):
+        for fixed, bay_text, ts_text, status_text, line in _ROWS.findall(block):
+            lineno += 1
+            # A kept pair was parsed from an item row, so in_items is already set.
+            if fixed and (bay := bays.get((bay_text, status_text))):
+                yield new(TraceItem, (int(ts_text),) + bay)
                 continue
             try:
-                row = protocol.decode_json(line)
+                text = (fixed or line).decode("utf-8").strip(protocol.JSON_WHITESPACE)
+                if not text or text.startswith("#"):
+                    continue
+                row = protocol.decode_json(text)
                 kind = row.get("kind", "item")
                 if kind == "item":
                     sim_ts = row.get("simTs")
@@ -249,8 +259,27 @@ def _trace_rows(
             except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
                 raise InvariantViolationError(f"{path}:{lineno}: {exc}") from exc
             if fixed and len(bays) < MAX_TRACE_BAYS:
-                bays[key] = bay
+                bays[bay_text, status_text] = bay
             yield parsed
+
+
+def _trace_blocks(path: str | Path) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines: TRACE_BLOCK bytes are read
+    at a time and cut after their last line end, so a line longer than
+    TRACE_BLOCK is read whole. A last line with no line end is given one."""
+    with open(path, "rb") as fh:
+        parts: list[bytes] = []
+        while block := fh.read(TRACE_BLOCK):
+            # A "\r" that ends the block may be the first half of a "\r\n".
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                parts.append(block[:cut])
+                yield b"".join(parts)
+                parts = [block[cut:]]
+            else:
+                parts.append(block)
+        if rest := b"".join(parts):
+            yield rest + b"\n"
 
 
 def scripted_trace(config: GatewayConfig, duration_ms: int, script_path: str | Path) -> SimTrace:

@@ -489,7 +489,9 @@ class VerifyReport:
 
 def trace_to_events(trace: SimTrace, epoch_ms: int) -> Iterable[tuple[int, int, BayStatus]]:
     """The oracle's input as (ts, bay_id, status) triples: every bay's initial
-    status at the epoch, then every change, as the trace's items are taken."""
+    status at the epoch, then every change, as the trace's items are taken.
+    An item's one adaptation is its ts moved to the epoch, here and not in the
+    oracle, so the oracle's refusals name the run's timestamps."""
     initial = [(epoch_ms, bay_id, status) for bay_id, status in sorted(trace.initial.items())]
     return chain(initial, ((epoch_ms + ts, bay_id, status) for ts, bay_id, status in trace.items))
 

@@ -10,16 +10,17 @@ form ``harness.trace_to_events`` streams from a trace file. Every window
 is half-open, [window.start, window.end). The trace is grouped once into
 per-bay runs (ts_i, status_i), each holding until ts_{i+1}; the last run
 is open-ended; a bay's runs are an array of 64-bit starts and a
-bytearray of occupied flags, 9 bytes per event. One sweep over the
-sorted, disjoint window grid keeps a cursor per bay and splits each
-occupied run across the windows it overlaps, so checking W windows costs
-O(events + W × bays) rather than W passes over the whole trace.
+bytearray of occupied flags, 9 bytes per event, each filled through the
+bay's bound appends: one dict lookup and two calls per event. One sweep
+over the sorted, disjoint window grid keeps a cursor per bay and splits
+each occupied run across the windows it overlaps, so checking W windows
+costs O(events + W × bays) rather than W passes over the whole trace.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .occupancy import BayStatus, RollupWindow
 
@@ -43,19 +44,22 @@ def oracle_windows(
     total: TraceOrderError or ValueError comes from it, not from the sweep
     it returns. A timestamp outside the signed 64-bit range is a ValueError.
     """
-    # Per bay: run start times, and whether each run is occupied.
+    # Per bay: run start times, whether each run is occupied, and the two bound appends.
     runs: dict[int, tuple[array[int], bytearray]] = {}
-    prev_ts: int | None = None
+    appends: dict[int, tuple[Callable[[int], None], Callable[[int], None]]] = {}
+    occupied = BayStatus.OCCUPIED
+    prev_ts: float = float("-inf")
     try:
         for ts, bay_id, status in trace:
-            if prev_ts is not None and ts < prev_ts:
+            if ts < prev_ts:
                 raise TraceOrderError(f"trace not sorted by ts at {ts} < {prev_ts}")
             prev_ts = ts
-            bay_runs = runs.get(bay_id)
-            if bay_runs is None:
-                bay_runs = runs[bay_id] = (array("q"), bytearray())
-            bay_runs[0].append(ts)
-            bay_runs[1].append(status is BayStatus.OCCUPIED)
+            add = appends.get(bay_id)
+            if add is None:
+                starts, flags = runs[bay_id] = (array("q"), bytearray())
+                add = appends[bay_id] = (starts.append, flags.append)
+            add[0](ts)
+            add[1](status is occupied)
     except OverflowError as exc:
         raise ValueError(f"trace timestamp {prev_ts} is beyond 64 bits") from exc
     for before, after in zip(windows, windows[1:]):

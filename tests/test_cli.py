@@ -422,6 +422,43 @@ def test_a_bad_script_row_exits_2_and_writes_nothing(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [b"# caf\xe9", b'{"simTs":5,"bayId":1,"status":"fr\xffee"}'])
+def test_a_script_line_that_is_not_utf_8_exits_2_naming_its_line(tmp_path, capsys, line):
+    script = tmp_path / "items.jsonl"
+    script.write_bytes(b'# one bad line\n{"simTs":1,"bayId":1,"status":"free"}\n' + line + b"\n")
+    scenario = write_scenario(tmp_path, f"bays = 3\nscript = {script.name}\n")
+    out = tmp_path / "run"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == (
+        cli.EXIT_CONFIG
+    )
+    err = capsys.readouterr().err
+    (error,) = [text for text in err.splitlines() if text.startswith("configuration error: ")]
+    assert error.startswith(f"configuration error: cannot read script {script}: {script}:3: "
+                            "'utf-8' codec can't decode byte ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_of_a_trace_row_that_is_not_utf_8_exits_2_naming_its_line(tmp_path, capsys):
+    scenario = write_scenario(
+        tmp_path, "seed = 4\nbays = 3\ndays = 1\nmean_occupied_min = 30\nmean_free_min = 60\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main_harness(["run-sim", "--scenario", str(scenario), "--out", str(out)]) == 0
+    trace = out / "trace.jsonl"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b'"status"', b'"st\xffatus"')
+    trace.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert cli.main_harness(["verify", "--run", str(out)]) == cli.EXIT_CONFIG
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.splitlines() == [
+        f"configuration error: {trace}:6: 'utf-8' codec can't decode byte 0xff in position "
+        f"{lines[5].index(0xff)}: invalid start byte"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["traffic-report"], ["export-report", "--format", "csv"],

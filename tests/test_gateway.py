@@ -660,7 +660,8 @@ def test_read_trace_reads_a_row_alike_on_the_fixed_field_path_and_off_it(
     with open(path, "a") as fh:
         fh.write(row * 2)
     fixed = trace_outcome(path)
-    monkeypatch.setattr(gateway, "_ITEM_ROW", re.compile("(?!)"))  # every row decoded
+    # (?!) fails the fixed-row alternative only, so every row is decoded.
+    monkeypatch.setattr(gateway, "_ROWS", re.compile(b"(?!)" + gateway._ROWS.pattern))
     assert fixed == trace_outcome(path)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from edgepark import eventlog, harness, protocol
-from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore, read_csv_records
+from edgepark.agent import UNKNOWN_LOT, EdgeAgentCore, csv_filename, read_csv_records
 from edgepark.hub import RollupStore, fleet_average_hours
 from edgepark.occupancy import (
     BayState, BayStatus, EventKind, InvariantViolationError, RollupRecord, RollupWindow,
@@ -347,6 +347,24 @@ def test_replay_logs_one_summary_warning_for_its_per_event_warnings(tmp_path, ca
     ]
     details = [r.levelno for r in caplog.records if r.name == "edgepark.occupancy"]
     assert details == [logging.DEBUG] * 3
+
+
+def test_a_log_ending_in_a_window_with_only_a_later_snapshot_replays_that_window(tmp_path):
+    # Day 1: a snapshot at its start and two updates. Day 2 holds one snapshot
+    # at 01:00, after the window's start, and the log stops there: that snapshot
+    # is an observation, so day 2 is replayed and written though no update is in it.
+    first = {"ts": EPOCH_MS, "lotId": "L", "bayId": 7, "status": "free", "src": "snapshot"}
+    lines = [first, {**first, "ts": EPOCH_MS + 1000, "status": "occupied", "src": "update"},
+             {**first, "ts": EPOCH_MS + 2000, "src": "update"},
+             {**first, "ts": EPOCH_MS + DAY_MS + 3_600_000, "status": "occupied"}]
+    log_path = tmp_path / "events.log"
+    log_path.write_bytes(b"".join(protocol.encode_line(line) for line in lines))
+    result = harness.replay_log(log_path, 86_400, tmp_path / "csv")
+    assert [rw.window.start for rw in result.windows] == [EPOCH_MS, EPOCH_MS + DAY_MS]
+    assert [path.name for path in result.csv_paths] == [
+        csv_filename("L", EPOCH_MS), csv_filename("L", EPOCH_MS + DAY_MS)
+    ]
+    assert [rw.totals_ms for rw in result.windows] == [{7: 1000}, {7: DAY_MS - 3_600_000}]
 
 
 # Hourly windows over one day: 24 flush markers, each with a re-seed block of 6 lines.
